@@ -16,11 +16,12 @@ side (no relay operands).
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import ZERO, Arc, Fst, SymbolTable, find_arc
+from .fst import ZERO, Arc, Fst, SymbolTable, arc_map, find_arc
 
 _INF = ZERO
 _NO_STATE = -1
@@ -28,6 +29,10 @@ _NO_STATE = -1
 
 class DecodeError(RuntimeError):
     pass
+
+
+class BackoffCycleError(DecodeError):
+    """An LM's back-off arcs form a cycle, so a relay walk never ends."""
 
 
 class EmptyResultError(DecodeError):
@@ -85,27 +90,49 @@ def make_start_tokens(hclg3: Fst, g3neg: Optional[Fst] = None,
     return {init.key: init}
 
 
-def _relay(g: Fst, state: int, label: int, stats: Optional[RelayStats]):
-    """Back-off relay walk: (matched arc, accumulated hop weight, hops)."""
+def _relay_walk(g: Fst, state: int, labels, stats: Optional[RelayStats],
+                counts: Optional[dict] = None) -> tuple[dict, int]:
+    """Back-off relay walk for a set of labels at once.
+
+    Follows the back-off chain from ``state``; at each state on it, every
+    label not yet matched is looked up in the state's arc map.  Returns
+    ({label: (matched arc, accumulated hop weight, hops)}, hops taken by
+    the labels left dead).  ``stats`` counts per label and per hop, as if
+    each label walked alone; ``counts`` gives labels that stand for more
+    than one lookup.  A back-off chain longer than the graph has states
+    is a cycle and raises BackoffCycleError.
+    """
+    found = {}
+    todo = set(labels)
     acc = 0.0
     hops = 0
     q = state
     while True:
-        a = find_arc(g, q, label)
-        if a is not None:
-            return a, acc, hops
+        amap = arc_map(g, q)
+        hit = todo & amap.keys()
+        if hit:
+            for lab in hit:
+                found[lab] = (amap[lab], acc, hops)
+            todo -= hit
+            if not todo:
+                return found, hops
+        b = amap.get(0)
         if stats is not None:
-            stats.failed_direct_matches += 1
-        b = find_arc(g, q, 0)
+            n = len(todo) if counts is None else sum(counts[lab] for lab in todo)
+            stats.failed_direct_matches += n
+            if b is None:
+                stats.dead_relays += n
+            else:
+                stats.backoff_hops += n
         if b is None:
-            if stats is not None:
-                stats.dead_relays += 1
-            return None, _INF, hops
+            return found, hops
         q = b.nextstate
         acc += b.weight
         hops += 1
-        if stats is not None:
-            stats.backoff_hops += 1
+        if hops >= g.num_states:
+            raise BackoffCycleError(
+                f"back-off cycle: no back-off chain from state {state} ends "
+                f"within {g.num_states} states")
 
 
 def relay_match(g: Fst, state: int, label: int,
@@ -119,9 +146,11 @@ def relay_match(g: Fst, state: int, label: int,
         if stats is not None:
             stats.eps_output_matches += 1
         raise DecodeError("relay matching an epsilon label is forbidden")
-    a, acc, hops = _relay(g, state, label, stats)
-    if a is None:
+    found, hops = _relay_walk(g, state, (label,), stats)
+    r = found.get(label)
+    if r is None:
         return _NO_STATE, _INF, hops
+    a, acc, hops = r
     return a.nextstate, acc + a.weight, hops
 
 
@@ -147,9 +176,25 @@ def relay_final(g: Fst, state: int) -> float:
 class _TernaryMatcher:
     """LM-side expansion of algorithm branches 12-38, with memoization.
 
-    Two memo layers, both shared across decodes of the same graph pair:
-    per-(LM pair, morpheme) relay results, and fully expanded emitting
-    arc lists per search-state triple (the lazily composed graph).
+    The memo lives on the big-LM graph, in ``g4._relay_caches``: a weak-key
+    map from each G3neg it was used with to that pair's memo, which has two
+    layers, both shared across decodes of the same graphs:
+
+    - per LM pair ``(q2, q3)``, a dict from morpheme to its relay result
+      ``(q2', q3', weight)``, or False when the branch is dead.  A new
+      pair's labels are resolved in one batched walk per LM (the labels
+      of one search-graph state at a time);
+    - per search graph (a weak-key map again), the fully expanded
+      emitting arcs of each search-state triple (the lazily composed
+      graph).
+
+    ``add_arc`` on any operand invalidates what depends on it: the pair
+    memo records the ``sort_stamp`` of both LMs, which ``add_arc`` clears,
+    and the triple expansions record the search graph's arc lists, which
+    ``add_arc`` drops; a stale part is discarded on the next decode.  Weak
+    keys keep a dead graph's memo from being reused for a new graph at the
+    same ``id()``.  ``stats`` counts per label and per back-off hop, on
+    memo misses only, so a warm decode adds nothing to it.
     """
 
     def __init__(self, g3neg: Fst, g4: Fst, stats: RelayStats):
@@ -159,34 +204,67 @@ class _TernaryMatcher:
         self.lm_init = (g3neg.initial, g4.initial)
         caches = getattr(g4, "_relay_caches", None)
         if caches is None:
-            caches = g4._relay_caches = {}
-        self._cache = caches.setdefault(id(g3neg), {})
+            caches = g4._relay_caches = weakref.WeakKeyDictionary()
+        stamps = (g3neg.sort_stamp, g4.sort_stamp)
+        memo = caches.get(g3neg)
+        if memo is None or memo[0] != stamps:
+            memo = caches[g3neg] = (stamps, {}, weakref.WeakKeyDictionary())
+        _, self._pairs, self._triples = memo
 
     def triple_cache(self, hclg3: Fst) -> dict:
-        caches = self.g4._relay_caches
-        return caches.setdefault(("triples", id(hclg3), id(self.g3neg)), {})
+        arcs = _graph_cache(hclg3)
+        cache = self._triples.get(hclg3)
+        if cache is None or cache[0] is not arcs:
+            cache = self._triples[hclg3] = (arcs, {})
+        return cache[1]
+
+    def relays(self, q2: int, q3: int, labels: set) -> dict:
+        """The LM pair's memo, with every label in ``labels`` resolved."""
+        memo = self._pairs.get((q2, q3))
+        if memo is None:
+            memo = self._pairs[(q2, q3)] = {}
+        missing = labels - memo.keys()
+        if missing:
+            self._resolve(q2, q3, missing, memo)
+        return memo
 
     def expand(self, q2: int, q3: int, olabel: int):
         """(q2', q3', graph weight) for one morpheme, or False if dead."""
-        key = (q2, q3, olabel)
-        res = self._cache.get(key)
-        if res is not None:
-            return res
-        e2, acc2, _ = _relay(self.g3neg, q2, olabel, self.stats)
-        if e2 is None:
-            res = False
-        elif e2.olabel == 0:
-            # Matched arc with epsilon output: the big LM is not consulted.
-            res = (e2.nextstate, q3, acc2 + e2.weight)
-        else:
-            e3, acc3, _ = _relay(self.g4, q3, e2.olabel, self.stats)
-            if e3 is None:
-                res = False
-            else:
-                res = (e2.nextstate, e3.nextstate,
-                       acc2 + e2.weight + acc3 + e3.weight)
-        self._cache[key] = res
+        memo = self._pairs.get((q2, q3))
+        res = memo.get(olabel) if memo is not None else None
+        if res is None:
+            res = self.relays(q2, q3, {olabel})[olabel]
         return res
+
+    def _resolve(self, q2: int, q3: int, labels: set, memo: dict) -> None:
+        found2, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
+        for lab in labels - found2.keys():
+            memo[lab] = False
+        out = {}  # morpheme -> its G3neg match's output label, for G4
+        for lab, (e2, acc2, _) in found2.items():
+            if e2.olabel == 0:
+                # Matched arc with epsilon output: the big LM is not consulted.
+                memo[lab] = (e2.nextstate, q3, acc2 + e2.weight)
+            else:
+                out[lab] = e2.olabel
+        if not out:
+            return
+        targets = set(out.values())
+        counts = None
+        if len(targets) < len(out):
+            counts = dict.fromkeys(targets, 0)
+            for ol in out.values():
+                counts[ol] += 1
+        found3, _ = _relay_walk(self.g4, q3, targets, self.stats, counts)
+        for lab, ol in out.items():
+            r3 = found3.get(ol)
+            if r3 is None:
+                memo[lab] = False
+            else:
+                e2, acc2, _ = found2[lab]
+                e3, acc3, _ = r3
+                memo[lab] = (e2.nextstate, e3.nextstate,
+                             acc2 + e2.weight + acc3 + e3.weight)
 
     def final_weight(self, q2: int, q3: int) -> float:
         w2 = relay_final(self.g3neg, q2)
@@ -206,6 +284,9 @@ class _StaticMatcher:
         if cache is None:
             cache = hclg3._static_triples = {}
         return cache
+
+    def relays(self, q2: int, q3: int, labels: set) -> dict:
+        return dict.fromkeys(labels, (q2, q3, 0.0))
 
     def expand(self, q2: int, q3: int, olabel: int):
         return (q2, q3, 0.0)
@@ -301,12 +382,16 @@ def _expand_triple(hclg3: Fst, matcher, key) -> tuple:
     weight, successor triple), with dead relay branches dropped."""
     emit, _ = _graph_cache(hclg3)
     q1, q2, q3 = key
+    out = emit[q1]
+    lm = None
     arcs = []
-    for il, ol, w, ns in emit[q1]:
+    for il, ol, w, ns in out:
         if ol == 0:
             arcs.append((il, ol, w, (ns, q2, q3)))
         else:
-            r = matcher.expand(q2, q3, ol)
+            if lm is None:
+                lm = matcher.relays(q2, q3, {o for _, o, _, _ in out if o})
+            r = lm[ol]
             if r is False:
                 continue
             nq2, nq3, gw = r

@@ -7,8 +7,8 @@ semiring one is 0.0.  NaN weights are rejected at arc/final insertion.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 ZERO = math.inf
@@ -16,6 +16,8 @@ ONE = 0.0
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
+
+_SORT_STAMPS = itertools.count(1)
 
 
 class FstError(ValueError):
@@ -124,14 +126,14 @@ class Fst:
         self.finals: dict[int, float] = {}
         self.isyms = isyms
         self.osyms = osyms
-        self._sorted = False
-        self._ilabels: list[Optional[list[int]]] = []
+        self._sort_stamp: Optional[int] = None
+        self._arc_maps: list[Optional[dict[int, Arc]]] = []
 
     # -- structure ---------------------------------------------------------
 
     def add_state(self) -> int:
         self._arcs.append([])
-        self._ilabels.append(None)
+        self._arc_maps.append(None)
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:
@@ -159,13 +161,12 @@ class Fst:
         if math.isnan(arc.weight):
             raise FstError("NaN arc weight")
         self._arcs[state].append(arc)
-        self._sorted = False
-        self._ilabels[state] = None
+        self._sort_stamp = None
+        self._arc_maps[state] = None
         # Consumers memoize expansions on the object; mutation voids them.
         d = self.__dict__
         d.pop("_decoder_cache", None)
         d.pop("_static_triples", None)
-        d.pop("_relay_caches", None)
 
     def set_initial(self, state: int) -> None:
         self._check_state(state)
@@ -191,14 +192,20 @@ class Fst:
 
     def arc_sort_input(self) -> None:
         """Sort every arc list by (ilabel, weight); required by find_arc."""
-        for s, arcs in enumerate(self._arcs):
+        for arcs in self._arcs:
             arcs.sort(key=lambda a: (a.ilabel, a.weight))
-            self._ilabels[s] = [a.ilabel for a in arcs]
-        self._sorted = True
+        self._arc_maps = [None] * len(self._arcs)
+        self._sort_stamp = next(_SORT_STAMPS)
 
     @property
     def input_sorted(self) -> bool:
-        return self._sorted
+        return self._sort_stamp is not None
+
+    @property
+    def sort_stamp(self) -> Optional[int]:
+        """Process-unique id of the last arc_sort_input, or None if an arc
+        was added since: while it is unchanged, so are the arcs."""
+        return self._sort_stamp
 
 
 def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
@@ -207,17 +214,23 @@ def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
     The arc list must be input-sorted; ties on ilabel resolve to the
     minimum-weight arc because sorting is by (ilabel, weight).
     """
+    return arc_map(fst, state).get(ilabel)
+
+
+def arc_map(fst: Fst, state: int) -> dict[int, Arc]:
+    """Input label -> the arc find_arc returns for it, for one state.
+
+    Built on first use and kept until the state gains an arc, so a set of
+    labels can be matched at once with ``labels & arc_map(...).keys()``.
+    """
     fst._check_state(state)
-    if not fst._sorted:
-        raise FstError("find_arc requires input-sorted arcs (call arc_sort_input)")
-    labels = fst._ilabels[state]
-    if labels is None:
-        labels = [a.ilabel for a in fst._arcs[state]]
-        fst._ilabels[state] = labels
-    i = bisect_left(labels, ilabel)
-    if i < len(labels) and labels[i] == ilabel:
-        return fst._arcs[state][i]
-    return None
+    if fst._sort_stamp is None:
+        raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
+    amap = fst._arc_maps[state]
+    if amap is None:
+        # Reversed, so the first arc of each label in sorted order wins.
+        amap = fst._arc_maps[state] = {a.ilabel: a for a in reversed(fst._arcs[state])}
+    return amap
 
 
 # -- serialization ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from wfstdec.cli import main
 
 from conftest import MINI_CORPUS, MINI_LEXICON_TEXT
+from test_decoder import deadline
 
 
 def run(capsys, *argv):
@@ -126,6 +127,16 @@ class TestErrors:
         code, _, err = run(capsys, *argv[:i])
         assert code == 2
         assert "--g3neg" in err
+
+    def test_backoff_cycle_in_big_lm(self, workdir, capsys, tmp_path):
+        cyclic = tmp_path / "cyclic.fst"
+        cyclic.write_text("0\t0\t0\t0\t0.5\n0\t0\n")  # back-off self-loop
+        argv = _decode_argv(workdir, "onthefly")
+        argv[argv.index("--g4") + 1] = str(cyclic)
+        with deadline(10):
+            code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: back-off cycle" in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "lm-build", str(tmp_path / "nope.txt"),

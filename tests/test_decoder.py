@@ -1,11 +1,14 @@
 """Decoder behavior: relay matching, frame expansion, lattices, strategies."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from wfstdec.acoustic import synthesize_utterance
 from wfstdec.decoder import (
+    BackoffCycleError,
     DecodeError,
     DecodeOptions,
     EmptyResultError,
@@ -23,7 +26,8 @@ from wfstdec.decoder import (
     relay_match,
     rescore_lattice,
 )
-from wfstdec.fst import ZERO, Arc, Fst, SymbolTable
+from wfstdec.decoder import _relay_walk, _TernaryMatcher
+from wfstdec.fst import ZERO, Arc, Fst, SymbolTable, find_arc
 from wfstdec.graph import (
     BACKOFF_EPS,
     Lexicon,
@@ -33,9 +37,10 @@ from wfstdec.graph import (
     make_morpheme_symbols,
     negate_weights,
 )
-from wfstdec.ngram import prune_to_small_lm, score_sentence
+from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
 
 from conftest import MINI_LEXICON_TEXT
+from test_acceptance import _random_model
 from test_graph import context_states
 
 INF = math.inf
@@ -95,6 +100,144 @@ class TestRelayMatch:
                 relay_match(g, s, g.isyms.id_of(w), stats)
         assert stats.backoff_hops + stats.dead_relays == stats.failed_direct_matches
         assert stats.dead_relays == 0  # unigram completeness
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the body runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _backoff_cycle_lm(length=1):
+    """States 0..length-1 in a ring of back-off arcs; only state 0 has a
+    word (label 5), so any other label relays around the ring forever."""
+    fst = Fst()
+    fst.add_states(length)
+    fst.add_arc(0, Arc(5, 5, 1.0, 0))
+    for s in range(length):
+        fst.add_arc(s, Arc(0, 0, 0.1, (s + 1) % length))
+        fst.set_final(s, 0.0)
+    fst.set_initial(0)
+    fst.arc_sort_input()
+    return fst
+
+
+class TestBackoffCycle:
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_relay_match_raises(self, length):
+        g = _backoff_cycle_lm(length)
+        with deadline(5), pytest.raises(BackoffCycleError, match="cycle"):
+            relay_match(g, 0, 3)
+
+    def test_match_before_the_cycle_still_resolves(self):
+        assert relay_match(_backoff_cycle_lm(3), 1, 5) == (0, 0.2 + 1.0, 2)
+
+    def test_decode_onthefly_raises(self):
+        hclg = _one_arc_graph(1, 3, 0.2)
+        g3neg = _loop_lm(3, 3, -0.7)
+        matrix = synthesize_utterance([1], 1)
+        with deadline(5), pytest.raises(BackoffCycleError):
+            decode_onthefly(hclg, g3neg, _backoff_cycle_lm(), matrix)
+        with deadline(5), pytest.raises(BackoffCycleError):
+            decode_onthefly(hclg, _backoff_cycle_lm(2), _loop_lm(3, 3, 0.0),
+                            matrix)
+
+
+def _reference_relay(g, state, label, stats):
+    """The per-label walk, one find_arc per state: (arc, hop weight, hops),
+    with arc None when the label is dead."""
+    acc, hops, q = 0.0, 0, state
+    while True:
+        a = find_arc(g, q, label)
+        if a is not None:
+            return a, acc, hops
+        stats.failed_direct_matches += 1
+        b = find_arc(g, q, 0)
+        if b is None:
+            stats.dead_relays += 1
+            return None, INF, hops
+        q, acc, hops = b.nextstate, acc + b.weight, hops + 1
+        stats.backoff_hops += 1
+
+
+def _relay_models(mini_model):
+    """(words, G3neg, G4) for the mini model and three random 3-gram models."""
+    out = []
+    for model in [mini_model] + [_random_model(seed) for seed in (0, 1, 2)]:
+        small = prune_to_small_lm(model, threshold=0.45, max_order=2)
+        syms = make_morpheme_symbols(model, with_hash=True)
+        words = [syms.id_of(w) for w in model.events() if w != EOS]
+        out.append((words,
+                    negate_weights(lm_to_fst(small, syms, mode=BACKOFF_EPS)),
+                    lm_to_fst(model, syms, mode=BACKOFF_EPS)))
+    return out
+
+
+class TestBatchedRelay:
+    def test_batch_equals_per_label_relay(self, mini_model):
+        for words, g3neg, g4 in _relay_models(mini_model):
+            total_hops = 0
+            for g in (g3neg, g4):
+                batch, single, ref = RelayStats(), RelayStats(), RelayStats()
+                for s in g.states():
+                    found, _ = _relay_walk(g, s, words, batch)
+                    for w in words:
+                        got = relay_match(g, s, w, single)
+                        a, acc, hops = _reference_relay(g, s, w, ref)
+                        if a is None:
+                            assert w not in found
+                            assert got == (-1, INF, hops)
+                            continue
+                        assert got == (a.nextstate, acc + a.weight, hops)
+                        assert found[w] == (a, acc, hops)
+                assert batch == single == ref
+                total_hops += batch.backoff_hops
+            assert total_hops > 0
+
+    def test_lm_pair_memo_equals_per_label_relays(self, mini_model):
+        for words, g3neg, g4 in _relay_models(mini_model):
+            stats, ref = RelayStats(), RelayStats()
+            matcher = _TernaryMatcher(g3neg, g4, stats)
+            for q2 in g3neg.states():
+                for q3 in g4.states():
+                    memo = matcher.relays(q2, q3, set(words))
+                    for w in words:
+                        e2, acc2, _ = _reference_relay(g3neg, q2, w, ref)
+                        want = False
+                        if e2 is not None:
+                            e3, acc3, _ = _reference_relay(g4, q3, e2.olabel, ref)
+                            if e3 is not None:
+                                want = (e2.nextstate, e3.nextstate,
+                                        acc2 + e2.weight + acc3 + e3.weight)
+                        assert memo[w] == want
+            assert stats == ref
+
+
+    def test_shared_big_lm_label_counts_each_morpheme(self):
+        # G3neg maps morphemes 1 and 2 both to output 7; G4 reaches 7 only
+        # after one back-off hop, which each morpheme pays for separately.
+        g3neg = Fst()
+        g3neg.add_state()
+        g3neg.add_arc(0, Arc(1, 7, 0.5, 0))
+        g3neg.add_arc(0, Arc(2, 7, 0.25, 0))
+        g3neg.arc_sort_input()
+        g4 = Fst()
+        g4.add_states(2)
+        g4.add_arc(0, Arc(0, 0, 0.1, 1))
+        g4.add_arc(1, Arc(7, 7, 2.0, 1))
+        g4.arc_sort_input()
+        stats = RelayStats()
+        memo = _TernaryMatcher(g3neg, g4, stats).relays(0, 0, {1, 2})
+        assert memo == {1: (0, 1, 0.5 + 0.1 + 2.0), 2: (0, 1, 0.25 + 0.1 + 2.0)}
+        assert stats == RelayStats(failed_direct_matches=2, backoff_hops=2)
 
 
 class TestRelayFinal:
@@ -301,6 +444,10 @@ class TestBestPath:
 @pytest.fixture(scope="module")
 def mini(mini_model):
     """Mini decoding setup: pruned small LM, big LM, all four graphs."""
+    return _build_mini(mini_model)
+
+
+def _build_mini(mini_model):
     g4model = mini_model
     g3model = prune_to_small_lm(g4model, threshold=0.45, max_order=2)
     assert sum(g3model.num_ngrams(n) for n in (1, 2)) < \
@@ -424,3 +571,62 @@ class TestEndToEnd:
     def test_missing_initial_state_raises(self):
         with pytest.raises(DecodeError, match="initial"):
             decode_static(Fst(), synthesize_utterance([1], 1))
+
+
+class TestRelayMemo:
+    def test_pinned_cold_counters_and_warm_adds_nothing(self, mini_model):
+        # A cold decode on graphs never decoded before; the figures are the
+        # per-label, per-hop counts of the one-label-at-a-time relay walk.
+        m = _build_mini(mini_model)
+        matrix = _utt(m, SENT)
+        cold = RelayStats()
+        decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix, stats=cold)
+        assert cold == RelayStats(eps_output_matches=0,
+                                  failed_direct_matches=41, backoff_hops=41,
+                                  dead_relays=0)
+        warm = RelayStats()
+        decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix, stats=warm)
+        assert warm == RelayStats()
+
+    @staticmethod
+    def _decode(m, matrix):
+        return best_path(decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"],
+                                         matrix))
+
+    @staticmethod
+    def _copy(g):
+        out = Fst(g.isyms, g.osyms)
+        out.add_states(g.num_states)
+        for s in g.states():
+            for a in g.arcs(s):
+                out.add_arc(s, a)
+        for s, w in g.finals.items():
+            out.set_final(s, w)
+        out.set_initial(g.initial)
+        out.arc_sort_input()
+        return out
+
+    @pytest.mark.parametrize("operand", ["g3neg", "g4fst", "hclg3"])
+    def test_mutated_operand_gives_fresh_scores(self, mini_model, operand):
+        m = _build_mini(mini_model)
+        matrix = _utt(m, SENT)
+        before = self._decode(m, matrix)
+        # A cheaper duplicate of every arc leaving the initial state: every
+        # path leaves it, so every score changes.
+        g = m[operand]
+        for a in list(g.arcs(g.initial)):
+            g.add_arc(g.initial, a._replace(weight=a.weight - 3.0))
+        g.arc_sort_input()
+        after = self._decode(m, matrix)
+        fresh = {k: self._copy(g) for k, g in m.items()
+                 if k in ("hclg3", "g3neg", "g4fst")}
+        assert after == self._decode(fresh, matrix)
+        assert after[1] < before[1] - 2.0
+
+    def test_memo_dies_with_its_graph(self, mini):
+        g4 = self._copy(mini["g4fst"])
+        g3neg = self._copy(mini["g3neg"])
+        decode_onthefly(mini["hclg3"], g3neg, g4, _utt(mini, SENT))
+        assert len(g4._relay_caches) == 1
+        del g3neg
+        assert len(g4._relay_caches) == 0

@@ -106,6 +106,10 @@ class TestFindArc:
         fst.add_arc(0, Arc(1, 1, 0.0, 0))
         with pytest.raises(FstError):
             find_arc(fst, 0, 1)
+        fst.add_arc(0, Arc(2, 2, -1.0, 0))
+        fst.arc_sort_input()
+        assert find_arc(fst, 0, 1) == Arc(1, 1, 0.0, 0)
+        assert find_arc(fst, 0, 2) == Arc(2, 2, -1.0, 0)
 
     def test_invalid_state(self):
         fst = Fst()

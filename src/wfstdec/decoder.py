@@ -80,16 +80,6 @@ class Token:
 TokenList = dict  # state triple (q1, q2, q3) -> Token
 
 
-def make_start_tokens(hclg3: Fst, g3neg: Optional[Fst] = None,
-                      g4: Optional[Fst] = None) -> TokenList:
-    """Token list holding the zero-cost start token of a decode."""
-    matcher = (_TernaryMatcher(g3neg, g4, RelayStats())
-               if g3neg is not None else _StaticMatcher())
-    q2, q3 = matcher.lm_init
-    init = Token((hclg3.initial, q2, q3), 0.0, 0, None)
-    return {init.key: init}
-
-
 def _relay_walk(g: Fst, state: int, labels, stats: Optional[RelayStats],
                 counts: Optional[dict] = None) -> tuple[dict, int]:
     """Back-off relay walk for a set of labels at once.
@@ -155,7 +145,11 @@ def relay_match(g: Fst, state: int, label: int,
 
 
 def relay_final(g: Fst, state: int) -> float:
-    """Final weight of a state, following back-off arcs if it has none."""
+    """Final weight of a state, following back-off arcs if it has none.
+
+    A back-off chain that returns to a state before reaching a final one
+    is a cycle and raises BackoffCycleError.
+    """
     q = state
     acc = 0.0
     seen = set()
@@ -164,7 +158,9 @@ def relay_final(g: Fst, state: int) -> float:
         if w != ZERO:
             return acc + w
         if q in seen:
-            return _INF
+            raise BackoffCycleError(
+                f"back-off cycle: the back-off chain from state {state} "
+                f"returns to state {q} without reaching a final state")
         seen.add(q)
         b = find_arc(g, q, 0)
         if b is None:

@@ -137,8 +137,8 @@ class Fst:
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:
-        for _ in range(n):
-            self.add_state()
+        self._arcs.extend([] for _ in range(n))
+        self._arc_maps.extend([None] * n)
 
     @property
     def num_states(self) -> int:
@@ -156,17 +156,24 @@ class Fst:
         return self._arcs[state]
 
     def add_arc(self, state: int, arc: Arc) -> None:
-        self._check_state(state)
-        self._check_state(arc.nextstate)
+        # The hot path of graph building: the state checks are inlined.
+        arcs = self._arcs
+        n = len(arcs)
+        if not 0 <= state < n:
+            raise FstError(f"invalid state id {state}")
+        if not 0 <= arc.nextstate < n:
+            raise FstError(f"invalid state id {arc.nextstate}")
         if math.isnan(arc.weight):
             raise FstError("NaN arc weight")
-        self._arcs[state].append(arc)
+        arcs[state].append(arc)
         self._sort_stamp = None
         self._arc_maps[state] = None
         # Consumers memoize expansions on the object; mutation voids them.
         d = self.__dict__
-        d.pop("_decoder_cache", None)
-        d.pop("_static_triples", None)
+        if "_decoder_cache" in d:
+            del d["_decoder_cache"]
+        if "_static_triples" in d:
+            del d["_static_triples"]
 
     def set_initial(self, state: int) -> None:
         self._check_state(state)
@@ -320,18 +327,19 @@ def connect(fst: Fst) -> Fst:
     n = fst.num_states
     if fst.initial < 0 or n == 0:
         return Fst(fst.isyms, fst.osyms)
+    arcs = fst._arcs
     fwd = [False] * n
     stack = [fst.initial]
     fwd[fst.initial] = True
     while stack:
         s = stack.pop()
-        for a in fst.arcs(s):
+        for a in arcs[s]:
             if not fwd[a.nextstate]:
                 fwd[a.nextstate] = True
                 stack.append(a.nextstate)
     radj: list[list[int]] = [[] for _ in range(n)]
-    for s in fst.states():
-        for a in fst.arcs(s):
+    for s in range(n):
+        for a in arcs[s]:
             radj[a.nextstate].append(s)
     bwd = [False] * n
     stack = [s for s in fst.finals if fwd[s]]
@@ -347,17 +355,21 @@ def connect(fst: Fst) -> Fst:
     out = Fst(fst.isyms, fst.osyms)
     if not keep or not bwd[fst.initial]:
         return out
-    remap = {}
-    for s in keep:
-        remap[s] = out.add_state()
-    for s in keep:
-        for a in fst.arcs(s):
-            if a.nextstate in remap:
-                out.add_arc(remap[s], Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate]))
-    for s, w in fst.finals.items():
-        if s in remap:
-            out.set_final(remap[s], w)
-    out.set_initial(remap[fst.initial])
+    # The arc lists are assembled directly: every state in them is valid.
+    if len(keep) == n:
+        out._arcs = [list(state_arcs) for state_arcs in arcs]
+        out.finals = dict(fst.finals)
+        out.initial = fst.initial
+    else:
+        remap = [-1] * n
+        for i, s in enumerate(keep):
+            remap[s] = i
+        out._arcs = [[Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
+                      for a in arcs[s] if remap[a.nextstate] >= 0]
+                     for s in keep]
+        out.finals = {remap[s]: w for s, w in fst.finals.items() if remap[s] >= 0}
+        out.initial = remap[fst.initial]
+    out._arc_maps = [None] * len(out._arcs)
     if fst.input_sorted:
         out.arc_sort_input()
     return out

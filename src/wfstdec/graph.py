@@ -216,6 +216,12 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     Filter value 0 admits anything, 1 follows a left-only epsilon move,
     2 a right-only move; 1 and 2 block the opposite lone move so each
     logical path has a single epsilon interleaving.
+
+    Each pair of states is matched from the side with fewer arcs, so the
+    cost follows the arcs emitted rather than the left arcs scanned (a
+    lexicon's word-boundary state has one arc per morpheme, an LM state
+    a handful); the result is the same either way, down to state and arc
+    order.
     """
     _check_alphabets(a, b)
     if a.initial < 0 or b.initial < 0:
@@ -227,6 +233,10 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     # Right-side arcs grouped by input label per state, built lazily.
     b_groups: dict[int, dict[int, list[Arc]]] = {}
 
+    # Left-side arc positions grouped by output label per state, built
+    # lazily; the epsilon-output positions are the list under label 0.
+    a_index: dict[int, dict[int, list[int]]] = {}
+
     def groups(q2: int) -> dict[int, list[Arc]]:
         g = b_groups.get(q2)
         if g is None:
@@ -235,6 +245,15 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
                 g.setdefault(arc.ilabel, []).append(arc)
             b_groups[q2] = g
         return g
+
+    def index(q1: int) -> dict[int, list[int]]:
+        ix = a_index.get(q1)
+        if ix is None:
+            ix = {0: []}
+            for i, arc in enumerate(a.arcs(q1)):
+                ix.setdefault(arc.olabel, []).append(i)
+            a_index[q1] = ix
+        return ix
 
     def visit(key) -> int:
         s = state_of.get(key)
@@ -249,7 +268,20 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
         q1, q2, f = key
         src = state_of[key]
         grp = groups(q2)
-        for a1 in a.arcs(q1):
+        arcs1 = a.arcs(q1)
+        if len(arcs1) > len(grp):
+            # Match from the sparser right side: only the left arcs whose
+            # output label the right state reads can match, besides the
+            # epsilon-output ones.  Visiting them in their list order
+            # emits exactly what the full scan emits, in the same order.
+            ix = index(q1)
+            pos = list(ix[0])
+            for label in grp:
+                if label:
+                    pos += ix.get(label, ())
+            pos.sort()
+            arcs1 = [arcs1[i] for i in pos]
+        for a1 in arcs1:
             if a1.olabel != 0:
                 for a2 in grp.get(a1.olabel, ()):
                     dst = visit((a1.nextstate, a2.nextstate, 0))

@@ -138,6 +138,22 @@ class TestErrors:
         assert code == 1
         assert "error: back-off cycle" in err
 
+    def test_backoff_cycle_without_final_in_big_lm(self, workdir, capsys,
+                                                   tmp_path):
+        # One state with a self-loop per symbol id: id 0 (<eps>) is a
+        # back-off self-loop and every morpheme matches directly, so only
+        # the end-of-utterance relay to a final weight walks the cycle.
+        ids = [line.split()[1] for line in
+               (workdir / "morphs.syms").read_text().splitlines()]
+        cyclic = tmp_path / "cyclic.fst"
+        cyclic.write_text("".join(f"0\t0\t{i}\t{i}\t0.5\n" for i in ids))
+        argv = _decode_argv(workdir, "onthefly")
+        argv[argv.index("--g4") + 1] = str(cyclic)
+        with deadline(10):
+            code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: back-off cycle" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "lm-build", str(tmp_path / "nope.txt"),
                            str(tmp_path / "o.arpa"))

@@ -261,6 +261,20 @@ class TestRelayFinal:
         fst.add_state()
         fst.add_arc(0, Arc(0, 0, 0.1, 0))  # epsilon self-loop
         fst.arc_sort_input()
+        with deadline(5), pytest.raises(BackoffCycleError, match="cycle"):
+            relay_final(fst, 0)
+
+    def test_no_final_on_a_longer_cycle(self):
+        g = _backoff_cycle_lm(3)
+        g.finals.clear()
+        with deadline(5), pytest.raises(BackoffCycleError, match="state 1"):
+            relay_final(g, 1)
+
+    def test_dead_end_without_final(self):
+        fst = Fst()
+        fst.add_states(2)
+        fst.add_arc(0, Arc(0, 0, 0.4, 1))
+        fst.arc_sort_input()
         assert relay_final(fst, 0) == ZERO
 
 

@@ -15,6 +15,7 @@ from wfstdec.fst import (
     FstError,
     ParseError,
     SymbolTable,
+    arc_map,
     connect,
     find_arc,
     read_text_fst,
@@ -128,6 +129,48 @@ class TestStructure:
         with pytest.raises(FstError, match="NaN"):
             fst.set_final(0, math.nan)
 
+    def test_add_arc_rejects_bad_input(self):
+        fst = Fst()
+        fst.add_states(2)
+        with pytest.raises(FstError, match=r"^invalid state id 2$"):
+            fst.add_arc(2, Arc(1, 1, 0.0, 0))
+        with pytest.raises(FstError, match=r"^invalid state id -1$"):
+            fst.add_arc(-1, Arc(1, 1, 0.0, 0))
+        with pytest.raises(FstError, match=r"^invalid state id 5$"):
+            fst.add_arc(0, Arc(1, 1, 0.0, 5))
+        with pytest.raises(FstError, match=r"^invalid state id -1$"):
+            fst.add_arc(0, Arc(1, 1, 0.0, -1))
+        with pytest.raises(FstError, match=r"^NaN arc weight$"):
+            fst.add_arc(0, Arc(1, 1, math.nan, 1))
+        assert fst.num_arcs == 0
+
+    def test_add_arc_drops_what_depends_on_the_arcs(self):
+        fst = Fst()
+        fst.add_states(2)
+        fst.add_arc(0, Arc(1, 1, 0.0, 1))
+        fst.arc_sort_input()
+        arc_map(fst, 0)
+        fst._decoder_cache = {}
+        fst._static_triples = {}
+        fst.add_arc(0, Arc(2, 2, 0.0, 1))
+        assert "_decoder_cache" not in fst.__dict__
+        assert "_static_triples" not in fst.__dict__
+        assert fst._arc_maps[0] is None
+        assert fst.sort_stamp is None and not fst.input_sorted
+        fst.add_arc(1, Arc(2, 2, 0.0, 0))  # nothing left to drop
+        assert fst.num_arcs == 3
+
+    def test_add_states(self):
+        fst = Fst()
+        fst.add_state()
+        fst.add_states(3)
+        fst.add_states(0)
+        assert fst.num_states == 4
+        fst.add_arc(3, Arc(1, 1, 0.0, 0))
+        fst.arc_sort_input()
+        assert find_arc(fst, 3, 1) == Arc(1, 1, 0.0, 0)
+        assert find_arc(fst, 2, 1) is None
+
     def test_final_default_is_zero(self):
         fst = Fst()
         fst.add_state()
@@ -211,6 +254,30 @@ class TestConnect:
         [a] = [a for a in out.arcs(out.initial)]
         assert a.weight == 0.5
         assert out.final(a.nextstate) == 1.0
+        assert write_text_fst(out) == "0\t1\t1\t1\t0.5\n1\t1\t3\t3\t0.25\n1\t1\n"
+        assert not out.input_sorted
+        fst.arc_sort_input()
+        assert connect(fst).input_sorted
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_nothing_to_trim_gives_an_independent_copy(self, sort):
+        rng = random.Random(3)
+        fst = _random_fst(rng)
+        for s in fst.states():  # every state on a successful path
+            fst.add_arc(s, Arc(1, 1, 0.5, (s + 1) % fst.num_states))
+        fst.set_final(2, 0.75)
+        if sort:
+            fst.arc_sort_input()
+        text = write_text_fst(fst)
+        out = connect(fst)
+        assert out is not fst
+        assert write_text_fst(out) == text
+        assert out.finals == fst.finals
+        assert out.input_sorted == sort
+        out.add_arc(0, Arc(3, 3, 0.0, 1))
+        out.set_final(0, 0.0)
+        assert write_text_fst(fst) == text
+        assert fst.input_sorted == sort
 
     def test_empty_when_no_successful_path(self):
         fst = Fst()

@@ -1,11 +1,22 @@
 """LM acceptors, lexicon transducers, composition, search-graph assembly."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from wfstdec.fst import ZERO, Arc, Fst, SymbolTable, find_arc
+from wfstdec import ngram
+from wfstdec.fst import (
+    ZERO,
+    Arc,
+    Fst,
+    SymbolTable,
+    connect,
+    find_arc,
+    weight_times,
+    write_text_fst,
+)
 from wfstdec.graph import (
     BACKOFF_EPS,
     BACKOFF_HASH,
@@ -22,6 +33,7 @@ from wfstdec.graph import (
     negate_weights,
 )
 from wfstdec.ngram import BOS, EOS, score_sentence
+from wfstdec.pipeline import PipelineConfig, generate_task
 
 from conftest import MINI_LEXICON_TEXT
 
@@ -222,6 +234,159 @@ class TestCompose:
         right = linear_acceptor(["b"], s2)
         with pytest.raises(GraphError, match="alphabet mismatch"):
             compose_standard(left, right)
+
+
+def full_scan_compose(a, b, seen=None):
+    """Reference composition: the three-state filter with every left arc
+    scanned against the right state's label groups.  ``seen`` collects
+    (filter value, whether the left state has more arcs than the right
+    state has labels) for each composed state."""
+    out = Fst(a.isyms, b.osyms)
+    start = (a.initial, b.initial, 0)
+    state_of = {start: out.add_state()}
+    stack = [start]
+
+    def visit(key):
+        s = state_of.get(key)
+        if s is None:
+            s = out.add_state()
+            state_of[key] = s
+            stack.append(key)
+        return s
+
+    while stack:
+        key = stack.pop()
+        q1, q2, f = key
+        src = state_of[key]
+        grp = {}
+        for arc in b.arcs(q2):
+            grp.setdefault(arc.ilabel, []).append(arc)
+        if seen is not None:
+            seen.add((f, len(a.arcs(q1)) > len(grp)))
+        for a1 in a.arcs(q1):
+            if a1.olabel != 0:
+                for a2 in grp.get(a1.olabel, ()):
+                    dst = visit((a1.nextstate, a2.nextstate, 0))
+                    out.add_arc(src, Arc(a1.ilabel, a2.olabel,
+                                         weight_times(a1.weight, a2.weight), dst))
+            else:
+                if f == 0:
+                    for a2 in grp.get(0, ()):
+                        dst = visit((a1.nextstate, a2.nextstate, 0))
+                        out.add_arc(src, Arc(a1.ilabel, a2.olabel,
+                                             weight_times(a1.weight, a2.weight), dst))
+                if f != 2:
+                    dst = visit((a1.nextstate, q2, 1))
+                    out.add_arc(src, Arc(a1.ilabel, 0, a1.weight, dst))
+        if f != 1:
+            for a2 in grp.get(0, ()):
+                dst = visit((q1, a2.nextstate, 2))
+                out.add_arc(src, Arc(0, a2.olabel, a2.weight, dst))
+        wa, wb = a.final(q1), b.final(q2)
+        if wa != ZERO and wb != ZERO:
+            out.set_final(src, weight_times(wa, wb))
+    out.set_initial(0)
+    return connect(out)
+
+
+def graph_text(fst):
+    return write_text_fst(fst) if fst.initial >= 0 else ""
+
+
+HUB_LABELS = 8      # output labels 1..8 of the hub; 9 plays #0
+
+
+def hub_lexicon(rng):
+    """Left operand shaped like a lexicon: a hub state with many arcs
+    (repeated output labels, epsilon outputs, tied (ilabel, weight)
+    pairs, an eps:#0 self-loop) and short spokes back to it."""
+    fst = Fst()
+    hub = fst.add_state()
+    fst.set_initial(hub)
+    fst.set_final(hub, 0.0)
+    for _ in range(rng.randint(12, 24)):
+        il = rng.randint(1, 4)
+        ol = 0 if rng.random() < 0.25 else rng.randint(1, HUB_LABELS)
+        w = rng.choice([0.0, 0.5])
+        if rng.random() < 0.3:
+            fst.add_arc(hub, Arc(il, ol, w, hub))
+            continue
+        mid = fst.add_state()
+        fst.add_arc(hub, Arc(il, ol, w, mid))
+        for _ in range(rng.randint(1, 2)):
+            ol2 = 0 if rng.random() < 0.7 else rng.randint(1, HUB_LABELS)
+            fst.add_arc(mid, Arc(rng.randint(1, 4), ol2, 0.25, hub))
+    if rng.random() < 0.7:
+        fst.add_arc(hub, Arc(0, HUB_LABELS + 1, 0.0, hub))
+    if rng.random() < 0.5:
+        fst.arc_sort_input()
+    return fst
+
+
+def sparse_lm(rng, num_states=5):
+    """Right operand shaped like an LM: states with one to three input
+    labels each, some of them epsilon or #0 back-off arcs."""
+    fst = Fst()
+    fst.add_states(num_states)
+    fst.set_initial(0)
+    for s in range(num_states):
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            il = 0 if r < 0.2 else HUB_LABELS + 1 if r < 0.35 \
+                else rng.randint(1, HUB_LABELS)
+            fst.add_arc(s, Arc(il, il, round(rng.uniform(0, 2), 3),
+                               rng.randrange(num_states)))
+        if rng.random() < 0.6:
+            fst.set_final(s, round(rng.uniform(0, 1), 3))
+    return fst
+
+
+class TestComposeMatchesFullScan:
+    def test_hub_operands(self):
+        seen = set()
+        nonempty = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            a, b = hub_lexicon(rng), sparse_lm(rng)
+            want = graph_text(full_scan_compose(a, b, seen))
+            assert graph_text(compose_standard(a, b)) == want, f"seed {seed}"
+            nonempty += bool(want)
+        assert nonempty >= 30
+        # All three filter values, each from a left state with more arcs
+        # than the right state has labels and from one with fewer.
+        assert seen == {(f, sparse) for f in (0, 1, 2) for sparse in (False, True)}
+
+    def test_lexicon_and_lm(self, mini_model):
+        syms = make_morpheme_symbols(mini_model, with_hash=True)
+        left = compile_lexicon(Lexicon.parse(MINI_LEXICON_TEXT), None, syms)
+        left.add_arc(left.initial, Arc(0, syms.id_of(BACKOFF_HASH), 0.0, left.initial))
+        left.arc_sort_input()
+        for mode in (BACKOFF_EPS, BACKOFF_HASH):
+            g = lm_to_fst(mini_model, syms, mode=mode)
+            assert graph_text(compose_standard(left, g)) == \
+                graph_text(full_scan_compose(left, g))
+
+
+# SHA-256 of write_text_fst of the default PipelineConfig task's search
+# graphs.  A change to graph building that renumbers states or reorders
+# arcs changes decode tie-breaks; it must show up here and be deliberate.
+SEARCH_GRAPH_SHA256 = {
+    "HCLG3": "83d268ad2279e9d66b78fafa791fa91aa942cc2a29c41b6fb386bf2737ee639a",
+    "HCLG4": "faa35784c413f0641ebef76fd361a1d6143dce1223a4fa6c9118cc398c0fb117",
+}
+
+
+def test_default_task_search_graphs_are_pinned():
+    cfg = PipelineConfig()
+    task = generate_task(cfg)
+    g4 = ngram.estimate_witten_bell(task.corpus, cfg.order)
+    g3 = ngram.prune_to_small_lm(g4, cfg.prune_threshold, cfg.max_order)
+    syms = make_morpheme_symbols(g4, with_hash=True)
+    hclg3 = build_search_graph(task.lexicon, g3, None, syms)
+    hclg4 = build_search_graph(task.lexicon, g4, hclg3.isyms, syms)
+    got = {name: hashlib.sha256(write_text_fst(g).encode()).hexdigest()
+           for name, g in (("HCLG3", hclg3), ("HCLG4", hclg4))}
+    assert got == SEARCH_GRAPH_SHA256
 
 
 class TestSearchGraph:

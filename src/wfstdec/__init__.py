@@ -40,17 +40,14 @@ from .decoder import (
     DecodeOptions,
     Lattice,
     RelayStats,
-    Token,
-    advance_emitting_ternary,
+    SearchSpace,
     best_path,
     decode_onthefly,
     decode_static,
-    finalize_utterance,
-    propagate_nonemitting,
-    prune_tokens,
     relay_final,
     relay_match,
     rescore_lattice,
+    search_space,
 )
 from .metrics import morphemes_to_words, size_report, wer_score
 from .pipeline import DecodeReport, PipelineConfig, run_pipeline

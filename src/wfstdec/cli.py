@@ -73,9 +73,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    opts = dec.DecodeOptions(beam=args.beam, max_active=args.max_active,
-                             lattice_beam=args.lattice_beam,
-                             acoustic_scale=args.acoustic_scale)
+    try:
+        opts = dec.DecodeOptions(beam=args.beam, max_active=args.max_active,
+                                 lattice_beam=args.lattice_beam,
+                                 acoustic_scale=args.acoustic_scale)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     isyms = SymbolTable.read_text(_read(args.isymbols)) if args.isymbols else None
     osyms = SymbolTable.read_text(_read(args.osymbols)) if args.osymbols else None
     graph = read_text_fst(_read(args.graph), isyms, osyms)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
@@ -35,6 +35,11 @@ class BackoffCycleError(DecodeError):
     """An LM's back-off arcs form a cycle, so a relay walk never ends."""
 
 
+class NegativeCycleError(DecodeError):
+    """A search graph has a negative-weight epsilon cycle, so epsilon
+    propagation would improve costs forever."""
+
+
 class EmptyResultError(DecodeError):
     def __init__(self, utt_id: str, reason: str):
         super().__init__(f"utterance {utt_id!r}: {reason}")
@@ -49,8 +54,9 @@ class DecodeOptions:
     acoustic_scale: float = 1.0
 
     def __post_init__(self):
-        if self.beam <= 0 or self.max_active <= 0 or self.lattice_beam <= 0 \
-                or self.acoustic_scale <= 0:
+        # Written so that NaN, which compares false, fails too.
+        if not (self.beam > 0 and self.max_active > 0
+                and self.lattice_beam > 0 and self.acoustic_scale > 0):
             raise ValueError("all decode options must be positive")
 
 
@@ -62,22 +68,6 @@ class RelayStats:
     failed_direct_matches: int = 0
     backoff_hops: int = 0
     dead_relays: int = 0
-
-
-class Token:
-    """A live hypothesis: graph-state triple, Viterbi cost, traceback."""
-
-    __slots__ = ("key", "cost", "frame", "back", "links")
-
-    def __init__(self, key, cost, frame, back):
-        self.key = key
-        self.cost = cost
-        self.frame = frame
-        self.back = back          # best incoming (prev, ilabel, olabel, weight)
-        self.links = [back] if back else []
-
-
-TokenList = dict  # state triple (q1, q2, q3) -> Token
 
 
 def _relay_walk(g: Fst, state: int, labels, stats: Optional[RelayStats],
@@ -180,13 +170,12 @@ class _TernaryMatcher:
       ``(q2', q3', weight)``, or False when the branch is dead.  A new
       pair's labels are resolved in one batched walk per LM (the labels
       of one search-graph state at a time);
-    - per search graph (a weak-key map again), the fully expanded
-      emitting arcs of each search-state triple (the lazily composed
-      graph).
+    - per search graph (a weak-key map again), its on-the-fly search space
+      (the lazily composed graph).
 
     ``add_arc`` on any operand invalidates what depends on it: the pair
     memo records the ``sort_stamp`` of both LMs, which ``add_arc`` clears,
-    and the triple expansions record the search graph's arc lists, which
+    and a search space records the search graph's arc lists, which
     ``add_arc`` drops; a stale part is discarded on the next decode.  Weak
     keys keep a dead graph's memo from being reused for a new graph at the
     same ``id()``.  ``stats`` counts per label and per back-off hop, on
@@ -197,7 +186,6 @@ class _TernaryMatcher:
         self.g3neg = g3neg
         self.g4 = g4
         self.stats = stats
-        self.lm_init = (g3neg.initial, g4.initial)
         caches = getattr(g4, "_relay_caches", None)
         if caches is None:
             caches = g4._relay_caches = weakref.WeakKeyDictionary()
@@ -205,14 +193,16 @@ class _TernaryMatcher:
         memo = caches.get(g3neg)
         if memo is None or memo[0] != stamps:
             memo = caches[g3neg] = (stamps, {}, weakref.WeakKeyDictionary())
-        _, self._pairs, self._triples = memo
+        _, self._pairs, self._spaces = memo
 
-    def triple_cache(self, hclg3: Fst) -> dict:
+    def space(self, hclg3: Fst) -> _OnTheFlySpace:
+        """The search space over hclg3, expanding through this matcher;
+        its memoized state tables hold no graph, so the keys stay weak."""
         arcs = _graph_cache(hclg3)
-        cache = self._triples.get(hclg3)
+        cache = self._spaces.get(hclg3)
         if cache is None or cache[0] is not arcs:
-            cache = self._triples[hclg3] = (arcs, {})
-        return cache[1]
+            cache = self._spaces[hclg3] = (arcs, ([], [], [], {}))
+        return _OnTheFlySpace(hclg3, self, arcs, cache[1])
 
     def relays(self, q2: int, q3: int, labels: set) -> dict:
         """The LM pair's memo, with every label in ``labels`` resolved."""
@@ -270,29 +260,10 @@ class _TernaryMatcher:
         return w2 + w3
 
 
-class _StaticMatcher:
-    """Trivial LM side: morphemes pass through with no extra weight."""
-
-    lm_init = (_NO_STATE, _NO_STATE)
-
-    def triple_cache(self, hclg3: Fst) -> dict:
-        cache = getattr(hclg3, "_static_triples", None)
-        if cache is None:
-            cache = hclg3._static_triples = {}
-        return cache
-
-    def relays(self, q2: int, q3: int, labels: set) -> dict:
-        return dict.fromkeys(labels, (q2, q3, 0.0))
-
-    def expand(self, q2: int, q3: int, olabel: int):
-        return (q2, q3, 0.0)
-
-    def final_weight(self, q2: int, q3: int) -> float:
-        return 0.0
-
-
 def _graph_cache(fst: Fst):
-    """Per-state arc tuples split into emitting and epsilon-input lists."""
+    """Per-state arc tuples split into emitting arcs (ilabel, olabel,
+    weight, nextstate) and epsilon-input arcs (ilabel, olabel, weight,
+    LM weight 0.0, nextstate)."""
     cache = getattr(fst, "_decoder_cache", None)
     if cache is None:
         emit = []
@@ -301,8 +272,10 @@ def _graph_cache(fst: Fst):
             e = []
             z = []
             for a in fst.arcs(s):
-                (z if a.ilabel == 0 else e).append(
-                    (a.ilabel, a.olabel, a.weight, a.nextstate))
+                if a.ilabel == 0:
+                    z.append((0, a.olabel, a.weight, 0.0, a.nextstate))
+                else:
+                    e.append((a.ilabel, a.olabel, a.weight, a.nextstate))
             emit.append(tuple(e))
             eps.append(tuple(z))
         cache = (emit, eps)
@@ -310,151 +283,198 @@ def _graph_cache(fst: Fst):
     return cache
 
 
-def _push(out: TokenList, key, cost, prev: Token, il: int, ol: int,
-          link_w: float, frame: int, link_slack: float) -> Optional[Token]:
-    """Tropical-combine a token arrival; returns the token on improvement."""
-    link = (prev, il, ol, link_w)
-    tok = out.get(key)
-    if tok is None:
-        tok = Token(key, cost, frame, link)
-        out[key] = tok
-        return tok
-    if cost < tok.cost:
-        tok.cost = cost
-        tok.back = link
-        tok.links.append(link)
-        return tok
-    if cost <= tok.cost + link_slack:
-        tok.links.append(link)
-    return None
+# -- search spaces and the search loop -------------------------------------
+#
+# A token is one list, [state id, frame, cost, *links]; a link is
+# (previous token, ilabel, olabel, link weight), and the links are every
+# arrival that set the cost or came within the lattice slack of it.
+# Token dicts map state ids to tokens, in the order the tokens were made.
 
+class SearchSpace:
+    """Integer search states over one search graph and one LM side.
 
-def advance_emitting_ternary(hclg3: Fst, g3neg: Optional[Fst], g4: Optional[Fst],
-                             s_last: TokenList, frame_costs: Sequence[float],
-                             stats: Optional[RelayStats] = None,
-                             frame: int = 0,
-                             lattice_slack: float = 8.0) -> TokenList:
-    """One frame of forward expansion over non-epsilon-input graph arcs.
-
-    frame_costs is indexable by emitting symbol id (index 0 is unused).
-    Passing g3neg and g4 as None gives the static search loop.
+    ``emit[i]`` holds state i's emitting arcs ``(ilabel, olabel, graph+LM
+    weight, next id)`` and ``eps[i]`` its epsilon-input arcs ``(ilabel,
+    olabel, graph weight, LM weight, next id)``; ``triple(i)`` is the
+    state's ``(q1, q2, q3)``, which orders the max-active cut and the
+    lattice states.  The frame steps below are the search loop of both
+    decoders.  This class is the static space: the ids are the graph's
+    own states, with the trivial LM side.
     """
-    if stats is None:
-        stats = RelayStats()
-    matcher = _TernaryMatcher(g3neg, g4, stats) if g3neg is not None else _StaticMatcher()
-    return _advance(hclg3, matcher, s_last, frame_costs, frame, lattice_slack)
 
+    def __init__(self, graph: Fst):
+        self.graph = graph
+        self.emit, self.eps = _graph_cache(graph)
+        self.initial = graph.initial
 
-def _advance(hclg3: Fst, matcher, s_last: TokenList,
-             frame_costs: Sequence[float], frame: int,
-             lattice_slack: float) -> TokenList:
-    out: TokenList = {}
-    out_get = out.get
-    tcache = matcher.triple_cache(hclg3)
-    tcache_get = tcache.get
-    for tok in s_last.values():
-        key = tok.key
-        cost = tok.cost
-        arcs = tcache_get(key)
-        if arcs is None:
-            arcs = tcache[key] = _expand_triple(hclg3, matcher, key)
-        for il, ol, base_w, nkey in arcs:
-            link_w = base_w + frame_costs[il]
-            nc = cost + link_w
-            cur = out_get(nkey)
-            if cur is None:
-                out[nkey] = Token(nkey, nc, frame, (tok, il, ol, link_w))
-            elif nc < cur.cost:
-                cur.cost = nc
-                cur.back = (tok, il, ol, link_w)
-                cur.links.append(cur.back)
-            elif nc <= cur.cost + lattice_slack:
-                cur.links.append((tok, il, ol, link_w))
-    return out
+    def triple(self, sid: int) -> tuple:
+        return (sid, _NO_STATE, _NO_STATE)
 
+    def state_id(self, triple: tuple) -> int:
+        return triple[0]
 
-def _expand_triple(hclg3: Fst, matcher, key) -> tuple:
-    """Resolve a triple's emitting arcs once: (ilabel, olabel, graph+LM
-    weight, successor triple), with dead relay branches dropped."""
-    emit, _ = _graph_cache(hclg3)
-    q1, q2, q3 = key
-    out = emit[q1]
-    lm = None
-    arcs = []
-    for il, ol, w, ns in out:
-        if ol == 0:
-            arcs.append((il, ol, w, (ns, q2, q3)))
-        else:
-            if lm is None:
-                lm = matcher.relays(q2, q3, {o for _, o, _, _ in out if o})
-            r = lm[ol]
-            if r is False:
-                continue
-            nq2, nq3, gw = r
-            arcs.append((il, ol, w + gw, (ns, nq2, nq3)))
-    return tuple(arcs)
+    def final_weight(self, sid: int) -> float:
+        return self.graph.final(sid) + 0.0  # plus the trivial LM's
 
+    def advance(self, tokens: dict, frame_costs: Sequence[float], frame: int,
+                slack: float) -> dict:
+        """One frame of forward expansion over emitting arcs.
 
-def propagate_nonemitting(hclg3: Fst, g3neg: Optional[Fst], g4: Optional[Fst],
-                          s: TokenList, stats: Optional[RelayStats] = None,
-                          frame: int = 0, lattice_slack: float = 8.0) -> TokenList:
-    """Close a token list under epsilon-input search-graph arcs in place."""
-    if stats is None:
-        stats = RelayStats()
-    matcher = _TernaryMatcher(g3neg, g4, stats) if g3neg is not None else _StaticMatcher()
-    return _propagate(hclg3, matcher, s, frame, lattice_slack)
+        frame_costs is indexable by emitting symbol id (index 0 is unused).
+        """
+        out = {}
+        emit = self.emit
+        for tok in tokens.values():
+            arcs = emit[tok[0]]
+            if arcs is None:
+                arcs = self._expand(tok[0], True)
+            cost = tok[2]
+            for il, ol, bw, nid in arcs:
+                lw = bw + frame_costs[il]
+                nc = cost + lw
+                cur = out.get(nid)
+                if cur is None:
+                    out[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+                elif nc < cur[2]:
+                    cur[2] = nc
+                    cur.append((tok, il, ol, lw))
+                elif nc <= cur[2] + slack:
+                    cur.append((tok, il, ol, lw))
+        return out
 
+    def propagate(self, tokens: dict, frame: int, slack: float) -> dict:
+        """Close a token dict under epsilon-input arcs, in place.
 
-def _propagate(hclg3: Fst, matcher, s: TokenList, frame: int,
-               lattice_slack: float) -> TokenList:
-    _, eps = _graph_cache(hclg3)
-    work = [t for t in s.values() if eps[t.key[0]]]
-    while work:
-        tok = work.pop()
-        q1, q2, q3 = tok.key
-        cost = tok.cost
-        for il, ol, w, ns in eps[q1]:
-            if ol == 0:
-                nt = _push(s, (ns, q2, q3), cost + w, tok, il, ol, w,
-                           frame, lattice_slack)
-            else:
-                r = matcher.expand(q2, q3, ol)
-                if r is False:
+        Each improvement records how many epsilon arcs the improving path
+        has.  A path with more arcs than there are tokens repeats a state,
+        and since every step on it was a strict improvement the repeated
+        loop has negative weight: NegativeCycleError.
+        """
+        eps = self.eps
+        depth = {}
+        work = [t for t in tokens.values() if eps[t[0]]]
+        while work:
+            tok = work.pop()
+            sid = tok[0]
+            arcs = eps[sid]
+            if arcs is True:
+                arcs = self._expand(sid, False)
+            cost = tok[2]
+            d = depth.get(sid, 0) + 1
+            for il, ol, w, gw, nid in arcs:
+                if ol:
+                    nc = cost + w + gw
+                    lw = w + gw
+                else:
+                    nc = cost + w
+                    lw = w
+                cur = tokens.get(nid)
+                if cur is None:
+                    cur = tokens[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+                elif nc < cur[2]:
+                    cur[2] = nc
+                    cur.append((tok, il, ol, lw))
+                    if d > len(tokens):
+                        raise NegativeCycleError(
+                            "negative-weight epsilon cycle in the search graph "
+                            f"through state {self.triple(nid)[0]}")
+                else:
+                    if nc <= cur[2] + slack:
+                        cur.append((tok, il, ol, lw))
                     continue
-                nq2, nq3, gw = r
-                nt = _push(s, (ns, nq2, nq3), cost + w + gw, tok, il, ol,
-                           w + gw, frame, lattice_slack)
-            if nt is not None and eps[nt.key[0]]:
-                work.append(nt)
-    return s
+                depth[nid] = d
+                if eps[nid]:
+                    work.append(cur)
+        return tokens
+
+    def prune(self, tokens: dict, opts: DecodeOptions) -> dict:
+        """Beam pruning around the best cost, then a max-active cap; cost
+        ties at the cap keep the smallest (q1, q2, q3)."""
+        if not tokens:
+            return tokens
+        cutoff = min(t[2] for t in tokens.values()) + opts.beam
+        kept = {k: t for k, t in tokens.items() if t[2] <= cutoff}
+        if len(kept) > opts.max_active:
+            triple = self.triple
+            kept = dict(heapq.nsmallest(
+                opts.max_active, kept.items(),
+                key=lambda kv: (kv[1][2], triple(kv[0]))))
+        return kept
+
+    def finalize(self, tokens: dict, utt_id: str) -> list:
+        """(token, final weight) for every token at a final state."""
+        out = [(t, fw) for t in tokens.values()
+               if (fw := self.final_weight(t[0])) != _INF]
+        if not out:
+            raise EmptyResultError(utt_id, "no token reaches a final state")
+        return out
 
 
-def prune_tokens(s: TokenList, opts: DecodeOptions) -> TokenList:
-    """Beam pruning around the best cost, then a max-active cap."""
-    if not s:
-        return s
-    best = min(t.cost for t in s.values())
-    cutoff = best + opts.beam
-    kept = {k: t for k, t in s.items() if t.cost <= cutoff}
-    if len(kept) > opts.max_active:
-        top = heapq.nsmallest(opts.max_active,
-                              kept.items(), key=lambda kv: (kv[1].cost, kv[0]))
-        kept = dict(top)
-    return kept
+class _OnTheFlySpace(SearchSpace):
+    """Triples (q1, q2, q3) of HCLG3 and both LMs, interned as they are
+    reached.  A state's emitting and epsilon arcs are expanded separately,
+    the first time the search loop needs each, with dead relay branches
+    dropped; until then ``emit[i]`` is None and ``eps[i]`` True (or () for
+    a state without epsilon arcs)."""
+
+    def __init__(self, hclg3: Fst, lm: _TernaryMatcher, arcs: tuple,
+                 tables: tuple):
+        self.graph = hclg3
+        self.lm = lm
+        self._emit_g, self._eps_g = arcs
+        self.emit, self.eps, self._triples, self._ids = tables
+        if hclg3.initial >= 0:
+            self.initial = self.state_id(
+                (hclg3.initial, lm.g3neg.initial, lm.g4.initial))
+
+    def triple(self, sid: int) -> tuple:
+        return self._triples[sid]
+
+    def state_id(self, triple: tuple) -> int:
+        sid = self._ids.get(triple)
+        if sid is None:
+            sid = self._ids[triple] = len(self._triples)
+            self._triples.append(triple)
+            self.emit.append(None)
+            self.eps.append(True if self._eps_g[triple[0]] else ())
+        return sid
+
+    def final_weight(self, sid: int) -> float:
+        q1, q2, q3 = self._triples[sid]
+        w1 = self.graph.final(q1)
+        return _INF if w1 == ZERO else w1 + self.lm.final_weight(q2, q3)
+
+    def _expand(self, sid: int, emitting: bool) -> tuple:
+        """One batch relays the labels of all arcs expanded; the counters
+        count per label, as if each arc were relayed alone."""
+        q1, q2, q3 = self._triples[sid]
+        graph_arcs = (self._emit_g if emitting else self._eps_g)[q1]
+        labels = {a[1] for a in graph_arcs if a[1]}
+        relays = self.lm.relays(q2, q3, labels) if labels else None
+        arcs = []
+        for a in graph_arcs:
+            il, ol, w, ns = a[0], a[1], a[2], a[-1]
+            if ol == 0:
+                nid = self.state_id((ns, q2, q3))
+                arcs.append((il, ol, w, nid) if emitting else (il, ol, w, 0.0, nid))
+            elif relays[ol] is not False:
+                nq2, nq3, gw = relays[ol]
+                nid = self.state_id((ns, nq2, nq3))
+                arcs.append((il, ol, w + gw, nid) if emitting else (il, ol, w, gw, nid))
+        arcs = tuple(arcs)
+        (self.emit if emitting else self.eps)[sid] = arcs
+        return arcs
 
 
-def finalize_utterance(s: TokenList, hclg3: Fst, g3neg: Optional[Fst],
-                       g4: Optional[Fst], utt_id: str = "",
-                       stats: Optional[RelayStats] = None) -> TokenList:
-    """Fold final weights of all operand graphs into the surviving tokens.
-
-    Returns fresh tokens whose back link carries the final weight, so the
-    underlying frame tokens stay valid for lattice construction.
-    """
-    if stats is None:
-        stats = RelayStats()
-    matcher = _TernaryMatcher(g3neg, g4, stats) if g3neg is not None else _StaticMatcher()
-    return finalize_utterance_with(s, hclg3, matcher, utt_id)
+def search_space(graph: Fst, g3neg: Optional[Fst] = None,
+                 g4: Optional[Fst] = None,
+                 stats: Optional[RelayStats] = None) -> SearchSpace:
+    """The static space of graph or, given both LMs, the on-the-fly one
+    over graph as HCLG3, with ``stats`` counting its relay memo misses."""
+    if g3neg is None:
+        return SearchSpace(graph)
+    return _TernaryMatcher(g3neg, g4, stats if stats is not None
+                           else RelayStats()).space(graph)
 
 
 # -- lattices --------------------------------------------------------------
@@ -470,55 +490,55 @@ class Lattice:
     peak_tokens: int = 0
 
 
-def _build_lattice(final_tokens: TokenList, init_token: Token,
-                   opts: DecodeOptions, isyms: Optional[SymbolTable],
-                   osyms: Optional[SymbolTable], utt_id: str) -> Lattice:
-    best = min(t.cost for t in final_tokens.values())
+def _build_lattice(space: SearchSpace, finals: list, init_token: list,
+                   opts: DecodeOptions, utt_id: str) -> Lattice:
+    best = min(t[2] + fw for t, fw in finals)
     bound = best + opts.lattice_beam + 1e-9
-    finals = {}
-    for ft in final_tokens.values():
-        if ft.cost <= bound:
-            under, _, _, fw = ft.back
-            finals[id(under)] = (under, fw)
+    final_of = {}
+    for t, fw in finals:
+        if t[2] + fw <= bound:
+            final_of[id(t)] = (t, fw)
 
     # Backward closure over traceback links.
-    nodes: dict[int, Token] = {}
-    stack = [t for t, _ in finals.values()]
+    nodes: dict[int, list] = {}
+    stack = [t for t, _ in final_of.values()]
     for t in stack:
         nodes[id(t)] = t
     while stack:
-        t = stack.pop()
-        for prev, _, _, _ in t.links:
-            if prev is not None and id(prev) not in nodes:
+        for link in stack.pop()[3:]:
+            prev = link[0]
+            if id(prev) not in nodes:
                 nodes[id(prev)] = prev
                 stack.append(prev)
 
     # Forward adjacency and suffix costs (reverse topological relaxation).
     out_arcs: dict[int, list[tuple[int, int, int, float]]] = {i: [] for i in nodes}
-    indeg: dict[int, int] = {i: 0 for i in nodes}
-    for t in nodes.values():
-        seen_links = set()
-        for prev, il, ol, w in t.links:
-            if prev is None or id(prev) not in nodes:
-                continue
-            sig = (id(prev), il, ol, round(w, 10))
-            if sig in seen_links:
-                continue
-            seen_links.add(sig)
-            out_arcs[id(prev)].append((id(t), il, ol, w))
-            indeg[id(t)] += 1
+    indeg: dict[int, int] = {}
+    for ti, t in nodes.items():
+        links = t[3:]
+        if len(links) > 1:  # a token expanded twice repeats its arrivals
+            seen_links = set()
+            unique = []
+            for lk in links:
+                sig = (id(lk[0]), lk[1], lk[2], round(lk[3], 10))
+                if sig not in seen_links:
+                    seen_links.add(sig)
+                    unique.append(lk)
+            links = unique
+        indeg[ti] = len(links)
+        for prev, il, ol, w in links:
+            out_arcs[id(prev)].append((ti, il, ol, w))
     order = [i for i, d in indeg.items() if d == 0]
     topo = []
-    indeg2 = dict(indeg)
     while order:
         i = order.pop()
         topo.append(i)
         for j, _, _, _ in out_arcs[i]:
-            indeg2[j] -= 1
-            if indeg2[j] == 0:
+            indeg[j] -= 1
+            if indeg[j] == 0:
                 order.append(j)
-    beta = {i: _INF for i in nodes}
-    for i, (t, fw) in finals.items():
+    beta = dict.fromkeys(nodes, _INF)
+    for i, (t, fw) in final_of.items():
         beta[i] = fw
     for i in reversed(topo):
         b = beta[i]
@@ -528,22 +548,23 @@ def _build_lattice(final_tokens: TokenList, init_token: Token,
                 b = cand
         beta[i] = b
 
-    keep = {i for i, t in nodes.items() if t.cost + beta[i] <= bound}
+    keep = {i for i, t in nodes.items() if t[2] + beta[i] <= bound}
     keep.add(id(init_token))
-    ordered = sorted((nodes[i] for i in keep), key=lambda t: (t.frame, t.key))
-    fst = Fst(isyms, osyms)
+    triple = space.triple
+    ordered = sorted((nodes[i] for i in keep), key=lambda t: (t[1], triple(t[0])))
+    graph = space.graph
+    fst = Fst(graph.isyms, graph.osyms)
     state_of = {}
     frames = []
     for t in ordered:
         state_of[id(t)] = fst.add_state()
-        frames.append(t.frame)
+        frames.append(t[1])
     for i in keep:
-        t = nodes[i]
         for j, il, ol, w in out_arcs[i]:
-            if j in keep and nodes[j].cost + beta[j] <= bound \
-                    and nodes[i].cost + w + beta[j] <= bound:
+            if j in keep and nodes[j][2] + beta[j] <= bound \
+                    and nodes[i][2] + w + beta[j] <= bound:
                 fst.add_arc(state_of[i], Arc(il, ol, w, state_of[j]))
-    for i, (t, fw) in finals.items():
+    for i, (t, fw) in final_of.items():
         if i in keep:
             fst.set_final(state_of[i], fw)
     fst.set_initial(state_of[id(init_token)])
@@ -600,53 +621,31 @@ def best_path(lat: Lattice) -> tuple[list[str], float]:
 
 # -- full decodes ----------------------------------------------------------
 
-def _decode(hclg3: Fst, matcher, acoustic: AcousticMatrix,
+def _decode(space: SearchSpace, acoustic: AcousticMatrix,
             opts: DecodeOptions, utt_id: str) -> Lattice:
-    if hclg3.initial < 0:
+    if space.graph.initial < 0:
         raise DecodeError("search graph has no initial state")
-    q2, q3 = matcher.lm_init
-    init = Token((hclg3.initial, q2, q3), 0.0, 0, None)
-    tokens: TokenList = {init.key: init}
+    utt_id = utt_id or acoustic.utt_id
+    init = [space.initial, 0, 0.0]
+    tokens = {init[0]: init}
     slack = opts.lattice_beam
-    _propagate(hclg3, matcher, tokens, 0, slack)
+    space.propagate(tokens, 0, slack)
     scale = opts.acoustic_scale
     peak = len(tokens)
     for frame in range(acoustic.num_frames):
         row = acoustic.padded_row(frame)
         if scale != 1.0:
             row = [c * scale for c in row]
-        tokens = _advance(hclg3, matcher, tokens, row, frame + 1, slack)
+        tokens = space.advance(tokens, row, frame + 1, slack)
         if not tokens:
-            raise EmptyResultError(utt_id or acoustic.utt_id,
-                                   f"no surviving token at frame {frame}")
-        _propagate(hclg3, matcher, tokens, frame + 1, slack)
+            raise EmptyResultError(utt_id, f"no surviving token at frame {frame}")
+        space.propagate(tokens, frame + 1, slack)
         if len(tokens) > peak:
             peak = len(tokens)
-        tokens = prune_tokens(tokens, opts)
-    finals = finalize_utterance_with(tokens, hclg3, matcher,
-                                     utt_id or acoustic.utt_id)
-    lat = _build_lattice(finals, init, opts, hclg3.isyms, hclg3.osyms,
-                         utt_id or acoustic.utt_id)
+        tokens = space.prune(tokens, opts)
+    lat = _build_lattice(space, space.finalize(tokens, utt_id), init, opts, utt_id)
     lat.peak_tokens = peak
     return lat
-
-
-def finalize_utterance_with(s: TokenList, hclg3: Fst, matcher,
-                            utt_id: str) -> TokenList:
-    out: TokenList = {}
-    for key, tok in s.items():
-        q1, q2, q3 = tok.key
-        w1 = hclg3.final(q1)
-        if w1 == ZERO:
-            continue
-        wlm = matcher.final_weight(q2, q3)
-        if wlm == _INF:
-            continue
-        fw = w1 + wlm
-        out[key] = Token(tok.key, tok.cost + fw, tok.frame, (tok, 0, 0, fw))
-    if not out:
-        raise EmptyResultError(utt_id, "no token reaches a final state")
-    return out
 
 
 def decode_onthefly(hclg3: Fst, g3neg: Fst, g4: Fst, acoustic: AcousticMatrix,
@@ -654,18 +653,16 @@ def decode_onthefly(hclg3: Fst, g3neg: Fst, g4: Fst, acoustic: AcousticMatrix,
                     stats: Optional[RelayStats] = None,
                     utt_id: str = "") -> Lattice:
     """Ternary on-the-fly decode over HCLG3 with G3- and G4 relays."""
-    opts = opts or DecodeOptions()
-    stats = stats if stats is not None else RelayStats()
-    matcher = _TernaryMatcher(g3neg, g4, stats)
-    return _decode(hclg3, matcher, acoustic, opts, utt_id)
+    space = search_space(hclg3, g3neg, g4, stats)
+    return _decode(space, acoustic, opts or DecodeOptions(), utt_id)
 
 
 def decode_static(graph: Fst, acoustic: AcousticMatrix,
                   opts: Optional[DecodeOptions] = None,
                   utt_id: str = "") -> Lattice:
     """Plain one-pass decode over a fully composed search graph."""
-    opts = opts or DecodeOptions()
-    return _decode(graph, _StaticMatcher(), acoustic, opts, utt_id)
+    return _decode(search_space(graph), acoustic, opts or DecodeOptions(),
+                   utt_id)
 
 
 def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,

@@ -168,12 +168,10 @@ class Fst:
         arcs[state].append(arc)
         self._sort_stamp = None
         self._arc_maps[state] = None
-        # Consumers memoize expansions on the object; mutation voids them.
+        # The decoder memoizes the arc lists on the object; mutation voids them.
         d = self.__dict__
         if "_decoder_cache" in d:
             del d["_decoder_cache"]
-        if "_static_triples" in d:
-            del d["_static_triples"]
 
     def set_initial(self, state: int) -> None:
         self._check_state(state)

@@ -154,6 +154,36 @@ class TestErrors:
         assert code == 1
         assert "error: back-off cycle" in err
 
+    def test_negative_epsilon_cycle_in_search_graph(self, workdir, capsys,
+                                                    tmp_path):
+        # 0 -eps/-1.0-> 1 -eps/0.5-> 0 ahead of the real graph's start.
+        text = (workdir / "hclg4.fst").read_text()
+        first = text.split("\t", 1)[0]
+        cyclic = tmp_path / "cyclic.fst"
+        n = 1 + max(int(f) for line in text.splitlines()
+                    for f in line.split()[:2 if len(line.split()) == 5 else 1])
+        cyclic.write_text(f"{n}\t{n + 1}\t0\t0\t-1.0\n"
+                          f"{n + 1}\t{n}\t0\t0\t0.5\n"
+                          f"{n + 1}\t{first}\t0\t0\t0.0\n" + text)
+        argv = _decode_argv(workdir, "static")
+        argv[argv.index("--graph") + 1] = str(cyclic)
+        with deadline(10):
+            code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: negative-weight epsilon cycle" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--beam", "-1"), ("--beam", "nan"), ("--lattice-beam", "-1"),
+        ("--acoustic-scale", "-1"), ("--max-active", "0")])
+    def test_bad_decode_option(self, capsys, tmp_path, option, value):
+        # Rejected before any file is read: these files do not exist.
+        argv = ["decode", "--graph", str(tmp_path / "missing.fst"),
+                "--acoustic", str(tmp_path / "missing.ac"), option, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: all decode options must be positive\n"
+        assert out == ""
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "lm-build", str(tmp_path / "nope.txt"),
                            str(tmp_path / "o.arpa"))

@@ -1,0 +1,149 @@
+"""Pinned decode outputs of the default task, for every strategy.
+
+The figures were taken from the search loop before its tokens were keyed
+by integer states, so any change of hypothesis, cost, token count, lattice
+or relay counter in a rewrite of the loop shows here.  Each strategy's
+utterances are summarised as one line per utterance (hypothesis, repr of
+the cost, peak tokens, lattice states and arcs, and the SHA-256 of the
+lattice text), pinned by the digest of those lines.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from wfstdec import acoustic as ac
+from wfstdec import decoder as dec
+from wfstdec import graph as gb
+from wfstdec import ngram
+from wfstdec.fst import write_text_fst
+from wfstdec.pipeline import PipelineConfig, generate_task
+
+# strategy -> (digest of the per-utterance lines, max peak tokens,
+#              total lattice states, total lattice arcs)
+DEFAULT_TASK = {
+    "onthefly": ("4b8e38a17e017deaac6d7188435fe4f7eff0476bcba4940f2444c9ee58950b08",
+                 54, 2312, 2845),
+    "static": ("f80b353c870fcc3d89b50bb29bb825c073f031f2623c990d2d7cc5144aefe457",
+               56, 2922, 3589),
+    "rescore": ("588d6adb4b7d06aa6e091d32a358494cfc373640dae3a9a764f7876e7546436a",
+                54, 2312, 2845),
+}
+# Relay counters of the on-the-fly and rescoring decodes of the default
+# task on cold graphs, in RelayStats field order; a warm repeat adds 0.
+COLD_RELAYS = {"onthefly": (0, 38773, 38773, 0), "rescore": (0, 0, 0, 0)}
+# utt0000 decoded with pruning off (beam 1e9), after the rescoring decodes
+# above warmed the memo: strategy -> (hypothesis, repr(cost), peak tokens,
+# lattice states, lattice arcs, lattice SHA-256, *relay counters).
+WIDE_HYP = ("hga uol +dkh +bkb bin fmi aec aec aec hga +kuh ufm uci ggc odh "
+            "+hel +nmb bic bga ndb +bkb bin oeg +dkh bdg eef bga")
+WIDE_OPEN = {
+    "onthefly": (WIDE_HYP, "28.94009033785824", 1196, 109, 134,
+                 "77f18cdc3d53d3b3b6d580f0c98b8632448064e1bb2665d70afd2cc04150bd70",
+                 0, 69146, 69146, 0),
+    "static": (WIDE_HYP, "28.94009033785824", 468, 153, 187,
+               "2f56b2673597f32bcca18010de5fbbdb1baeeb2f6719d9dd0c08411bc5868bee",
+               0, 0, 0, 0),
+    "rescore": (WIDE_HYP, "28.94009033785824", 195, 109, 134,
+                "84d2f80a08fa621df45655867d456ea12c201a74428690483d846297931909e2",
+                0, 0, 0, 0),
+}
+
+
+def _setup(cfg):
+    task = generate_task(cfg)
+    g4 = ngram.estimate_witten_bell(task.corpus, cfg.order)
+    g3 = ngram.prune_to_small_lm(g4, cfg.prune_threshold, cfg.max_order)
+    syms = gb.make_morpheme_symbols(g4, with_hash=True)
+    hclg3 = gb.build_search_graph(task.lexicon, g3, None, syms)
+    graphs = {
+        "hclg3": hclg3,
+        "hclg4": gb.build_search_graph(task.lexicon, g4, hclg3.isyms, syms),
+        "g3neg": gb.negate_weights(gb.lm_to_fst(g3, syms, mode=gb.BACKOFF_EPS)),
+        "g4": gb.lm_to_fst(g4, syms, mode=gb.BACKOFF_EPS),
+    }
+    phones = hclg3.isyms
+    matrices = []
+    for i, (utt_id, morphs) in enumerate(task.utterances):
+        ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
+        matrices.append(ac.synthesize_utterance(
+            ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
+            noise=cfg.noise, seed=cfg.seed + 1000 + i, margin=cfg.margin,
+            utt_id=utt_id))
+    return graphs, matrices
+
+
+def _decode(strategy, g, matrix, opts, stats):
+    if strategy == "onthefly":
+        return dec.decode_onthefly(g["hclg3"], g["g3neg"], g["g4"], matrix,
+                                   opts, stats, utt_id=matrix.utt_id)
+    if strategy == "static":
+        return dec.decode_static(g["hclg4"], matrix, opts, utt_id=matrix.utt_id)
+    first = dec.decode_static(g["hclg3"], matrix, opts, utt_id=matrix.utt_id)
+    lat = dec.rescore_lattice(first, g["g3neg"], g["g4"], stats)
+    lat.peak_tokens = first.peak_tokens
+    return lat
+
+
+def _summary(lat):
+    hyp, cost = dec.best_path(lat)
+    text = write_text_fst(lat.fst)
+    return (" ".join(hyp), repr(cost), lat.peak_tokens, lat.fst.num_states,
+            lat.fst.num_arcs, hashlib.sha256(text.encode()).hexdigest())
+
+
+def _relays(stats):
+    return tuple(getattr(stats, f.name) for f in dataclasses.fields(stats))
+
+
+def _decode_default_task():
+    """Per-strategy utterance summaries and cold and warm relay counters,
+    plus the wide-open summaries."""
+    cfg = PipelineConfig()
+    opts = cfg.options()
+    out = {}
+    for strategy in DEFAULT_TASK:
+        g, matrices = _setup(cfg)  # graphs never decoded: a cold memo
+        cold, warm = dec.RelayStats(), dec.RelayStats()
+        rows = [_summary(_decode(strategy, g, m, opts, cold)) for m in matrices]
+        for m in matrices:
+            _decode(strategy, g, m, opts, warm)
+        out[strategy] = (rows, cold, warm)
+    wide = dataclasses.replace(opts, beam=1e9, max_active=10 ** 9)
+    out["wide"] = {}
+    for strategy in WIDE_OPEN:
+        stats = dec.RelayStats()
+        lat = _decode(strategy, g, matrices[0], wide, stats)
+        out["wide"][strategy] = _summary(lat) + _relays(stats)
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_task():
+    return _decode_default_task()
+
+
+def _digest(rows):
+    lines = "".join("\t".join(map(str, r)) + "\n" for r in rows)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("strategy", sorted(DEFAULT_TASK))
+def test_default_task_decodes_are_pinned(default_task, strategy):
+    rows, _, _ = default_task[strategy]
+    got = (_digest(rows), max(r[2] for r in rows), sum(r[3] for r in rows),
+           sum(r[4] for r in rows))
+    assert got == DEFAULT_TASK[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(COLD_RELAYS))
+def test_relay_counters_are_pinned(default_task, strategy):
+    _, cold, warm = default_task[strategy]
+    assert _relays(cold) == COLD_RELAYS[strategy]
+    assert warm == dec.RelayStats()
+
+
+@pytest.mark.parametrize("strategy", sorted(WIDE_OPEN))
+def test_wide_open_decode_is_pinned(default_task, strategy):
+    assert default_task["wide"][strategy] == WIDE_OPEN[strategy]

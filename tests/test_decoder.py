@@ -13,18 +13,15 @@ from wfstdec.decoder import (
     DecodeOptions,
     EmptyResultError,
     Lattice,
+    NegativeCycleError,
     RelayStats,
-    Token,
-    advance_emitting_ternary,
     best_path,
     decode_onthefly,
     decode_static,
-    finalize_utterance,
-    propagate_nonemitting,
-    prune_tokens,
     relay_final,
     relay_match,
     rescore_lattice,
+    search_space,
 )
 from wfstdec.decoder import _relay_walk, _TernaryMatcher
 from wfstdec.fst import ZERO, Arc, Fst, SymbolTable, find_arc
@@ -299,16 +296,29 @@ def _loop_lm(ilabel, olabel, weight):
     return fst
 
 
+def _tokens(space, *entries):
+    """A token dict of fresh tokens: (triple, cost) entries, frame 0."""
+    out = {}
+    for triple, cost in entries:
+        sid = space.state_id(triple)
+        out[sid] = [sid, 0, cost]
+    return out
+
+
+def _succ(space, tokens):
+    """(triple, cost, link count) of each token, in dict order."""
+    return [(space.triple(t[0]), t[2], len(t) - 3) for t in tokens.values()]
+
+
 class TestAdvance:
     def test_epsilon_output_arc_skips_lm(self):
         # Arc a:eps w=1.0, token cost 2.0, acoustic 0.5 -> successor 3.5
         # with the LM pair untouched.
-        hclg = _one_arc_graph(1, 0, 1.0)
-        tok = Token((0, -1, -1), 2.0, 0, None)
-        out = advance_emitting_ternary(hclg, None, None, {tok.key: tok}, [INF, 0.5])
-        [succ] = out.values()
-        assert succ.cost == pytest.approx(3.5)
-        assert succ.key == (1, -1, -1)
+        space = search_space(_one_arc_graph(1, 0, 1.0))
+        out = space.advance(_tokens(space, ((0, -1, -1), 2.0)), [INF, 0.5], 1, 8.0)
+        [(triple, cost, _)] = _succ(space, out)
+        assert cost == pytest.approx(3.5)
+        assert triple == (1, -1, -1)
 
     def test_direct_match_in_both_lms(self):
         # w[e1]=0.2, negated small-LM weight -0.7, big-LM weight 0.65,
@@ -316,11 +326,11 @@ class TestAdvance:
         hclg = _one_arc_graph(1, 1, 0.2)
         g3neg = _loop_lm(1, 1, -0.7)
         g4 = _loop_lm(1, 1, 0.65)
-        tok = Token((0, 0, 0), 2.0, 0, None)
-        out = advance_emitting_ternary(hclg, g3neg, g4, {tok.key: tok}, [INF, 0.5])
-        [succ] = out.values()
-        assert succ.cost == pytest.approx(2.65)
-        assert succ.key == (1, 0, 0)
+        space = search_space(hclg, g3neg, g4)
+        out = space.advance(_tokens(space, ((0, 0, 0), 2.0)), [INF, 0.5], 1, 8.0)
+        [(triple, cost, _)] = _succ(space, out)
+        assert cost == pytest.approx(2.65)
+        assert triple == (1, 0, 0)
 
     def test_epsilon_output_in_small_lm_ends_composition(self):
         # The negated small LM maps the morpheme to epsilon output: the big
@@ -329,20 +339,19 @@ class TestAdvance:
         g3neg = _loop_lm(1, 0, -0.4)
         g4 = _loop_lm(7, 7, 9.9)  # would dead-end if it were consulted
         stats = RelayStats()
-        tok = Token((0, 0, 0), 2.0, 0, None)
-        out = advance_emitting_ternary(hclg, g3neg, g4, {tok.key: tok},
-                                       [INF, 0.5], stats)
-        [succ] = out.values()
-        assert succ.cost == pytest.approx(2.0 + 0.2 - 0.4 + 0.5)
-        assert succ.key == (1, 0, 0)
+        space = search_space(hclg, g3neg, g4, stats)
+        out = space.advance(_tokens(space, ((0, 0, 0), 2.0)), [INF, 0.5], 1, 8.0)
+        [(triple, cost, _)] = _succ(space, out)
+        assert cost == pytest.approx(2.0 + 0.2 - 0.4 + 0.5)
+        assert triple == (1, 0, 0)
         assert stats.failed_direct_matches == 0
 
     def test_dead_branch_dropped(self):
         hclg = _one_arc_graph(1, 1, 0.2)
         g3neg = _loop_lm(2, 2, 0.0)  # no match, no backoff
         g4 = _loop_lm(1, 1, 0.0)
-        tok = Token((0, 0, 0), 2.0, 0, None)
-        out = advance_emitting_ternary(hclg, g3neg, g4, {tok.key: tok}, [INF, 0.5])
+        space = search_space(hclg, g3neg, g4)
+        out = space.advance(_tokens(space, ((0, 0, 0), 2.0)), [INF, 0.5], 1, 8.0)
         assert out == {}
 
     def test_arrivals_combine_by_min(self):
@@ -352,13 +361,12 @@ class TestAdvance:
         fst.add_arc(1, Arc(1, 0, 0.1, 2))
         fst.set_initial(0)
         fst.set_final(2, 0.0)
-        t0 = Token((0, -1, -1), 2.0, 0, None)
-        t1 = Token((1, -1, -1), 1.0, 0, None)
-        out = advance_emitting_ternary(fst, None, None,
-                                       {t0.key: t0, t1.key: t1}, [INF, 0.0])
-        [succ] = out.values()
-        assert succ.cost == pytest.approx(1.1)  # min(2.0+1.0, 1.0+0.1)
-        assert len(succ.links) == 2  # both arrivals recorded for the lattice
+        space = search_space(fst)
+        tokens = _tokens(space, ((0, -1, -1), 2.0), ((1, -1, -1), 1.0))
+        out = space.advance(tokens, [INF, 0.0], 1, 8.0)
+        [(_, cost, links)] = _succ(space, out)
+        assert cost == pytest.approx(1.1)  # min(2.0+1.0, 1.0+0.1)
+        assert links == 2  # both arrivals recorded for the lattice
 
 
 class TestPropagate:
@@ -368,9 +376,9 @@ class TestPropagate:
         fst.add_arc(0, Arc(0, 0, 0.3, 1))
         fst.set_initial(0)
         fst.set_final(1, 0.0)
-        tok = Token((0, -1, -1), 2.0, 0, None)
-        s = propagate_nonemitting(fst, None, None, {tok.key: tok})
-        assert s[(1, -1, -1)].cost == pytest.approx(2.3)
+        space = search_space(fst)
+        s = space.propagate(_tokens(space, ((0, -1, -1), 2.0)), 0, 8.0)
+        assert s[space.state_id((1, -1, -1))][2] == pytest.approx(2.3)
 
     def test_chain_closure(self):
         fst = Fst()
@@ -379,34 +387,136 @@ class TestPropagate:
         fst.add_arc(1, Arc(0, 0, 0.25, 2))
         fst.set_initial(0)
         fst.set_final(2, 0.0)
-        tok = Token((0, -1, -1), 0.0, 0, None)
-        s = propagate_nonemitting(fst, None, None, {tok.key: tok})
-        assert s[(2, -1, -1)].cost == pytest.approx(0.5)
+        space = search_space(fst)
+        s = space.propagate(_tokens(space, ((0, -1, -1), 0.0)), 0, 8.0)
+        assert s[space.state_id((2, -1, -1))][2] == pytest.approx(0.5)
+
+    def test_relayed_epsilon_arc(self):
+        # An epsilon-input arc with a morpheme output moves the LM pair
+        # and pays both LM weights: 1.0 + 0.2 - 0.7 + 0.65.
+        fst = _one_arc_graph(0, 1, 0.2)
+        space = search_space(fst, _loop_lm(1, 1, -0.7), _loop_lm(1, 1, 0.65))
+        s = space.propagate(_tokens(space, ((0, 0, 0), 1.0)), 0, 8.0)
+        assert _succ(space, s)[1] == ((1, 0, 0), pytest.approx(1.15), 1)
+
+    def test_weights_add_in_search_loop_order(self):
+        # With 1e-16 below half an ulp of 1.0, (1.0 + w) + gw stays 1.0
+        # while 1.0 + (w + gw) does not: an epsilon arc adds its graph
+        # weight and then its LM weight to the cost, while an emitting
+        # arc's graph and LM weights are summed before the cost.
+        tiny = 1e-16
+        space = search_space(_one_arc_graph(0, 1, tiny), _loop_lm(1, 1, tiny),
+                             _loop_lm(1, 1, 0.0))
+        s = space.propagate(_tokens(space, ((0, 0, 0), 1.0)), 0, 8.0)
+        assert _succ(space, s)[1][1] == 1.0
+        space = search_space(_one_arc_graph(1, 1, tiny), _loop_lm(1, 1, tiny),
+                             _loop_lm(1, 1, 0.0))
+        out = space.advance(_tokens(space, ((0, 0, 0), 1.0)), [INF, 0.0], 1, 8.0)
+        assert _succ(space, out)[0][1] == 1.0 + 2 * tiny > 1.0
+
+
+def _negative_cycle_graph():
+    """0 -eps/-1.0-> 1 -eps/0.5-> 0, and an emitting arc 1 -1/0-> 2."""
+    fst = Fst()
+    fst.add_states(3)
+    fst.add_arc(0, Arc(0, 0, -1.0, 1))
+    fst.add_arc(1, Arc(0, 0, 0.5, 0))
+    fst.add_arc(1, Arc(1, 0, 0.0, 2))
+    fst.set_initial(0)
+    fst.set_final(2, 0.0)
+    return fst
+
+
+class TestNegativeCycle:
+    def test_static_decode_raises(self):
+        with deadline(5), pytest.raises(NegativeCycleError, match="cycle"):
+            decode_static(_negative_cycle_graph(), synthesize_utterance([1], 1))
+
+    def test_onthefly_decode_raises(self):
+        with deadline(5), pytest.raises(NegativeCycleError, match="cycle"):
+            decode_onthefly(_negative_cycle_graph(), _loop_lm(3, 3, 0.0),
+                            _loop_lm(3, 3, 0.0), synthesize_utterance([1], 1))
+
+    def test_positive_cycle_converges(self):
+        g = Fst()
+        g.add_states(3)
+        g.add_arc(0, Arc(0, 0, 5.0, 1))
+        g.add_arc(1, Arc(0, 0, 5.0, 0))
+        g.add_arc(1, Arc(1, 0, 0.5, 2))
+        g.set_initial(0)
+        g.set_final(2, 0.0)
+        with deadline(5):
+            lat = decode_static(g, synthesize_utterance([1], 1))
+        assert best_path(lat)[1] == pytest.approx(5.5)
+
+
+def _tie_graph():
+    """Four emitting arcs of equal weight from state 0, whose successors
+    are reached in the order 3, 2, 1 (descending q1)."""
+    fst = Fst()
+    fst.add_states(4)
+    for q in (3, 2, 1):
+        fst.add_arc(0, Arc(1, 0, 0.5, q))
+        fst.set_final(q, 0.0)
+    fst.set_initial(0)
+    return fst
 
 
 class TestPruneTokens:
-    def _tokens(self, costs):
-        out = {}
-        for i, c in enumerate(costs):
-            t = Token((i, -1, -1), c, 0, None)
-            out[t.key] = t
-        return out
-
     def test_beam_cut(self):
-        s = prune_tokens(self._tokens([0.0, 4.0, 10.0]),
-                         DecodeOptions(beam=5.0))
-        assert sorted(k[0] for k in s) == [0, 1]
+        space = search_space(_tie_graph())
+        s = space.prune(_tokens(space, *(((i, -1, -1), c) for i, c in
+                                         enumerate([0.0, 4.0, 10.0]))),
+                        DecodeOptions(beam=5.0))
+        assert sorted(s) == [0, 1]
 
     def test_max_active_cap(self):
-        s = prune_tokens(self._tokens([0.3, 0.1, 0.2]),
-                         DecodeOptions(beam=100.0, max_active=2))
-        assert sorted(k[0] for k in s) == [1, 2]
+        space = search_space(_tie_graph())
+        s = space.prune(_tokens(space, *(((i, -1, -1), c) for i, c in
+                                         enumerate([0.3, 0.1, 0.2]))),
+                        DecodeOptions(beam=100.0, max_active=2))
+        assert sorted(s) == [1, 2]
 
     def test_options_validated(self):
         with pytest.raises(ValueError, match="positive"):
             DecodeOptions(beam=0.0)
         with pytest.raises(ValueError, match="positive"):
             DecodeOptions(acoustic_scale=-1.0)
+        for option in ("beam", "lattice_beam", "acoustic_scale"):
+            with pytest.raises(ValueError, match="positive"):
+                DecodeOptions(**{option: math.nan})
+
+    def test_static_tie_keeps_smallest_states(self):
+        space = search_space(_tie_graph())
+        tokens = space.advance(_tokens(space, ((0, -1, -1), 0.0)), [INF, 0.0],
+                               1, 8.0)
+        assert [space.triple(k) for k in tokens] == \
+            [(3, -1, -1), (2, -1, -1), (1, -1, -1)]
+        kept = space.prune(tokens, DecodeOptions(max_active=2))
+        assert [space.triple(k) for k in kept] == [(1, -1, -1), (2, -1, -1)]
+
+    def test_onthefly_tie_keeps_smallest_triples_not_first_interned(self):
+        # Morphemes 5 and 6 lead G3neg to states 2 and 1, at equal cost:
+        # (1, 2, 0) is interned before (1, 1, 0) but loses the tie.
+        hclg = Fst()
+        hclg.add_states(2)
+        hclg.add_arc(0, Arc(1, 5, 0.5, 1))
+        hclg.add_arc(0, Arc(1, 6, 0.5, 1))
+        hclg.set_initial(0)
+        g3neg = Fst()
+        g3neg.add_states(3)
+        g3neg.add_arc(0, Arc(5, 0, 0.0, 2))
+        g3neg.add_arc(0, Arc(6, 0, 0.0, 1))
+        g3neg.set_initial(0)
+        g3neg.arc_sort_input()
+        space = search_space(hclg, g3neg, _loop_lm(5, 5, 0.0))
+        tokens = space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0],
+                               1, 8.0)
+        ids = list(tokens)
+        assert ids == sorted(ids)  # interned in the order they were reached
+        assert [space.triple(k) for k in ids] == [(1, 2, 0), (1, 1, 0)]
+        kept = space.prune(tokens, DecodeOptions(max_active=1))
+        assert [space.triple(k) for k in kept] == [(1, 1, 0)]
 
 
 class TestFinalize:
@@ -415,19 +525,19 @@ class TestFinalize:
         fst.add_states(2)
         fst.set_initial(0)
         fst.set_final(1, 0.75)
-        t0 = Token((0, -1, -1), 1.0, 3, None)
-        t1 = Token((1, -1, -1), 2.0, 3, None)
-        out = finalize_utterance({t0.key: t0, t1.key: t1}, fst, None, None)
-        assert list(out) == [(1, -1, -1)]
-        assert out[(1, -1, -1)].cost == pytest.approx(2.75)
+        space = search_space(fst)
+        tokens = _tokens(space, ((0, -1, -1), 1.0), ((1, -1, -1), 2.0))
+        [(tok, fw)] = space.finalize(tokens, "u")
+        assert space.triple(tok[0]) == (1, -1, -1)
+        assert tok[2] + fw == pytest.approx(2.75)
 
     def test_empty_raises(self):
         fst = Fst()
         fst.add_state()
         fst.set_initial(0)
-        tok = Token((0, -1, -1), 0.0, 0, None)
+        space = search_space(fst)
         with pytest.raises(EmptyResultError):
-            finalize_utterance({tok.key: tok}, fst, None, None, utt_id="u")
+            space.finalize(_tokens(space, ((0, -1, -1), 0.0)), "u")
 
 
 class TestBestPath:
@@ -644,3 +754,12 @@ class TestRelayMemo:
         assert len(g4._relay_caches) == 1
         del g3neg
         assert len(g4._relay_caches) == 0
+
+    def test_search_space_dies_with_its_graph(self, mini):
+        hclg3 = self._copy(mini["hclg3"])
+        decode_onthefly(hclg3, mini["g3neg"], mini["g4fst"], _utt(mini, SENT))
+        spaces = mini["g4fst"]._relay_caches[mini["g3neg"]][2]
+        assert hclg3 in spaces
+        n = len(spaces)
+        del hclg3
+        assert len(spaces) == n - 1

@@ -151,10 +151,8 @@ class TestStructure:
         fst.arc_sort_input()
         arc_map(fst, 0)
         fst._decoder_cache = {}
-        fst._static_triples = {}
         fst.add_arc(0, Arc(2, 2, 0.0, 1))
         assert "_decoder_cache" not in fst.__dict__
-        assert "_static_triples" not in fst.__dict__
         assert fst._arc_maps[0] is None
         assert fst.sort_stamp is None and not fst.input_sorted
         fst.add_arc(1, Arc(2, 2, 0.0, 0))  # nothing left to drop

@@ -13,7 +13,7 @@ from . import graph as gb
 from . import metrics
 from . import ngram
 from . import pipeline
-from .fst import SymbolTable, read_text_fst, write_text_fst
+from .fst import FstError, SymbolTable, read_text_fst, write_text_fst
 
 
 def _read(path: str) -> str:
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ngram.NGramError, gb.GraphError, ac.AcousticError,
+    except (FstError, ngram.NGramError, gb.GraphError, ac.AcousticError,
             dec.DecodeError, metrics.MetricsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -173,13 +173,13 @@ class _TernaryMatcher:
     - per search graph (a weak-key map again), its on-the-fly search space
       (the lazily composed graph).
 
-    ``add_arc`` on any operand invalidates what depends on it: the pair
-    memo records the ``sort_stamp`` of both LMs, which ``add_arc`` clears,
-    and a search space records the search graph's arc lists, which
-    ``add_arc`` drops; a stale part is discarded on the next decode.  Weak
-    keys keep a dead graph's memo from being reused for a new graph at the
-    same ``id()``.  ``stats`` counts per label and per back-off hop, on
-    memo misses only, so a warm decode adds nothing to it.
+    Each layer records the ``version`` of the graphs it was derived from:
+    the pair memo that of both LMs, a search space that of its search
+    graph.  ``add_arc`` and ``arc_sort_input`` bump a graph's version, and
+    a stale layer is discarded on the next decode.  Weak keys keep a dead
+    graph's memo from being reused for a new graph at the same ``id()``.
+    ``stats`` counts per label and per back-off hop, on memo misses only,
+    so a warm decode adds nothing to it.
     """
 
     def __init__(self, g3neg: Fst, g4: Fst, stats: RelayStats):
@@ -189,10 +189,10 @@ class _TernaryMatcher:
         caches = getattr(g4, "_relay_caches", None)
         if caches is None:
             caches = g4._relay_caches = weakref.WeakKeyDictionary()
-        stamps = (g3neg.sort_stamp, g4.sort_stamp)
+        versions = (g3neg.version, g4.version)
         memo = caches.get(g3neg)
-        if memo is None or memo[0] != stamps:
-            memo = caches[g3neg] = (stamps, {}, weakref.WeakKeyDictionary())
+        if memo is None or memo[0] != versions:
+            memo = caches[g3neg] = (versions, {}, weakref.WeakKeyDictionary())
         _, self._pairs, self._spaces = memo
 
     def space(self, hclg3: Fst) -> _OnTheFlySpace:
@@ -200,8 +200,8 @@ class _TernaryMatcher:
         its memoized state tables hold no graph, so the keys stay weak."""
         arcs = _graph_cache(hclg3)
         cache = self._spaces.get(hclg3)
-        if cache is None or cache[0] is not arcs:
-            cache = self._spaces[hclg3] = (arcs, ([], [], [], {}))
+        if cache is None or cache[0] != hclg3.version:
+            cache = self._spaces[hclg3] = (hclg3.version, ([], [], [], {}))
         return _OnTheFlySpace(hclg3, self, arcs, cache[1])
 
     def relays(self, q2: int, q3: int, labels: set) -> dict:
@@ -263,9 +263,9 @@ class _TernaryMatcher:
 def _graph_cache(fst: Fst):
     """Per-state arc tuples split into emitting arcs (ilabel, olabel,
     weight, nextstate) and epsilon-input arcs (ilabel, olabel, weight,
-    LM weight 0.0, nextstate)."""
+    LM weight 0.0, nextstate), kept on the graph with its version."""
     cache = getattr(fst, "_decoder_cache", None)
-    if cache is None:
+    if cache is None or cache[0] != fst.version:
         emit = []
         eps = []
         for s in fst.states():
@@ -278,9 +278,8 @@ def _graph_cache(fst: Fst):
                     e.append((a.ilabel, a.olabel, a.weight, a.nextstate))
             emit.append(tuple(e))
             eps.append(tuple(z))
-        cache = (emit, eps)
-        fst._decoder_cache = cache
-    return cache
+        cache = fst._decoder_cache = (fst.version, (emit, eps))
+    return cache[1]
 
 
 # -- search spaces and the search loop -------------------------------------

@@ -7,7 +7,6 @@ semiring one is 0.0.  NaN weights are rejected at arc/final insertion.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, NamedTuple, Optional
 
@@ -16,8 +15,6 @@ ONE = 0.0
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
-
-_SORT_STAMPS = itertools.count(1)
 
 
 class FstError(ValueError):
@@ -101,7 +98,7 @@ class SymbolTable:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(ln, f"bad symbol line {raw!r}")
             sym, sid = parts[0], int(parts[1])
             entries.append((ln, sym, sid))
@@ -118,7 +115,13 @@ class SymbolTable:
 
 
 class Fst:
-    """Mutable WFST builder; treated as immutable once handed to consumers."""
+    """Mutable WFST builder; treated as immutable once handed to consumers.
+
+    The arcs change only through ``add_arc`` and ``arc_sort_input``, and
+    each call bumps ``version``; ``arcs(state)`` returns the live list,
+    which callers must not modify.  A table derived from the arcs records
+    the version it was built at and is rebuilt when the version differs.
+    """
 
     def __init__(self, isyms: Optional[SymbolTable] = None, osyms: Optional[SymbolTable] = None):
         self._arcs: list[list[Arc]] = []
@@ -126,19 +129,18 @@ class Fst:
         self.finals: dict[int, float] = {}
         self.isyms = isyms
         self.osyms = osyms
-        self._sort_stamp: Optional[int] = None
-        self._arc_maps: list[Optional[dict[int, Arc]]] = []
+        self.version = 0
+        self._sorted_at: Optional[int] = None  # version of the last arc_sort_input
+        self._arc_maps: dict[int, dict[int, Arc]] = {}
 
     # -- structure ---------------------------------------------------------
 
     def add_state(self) -> int:
         self._arcs.append([])
-        self._arc_maps.append(None)
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:
         self._arcs.extend([] for _ in range(n))
-        self._arc_maps.extend([None] * n)
 
     @property
     def num_states(self) -> int:
@@ -166,12 +168,7 @@ class Fst:
         if math.isnan(arc.weight):
             raise FstError("NaN arc weight")
         arcs[state].append(arc)
-        self._sort_stamp = None
-        self._arc_maps[state] = None
-        # The decoder memoizes the arc lists on the object; mutation voids them.
-        d = self.__dict__
-        if "_decoder_cache" in d:
-            del d["_decoder_cache"]
+        self.version += 1
 
     def set_initial(self, state: int) -> None:
         self._check_state(state)
@@ -199,18 +196,14 @@ class Fst:
         """Sort every arc list by (ilabel, weight); required by find_arc."""
         for arcs in self._arcs:
             arcs.sort(key=lambda a: (a.ilabel, a.weight))
-        self._arc_maps = [None] * len(self._arcs)
-        self._sort_stamp = next(_SORT_STAMPS)
+        self.version += 1
+        self._sorted_at = self.version
+        self._arc_maps.clear()
 
     @property
     def input_sorted(self) -> bool:
-        return self._sort_stamp is not None
-
-    @property
-    def sort_stamp(self) -> Optional[int]:
-        """Process-unique id of the last arc_sort_input, or None if an arc
-        was added since: while it is unchanged, so are the arcs."""
-        return self._sort_stamp
+        """Whether the arcs are sorted at the current version."""
+        return self._sorted_at == self.version
 
 
 def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
@@ -225,13 +218,14 @@ def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
 def arc_map(fst: Fst, state: int) -> dict[int, Arc]:
     """Input label -> the arc find_arc returns for it, for one state.
 
-    Built on first use and kept until the state gains an arc, so a set of
+    Built on first use and kept until the next arc_sort_input, so a set of
     labels can be matched at once with ``labels & arc_map(...).keys()``.
+    After an ``add_arc`` the lookup is refused until the next sort.
     """
     fst._check_state(state)
-    if fst._sort_stamp is None:
+    if fst._sorted_at != fst.version:
         raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
-    amap = fst._arc_maps[state]
+    amap = fst._arc_maps.get(state)
     if amap is None:
         # Reversed, so the first arc of each label in sorted order wins.
         amap = fst._arc_maps[state] = {a.ilabel: a for a in reversed(fst._arcs[state])}
@@ -367,7 +361,6 @@ def connect(fst: Fst) -> Fst:
                      for s in keep]
         out.finals = {remap[s]: w for s, w in fst.finals.items() if remap[s] >= 0}
         out.initial = remap[fst.initial]
-    out._arc_maps = [None] * len(out._arcs)
     if fst.input_sorted:
         out.arc_sort_input()
     return out

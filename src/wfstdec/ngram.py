@@ -163,10 +163,12 @@ def parse_arpa(text: str) -> NGramModel:
             i += 1
             continue
         if line.startswith("ngram "):
-            decl = line[len("ngram "):]
-            n_str, cnt_str = decl.split("=")
-            counts[int(n_str)] = int(cnt_str)
             i += 1
+            try:
+                n_str, cnt_str = line[len("ngram "):].split("=")
+                counts[int(n_str)] = int(cnt_str)
+            except ValueError:
+                raise NGramError(f"line {i}: bad count declaration {line!r}") from None
         else:
             break
     if not counts:
@@ -185,20 +187,24 @@ def parse_arpa(text: str) -> NGramModel:
             break
         m = line
         if m.startswith("\\") and m.endswith("-grams:"):
-            current_n = int(m[1:-len("-grams:")])
+            try:
+                current_n = int(m[1:-len("-grams:")])
+            except ValueError:
+                raise NGramError(f"line {i}: bad section header {line!r}") from None
             if current_n not in counts:
                 raise NGramError(f"section \\{current_n}-grams: not declared in \\data\\")
             continue
         if current_n is None:
             raise NGramError(f"unexpected line outside a section: {line!r}")
         parts = line.split()
-        if len(parts) == current_n + 1:
-            logprob, toks, backoff = float(parts[0]), parts[1:], None
-        elif len(parts) == current_n + 2:
-            logprob, toks, backoff = float(parts[0]), parts[1:-1], float(parts[-1])
-        else:
+        if len(parts) not in (current_n + 1, current_n + 2):
             raise NGramError(f"bad {current_n}-gram line: {line!r}")
-        model.add_entry(toks, logprob, backoff)
+        try:
+            logprob = float(parts[0])
+            backoff = float(parts[-1]) if len(parts) == current_n + 2 else None
+        except ValueError:
+            raise NGramError(f"line {i}: bad number in {line!r}") from None
+        model.add_entry(parts[1:current_n + 1], logprob, backoff)
         seen[current_n] += 1
     for n, declared in counts.items():
         if seen[n] != declared:

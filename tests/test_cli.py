@@ -198,6 +198,37 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("graph", "0\t1\t1\t1\theavy\n1\t0\n"),
+        ("isymbols", "a\t0\nb\t1\n"),
+    ], ids=["non-numeric-weight", "id-0-not-eps"])
+    def test_malformed_decode_input(self, workdir, capsys, tmp_path, name,
+                                    text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        argv = _decode_argv(workdir, "static")
+        argv[argv.index(f"--{name}") + 1] = str(bad)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: line ") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("lines, where", [
+        (("ngram 1=x",), "line 2: bad count declaration"),
+        (("ngram 1=1", "", "\\1-grams:", "-0.5x\tvix"), "line 5: bad number"),
+        (("ngram 1=1", "", "\\1-grams:", "-0.5\tvix\tnone"),
+         "line 5: bad number"),
+    ], ids=["count", "logprob", "backoff"])
+    def test_malformed_arpa_names_the_line(self, capsys, tmp_path, lines,
+                                           where):
+        bad = tmp_path / "bad.arpa"
+        bad.write_text("\n".join(("\\data\\",) + lines + ("", "\\end\\")) + "\n")
+        code, out, err = run(capsys, "graph-build", "--lm", str(bad),
+                             str(tmp_path / "o.fst"))
+        assert code == 1
+        assert err.startswith(f"error: {where}") and "Traceback" not in err
+        assert out == ""
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))

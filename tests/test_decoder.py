@@ -1,6 +1,7 @@
 """Decoder behavior: relay matching, frame expansion, lattices, strategies."""
 
 import math
+import random
 import signal
 from contextlib import contextmanager
 
@@ -24,7 +25,8 @@ from wfstdec.decoder import (
     search_space,
 )
 from wfstdec.decoder import _relay_walk, _TernaryMatcher
-from wfstdec.fst import ZERO, Arc, Fst, SymbolTable, find_arc
+from wfstdec.fst import (ZERO, Arc, Fst, FstError, SymbolTable, find_arc,
+                         write_text_fst)
 from wfstdec.graph import (
     BACKOFF_EPS,
     Lexicon,
@@ -101,13 +103,19 @@ class TestRelayMatch:
 
 @contextmanager
 def deadline(seconds):
-    """Fail, instead of hanging, when the body runs longer than seconds."""
+    """Fail, instead of hanging, when the body runs longer than seconds.
+
+    The timeout is reported as a plain test failure, without a traceback:
+    pytest cannot render one taken inside the decoder's loops.
+    """
     def expire(signum, frame):
         raise TimeoutError(f"still running after {seconds} s")
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        pytest.fail(str(exc), pytrace=False)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -727,7 +735,8 @@ class TestRelayMemo:
         for s, w in g.finals.items():
             out.set_final(s, w)
         out.set_initial(g.initial)
-        out.arc_sort_input()
+        if g.input_sorted:
+            out.arc_sort_input()
         return out
 
     @pytest.mark.parametrize("operand", ["g3neg", "g4fst", "hclg3"])
@@ -763,3 +772,75 @@ class TestRelayMemo:
         n = len(spaces)
         del hclg3
         assert len(spaces) == n - 1
+
+    def test_resorted_graph_decodes_like_a_fresh_copy(self):
+        g = Fst()
+        g.add_states(2)
+        g.add_arc(0, Arc(2, 2, 0.0, 1))
+        g.add_arc(0, Arc(1, 1, 0.0, 1))
+        g.set_initial(0)
+        g.set_final(1, 0.0)
+        matrix = synthesize_utterance([1], 2)
+        opts = DecodeOptions(lattice_beam=20.0)
+        decode_static(g, matrix, opts)
+        g.arc_sort_input()
+        assert write_text_fst(decode_static(g, matrix, opts).fst) == \
+            write_text_fst(decode_static(self._copy(g), matrix, opts).fst)
+
+
+class TestMutationAfterDecode:
+    """Decodes on warm graphs mutated by add_arc and arc_sort_input equal
+    decodes over cold arc-by-arc copies of them."""
+
+    GRAPHS = ("hclg3", "g3neg", "g4fst", "hclg4")
+
+    @staticmethod
+    def _outcome(m, strategy, matrix):
+        """(hypothesis, cost repr, lattice text), or the error's type and
+        message."""
+        try:
+            if strategy == "onthefly":
+                lat = decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix)
+            elif strategy == "static":
+                lat = decode_static(m["hclg4"], matrix)
+            else:
+                lat = rescore_lattice(decode_static(m["hclg3"], matrix),
+                                      m["g3neg"], m["g4fst"])
+            hyp, cost = best_path(lat)
+        except (DecodeError, FstError) as exc:
+            return type(exc), str(exc)
+        comments = {s: f"frame {f}" for s, f in enumerate(lat.frames)}
+        return hyp, repr(cost), write_text_fst(lat.fst, comments)
+
+    def _check(self, m, matrices):
+        """Decodes of every strategy equal the fresh copies'; returns the
+        strategies that decoded without error."""
+        fresh = {k: TestRelayMemo._copy(m[k]) for k in self.GRAPHS}
+        decoded = set()
+        for strategy in ("onthefly", "static", "rescore"):
+            for matrix in matrices:
+                got = self._outcome(m, strategy, matrix)
+                assert got == self._outcome(fresh, strategy, matrix), strategy
+                if len(got) == 3:
+                    decoded.add(strategy)
+        return decoded
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decodes_equal_fresh_copies(self, mini_model, seed):
+        rng = random.Random(seed)
+        m = _build_mini(mini_model)
+        matrices = [_utt(m, SENT), _utt(m, SENT, noise=1.5, seed=seed)]
+        self._check(m, matrices)  # warm every memo first
+        decoded = set()
+        for _ in range(30):
+            if rng.random() < 0.7:
+                g = m[rng.choice(self.GRAPHS)]
+                s = rng.choice([s for s in g.states() if g.arcs(s)])
+                a = rng.choice(g.arcs(s))
+                g.add_arc(s, a._replace(
+                    weight=a.weight + rng.choice([-1.5, -0.25, 0.5, 2.0])))
+            else:  # an unsorted graph if there is one
+                unsorted = [k for k in self.GRAPHS if not m[k].input_sorted]
+                m[rng.choice(unsorted or self.GRAPHS)].arc_sort_input()
+            decoded |= self._check(m, matrices)
+        assert decoded == {"onthefly", "static", "rescore"}

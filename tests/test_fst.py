@@ -147,16 +147,25 @@ class TestStructure:
     def test_add_arc_drops_what_depends_on_the_arcs(self):
         fst = Fst()
         fst.add_states(2)
+        assert fst.version == 0 and not fst.input_sorted
         fst.add_arc(0, Arc(1, 1, 0.0, 1))
+        assert fst.version == 1
         fst.arc_sort_input()
-        arc_map(fst, 0)
-        fst._decoder_cache = {}
+        assert fst.version == 2 and fst.input_sorted
+        assert arc_map(fst, 0) == {1: Arc(1, 1, 0.0, 1)}
         fst.add_arc(0, Arc(2, 2, 0.0, 1))
-        assert "_decoder_cache" not in fst.__dict__
-        assert fst._arc_maps[0] is None
-        assert fst.sort_stamp is None and not fst.input_sorted
-        fst.add_arc(1, Arc(2, 2, 0.0, 0))  # nothing left to drop
-        assert fst.num_arcs == 3
+        assert fst.version == 3 and not fst.input_sorted
+        with pytest.raises(FstError, match="input-sorted"):
+            find_arc(fst, 0, 2)
+        fst.add_arc(1, Arc(2, 2, 0.0, 0))
+        with pytest.raises(FstError, match="input-sorted"):
+            arc_map(fst, 1)
+        fst.arc_sort_input()  # rebuilds the arc map made before the add
+        assert fst.version == 5 and fst.input_sorted
+        assert arc_map(fst, 0) == {1: Arc(1, 1, 0.0, 1), 2: Arc(2, 2, 0.0, 1)}
+        assert find_arc(fst, 1, 2) == Arc(2, 2, 0.0, 0)
+        fst.arc_sort_input()  # a re-sort is a new version too
+        assert fst.version == 6 and fst.num_arcs == 3
 
     def test_add_states(self):
         fst = Fst()
@@ -230,6 +239,13 @@ class TestSymbolTable:
     def test_unknown_symbol(self):
         with pytest.raises(FstError, match="unknown symbol"):
             SymbolTable().id_of("nope")
+
+    @pytest.mark.parametrize("text", [
+        "<eps>\t0\na\tx\n", "<eps>\t0\na\t-1\n", "<eps>\t0\na\n"],
+        ids=["non-numeric-id", "negative-id", "one-field"])
+    def test_bad_line_rejected(self, text):
+        with pytest.raises(ParseError, match="line 2: bad symbol line"):
+            SymbolTable.read_text(text)
 
     def test_non_contiguous_rejected(self):
         with pytest.raises(ParseError, match="non-contiguous"):

@@ -180,6 +180,18 @@ ngram 1=2
         with pytest.raises(NGramError, match="not declared"):
             parse_arpa(bad)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("ngram 1=2", "ngram 1=two", "line 2: bad count declaration"),
+        ("ngram 1=2", "ngram 1", "line 2: bad count declaration"),
+        ("\\1-grams:", "\\one-grams:", "line 4: bad section header"),
+        ("-0.5\ta", "-0.5x\ta", "line 5: bad number"),
+        ("-0.7\tb", "-0.7\tb\tnone", "line 6: bad number"),
+    ], ids=["count", "count-without-equals", "section-header", "logprob",
+            "backoff"])
+    def test_bad_numbers_name_the_line(self, old, new, where):
+        with pytest.raises(NGramError, match=f"^{where}"):
+            parse_arpa(self.TRIVIAL.replace(old, new))
+
     def test_backoff_chain_validated(self):
         model = NGramModel(2)
         model.add_entry(("a",), -0.5)

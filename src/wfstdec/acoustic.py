@@ -132,16 +132,35 @@ def write_acoustic_text(m: AcousticMatrix) -> str:
 
 
 def read_acoustic_text(text: str) -> AcousticMatrix:
-    lines = [l for l in text.splitlines() if l.strip()]
+    """Parse the text format written by write_acoustic_text.
+
+    A malformed header or row raises AcousticError naming its line.
+    """
+    lines = [(ln, raw) for ln, raw in enumerate(text.splitlines(), 1)
+             if raw.strip()]
     if not lines:
         raise AcousticError("empty acoustic file")
-    parts = lines[0].split()
+    ln, header = lines[0]
+    parts = header.split()
     if len(parts) != 6 or parts[0] != "utt" or parts[2] != "frames" or parts[4] != "symbols":
-        raise AcousticError(f"bad acoustic header {lines[0]!r}")
-    utt_id, t, s = parts[1], int(parts[3]), int(parts[5])
+        raise AcousticError(f"line {ln}: bad acoustic header {header!r}")
+    try:
+        utt_id, t, s = parts[1], int(parts[3]), int(parts[5])
+    except ValueError:
+        raise AcousticError(
+            f"line {ln}: bad frame or symbol count in {header!r}") from None
+    if t < 1 or s < 1:
+        raise AcousticError(f"line {ln}: frame and symbol counts must be positive")
     if len(lines) - 1 != t:
         raise AcousticError(f"header declares {t} frames but {len(lines) - 1} rows follow")
-    costs = np.array([[float(x) for x in l.split()] for l in lines[1:]])
-    if costs.shape != (t, s):
-        raise AcousticError("row width does not match the symbol count")
-    return AcousticMatrix(utt_id, costs)
+    rows = []
+    for ln, raw in lines[1:]:
+        fields = raw.split()
+        if len(fields) != s:
+            raise AcousticError(
+                f"line {ln}: {len(fields)} costs where the header declares {s} symbols")
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise AcousticError(f"line {ln}: bad cost in {raw!r}") from None
+    return AcousticMatrix(utt_id, np.array(rows))

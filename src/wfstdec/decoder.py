@@ -5,9 +5,17 @@ The on-the-fly decoder walks the small-LM search graph while matching
 every non-epsilon output morpheme in the negated small LM and then in the
 big LM.  Epsilon-labelled LM arcs never take part in that matching; they
 are traversed only as back-off relays after a direct match fails, and
-each relay hop's weight is folded into the branch's graph weight.  With
-the negated small-LM scores cancelling the scores baked into the search
-graph, the surviving path weights equal big-LM scores exactly.
+each relay hop's weight is folded into the branch's graph weight.
+
+The search graph's own back-off arcs would let a path back off and then
+read a morpheme that the higher context lists, at the cheaper back-off
+score.  So each search-graph state carries the G3neg state it was
+composed from, and a morpheme arc is followed from LM state q2 only when
+G3 reads that morpheme at that back-off depth: not when the morpheme is
+listed on q2's back-off chain before that state.  A final weight counts
+only at q2 itself.  With that filter, and the negated small-LM scores
+cancelling the scores baked into the search graph, the surviving path
+weights equal big-LM scores exactly.
 
 The static decoder runs the identical search loop with the trivial LM
 side (no relay operands).
@@ -38,6 +46,12 @@ class BackoffCycleError(DecodeError):
 class NegativeCycleError(DecodeError):
     """A search graph has a negative-weight epsilon cycle, so epsilon
     propagation would improve costs forever."""
+
+
+class ProvenanceError(DecodeError):
+    """A search graph is not the composition of a lexicon with the small
+    LM behind G3neg: one of its states is reached from two G3neg states,
+    or it backs off where G3neg has no back-off arc."""
 
 
 class EmptyResultError(DecodeError):
@@ -163,19 +177,23 @@ class _TernaryMatcher:
     """LM-side expansion of algorithm branches 12-38, with memoization.
 
     The memo lives on the big-LM graph, in ``g4._relay_caches``: a weak-key
-    map from each G3neg it was used with to that pair's memo, which has two
-    layers, both shared across decodes of the same graphs:
+    map from each G3neg it was used with to that pair's memo, which has
+    three layers, all shared across decodes of the same graphs:
 
     - per LM pair ``(q2, q3)``, a dict from morpheme to its relay result
       ``(q2', q3', weight)``, or False when the branch is dead.  A new
       pair's labels are resolved in one batched walk per LM (the labels
       of one search-graph state at a time);
     - per search graph (a weak-key map again), its on-the-fly search space
-      (the lazily composed graph).
+      (the lazily composed graph, with the G3neg state each search-graph
+      state was composed from);
+    - per LM state q2 and G3neg state g on q2's back-off chain, the labels
+      listed on the chain before g (see ``blocked``).
 
     Each layer records the ``version`` of the graphs it was derived from:
-    the pair memo that of both LMs, a search space that of its search
-    graph.  ``add_arc`` and ``arc_sort_input`` bump a graph's version, and
+    the pair memo and the label sets that of both LMs, a search space that
+    of its search graph (and, as it lives in the pair memo, those of both
+    LMs).  ``add_arc`` and ``arc_sort_input`` bump a graph's version, and
     a stale layer is discarded on the next decode.  Weak keys keep a dead
     graph's memo from being reused for a new graph at the same ``id()``.
     ``stats`` counts per label and per back-off hop, on memo misses only,
@@ -192,8 +210,9 @@ class _TernaryMatcher:
         versions = (g3neg.version, g4.version)
         memo = caches.get(g3neg)
         if memo is None or memo[0] != versions:
-            memo = caches[g3neg] = (versions, {}, weakref.WeakKeyDictionary())
-        _, self._pairs, self._spaces = memo
+            memo = caches[g3neg] = (versions, {},
+                                    weakref.WeakKeyDictionary(), {})
+        _, self._pairs, self._spaces, self._blocked = memo
 
     def space(self, hclg3: Fst) -> _OnTheFlySpace:
         """The search space over hclg3, expanding through this matcher;
@@ -201,7 +220,10 @@ class _TernaryMatcher:
         arcs = _graph_cache(hclg3)
         cache = self._spaces.get(hclg3)
         if cache is None or cache[0] != hclg3.version:
-            cache = self._spaces[hclg3] = (hclg3.version, ([], [], [], {}))
+            g3 = [_NO_STATE] * hclg3.num_states
+            if hclg3.initial >= 0:
+                g3[hclg3.initial] = self.g3neg.initial
+            cache = self._spaces[hclg3] = (hclg3.version, ([], [], [], {}, g3))
         return _OnTheFlySpace(hclg3, self, arcs, cache[1])
 
     def relays(self, q2: int, q3: int, labels: set) -> dict:
@@ -213,6 +235,43 @@ class _TernaryMatcher:
         if missing:
             self._resolve(q2, q3, missing, memo)
         return memo
+
+    def blocked(self, q2: int, g: int) -> set:
+        """Labels listed on q2's back-off chain before G3neg state g.
+
+        A search-graph state composed from g, reached by backing off from
+        q2, may read none of them: G3 reads each where it is listed.  If
+        the chain never reaches g, every label on it is blocked.
+        """
+        labels = self._blocked.get((q2, g))
+        if labels is None:
+            labels = set()
+            q = q2
+            hops = 0
+            while q != g:
+                amap = arc_map(self.g3neg, q)
+                labels.update(amap)
+                b = amap.get(0)
+                if b is None:
+                    break
+                q = b.nextstate
+                hops += 1
+                if hops >= self.g3neg.num_states:
+                    raise BackoffCycleError(
+                        f"back-off cycle: no back-off chain from state {q2} "
+                        f"ends within {self.g3neg.num_states} states")
+            self._blocked[(q2, g)] = labels
+        return labels
+
+    def backoff(self, g: int, where: str) -> int:
+        """G3neg's back-off target from g, where ``where`` (a state named
+        for the error message) takes an epsilon back-off arc."""
+        b = find_arc(self.g3neg, g, 0) if g >= 0 else None
+        if b is None:
+            raise ProvenanceError(
+                f"{where} backs off from G3neg state {g}, which has no "
+                "back-off arc")
+        return b.nextstate
 
     def expand(self, q2: int, q3: int, olabel: int):
         """(q2', q3', graph weight) for one morpheme, or False if dead."""
@@ -414,14 +473,22 @@ class _OnTheFlySpace(SearchSpace):
     reached.  A state's emitting and epsilon arcs are expanded separately,
     the first time the search loop needs each, with dead relay branches
     dropped; until then ``emit[i]`` is None and ``eps[i]`` True (or () for
-    a state without epsilon arcs)."""
+    a state without epsilon arcs).
+
+    ``_g3[q1]`` is the G3neg state HCLG3 state q1 was composed from,
+    derived while expanding: a ``phone:eps`` arc keeps it, an ``eps:eps``
+    arc takes G3neg's back-off arc from it, and a morpheme arc takes the
+    relay's G3neg target (the morpheme was matched directly there).  A
+    morpheme arc from (q1, q2, q3) is dropped when its label is listed on
+    q2's back-off chain before ``_g3[q1]``, and a final weight counts only
+    where ``_g3[q1] == q2``."""
 
     def __init__(self, hclg3: Fst, lm: _TernaryMatcher, arcs: tuple,
                  tables: tuple):
         self.graph = hclg3
         self.lm = lm
         self._emit_g, self._eps_g = arcs
-        self.emit, self.eps, self._triples, self._ids = tables
+        self.emit, self.eps, self._triples, self._ids, self._g3 = tables
         if hclg3.initial >= 0:
             self.initial = self.state_id(
                 (hclg3.initial, lm.g3neg.initial, lm.g4.initial))
@@ -441,25 +508,52 @@ class _OnTheFlySpace(SearchSpace):
     def final_weight(self, sid: int) -> float:
         q1, q2, q3 = self._triples[sid]
         w1 = self.graph.final(q1)
-        return _INF if w1 == ZERO else w1 + self.lm.final_weight(q2, q3)
+        if w1 == ZERO or self._g3[q1] != q2:
+            return _INF
+        return w1 + self.lm.final_weight(q2, q3)
 
     def _expand(self, sid: int, emitting: bool) -> tuple:
         """One batch relays the labels of all arcs expanded; the counters
         count per label, as if each arc were relayed alone."""
         q1, q2, q3 = self._triples[sid]
+        g3 = self._g3
+        g = g3[q1]
+        if g == _NO_STATE:
+            raise ProvenanceError(
+                f"search graph state {q1} was not reached from the initial "
+                "state, so its G3neg state is unknown")
         graph_arcs = (self._emit_g if emitting else self._eps_g)[q1]
         labels = {a[1] for a in graph_arcs if a[1]}
         relays = self.lm.relays(q2, q3, labels) if labels else None
+        blocked = self.lm.blocked(q2, g) if labels and g != q2 else ()
+        # The G3neg state of the targets of olabel-0 arcs.
+        g0 = g if emitting else _NO_STATE
         arcs = []
         for a in graph_arcs:
             il, ol, w, ns = a[0], a[1], a[2], a[-1]
             if ol == 0:
-                nid = self.state_id((ns, q2, q3))
-                arcs.append((il, ol, w, nid) if emitting else (il, ol, w, 0.0, nid))
-            elif relays[ol] is not False:
+                if g0 == _NO_STATE:
+                    g0 = self.lm.backoff(g, f"search graph state {q1}")
+                ng = g0
+                nq2, nq3, gw = q2, q3, 0.0
+            elif ol in blocked or relays[ol] is False:
+                continue
+            else:
                 nq2, nq3, gw = relays[ol]
-                nid = self.state_id((ns, nq2, nq3))
-                arcs.append((il, ol, w + gw, nid) if emitting else (il, ol, w, gw, nid))
+                ng = nq2
+            seen = g3[ns]
+            if seen != ng:
+                if seen != _NO_STATE:
+                    raise ProvenanceError(
+                        f"search graph state {ns} is reached from G3neg "
+                        f"states {seen} and {ng}: the search graph is not a "
+                        "composition with G3neg")
+                g3[ns] = ng
+            nid = self.state_id((ns, nq2, nq3))
+            if emitting:
+                arcs.append((il, ol, w + gw, nid))
+            else:
+                arcs.append((il, ol, w, gw, nid))
         arcs = tuple(arcs)
         (self.emit if emitting else self.eps)[sid] = arcs
         return arcs
@@ -668,9 +762,12 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
                     stats: Optional[RelayStats] = None) -> Lattice:
     """Replace first-pass LM scores along lattice paths with big-LM scores.
 
-    Applies the same relay matching as the on-the-fly decoder to the
-    lattice's morpheme outputs; paths whose morphemes cannot be matched
-    (out of vocabulary) are dropped.
+    Applies the same relay matching and the same back-off filter as the
+    on-the-fly decoder to the lattice's morpheme outputs, carrying the
+    G3neg state each HCLG3 state was composed from along the walk (a
+    lattice's ``eps:eps`` arcs are HCLG3's back-off arcs).  Paths whose
+    morphemes cannot be matched (out of vocabulary), or that back off past
+    a context listing their morpheme, are dropped.
     """
     stats = stats if stats is not None else RelayStats()
     matcher = _TernaryMatcher(g3neg, g4, stats)
@@ -678,24 +775,28 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if src.num_states == 0 or src.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
     out = Fst(src.isyms, src.osyms)
-    start = (src.initial, g3neg.initial, g4.initial)
+    # (lattice state, q2, q3, G3neg state of the lattice state's HCLG3 state)
+    start = (src.initial, g3neg.initial, g4.initial, g3neg.initial)
     state_of = {start: out.add_state()}
     frames = [lat.frames[src.initial]]
     stack = [start]
     while stack:
         key = stack.pop()
-        s, q2, q3 = key
+        s, q2, q3, g = key
         cur = state_of[key]
         for a in src.arcs(s):
             if a.olabel == 0:
-                nkey = (a.nextstate, q2, q3)
+                ng = g if a.ilabel else matcher.backoff(g, f"lattice state {s}")
+                nkey = (a.nextstate, q2, q3, ng)
                 w = a.weight
             else:
+                if g != q2 and a.olabel in matcher.blocked(q2, g):
+                    continue
                 r = matcher.expand(q2, q3, a.olabel)
                 if r is False:
                     continue
                 nq2, nq3, gw = r
-                nkey = (a.nextstate, nq2, nq3)
+                nkey = (a.nextstate, nq2, nq3, nq2)
                 w = a.weight + gw
             ns = state_of.get(nkey)
             if ns is None:
@@ -705,7 +806,7 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
                 stack.append(nkey)
             out.add_arc(cur, Arc(a.ilabel, a.olabel, w, ns))
         fw = src.final(s)
-        if fw != ZERO:
+        if fw != ZERO and g == q2:
             wlm = matcher.final_weight(q2, q3)
             if wlm != _INF:
                 out.set_final(cur, fw + wlm)

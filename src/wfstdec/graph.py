@@ -353,43 +353,50 @@ def linear_acceptor(tokens: Sequence[str], syms: SymbolTable) -> Fst:
 
 
 def acceptor_sentence_cost(fst: Fst, labels: Sequence[int]) -> float:
-    """Min path weight spelling the label sequence, epsilon arcs allowed.
+    """Min path weight spelling the label sequence, with epsilon-input
+    (back-off) arcs taken as failure transitions.
 
-    Position-indexed relaxation; requires the no-negative-epsilon-cycle
+    As in the decoder's relay matching, an epsilon arc is followed only
+    from a state that has no arc for the next label, or, after the last
+    label, no final weight; so a listed n-gram is never bypassed by a
+    cheaper back-off route.  Requires the no-negative-epsilon-cycle
     property that LM acceptors have by construction.
     """
     if fst.initial < 0:
         return ZERO
 
-    def closure(dist: dict[int, float]) -> dict[int, float]:
+    def relay(dist: dict[int, float], stops) -> dict[int, float]:
+        """The states where walks from ``dist`` stop: each walk follows
+        epsilon arcs until it reaches a state for which ``stops`` holds."""
+        out: dict[int, float] = {}
+        best = dict(dist)
         work = list(dist.items())
         while work:
             s, d = work.pop()
-            if d > dist.get(s, ZERO):
+            if d > best[s]:
+                continue
+            if stops(s):
+                out[s] = d
                 continue
             for a in fst.arcs(s):
                 if a.ilabel == 0:
                     nd = d + a.weight
-                    if nd < dist.get(a.nextstate, ZERO) - 1e-15:
-                        dist[a.nextstate] = nd
+                    if nd < best.get(a.nextstate, ZERO) - 1e-15:
+                        best[a.nextstate] = nd
                         work.append((a.nextstate, nd))
-        return dist
+        return out
 
-    dist = closure({fst.initial: 0.0})
+    dist = {fst.initial: 0.0}
     for lab in labels:
-        nxt: dict[int, float] = {}
-        for s, d in dist.items():
+        here = relay(dist, lambda s: any(a.ilabel == lab for a in fst.arcs(s)))
+        dist = {}
+        for s, d in here.items():
             for a in fst.arcs(s):
                 if a.ilabel == lab:
                     nd = d + a.weight
-                    if nd < nxt.get(a.nextstate, ZERO):
-                        nxt[a.nextstate] = nd
-        dist = closure(nxt)
+                    if nd < dist.get(a.nextstate, ZERO):
+                        dist[a.nextstate] = nd
         if not dist:
             return ZERO
-    best = ZERO
-    for s, d in dist.items():
-        w = fst.final(s)
-        if w != ZERO and d + w < best:
-            best = d + w
-    return best
+    ends = relay(dist, fst.is_final)
+    return min((d + fst.final(s) for s, d in ends.items()), default=ZERO)

@@ -48,6 +48,30 @@ def make_ab_model(with_eos: bool = False) -> NGramModel:
     return m
 
 
+# A bigram model whose listed "a b" costs more than its back-off route:
+# log10 P(b | a) = -1.5 against bow(a) + P(b) = -0.9.  The exact cost of
+# the sentence "a b" is -ln 10^(-0.2 - 1.5 - 0.3) = 4.605170185988092; a
+# graph that backs off past the listed bigram gives 3.2236 instead.
+LEAKY_ARPA = """\\data\\
+ngram 1=4
+ngram 2=3
+
+\\1-grams:
+-99\t<s>\t-0.3
+-0.5\ta\t-0.4
+-0.5\tb\t-0.2
+-0.6\t</s>
+
+\\2-grams:
+-0.2\t<s> a
+-1.5\ta b
+-0.3\tb </s>
+
+\\end\\
+"""
+LEAKY_COST = 4.605170185988092
+
+
 @pytest.fixture
 def ab_model():
     return make_ab_model()

@@ -172,6 +172,30 @@ class TestErrors:
         assert code == 1
         assert "error: negative-weight epsilon cycle" in err
 
+    def test_search_graph_not_composed_with_g3neg(self, workdir, capsys,
+                                                  tmp_path):
+        # Two morphemes lead from state 0 to state 1, but to two different
+        # G3neg states: the graph is no lexicon-LM composition with G3neg.
+        def sym_id(table, sym):
+            return next(line.split()[1] for line in
+                        (workdir / table).read_text().splitlines()
+                        if line.split()[0] == sym)
+        v = sym_id("phones.syms", "v")
+        a, b = sym_id("morphs.syms", "vix"), sym_id("morphs.syms", "tin")
+        graph = tmp_path / "hclg3.fst"
+        graph.write_text(f"0\t1\t{v}\t{a}\t0.0\n0\t1\t{v}\t{b}\t0.0\n1\t0.0\n")
+        g3neg = tmp_path / "g3neg.fst"
+        g3neg.write_text(f"0\t1\t{a}\t{a}\t0.0\n0\t2\t{b}\t{b}\t0.0\n"
+                         "0\t0.0\n1\t0.0\n2\t0.0\n")
+        argv = _decode_argv(workdir, "onthefly")
+        argv[argv.index("--graph") + 1] = str(graph)
+        argv[argv.index("--g3neg") + 1] = str(g3neg)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: search graph state 1 is reached from "
+                              "G3neg states 1 and 2")
+        assert out == ""
+
     @pytest.mark.parametrize("option, value", [
         ("--beam", "-1"), ("--beam", "nan"), ("--lattice-beam", "-1"),
         ("--acoustic-scale", "-1"), ("--max-active", "0")])
@@ -211,6 +235,26 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: line ") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: [lines[0], "abc " + lines[1].split(" ", 1)[1]]
+         + lines[2:], "line 2: bad cost"),
+        (lambda lines: [lines[0].replace("frames 9", "frames nine")]
+         + lines[1:], "line 1: bad frame or symbol count"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:],
+         "line 3: "),
+    ], ids=["cost", "frame-count", "short-row"])
+    def test_malformed_acoustic_names_the_line(self, workdir, capsys,
+                                               tmp_path, edit, where):
+        lines = (workdir / "utt.ac").read_text().splitlines()
+        bad = tmp_path / "bad.ac"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        argv = _decode_argv(workdir, "static")
+        argv[argv.index("--acoustic") + 1] = str(bad)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {where}") and "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("lines, where", [

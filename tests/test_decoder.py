@@ -15,6 +15,7 @@ from wfstdec.decoder import (
     EmptyResultError,
     Lattice,
     NegativeCycleError,
+    ProvenanceError,
     RelayStats,
     best_path,
     decode_onthefly,
@@ -377,6 +378,24 @@ class TestAdvance:
         assert links == 2  # both arrivals recorded for the lattice
 
 
+class TestProvenance:
+    """The G3neg state behind each search-graph state is derived from the
+    initial state; a graph that contradicts it is no composition."""
+
+    def test_backoff_where_g3neg_has_none_raises(self):
+        fst = _one_arc_graph(0, 0, 0.3)  # an eps:eps arc from state 0
+        space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
+        with pytest.raises(ProvenanceError, match="no back-off arc"):
+            space.propagate(_tokens(space, ((0, 0, 0), 0.0)), 0, 8.0)
+
+    def test_token_at_an_unreached_state_raises(self):
+        fst = _one_arc_graph(1, 1, 0.2)
+        fst.add_arc(1, Arc(1, 1, 0.2, 0))
+        space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
+        with pytest.raises(ProvenanceError, match="not reached"):
+            space.advance(_tokens(space, ((1, 0, 0), 0.0)), [INF, 0.0], 1, 8.0)
+
+
 class TestPropagate:
     def test_epsilon_arc_extends_token(self):
         fst = Fst()
@@ -441,8 +460,10 @@ class TestNegativeCycle:
             decode_static(_negative_cycle_graph(), synthesize_utterance([1], 1))
 
     def test_onthefly_decode_raises(self):
+        # G3neg's back-off ring 0 -> 1 -> 0 matches the search graph's
+        # epsilon cycle, as in a composition with it.
         with deadline(5), pytest.raises(NegativeCycleError, match="cycle"):
-            decode_onthefly(_negative_cycle_graph(), _loop_lm(3, 3, 0.0),
+            decode_onthefly(_negative_cycle_graph(), _backoff_cycle_lm(2),
                             _loop_lm(3, 3, 0.0), synthesize_utterance([1], 1))
 
     def test_positive_cycle_converges(self):
@@ -504,22 +525,32 @@ class TestPruneTokens:
         assert [space.triple(k) for k in kept] == [(1, -1, -1), (2, -1, -1)]
 
     def test_onthefly_tie_keeps_smallest_triples_not_first_interned(self):
-        # Morphemes 5 and 6 lead G3neg to states 2 and 1, at equal cost:
-        # (1, 2, 0) is interned before (1, 1, 0) but loses the tie.
+        # Morphemes 5 and 6 lead G3neg to states 2 and 1, which both back
+        # off to state 0; the search graph backs off from its states 2 and
+        # 3 (composed from G3neg states 1 and 2) to its state 4, and reaches
+        # state 1 from there at equal cost: (1, 2, 0) is interned before
+        # (1, 1, 0) but loses the tie.
         hclg = Fst()
-        hclg.add_states(2)
-        hclg.add_arc(0, Arc(1, 5, 0.5, 1))
-        hclg.add_arc(0, Arc(1, 6, 0.5, 1))
+        hclg.add_states(5)
+        hclg.add_arc(0, Arc(1, 6, 0.5, 2))
+        hclg.add_arc(0, Arc(1, 5, 0.5, 3))
+        hclg.add_arc(2, Arc(0, 0, 0.0, 4))
+        hclg.add_arc(3, Arc(0, 0, 0.0, 4))
+        hclg.add_arc(4, Arc(1, 0, 0.5, 1))
         hclg.set_initial(0)
         g3neg = Fst()
         g3neg.add_states(3)
         g3neg.add_arc(0, Arc(5, 0, 0.0, 2))
         g3neg.add_arc(0, Arc(6, 0, 0.0, 1))
+        g3neg.add_arc(1, Arc(0, 0, 0.0, 0))
+        g3neg.add_arc(2, Arc(0, 0, 0.0, 0))
         g3neg.set_initial(0)
         g3neg.arc_sort_input()
         space = search_space(hclg, g3neg, _loop_lm(5, 5, 0.0))
         tokens = space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0],
                                1, 8.0)
+        space.propagate(tokens, 1, 8.0)
+        tokens = space.advance(tokens, [INF, 0.0], 2, 8.0)
         ids = list(tokens)
         assert ids == sorted(ids)  # interned in the order they were reached
         assert [space.triple(k) for k in ids] == [(1, 2, 0), (1, 1, 0)]

@@ -35,7 +35,7 @@ from wfstdec.graph import (
 from wfstdec.ngram import BOS, EOS, score_sentence
 from wfstdec.pipeline import PipelineConfig, generate_task
 
-from conftest import MINI_LEXICON_TEXT
+from conftest import LEAKY_ARPA, LEAKY_COST, MINI_LEXICON_TEXT
 
 
 def context_states(model):
@@ -148,6 +148,17 @@ class TestLmToFst:
             got = acceptor_sentence_cost(fst, labels)
             want = cost_from_log10(score_sentence(mini_model, sent))
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_acceptor_reads_listed_ngram_not_cheaper_backoff(self):
+        # The back-off route to "b" after "a" is cheaper than the listed
+        # bigram, but the acceptor backs off only where the bigram fails.
+        model = ngram.parse_arpa(LEAKY_ARPA)
+        fst = lm_to_fst(model, mode=BACKOFF_EPS)
+        labels = [fst.isyms.id_of(w) for w in ("a", "b")]
+        assert acceptor_sentence_cost(fst, labels) == pytest.approx(
+            LEAKY_COST, abs=1e-12)
+        assert cost_from_log10(score_sentence(model, ["a", "b"])) == \
+            pytest.approx(LEAKY_COST, abs=1e-12)
 
     def test_unknown_mode(self, mini_model):
         with pytest.raises(GraphError, match="mode"):

@@ -1,0 +1,156 @@
+"""Decoded costs against the analytic back-off recursion.
+
+On noise-free audio, the cost of a decoded path must be the big LM's
+``score_sentence`` of its morphemes plus its acoustic cost, to 1e-9.  The
+models are drawn so that some listed n-grams cost more than their back-off
+routes, where a search graph that backs off past a listed n-gram would
+find a cheaper, inexact path.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wfstdec.acoustic import synthesize_utterance
+from wfstdec.decoder import (
+    DecodeOptions,
+    EmptyResultError,
+    best_path,
+    decode_onthefly,
+    decode_static,
+    rescore_lattice,
+)
+from wfstdec.graph import (
+    BACKOFF_EPS,
+    Lexicon,
+    build_search_graph,
+    cost_from_log10,
+    lm_to_fst,
+    make_morpheme_symbols,
+    negate_weights,
+)
+from wfstdec.ngram import (
+    BOS,
+    EOS,
+    NGramModel,
+    parse_arpa,
+    prune_to_small_lm,
+    score_sentence,
+)
+
+from conftest import LEAKY_ARPA, LEAKY_COST
+
+PHONES = ("x", "y", "z")
+WIDE = DecodeOptions(beam=1e9, max_active=10 ** 9, lattice_beam=100.0)
+
+
+def _graphs(big, small, lex):
+    """HCLG3 over the small LM, G3neg and G4, on one morpheme table."""
+    syms = make_morpheme_symbols(big, with_hash=True)
+    return (build_search_graph(lex, small, None, syms),
+            negate_weights(lm_to_fst(small, syms, mode=BACKOFF_EPS)),
+            lm_to_fst(big, syms, mode=BACKOFF_EPS))
+
+
+def _audio(hclg3, lex, sent):
+    phones = hclg3.isyms
+    ids = [phones.id_of(p) for m in sent for p in lex.prons[m][0]]
+    return synthesize_utterance(ids, len(phones) - 1)
+
+
+def _decode(strategy, graphs, matrix, opts):
+    hclg3, g3neg, g4 = graphs
+    if strategy == "onthefly":
+        return decode_onthefly(hclg3, g3neg, g4, matrix, opts)
+    return rescore_lattice(decode_static(hclg3, matrix, opts), g3neg, g4)
+
+
+def _oracle_cost(big, lex, hclg3, matrix, hyp):
+    """Analytic big-LM cost of hyp plus the acoustic cost of its phones."""
+    phones = [hclg3.isyms.id_of(p) for m in hyp for p in lex.prons[m][0]]
+    assert len(phones) == matrix.num_frames
+    acoustic = sum(float(matrix.costs[t, p - 1]) for t, p in enumerate(phones))
+    return cost_from_log10(score_sentence(big, hyp)) + acoustic
+
+
+class TestLeakyBigram:
+    """The fixed case: "a b" reads the listed bigram at 4.6052, though
+    backing off from "a" to read "b" costs only 3.2236."""
+
+    @pytest.fixture
+    def setup(self):
+        model = parse_arpa(LEAKY_ARPA)
+        lex = Lexicon.parse("a\tx\nb\ty\n")
+        graphs = _graphs(model, model, lex)
+        return graphs, _audio(graphs[0], lex, ["a", "b"])
+
+    def test_onthefly_is_exact(self, setup):
+        graphs, matrix = setup
+        lat = _decode("onthefly", graphs, matrix, DecodeOptions())
+        assert best_path(lat) == (["a", "b"], pytest.approx(LEAKY_COST, abs=1e-12))
+
+    def test_rescore_is_exact_with_the_exact_path_in_the_lattice(self, setup):
+        graphs, matrix = setup
+        lat = _decode("rescore", graphs, matrix, DecodeOptions(lattice_beam=5.0))
+        assert best_path(lat) == (["a", "b"], pytest.approx(LEAKY_COST, abs=1e-12))
+
+    def test_rescore_drops_a_lattice_of_leaked_paths(self, setup):
+        # Within 0.5 of the first pass's best, only paths that back off
+        # past "a b" survive; none of them is a big-LM path.
+        graphs, matrix = setup
+        with pytest.raises(EmptyResultError, match="all lattice paths dropped"):
+            _decode("rescore", graphs, matrix, DecodeOptions(lattice_beam=0.5))
+
+
+def _cost(draw):
+    """A log10 value in tenths: -2.5 .. -0.1."""
+    return -draw(st.integers(1, 25)) / 10
+
+
+@st.composite
+def tasks(draw):
+    """(big LM, small LM, lexicon, sentence) over 2-4 morphemes, each with
+    one pronunciation of 1-2 phones.  The big LM is a bigram or trigram
+    model with drawn n-grams, probabilities and back-off weights, not
+    normalised; the small LM is the big one or a pruned bigram copy."""
+    vocab = [f"m{i}" for i in range(draw(st.integers(2, 4)))]
+    order = draw(st.sampled_from([2, 3]))
+    big = NGramModel(order)
+    big.add_entry((BOS,), -99.0, _cost(draw) / 2)
+    for w in vocab:
+        big.add_entry((w,), _cost(draw), _cost(draw) / 2)
+    big.add_entry((EOS,), _cost(draw))
+    bigrams = [(h, w) for h in [BOS] + vocab for w in vocab + [EOS]
+               if draw(st.booleans())]
+    for gram in bigrams:
+        backoff = _cost(draw) / 2 if order == 3 and gram[1] != EOS else None
+        big.add_entry(gram, _cost(draw), backoff)
+    if order == 3:
+        for h in bigrams:
+            if h[1] == EOS:
+                continue
+            for w in draw(st.lists(st.sampled_from(vocab + [EOS]),
+                                   max_size=2, unique=True)):
+                big.add_entry(h + (w,), _cost(draw))
+    big.validate()
+    small = big
+    if order == 3 or draw(st.booleans()):
+        small = prune_to_small_lm(big, 0.1, 2)
+    lex = Lexicon()
+    for w in vocab:
+        lex.add(w, draw(st.lists(st.sampled_from(PHONES), min_size=1,
+                                 max_size=2)))
+    sent = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=4))
+    return big, small, lex, sent
+
+
+@pytest.mark.parametrize("strategy", ["onthefly", "rescore"])
+@settings(max_examples=40, deadline=None)
+@given(task=tasks())
+def test_decoded_cost_is_the_analytic_big_lm_cost(strategy, task):
+    big, small, lex, sent = task
+    graphs = _graphs(big, small, lex)
+    matrix = _audio(graphs[0], lex, sent)
+    hyp, cost = best_path(_decode(strategy, graphs, matrix, WIDE))
+    assert cost == pytest.approx(
+        _oracle_cost(big, lex, graphs[0], matrix, hyp), abs=1e-9)

@@ -17,15 +17,17 @@ only at q2 itself.  With that filter, and the negated small-LM scores
 cancelling the scores baked into the search graph, the surviving path
 weights equal big-LM scores exactly.
 
-The static decoder runs the identical search loop with the trivial LM
-side (no relay operands).
+Lattice rescoring walks the same on-the-fly search space with a
+first-pass lattice in place of the search graph, so the arc, filter and
+final rules are written once.  The static decoder runs the identical
+search loop with the trivial LM side (no relay operands).
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
@@ -173,150 +175,53 @@ def relay_final(g: Fst, state: int) -> float:
         q = b.nextstate
 
 
-class _TernaryMatcher:
-    """LM-side expansion of algorithm branches 12-38, with memoization.
+@dataclass
+class _RelayMemo:
+    """The memo of one (G3neg, G4) pair, shared across decodes; it lives
+    in ``g4._relay_caches``, a weak-key map from each G3neg used with g4.
 
-    The memo lives on the big-LM graph, in ``g4._relay_caches``: a weak-key
-    map from each G3neg it was used with to that pair's memo, which has
-    three layers, all shared across decodes of the same graphs:
+    - ``pairs``: per LM pair ``(q2, q3)``, a dict from morpheme to its
+      relay result ``(q2', q3', weight)``, or False when the branch is
+      dead, filled one search-graph state's labels at a time;
+    - ``blocked``: per LM state q2 and G3neg state g on q2's back-off
+      chain, the labels listed on the chain before g;
+    - ``spaces``: per search graph (a weak-key map again), the states of
+      its on-the-fly search space.
 
-    - per LM pair ``(q2, q3)``, a dict from morpheme to its relay result
-      ``(q2', q3', weight)``, or False when the branch is dead.  A new
-      pair's labels are resolved in one batched walk per LM (the labels
-      of one search-graph state at a time);
-    - per search graph (a weak-key map again), its on-the-fly search space
-      (the lazily composed graph, with the G3neg state each search-graph
-      state was composed from);
-    - per LM state q2 and G3neg state g on q2's back-off chain, the labels
-      listed on the chain before g (see ``blocked``).
-
-    Each layer records the ``version`` of the graphs it was derived from:
-    the pair memo and the label sets that of both LMs, a search space that
-    of its search graph (and, as it lives in the pair memo, those of both
-    LMs).  ``add_arc`` and ``arc_sort_input`` bump a graph's version, and
-    a stale layer is discarded on the next decode.  Weak keys keep a dead
-    graph's memo from being reused for a new graph at the same ``id()``.
-    ``stats`` counts per label and per back-off hop, on memo misses only,
-    so a warm decode adds nothing to it.
+    ``versions`` are those of both LMs, and a space's states record that
+    of its search graph.  ``add_arc`` and ``arc_sort_input`` bump a
+    graph's version, and a stale memo or space is discarded on the next
+    decode.  Weak keys keep a dead graph's memo from being reused for a
+    new graph at the same ``id()``; no record holds a graph.
     """
 
-    def __init__(self, g3neg: Fst, g4: Fst, stats: RelayStats):
-        self.g3neg = g3neg
-        self.g4 = g4
-        self.stats = stats
-        caches = getattr(g4, "_relay_caches", None)
-        if caches is None:
-            caches = g4._relay_caches = weakref.WeakKeyDictionary()
-        versions = (g3neg.version, g4.version)
-        memo = caches.get(g3neg)
-        if memo is None or memo[0] != versions:
-            memo = caches[g3neg] = (versions, {},
-                                    weakref.WeakKeyDictionary(), {})
-        _, self._pairs, self._spaces, self._blocked = memo
+    versions: tuple
+    pairs: dict = field(default_factory=dict)
+    blocked: dict = field(default_factory=dict)
+    spaces: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary)
 
-    def space(self, hclg3: Fst) -> _OnTheFlySpace:
-        """The search space over hclg3, expanding through this matcher;
-        its memoized state tables hold no graph, so the keys stay weak."""
-        arcs = _graph_cache(hclg3)
-        cache = self._spaces.get(hclg3)
-        if cache is None or cache[0] != hclg3.version:
-            g3 = [_NO_STATE] * hclg3.num_states
-            if hclg3.initial >= 0:
-                g3[hclg3.initial] = self.g3neg.initial
-            cache = self._spaces[hclg3] = (hclg3.version, ([], [], [], {}, g3))
-        return _OnTheFlySpace(hclg3, self, arcs, cache[1])
 
-    def relays(self, q2: int, q3: int, labels: set) -> dict:
-        """The LM pair's memo, with every label in ``labels`` resolved."""
-        memo = self._pairs.get((q2, q3))
-        if memo is None:
-            memo = self._pairs[(q2, q3)] = {}
-        missing = labels - memo.keys()
-        if missing:
-            self._resolve(q2, q3, missing, memo)
-        return memo
+class _States:
+    """An on-the-fly space's interned states and their expanded arcs, and
+    per search-graph state the G3neg state it was composed from."""
 
-    def blocked(self, q2: int, g: int) -> set:
-        """Labels listed on q2's back-off chain before G3neg state g.
+    def __init__(self, graph: Fst):
+        self.version = graph.version
+        self.emit, self.eps, self.triples, self.ids = [], [], [], {}
+        self.g3 = [_NO_STATE] * graph.num_states
 
-        A search-graph state composed from g, reached by backing off from
-        q2, may read none of them: G3 reads each where it is listed.  If
-        the chain never reaches g, every label on it is blocked.
-        """
-        labels = self._blocked.get((q2, g))
-        if labels is None:
-            labels = set()
-            q = q2
-            hops = 0
-            while q != g:
-                amap = arc_map(self.g3neg, q)
-                labels.update(amap)
-                b = amap.get(0)
-                if b is None:
-                    break
-                q = b.nextstate
-                hops += 1
-                if hops >= self.g3neg.num_states:
-                    raise BackoffCycleError(
-                        f"back-off cycle: no back-off chain from state {q2} "
-                        f"ends within {self.g3neg.num_states} states")
-            self._blocked[(q2, g)] = labels
-        return labels
 
-    def backoff(self, g: int, where: str) -> int:
-        """G3neg's back-off target from g, where ``where`` (a state named
-        for the error message) takes an epsilon back-off arc."""
-        b = find_arc(self.g3neg, g, 0) if g >= 0 else None
-        if b is None:
-            raise ProvenanceError(
-                f"{where} backs off from G3neg state {g}, which has no "
-                "back-off arc")
-        return b.nextstate
-
-    def expand(self, q2: int, q3: int, olabel: int):
-        """(q2', q3', graph weight) for one morpheme, or False if dead."""
-        memo = self._pairs.get((q2, q3))
-        res = memo.get(olabel) if memo is not None else None
-        if res is None:
-            res = self.relays(q2, q3, {olabel})[olabel]
-        return res
-
-    def _resolve(self, q2: int, q3: int, labels: set, memo: dict) -> None:
-        found2, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
-        for lab in labels - found2.keys():
-            memo[lab] = False
-        out = {}  # morpheme -> its G3neg match's output label, for G4
-        for lab, (e2, acc2, _) in found2.items():
-            if e2.olabel == 0:
-                # Matched arc with epsilon output: the big LM is not consulted.
-                memo[lab] = (e2.nextstate, q3, acc2 + e2.weight)
-            else:
-                out[lab] = e2.olabel
-        if not out:
-            return
-        targets = set(out.values())
-        counts = None
-        if len(targets) < len(out):
-            counts = dict.fromkeys(targets, 0)
-            for ol in out.values():
-                counts[ol] += 1
-        found3, _ = _relay_walk(self.g4, q3, targets, self.stats, counts)
-        for lab, ol in out.items():
-            r3 = found3.get(ol)
-            if r3 is None:
-                memo[lab] = False
-            else:
-                e2, acc2, _ = found2[lab]
-                e3, acc3, _ = r3
-                memo[lab] = (e2.nextstate, e3.nextstate,
-                             acc2 + e2.weight + acc3 + e3.weight)
-
-    def final_weight(self, q2: int, q3: int) -> float:
-        w2 = relay_final(self.g3neg, q2)
-        w3 = relay_final(self.g4, q3)
-        if w2 == _INF or w3 == _INF:
-            return _INF
-        return w2 + w3
+def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
+    """The current memo of the LM pair, made if missing or stale."""
+    caches = getattr(g4, "_relay_caches", None)
+    if caches is None:
+        caches = g4._relay_caches = weakref.WeakKeyDictionary()
+    versions = (g3neg.version, g4.version)
+    memo = caches.get(g3neg)
+    if memo is None or memo.versions != versions:
+        memo = caches[g3neg] = _RelayMemo(versions)
+    return memo
 
 
 def _graph_cache(fst: Fst):
@@ -469,29 +374,34 @@ class SearchSpace:
 
 
 class _OnTheFlySpace(SearchSpace):
-    """Triples (q1, q2, q3) of HCLG3 and both LMs, interned as they are
-    reached.  A state's emitting and epsilon arcs are expanded separately,
-    the first time the search loop needs each, with dead relay branches
-    dropped; until then ``emit[i]`` is None and ``eps[i]`` True (or () for
-    a state without epsilon arcs).
+    """Triples (q1, q2, q3) of a search graph and both LMs, interned as
+    they are reached, for on-the-fly decoding and lattice rescoring.  A
+    state's emitting and epsilon arcs are expanded separately, when the
+    search loop first needs each; until then ``emit[i]`` is None and
+    ``eps[i]`` True.
 
-    ``_g3[q1]`` is the G3neg state HCLG3 state q1 was composed from,
-    derived while expanding: a ``phone:eps`` arc keeps it, an ``eps:eps``
-    arc takes G3neg's back-off arc from it, and a morpheme arc takes the
-    relay's G3neg target (the morpheme was matched directly there).  A
-    morpheme arc from (q1, q2, q3) is dropped when its label is listed on
-    q2's back-off chain before ``_g3[q1]``, and a final weight counts only
-    where ``_g3[q1] == q2``."""
+    The G3neg state of a search-graph state (``_g3``) is derived while
+    expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
+    G3neg's back-off arc from it, and a morpheme arc takes the relay's
+    G3neg target (the morpheme was matched directly there).  A morpheme
+    arc from (q1, q2, q3) is dropped when its label is listed on q2's
+    back-off chain before ``_g3[q1]``, and a final weight counts only
+    where ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
+    hop, on relay memo misses only, so a warm decode adds nothing to it.
+    """
 
-    def __init__(self, hclg3: Fst, lm: _TernaryMatcher, arcs: tuple,
-                 tables: tuple):
-        self.graph = hclg3
-        self.lm = lm
-        self._emit_g, self._eps_g = arcs
-        self.emit, self.eps, self._triples, self._ids, self._g3 = tables
-        if hclg3.initial >= 0:
+    def __init__(self, graph: Fst, g3neg: Fst, g4: Fst,
+                 stats: Optional[RelayStats], memo: _RelayMemo,
+                 states: _States):
+        self.graph, self.g3neg, self.g4 = graph, g3neg, g4
+        self.stats = stats if stats is not None else RelayStats()
+        self._pairs, self._blocked = memo.pairs, memo.blocked
+        self.emit, self.eps = states.emit, states.eps
+        self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
+        if graph.initial >= 0:
+            self._g3[graph.initial] = g3neg.initial
             self.initial = self.state_id(
-                (hclg3.initial, lm.g3neg.initial, lm.g4.initial))
+                (graph.initial, g3neg.initial, g4.initial))
 
     def triple(self, sid: int) -> tuple:
         return self._triples[sid]
@@ -502,7 +412,7 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            self.eps.append(True if self._eps_g[triple[0]] else ())
+            self.eps.append(True)
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -510,11 +420,27 @@ class _OnTheFlySpace(SearchSpace):
         w1 = self.graph.final(q1)
         if w1 == ZERO or self._g3[q1] != q2:
             return _INF
-        return w1 + self.lm.final_weight(q2, q3)
+        return w1 + (relay_final(self.g3neg, q2) + relay_final(self.g4, q3))
 
     def _expand(self, sid: int, emitting: bool) -> tuple:
-        """One batch relays the labels of all arcs expanded; the counters
-        count per label, as if each arc were relayed alone."""
+        """Expand state sid's emitting or epsilon-input arcs, once; an
+        emitting arc's weight is its graph plus LM weight."""
+        emit, eps = _graph_cache(self.graph)
+        q1 = self._triples[sid][0]
+        if emitting:
+            arcs = self.emit[sid] = tuple(
+                (il, ol, w + gw, nid)
+                for il, ol, w, gw, nid in self.expand_arcs(sid, emit[q1]))
+        else:
+            arcs = self.eps[sid] = tuple(self.expand_arcs(sid, eps[q1]))
+        return arcs
+
+    def expand_arcs(self, sid: int, graph_arcs) -> list:
+        """(ilabel, olabel, graph weight, LM weight, next id) for each of
+        state sid's ``graph_arcs`` that survives, in order; the arcs are
+        tuples that start with (ilabel, olabel, weight) and end with the
+        next graph state.  One batch relays the labels of all arcs; the
+        counters count per label, as if each arc were relayed alone."""
         q1, q2, q3 = self._triples[sid]
         g3 = self._g3
         g = g3[q1]
@@ -522,19 +448,14 @@ class _OnTheFlySpace(SearchSpace):
             raise ProvenanceError(
                 f"search graph state {q1} was not reached from the initial "
                 "state, so its G3neg state is unknown")
-        graph_arcs = (self._emit_g if emitting else self._eps_g)[q1]
         labels = {a[1] for a in graph_arcs if a[1]}
-        relays = self.lm.relays(q2, q3, labels) if labels else None
-        blocked = self.lm.blocked(q2, g) if labels and g != q2 else ()
-        # The G3neg state of the targets of olabel-0 arcs.
-        g0 = g if emitting else _NO_STATE
+        relays = self.relays(q2, q3, labels) if labels else None
+        blocked = self.blocked(q2, g) if labels and g != q2 else ()
         arcs = []
         for a in graph_arcs:
             il, ol, w, ns = a[0], a[1], a[2], a[-1]
             if ol == 0:
-                if g0 == _NO_STATE:
-                    g0 = self.lm.backoff(g, f"search graph state {q1}")
-                ng = g0
+                ng = g if il else self.backoff(g, f"search graph state {q1}")
                 nq2, nq3, gw = q2, q3, 0.0
             elif ol in blocked or relays[ol] is False:
                 continue
@@ -549,25 +470,98 @@ class _OnTheFlySpace(SearchSpace):
                         f"states {seen} and {ng}: the search graph is not a "
                         "composition with G3neg")
                 g3[ns] = ng
-            nid = self.state_id((ns, nq2, nq3))
-            if emitting:
-                arcs.append((il, ol, w + gw, nid))
-            else:
-                arcs.append((il, ol, w, gw, nid))
-        arcs = tuple(arcs)
-        (self.emit if emitting else self.eps)[sid] = arcs
+            arcs.append((il, ol, w, gw, self.state_id((ns, nq2, nq3))))
         return arcs
+
+    def blocked(self, q2: int, g: int) -> set:
+        """Labels listed on q2's back-off chain before G3neg state g.
+
+        A search-graph state composed from g, reached by backing off from
+        q2, may read none of them: G3 reads each where it is listed.  If
+        the chain never reaches g, every label on it is blocked.
+        """
+        labels = self._blocked.get((q2, g))
+        if labels is None:
+            labels = set()
+            q = q2
+            hops = 0
+            while q != g:
+                amap = arc_map(self.g3neg, q)
+                labels.update(amap)
+                b = amap.get(0)
+                if b is None:
+                    break
+                q = b.nextstate
+                hops += 1
+                if hops >= self.g3neg.num_states:
+                    raise BackoffCycleError(
+                        f"back-off cycle: no back-off chain from state {q2} "
+                        f"ends within {self.g3neg.num_states} states")
+            self._blocked[(q2, g)] = labels
+        return labels
+
+    def backoff(self, g: int, where: str) -> int:
+        """G3neg's back-off target from g, where ``where`` (a state named
+        for the error message) takes an epsilon back-off arc."""
+        b = find_arc(self.g3neg, g, 0) if g >= 0 else None
+        if b is None:
+            raise ProvenanceError(
+                f"{where} backs off from G3neg state {g}, which has no "
+                "back-off arc")
+        return b.nextstate
+
+    def relays(self, q2: int, q3: int, labels: set) -> dict:
+        """The LM pair's memo, with every label in ``labels`` resolved."""
+        memo = self._pairs.get((q2, q3))
+        if memo is None:
+            memo = self._pairs[(q2, q3)] = {}
+        labels = labels.difference(memo)  # walks labels, not the memo
+        if not labels:
+            return memo
+        found2, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
+        for lab in labels - found2.keys():
+            memo[lab] = False
+        out = {}  # morpheme -> its G3neg match's output label, for G4
+        for lab, (e2, acc2, _) in found2.items():
+            if e2.olabel == 0:
+                # Matched arc with epsilon output: the big LM is not consulted.
+                memo[lab] = (e2.nextstate, q3, acc2 + e2.weight)
+            else:
+                out[lab] = e2.olabel
+        if not out:
+            return memo
+        targets = set(out.values())
+        counts = None
+        if len(targets) < len(out):
+            counts = dict.fromkeys(targets, 0)
+            for ol in out.values():
+                counts[ol] += 1
+        found3, _ = _relay_walk(self.g4, q3, targets, self.stats, counts)
+        for lab, ol in out.items():
+            r3 = found3.get(ol)
+            if r3 is None:
+                memo[lab] = False
+            else:
+                e2, acc2, _ = found2[lab]
+                e3, acc3, _ = r3
+                memo[lab] = (e2.nextstate, e3.nextstate,
+                             acc2 + e2.weight + acc3 + e3.weight)
+        return memo
 
 
 def search_space(graph: Fst, g3neg: Optional[Fst] = None,
                  g4: Optional[Fst] = None,
                  stats: Optional[RelayStats] = None) -> SearchSpace:
     """The static space of graph or, given both LMs, the on-the-fly one
-    over graph as HCLG3, with ``stats`` counting its relay memo misses."""
+    over graph as HCLG3, with ``stats`` counting its relay memo misses.
+    An on-the-fly space's states are kept in the LM pair's memo."""
     if g3neg is None:
         return SearchSpace(graph)
-    return _TernaryMatcher(g3neg, g4, stats if stats is not None
-                           else RelayStats()).space(graph)
+    memo = _relay_memo(g3neg, g4)
+    states = memo.spaces.get(graph)
+    if states is None or states.version != graph.version:
+        states = memo.spaces[graph] = _States(graph)
+    return _OnTheFlySpace(graph, g3neg, g4, stats, memo, states)
 
 
 # -- lattices --------------------------------------------------------------
@@ -762,55 +756,35 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
                     stats: Optional[RelayStats] = None) -> Lattice:
     """Replace first-pass LM scores along lattice paths with big-LM scores.
 
-    Applies the same relay matching and the same back-off filter as the
-    on-the-fly decoder to the lattice's morpheme outputs, carrying the
-    G3neg state each HCLG3 state was composed from along the walk (a
-    lattice's ``eps:eps`` arcs are HCLG3's back-off arcs).  Paths whose
-    morphemes cannot be matched (out of vocabulary), or that back off past
-    a context listing their morpheme, are dropped.
+    A depth-first walk of the on-the-fly search space over the lattice
+    (whose ``eps:eps`` arcs are HCLG3's back-off arcs), numbering states
+    as it finds them.  Paths whose morphemes cannot be matched (out of
+    vocabulary), or that back off past a context listing their morpheme,
+    are dropped.  The walk shares the LM pair's relay memo, but keeps no
+    states or arc tables for the lattice.
     """
-    stats = stats if stats is not None else RelayStats()
-    matcher = _TernaryMatcher(g3neg, g4, stats)
     src = lat.fst
     if src.num_states == 0 or src.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
+    space = _OnTheFlySpace(src, g3neg, g4, stats, _relay_memo(g3neg, g4),
+                           _States(src))
     out = Fst(src.isyms, src.osyms)
-    # (lattice state, q2, q3, G3neg state of the lattice state's HCLG3 state)
-    start = (src.initial, g3neg.initial, g4.initial, g3neg.initial)
-    state_of = {start: out.add_state()}
+    out.add_state()
     frames = [lat.frames[src.initial]]
-    stack = [start]
+    stack = [space.initial]
     while stack:
-        key = stack.pop()
-        s, q2, q3, g = key
-        cur = state_of[key]
-        for a in src.arcs(s):
-            if a.olabel == 0:
-                ng = g if a.ilabel else matcher.backoff(g, f"lattice state {s}")
-                nkey = (a.nextstate, q2, q3, ng)
-                w = a.weight
-            else:
-                if g != q2 and a.olabel in matcher.blocked(q2, g):
-                    continue
-                r = matcher.expand(q2, q3, a.olabel)
-                if r is False:
-                    continue
-                nq2, nq3, gw = r
-                nkey = (a.nextstate, nq2, nq3, nq2)
-                w = a.weight + gw
-            ns = state_of.get(nkey)
-            if ns is None:
-                ns = out.add_state()
-                state_of[nkey] = ns
-                frames.append(lat.frames[a.nextstate])
-                stack.append(nkey)
-            out.add_arc(cur, Arc(a.ilabel, a.olabel, w, ns))
-        fw = src.final(s)
-        if fw != ZERO and g == q2:
-            wlm = matcher.final_weight(q2, q3)
-            if wlm != _INF:
-                out.set_final(cur, fw + wlm)
-    out.set_initial(0)
+        sid = stack.pop()
+        for il, ol, w, gw, nid in space.expand_arcs(
+                sid, src.arcs(space.triple(sid)[0])):
+            if nid == out.num_states:  # space ids count up as states are found
+                out.add_state()
+                frames.append(lat.frames[space.triple(nid)[0]])
+                stack.append(nid)
+            out.add_arc(sid, Arc(il, ol, w + gw, nid))
+        fw = space.final_weight(sid)
+        if fw != _INF:
+            out.set_final(sid, fw)
+    out.set_initial(space.initial)
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
     res = Lattice(out, frames, 0.0, lat.utt_id)

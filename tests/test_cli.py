@@ -172,10 +172,12 @@ class TestErrors:
         assert code == 1
         assert "error: negative-weight epsilon cycle" in err
 
+    @pytest.mark.parametrize("strategy", ["onthefly", "rescore"])
     def test_search_graph_not_composed_with_g3neg(self, workdir, capsys,
-                                                  tmp_path):
+                                                  tmp_path, strategy):
         # Two morphemes lead from state 0 to state 1, but to two different
         # G3neg states: the graph is no lexicon-LM composition with G3neg.
+        # Rescoring meets the two arcs in the first-pass lattice.
         def sym_id(table, sym):
             return next(line.split()[1] for line in
                         (workdir / table).read_text().splitlines()
@@ -187,13 +189,19 @@ class TestErrors:
         g3neg = tmp_path / "g3neg.fst"
         g3neg.write_text(f"0\t1\t{a}\t{a}\t0.0\n0\t2\t{b}\t{b}\t0.0\n"
                          "0\t0.0\n1\t0.0\n2\t0.0\n")
-        argv = _decode_argv(workdir, "onthefly")
+        # One frame of phone v, so the first pass decodes the graph.
+        (tmp_path / "v.txt").write_text("v\n")
+        utt = tmp_path / "v.ac"
+        assert main(["synth", str(tmp_path / "v.txt"),
+                     str(workdir / "phones.syms"), str(utt)]) == 0
+        argv = _decode_argv(workdir, strategy)
         argv[argv.index("--graph") + 1] = str(graph)
         argv[argv.index("--g3neg") + 1] = str(g3neg)
+        argv[argv.index("--acoustic") + 1] = str(utt)
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err.startswith("error: search graph state 1 is reached from "
-                              "G3neg states 1 and 2")
+        assert err.startswith("error: ")
+        assert "is reached from G3neg states 1 and 2" in err
         assert out == ""
 
     @pytest.mark.parametrize("option, value", [

@@ -25,7 +25,7 @@ from wfstdec.decoder import (
     rescore_lattice,
     search_space,
 )
-from wfstdec.decoder import _relay_walk, _TernaryMatcher
+from wfstdec.decoder import _relay_walk
 from wfstdec.fst import (ZERO, Arc, Fst, FstError, SymbolTable, find_arc,
                          write_text_fst)
 from wfstdec.graph import (
@@ -211,10 +211,10 @@ class TestBatchedRelay:
     def test_lm_pair_memo_equals_per_label_relays(self, mini_model):
         for words, g3neg, g4 in _relay_models(mini_model):
             stats, ref = RelayStats(), RelayStats()
-            matcher = _TernaryMatcher(g3neg, g4, stats)
+            space = search_space(Fst(), g3neg, g4, stats)
             for q2 in g3neg.states():
                 for q3 in g4.states():
-                    memo = matcher.relays(q2, q3, set(words))
+                    memo = space.relays(q2, q3, set(words))
                     for w in words:
                         e2, acc2, _ = _reference_relay(g3neg, q2, w, ref)
                         want = False
@@ -241,7 +241,7 @@ class TestBatchedRelay:
         g4.add_arc(1, Arc(7, 7, 2.0, 1))
         g4.arc_sort_input()
         stats = RelayStats()
-        memo = _TernaryMatcher(g3neg, g4, stats).relays(0, 0, {1, 2})
+        memo = search_space(Fst(), g3neg, g4, stats).relays(0, 0, {1, 2})
         assert memo == {1: (0, 1, 0.5 + 0.1 + 2.0), 2: (0, 1, 0.25 + 0.1 + 2.0)}
         assert stats == RelayStats(failed_direct_matches=2, backoff_hops=2)
 
@@ -798,7 +798,7 @@ class TestRelayMemo:
     def test_search_space_dies_with_its_graph(self, mini):
         hclg3 = self._copy(mini["hclg3"])
         decode_onthefly(hclg3, mini["g3neg"], mini["g4fst"], _utt(mini, SENT))
-        spaces = mini["g4fst"]._relay_caches[mini["g3neg"]][2]
+        spaces = mini["g4fst"]._relay_caches[mini["g3neg"]].spaces
         assert hclg3 in spaces
         n = len(spaces)
         del hclg3

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import ZERO, Arc, Fst, SymbolTable, arc_map, find_arc
+from .fst import ZERO, Arc, Fst, SymbolTable, _connect, arc_map, find_arc
 
 _INF = ZERO
 _NO_STATE = -1
@@ -760,8 +760,9 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     (whose ``eps:eps`` arcs are HCLG3's back-off arcs), numbering states
     as it finds them.  Paths whose morphemes cannot be matched (out of
     vocabulary), or that back off past a context listing their morpheme,
-    are dropped.  The walk shares the LM pair's relay memo, but keeps no
-    states or arc tables for the lattice.
+    are dropped, and so is every state then left on no successful path.
+    The walk shares the LM pair's relay memo, but keeps no states or arc
+    tables for the lattice.
     """
     src = lat.fst
     if src.num_states == 0 or src.initial < 0:
@@ -787,6 +788,7 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     out.set_initial(space.initial)
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
-    res = Lattice(out, frames, 0.0, lat.utt_id)
+    out, keep = _connect(out)
+    res = Lattice(out, [frames[s] for s in keep], 0.0, lat.utt_id)
     res.best_cost = best_path(res)[1]
     return res

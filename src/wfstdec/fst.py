@@ -316,9 +316,14 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
 
 def connect(fst: Fst) -> Fst:
     """Remove states not on a successful initial -> final path."""
+    return _connect(fst)[0]
+
+
+def _connect(fst: Fst) -> tuple[Fst, list[int]]:
+    """connect(fst), and the states it keeps, in fst's numbering."""
     n = fst.num_states
     if fst.initial < 0 or n == 0:
-        return Fst(fst.isyms, fst.osyms)
+        return Fst(fst.isyms, fst.osyms), []
     arcs = fst._arcs
     fwd = [False] * n
     stack = [fst.initial]
@@ -346,7 +351,7 @@ def connect(fst: Fst) -> Fst:
     keep = [s for s in fst.states() if fwd[s] and bwd[s]]
     out = Fst(fst.isyms, fst.osyms)
     if not keep or not bwd[fst.initial]:
-        return out
+        return out, []
     # The arc lists are assembled directly: every state in them is valid.
     if len(keep) == n:
         out._arcs = [list(state_arcs) for state_arcs in arcs]
@@ -363,4 +368,4 @@ def connect(fst: Fst) -> Fst:
         out.initial = remap[fst.initial]
     if fst.input_sorted:
         out.arc_sort_input()
-    return out
+    return out, keep

@@ -200,8 +200,8 @@ class TestErrors:
         argv[argv.index("--acoustic") + 1] = str(utt)
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err.startswith("error: ")
-        assert "is reached from G3neg states 1 and 2" in err
+        assert err.startswith("error: search graph state 1 is reached from "
+                              "G3neg states 1 and 2")
         assert out == ""
 
     @pytest.mark.parametrize("option, value", [

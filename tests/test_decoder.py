@@ -680,45 +680,61 @@ class TestEndToEnd:
         assert stats.eps_output_matches == 0
         assert stats.failed_direct_matches == stats.backoff_hops + stats.dead_relays
 
-    def test_lattice_is_sound(self, mini):
+    @pytest.mark.parametrize("strategy", ["static", "onthefly", "rescore"])
+    def test_lattice_is_sound(self, mini, strategy):
         opts = DecodeOptions(lattice_beam=4.0)
-        lat = decode_static(mini["hclg4"],
-                            _utt(mini, SENT + ["kAn", "vix", "ci"],
-                                 noise=1.5, seed=8), opts)
+        matrix = _utt(mini, SENT + ["kAn", "vix", "ci"], noise=1.5, seed=8)
+        if strategy == "static":
+            lat = decode_static(mini["hclg4"], matrix, opts)
+        elif strategy == "onthefly":
+            lat = decode_onthefly(mini["hclg3"], mini["g3neg"], mini["g4fst"],
+                                  matrix, opts)
+        else:
+            lat = rescore_lattice(decode_static(mini["hclg3"], matrix, opts),
+                                  mini["g3neg"], mini["g4fst"])
         fst = lat.fst
         # Frames never decrease along arcs.
         for s in fst.states():
             for a in fst.arcs(s):
                 assert lat.frames[a.nextstate] >= lat.frames[s]
-        # Every kept state lies on a path within lattice_beam of the best.
-        alpha = self._forward(fst)
-        beta = self._backward(fst)
+        alpha, beta = self._costs(fst)
         assert min(alpha[s] + fst.final(s) for s in fst.finals) == \
             pytest.approx(lat.best_cost, abs=1e-9)
+        # Every kept state lies on a path within lattice_beam of the best;
+        # rescoring does not prune again, so there on a successful path.
         for s in fst.states():
-            assert alpha[s] + beta[s] <= lat.best_cost + opts.lattice_beam + 1e-6
+            if strategy == "rescore":
+                assert alpha[s] + beta[s] < INF
+            else:
+                assert alpha[s] + beta[s] <= \
+                    lat.best_cost + opts.lattice_beam + 1e-6
         assert best_path(lat)[1] == pytest.approx(lat.best_cost, abs=1e-9)
 
     @staticmethod
-    def _forward(fst):
+    def _costs(fst):
+        """Forward and backward costs of every state of an acyclic fst,
+        whatever order its states are numbered in."""
+        indeg = [0] * fst.num_states
+        for s in fst.states():
+            for a in fst.arcs(s):
+                indeg[a.nextstate] += 1
+        order = [s for s in fst.states() if indeg[s] == 0]
+        for s in order:  # grows while it is walked: a topological order
+            for a in fst.arcs(s):
+                indeg[a.nextstate] -= 1
+                if indeg[a.nextstate] == 0:
+                    order.append(a.nextstate)
+        assert len(order) == fst.num_states
         alpha = [ZERO] * fst.num_states
         alpha[fst.initial] = 0.0
-        for s in fst.states():  # states are topologically ordered by frame
-            if alpha[s] == ZERO:
-                continue
+        for s in order:
             for a in fst.arcs(s):
                 alpha[a.nextstate] = min(alpha[a.nextstate], alpha[s] + a.weight)
-        return alpha
-
-    @staticmethod
-    def _backward(fst):
-        beta = [ZERO] * fst.num_states
-        for s, w in fst.finals.items():
-            beta[s] = w
-        for s in reversed(range(fst.num_states)):
+        beta = [fst.final(s) for s in fst.states()]
+        for s in reversed(order):
             for a in fst.arcs(s):
                 beta[s] = min(beta[s], a.weight + beta[a.nextstate])
-        return beta
+        return alpha, beta
 
     def test_unreachable_final_raises(self):
         fst = Fst()

@@ -455,7 +455,7 @@ class _OnTheFlySpace(SearchSpace):
         for a in graph_arcs:
             il, ol, w, ns = a[0], a[1], a[2], a[-1]
             if ol == 0:
-                ng = g if il else self.backoff(g, f"search graph state {q1}")
+                ng = g if il else self.backoff(g, q1)
                 nq2, nq3, gw = q2, q3, 0.0
             elif ol in blocked or relays[ol] is False:
                 continue
@@ -500,14 +500,14 @@ class _OnTheFlySpace(SearchSpace):
             self._blocked[(q2, g)] = labels
         return labels
 
-    def backoff(self, g: int, where: str) -> int:
-        """G3neg's back-off target from g, where ``where`` (a state named
-        for the error message) takes an epsilon back-off arc."""
+    def backoff(self, g: int, q1: int) -> int:
+        """G3neg's back-off target from g, where search-graph state q1,
+        composed from g, takes an epsilon back-off arc."""
         b = find_arc(self.g3neg, g, 0) if g >= 0 else None
         if b is None:
             raise ProvenanceError(
-                f"{where} backs off from G3neg state {g}, which has no "
-                "back-off arc")
+                f"search graph state {q1} backs off from G3neg state {g}, "
+                "which has no back-off arc")
         return b.nextstate
 
     def relays(self, q2: int, q3: int, labels: set) -> dict:

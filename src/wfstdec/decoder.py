@@ -568,7 +568,10 @@ def search_space(graph: Fst, g3neg: Optional[Fst] = None,
 
 @dataclass
 class Lattice:
-    """Acyclic hypothesis graph; states are (triple, frame) tokens."""
+    """Hypothesis graph; states are (triple, frame) tokens.  Acyclic unless
+    an epsilon cycle lighter than the lattice beam left a cycle of links
+    within the beam, which it keeps and ``best_path`` finds no path through.
+    """
 
     fst: Fst
     frames: list[int]
@@ -579,83 +582,80 @@ class Lattice:
 
 def _build_lattice(space: SearchSpace, finals: list, init_token: list,
                    opts: DecodeOptions, utt_id: str) -> Lattice:
-    best = min(t[2] + fw for t, fw in finals)
+    """The tokens and links on paths within ``lattice_beam`` of the best
+    final cost, as a lattice whose states are numbered by (frame, triple).
+
+    A backward search from the final tokens within that bound, a frame at a
+    time from the last, follows a link only if its source's cost plus its
+    weight plus its target's beta (best cost on to a final weight) is within
+    the bound, and visits a same-frame token again when its beta falls, so
+    its work scales with the kept lattice.  As a kept token's best suffix
+    stays within the bound, it keeps the tokens a closure over every
+    ancestor keeps (cost plus beta within the bound, and the initial token),
+    each with the same beta, as the same float.  A state's arcs are ordered
+    by target state, then by link order.
+    """
+    best = min([t[2] + fw for t, fw in finals])
     bound = best + opts.lattice_beam + 1e-9
-    final_of = {}
-    for t, fw in finals:
-        if t[2] + fw <= bound:
-            final_of[id(t)] = (t, fw)
+    ends = [(t, fw) for t, fw in finals if t[2] + fw <= bound]
+    found = [t for t, _ in ends]  # tokens by search index
+    index = {id(t): k for k, t in enumerate(found)}
+    beta = [fw for _, fw in ends]
+    arrivals = {}  # search index -> its links that pass the arc test
+    work = list(range(len(found)))
+    while work:
+        older = []  # tokens of the frame before, in the order found
+        while work:
+            k = work.pop()
+            t = found[k]
+            b = beta[k]
+            into = arrivals[k] = []  # the last visit sees the final beta
+            for lk in t[3:]:
+                prev, w = lk[0], lk[3]
+                if prev[2] + w + b > bound:
+                    continue
+                into.append(lk)
+                c = w + b
+                p = index.get(id(prev))
+                if p is None:
+                    p = index[id(prev)] = len(found)
+                    found.append(prev)
+                    beta.append(c)
+                    (work if prev[1] == t[1] else older).append(p)
+                elif c < beta[p]:  # cycles have non-negative weight: this ends
+                    beta[p] = c
+                    if prev[1] == t[1]:
+                        work.append(p)
+        work = older
 
-    # Backward closure over traceback links.
-    nodes: dict[int, list] = {}
-    stack = [t for t, _ in final_of.values()]
-    for t in stack:
-        nodes[id(t)] = t
-    while stack:
-        for link in stack.pop()[3:]:
-            prev = link[0]
-            if id(prev) not in nodes:
-                nodes[id(prev)] = prev
-                stack.append(prev)
-
-    # Forward adjacency and suffix costs (reverse topological relaxation).
-    out_arcs: dict[int, list[tuple[int, int, int, float]]] = {i: [] for i in nodes}
-    indeg: dict[int, int] = {}
-    for ti, t in nodes.items():
-        links = t[3:]
-        if len(links) > 1:  # a token expanded twice repeats its arrivals
-            seen_links = set()
-            unique = []
+    init = index.setdefault(id(init_token), len(found))
+    if init == len(found):
+        found.append(init_token)
+        beta.append(_INF)
+    kept = [t[2] + b <= bound for t, b in zip(found, beta)]
+    ordered = [k for k in range(len(found)) if kept[k] or k == init]
+    ordered.sort(key=lambda k: (found[k][1], space.triple(found[k][0])))
+    state = {k: s for s, k in enumerate(ordered)}
+    fst = Fst(space.graph.isyms, space.graph.osyms)
+    fst.add_states(len(ordered))
+    for j, k in enumerate(ordered):
+        if not kept[k]:
+            continue
+        links = arrivals[k]
+        # A token expanded twice repeats its arrivals, all from one token.
+        if len(links) > 1 and len({id(lk[0]) for lk in links}) < len(links):
+            unique = {}
             for lk in links:
-                sig = (id(lk[0]), lk[1], lk[2], round(lk[3], 10))
-                if sig not in seen_links:
-                    seen_links.add(sig)
-                    unique.append(lk)
-            links = unique
-        indeg[ti] = len(links)
+                unique.setdefault((id(lk[0]), lk[1], lk[2], round(lk[3], 10)), lk)
+            links = unique.values()
         for prev, il, ol, w in links:
-            out_arcs[id(prev)].append((ti, il, ol, w))
-    order = [i for i, d in indeg.items() if d == 0]
-    topo = []
-    while order:
-        i = order.pop()
-        topo.append(i)
-        for j, _, _, _ in out_arcs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    beta = dict.fromkeys(nodes, _INF)
-    for i, (t, fw) in final_of.items():
-        beta[i] = fw
-    for i in reversed(topo):
-        b = beta[i]
-        for j, _, _, w in out_arcs[i]:
-            cand = w + beta[j]
-            if cand < b:
-                b = cand
-        beta[i] = b
-
-    keep = {i for i, t in nodes.items() if t[2] + beta[i] <= bound}
-    keep.add(id(init_token))
-    triple = space.triple
-    ordered = sorted((nodes[i] for i in keep), key=lambda t: (t[1], triple(t[0])))
-    graph = space.graph
-    fst = Fst(graph.isyms, graph.osyms)
-    state_of = {}
-    frames = []
-    for t in ordered:
-        state_of[id(t)] = fst.add_state()
-        frames.append(t[1])
-    for i in keep:
-        for j, il, ol, w in out_arcs[i]:
-            if j in keep and nodes[j][2] + beta[j] <= bound \
-                    and nodes[i][2] + w + beta[j] <= bound:
-                fst.add_arc(state_of[i], Arc(il, ol, w, state_of[j]))
-    for i, (t, fw) in final_of.items():
-        if i in keep:
-            fst.set_final(state_of[i], fw)
-    fst.set_initial(state_of[id(init_token)])
-    return Lattice(fst, frames, best, utt_id)
+            s = state.get(index[id(prev)])
+            if s is not None:
+                fst.add_arc(s, Arc(il, ol, w, j))
+    for k, (_, fw) in enumerate(ends):
+        fst.set_final(state[k], fw)
+    fst.set_initial(state[init])
+    return Lattice(fst, [found[k][1] for k in ordered], best, utt_id)
 
 
 def best_path(lat: Lattice) -> tuple[list[str], float]:

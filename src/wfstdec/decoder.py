@@ -604,7 +604,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
     arrivals = {}  # search index -> its links that pass the arc test
     work = list(range(len(found)))
     while work:
-        older = []  # tokens of the frame before, in the order found
+        older = []  # search indexes of the frame before, in the order found
         while work:
             k = work.pop()
             t = found[k]
@@ -642,7 +642,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
         if not kept[k]:
             continue
         links = arrivals[k]
-        # A token expanded twice repeats its arrivals, all from one token.
+        # A source token expanded twice repeats its links to this token.
         if len(links) > 1 and len({id(lk[0]) for lk in links}) < len(links):
             unique = {}
             for lk in links:

@@ -666,7 +666,8 @@ def _arc_lines(fst):
 def _lattice_cases(draw):
     """A static graph over phones 1 and 2, whose epsilon arcs close cycles
     only through arcs heavier than the lattice beam, a noisy utterance and
-    a lattice beam.  Weights are quarters, so path sums are exact."""
+    a lattice beam.  Graph weights are quarters, so noise-free path sums
+    are exact."""
     beam = draw(st.sampled_from([0.5, 1.0, 2.5, 4.0, 8.0]))
     weight = st.integers(0, 16).map(lambda k: k / 4)
     n = draw(st.integers(2, 6))
@@ -692,16 +693,19 @@ def _lattice_cases(draw):
 
 
 class TestBuildLattice:
+    """The backward-search lattice builder against the full-closure
+    reference, on the arguments a static decode passes it."""
+
     @settings(max_examples=300, deadline=None)
     @given(_lattice_cases())
     def test_backward_search_matches_full_closure(self, case):
         g, matrix, opts = case
         calls = []
+        build = decoder._build_lattice
 
         def spy(*args):
             calls.append(args)
             return build(*args)
-        build = decoder._build_lattice
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decoder, "_build_lattice", spy)
             try:

@@ -35,6 +35,9 @@ from .fst import ZERO, Arc, Fst, SymbolTable, _connect, arc_map, find_arc
 
 _INF = ZERO
 _NO_STATE = -1
+# Slack on the lattice bound, and so on the frame step's cutoff, which
+# must skip only tokens the lattice builder's bound would drop anyway.
+_TOL = 1e-9
 
 
 class DecodeError(RuntimeError):
@@ -203,13 +206,25 @@ class _RelayMemo:
 
 
 class _States:
-    """An on-the-fly space's interned states and their expanded arcs, and
-    per search-graph state the G3neg state it was composed from."""
+    """An on-the-fly space's interned states and their expanded arcs; per
+    search-graph state the G3neg state it was composed from, and the
+    ``eps`` entry of a new search state over it: True (not yet expanded)
+    or, where it has no epsilon-input arcs, an empty table.
 
-    def __init__(self, graph: Fst):
+    ``graph_arcs`` are the search graph's arc tables.  A lattice walk
+    (``tables`` false) expands the arcs it is handed and needs none.
+    """
+
+    def __init__(self, graph: Fst, tables: bool = True):
         self.version = graph.version
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.g3 = [_NO_STATE] * graph.num_states
+        if tables:
+            self.graph_arcs = _graph_cache(graph)
+            self.new_eps = [True if z else () for z in self.graph_arcs[1]]
+        else:
+            self.graph_arcs = None
+            self.new_eps = [True] * graph.num_states
 
 
 def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
@@ -225,9 +240,8 @@ def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
 
 
 def _graph_cache(fst: Fst):
-    """Per-state arc tuples split into emitting arcs (ilabel, olabel,
-    weight, nextstate) and epsilon-input arcs (ilabel, olabel, weight,
-    LM weight 0.0, nextstate), kept on the graph with its version."""
+    """Per-state arc tuples (ilabel, olabel, weight, nextstate), split into
+    emitting and epsilon-input arcs, kept on the graph with its version."""
     cache = getattr(fst, "_decoder_cache", None)
     if cache is None or cache[0] != fst.version:
         emit = []
@@ -236,10 +250,7 @@ def _graph_cache(fst: Fst):
             e = []
             z = []
             for a in fst.arcs(s):
-                if a.ilabel == 0:
-                    z.append((0, a.olabel, a.weight, 0.0, a.nextstate))
-                else:
-                    e.append((a.ilabel, a.olabel, a.weight, a.nextstate))
+                (e if a.ilabel else z).append(tuple(a))
             emit.append(tuple(e))
             eps.append(tuple(z))
         cache = fst._decoder_cache = (fst.version, (emit, eps))
@@ -256,13 +267,12 @@ def _graph_cache(fst: Fst):
 class SearchSpace:
     """Integer search states over one search graph and one LM side.
 
-    ``emit[i]`` holds state i's emitting arcs ``(ilabel, olabel, graph+LM
-    weight, next id)`` and ``eps[i]`` its epsilon-input arcs ``(ilabel,
-    olabel, graph weight, LM weight, next id)``; ``triple(i)`` is the
-    state's ``(q1, q2, q3)``, which orders the max-active cut and the
-    lattice states.  The frame steps below are the search loop of both
-    decoders.  This class is the static space: the ids are the graph's
-    own states, with the trivial LM side.
+    ``emit[i]`` holds state i's emitting arcs and ``eps[i]`` its
+    epsilon-input arcs, each ``(ilabel, olabel, graph+LM weight, next
+    id)``; ``triple(i)`` is the state's ``(q1, q2, q3)``, which orders the
+    max-active cut and the lattice states.  The frame steps below are the
+    search loop of both decoders.  This class is the static space: the ids
+    are the graph's own states, with the trivial LM side.
     """
 
     def __init__(self, graph: Fst):
@@ -280,13 +290,22 @@ class SearchSpace:
         return self.graph.final(sid) + 0.0  # plus the trivial LM's
 
     def advance(self, tokens: dict, frame_costs: Sequence[float], frame: int,
-                slack: float) -> dict:
+                slack: float, beam: float = _INF) -> dict:
         """One frame of forward expansion over emitting arcs.
 
         frame_costs is indexable by emitting symbol id (index 0 is unused).
+        An arrival makes no new token when its cost exceeds the cutoff,
+        the best arrival so far plus ``beam + slack + _TOL``, and its state
+        has no epsilon-input arcs.  Such a token costs more than the final
+        best plus ``beam``, so pruning would drop it; no epsilon arc can
+        bring a descendant of it back under the beam; and its link into a
+        kept token lies more than ``slack`` (the lattice beam) above that
+        token's cost, so the lattice builder would drop the link.
         """
         out = {}
-        emit = self.emit
+        emit, eps = self.emit, self.eps
+        margin = beam + slack + _TOL
+        best = limit = _INF
         for tok in tokens.values():
             arcs = emit[tok[0]]
             if arcs is None:
@@ -297,10 +316,19 @@ class SearchSpace:
                 nc = cost + lw
                 cur = out.get(nid)
                 if cur is None:
+                    if nc > limit:
+                        if not eps[nid]:
+                            continue
+                    elif nc < best:
+                        best = nc
+                        limit = nc + margin
                     out[nid] = [nid, frame, nc, (tok, il, ol, lw)]
                 elif nc < cur[2]:
                     cur[2] = nc
                     cur.append((tok, il, ol, lw))
+                    if nc < best:
+                        best = nc
+                        limit = nc + margin
                 elif nc <= cur[2] + slack:
                     cur.append((tok, il, ol, lw))
         return out
@@ -324,26 +352,21 @@ class SearchSpace:
                 arcs = self._expand(sid, False)
             cost = tok[2]
             d = depth.get(sid, 0) + 1
-            for il, ol, w, gw, nid in arcs:
-                if ol:
-                    nc = cost + w + gw
-                    lw = w + gw
-                else:
-                    nc = cost + w
-                    lw = w
+            for il, ol, w, nid in arcs:
+                nc = cost + w
                 cur = tokens.get(nid)
                 if cur is None:
-                    cur = tokens[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+                    cur = tokens[nid] = [nid, frame, nc, (tok, il, ol, w)]
                 elif nc < cur[2]:
                     cur[2] = nc
-                    cur.append((tok, il, ol, lw))
+                    cur.append((tok, il, ol, w))
                     if d > len(tokens):
                         raise NegativeCycleError(
                             "negative-weight epsilon cycle in the search graph "
                             f"through state {self.triple(nid)[0]}")
                 else:
                     if nc <= cur[2] + slack:
-                        cur.append((tok, il, ol, lw))
+                        cur.append((tok, il, ol, w))
                     continue
                 depth[nid] = d
                 if eps[nid]:
@@ -378,7 +401,8 @@ class _OnTheFlySpace(SearchSpace):
     they are reached, for on-the-fly decoding and lattice rescoring.  A
     state's emitting and epsilon arcs are expanded separately, when the
     search loop first needs each; until then ``emit[i]`` is None and
-    ``eps[i]`` True.
+    ``eps[i]`` True, or an empty table where the search-graph state has no
+    epsilon-input arcs.
 
     The G3neg state of a search-graph state (``_g3``) is derived while
     expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
@@ -398,6 +422,7 @@ class _OnTheFlySpace(SearchSpace):
         self._pairs, self._blocked = memo.pairs, memo.blocked
         self.emit, self.eps = states.emit, states.eps
         self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
+        self._graph_arcs, self._new_eps = states.graph_arcs, states.new_eps
         if graph.initial >= 0:
             self._g3[graph.initial] = g3neg.initial
             self.initial = self.state_id(
@@ -412,7 +437,7 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            self.eps.append(True)
+            self.eps.append(self._new_eps[triple[0]])
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -423,24 +448,20 @@ class _OnTheFlySpace(SearchSpace):
         return w1 + (relay_final(self.g3neg, q2) + relay_final(self.g4, q3))
 
     def _expand(self, sid: int, emitting: bool) -> tuple:
-        """Expand state sid's emitting or epsilon-input arcs, once; an
-        emitting arc's weight is its graph plus LM weight."""
-        emit, eps = _graph_cache(self.graph)
+        """Expand state sid's emitting or epsilon-input arcs, once."""
+        emit, eps = self._graph_arcs
         q1 = self._triples[sid][0]
         if emitting:
-            arcs = self.emit[sid] = tuple(
-                (il, ol, w + gw, nid)
-                for il, ol, w, gw, nid in self.expand_arcs(sid, emit[q1]))
+            arcs = self.emit[sid] = tuple(self.expand_arcs(sid, emit[q1]))
         else:
             arcs = self.eps[sid] = tuple(self.expand_arcs(sid, eps[q1]))
         return arcs
 
     def expand_arcs(self, sid: int, graph_arcs) -> list:
-        """(ilabel, olabel, graph weight, LM weight, next id) for each of
-        state sid's ``graph_arcs`` that survives, in order; the arcs are
-        tuples that start with (ilabel, olabel, weight) and end with the
-        next graph state.  One batch relays the labels of all arcs; the
-        counters count per label, as if each arc were relayed alone."""
+        """(ilabel, olabel, graph+LM weight, next id) for each of state
+        sid's ``graph_arcs`` (ilabel, olabel, weight, next graph state)
+        that survives, in order.  One batch relays the labels of all arcs;
+        the counters count per label, as if each arc were relayed alone."""
         q1, q2, q3 = self._triples[sid]
         g3 = self._g3
         g = g3[q1]
@@ -452,8 +473,7 @@ class _OnTheFlySpace(SearchSpace):
         relays = self.relays(q2, q3, labels) if labels else None
         blocked = self.blocked(q2, g) if labels and g != q2 else ()
         arcs = []
-        for a in graph_arcs:
-            il, ol, w, ns = a[0], a[1], a[2], a[-1]
+        for il, ol, w, ns in graph_arcs:
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, gw = q2, q3, 0.0
@@ -470,7 +490,7 @@ class _OnTheFlySpace(SearchSpace):
                         f"states {seen} and {ng}: the search graph is not a "
                         "composition with G3neg")
                 g3[ns] = ng
-            arcs.append((il, ol, w, gw, self.state_id((ns, nq2, nq3))))
+            arcs.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
         return arcs
 
     def blocked(self, q2: int, g: int) -> set:
@@ -571,13 +591,25 @@ class Lattice:
     """Hypothesis graph; states are (triple, frame) tokens.  Acyclic unless
     an epsilon cycle lighter than the lattice beam left a cycle of links
     within the beam, which it keeps and ``best_path`` finds no path through.
+
+    ``peak_tokens`` is the most tokens the decode made in one frame,
+    before pruning; arrivals that the frame step's cutoff skipped made
+    none.
     """
 
     fst: Fst
     frames: list[int]
-    best_cost: float
+    _best_cost: Optional[float]  # None until asked for, after rescoring
     utt_id: str = ""
     peak_tokens: int = 0
+
+    @property
+    def best_cost(self) -> float:
+        """The best path's cost; a rescored lattice runs ``best_path``
+        for it when first asked."""
+        if self._best_cost is None:
+            self._best_cost = best_path(self)[1]
+        return self._best_cost
 
 
 def _build_lattice(space: SearchSpace, finals: list, init_token: list,
@@ -596,7 +628,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
     by target state, then by link order.
     """
     best = min([t[2] + fw for t, fw in finals])
-    bound = best + opts.lattice_beam + 1e-9
+    bound = best + opts.lattice_beam + _TOL
     ends = [(t, fw) for t, fw in finals if t[2] + fw <= bound]
     found = [t for t, _ in ends]  # tokens by search index
     index = {id(t): k for k, t in enumerate(found)}
@@ -723,7 +755,7 @@ def _decode(space: SearchSpace, acoustic: AcousticMatrix,
         row = acoustic.padded_row(frame)
         if scale != 1.0:
             row = [c * scale for c in row]
-        tokens = space.advance(tokens, row, frame + 1, slack)
+        tokens = space.advance(tokens, row, frame + 1, slack, opts.beam)
         if not tokens:
             raise EmptyResultError(utt_id, f"no surviving token at frame {frame}")
         space.propagate(tokens, frame + 1, slack)
@@ -768,20 +800,20 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if src.num_states == 0 or src.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
     space = _OnTheFlySpace(src, g3neg, g4, stats, _relay_memo(g3neg, g4),
-                           _States(src))
+                           _States(src, tables=False))
     out = Fst(src.isyms, src.osyms)
     out.add_state()
     frames = [lat.frames[src.initial]]
     stack = [space.initial]
     while stack:
         sid = stack.pop()
-        for il, ol, w, gw, nid in space.expand_arcs(
+        for il, ol, w, nid in space.expand_arcs(
                 sid, src.arcs(space.triple(sid)[0])):
             if nid == out.num_states:  # space ids count up as states are found
                 out.add_state()
                 frames.append(lat.frames[space.triple(nid)[0]])
                 stack.append(nid)
-            out.add_arc(sid, Arc(il, ol, w + gw, nid))
+            out.add_arc(sid, Arc(il, ol, w, nid))
         fw = space.final_weight(sid)
         if fw != _INF:
             out.set_final(sid, fw)
@@ -789,6 +821,4 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
     out, keep = _connect(out)
-    res = Lattice(out, [frames[s] for s in keep], 0.0, lat.utt_id)
-    res.best_cost = best_path(res)[1]
-    return res
+    return Lattice(out, [frames[s] for s in keep], None, lat.utt_id)

@@ -44,6 +44,8 @@ from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
 
 from conftest import MINI_LEXICON_TEXT
 from test_acceptance import _random_model
+from test_oracle import _graphs as oracle_graphs
+from test_oracle import tasks as oracle_tasks
 from test_graph import context_states
 
 INF = math.inf
@@ -380,6 +382,40 @@ class TestAdvance:
         assert cost == pytest.approx(1.1)  # min(2.0+1.0, 1.0+0.1)
         assert links == 2  # both arrivals recorded for the lattice
 
+    @pytest.mark.parametrize("onthefly", [False, True])
+    def test_cutoff_skips_new_tokens_only_without_epsilon_arcs(self, onthefly):
+        # Beam 1.0 and lattice beam 0.5 put the cutoff at 0.0 + 1.5 (plus
+        # 1e-9).  State 2 sits at it; states 3 and 4 lie beyond it, and
+        # only state 4 has an epsilon-input arc, which could bring a path
+        # from it back under the beam.
+        fst = Fst()
+        fst.add_states(6)
+        for dst, w in ((1, 0.0), (2, 1.5), (3, 1.6), (4, 5.0)):
+            fst.add_arc(0, Arc(1, 1, w, dst))
+        fst.add_arc(4, Arc(0, 0, -4.5, 5))
+        fst.set_initial(0)
+        fst.set_final(5, 0.0)
+        if onthefly:
+            space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
+        else:
+            space = search_space(fst)
+        tokens = _tokens(space, (space.triple(space.initial), 0.0))
+        made = space.advance(tokens, [INF, 0.0], 1, 0.5, beam=1.0)
+        assert [space.triple(t[0])[0] for t in made.values()] == [1, 2, 4]
+        everything = space.advance(tokens, [INF, 0.0], 1, 0.5)
+        assert [space.triple(t[0])[0] for t in everything.values()] == [1, 2, 3, 4]
+
+    def test_new_states_without_epsilon_arcs_get_an_empty_table(self):
+        # A cold on-the-fly space knows, before expanding a state, that a
+        # state over a search-graph state without epsilon-input arcs has
+        # none: the cutoff can skip it and propagation never expands it.
+        fst = _one_arc_graph(1, 1, 0.2)
+        fst.add_arc(0, Arc(0, 0, 0.3, 1))
+        space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
+        space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0], 1, 8.0)
+        assert space.eps[space.state_id((0, 0, 0))] is True
+        assert space.eps[space.state_id((1, 0, 0))] == ()
+
 
 class TestProvenance:
     """The G3neg state behind each search-graph state is derived from the
@@ -431,14 +467,16 @@ class TestPropagate:
 
     def test_weights_add_in_search_loop_order(self):
         # With 1e-16 below half an ulp of 1.0, (1.0 + w) + gw stays 1.0
-        # while 1.0 + (w + gw) does not: an epsilon arc adds its graph
-        # weight and then its LM weight to the cost, while an emitting
-        # arc's graph and LM weights are summed before the cost.
+        # while 1.0 + (w + gw) does not: every expanded arc, epsilon-input
+        # or emitting, carries its graph and LM weights summed, and that
+        # sum is added to the cost.  Search graphs give epsilon-input arcs
+        # no morpheme, so there the LM weight is 0.0 and the order moves
+        # no cost.
         tiny = 1e-16
         space = search_space(_one_arc_graph(0, 1, tiny), _loop_lm(1, 1, tiny),
                              _loop_lm(1, 1, 0.0))
         s = space.propagate(_tokens(space, ((0, 0, 0), 1.0)), 0, 8.0)
-        assert _succ(space, s)[1][1] == 1.0
+        assert _succ(space, s)[1][1] == 1.0 + 2 * tiny > 1.0
         space = search_space(_one_arc_graph(1, 1, tiny), _loop_lm(1, 1, tiny),
                              _loop_lm(1, 1, 0.0))
         out = space.advance(_tokens(space, ((0, 0, 0), 1.0)), [INF, 0.0], 1, 8.0)
@@ -719,6 +757,138 @@ class TestBuildLattice:
         assert got.fst.initial == want.fst.initial
         assert got.fst.finals == want.fst.finals
         assert _arc_lines(got.fst) == _arc_lines(want.fst)
+
+
+# -- the frame step's cutoff ------------------------------------------------
+
+def _uncut_advance(self, tokens, frame_costs, frame, slack, beam=INF):
+    """Reference frame step without the cutoff: every arrival makes or
+    reaches its token."""
+    out = {}
+    for tok in tokens.values():
+        arcs = self.emit[tok[0]]
+        if arcs is None:
+            arcs = self._expand(tok[0], True)
+        for il, ol, w, nid in arcs:
+            lw = w + frame_costs[il]
+            nc = tok[2] + lw
+            cur = out.get(nid)
+            if cur is None:
+                out[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+            elif nc < cur[2]:
+                cur[2] = nc
+                cur.append((tok, il, ol, lw))
+            elif nc <= cur[2] + slack:
+                cur.append((tok, il, ol, lw))
+    return out
+
+
+def _cut_outcome(decode, uncut):
+    """(hypothesis, cost repr, lattice text with frames, peak tokens) of
+    decode(), run with the reference frame step if uncut, or the error's
+    type and message."""
+    with pytest.MonkeyPatch.context() as mp:
+        if uncut:
+            mp.setattr(decoder.SearchSpace, "advance", _uncut_advance)
+        try:
+            lat = decode()
+            hyp, cost = best_path(lat)
+        except DecodeError as exc:
+            return type(exc), str(exc)
+    comments = {s: f"frame {f}" for s, f in enumerate(lat.frames)}
+    return hyp, repr(cost), write_text_fst(lat.fst, comments), lat.peak_tokens
+
+
+def _assert_cut_equals_uncut(got, want):
+    """Equal outcomes, but for peak tokens, which the cutoff only lowers."""
+    if len(want) == 4:
+        assert got[3] <= want[3]
+        got, want = got[:3], want[:3]
+    assert got == want
+
+
+_cut_options = st.builds(
+    DecodeOptions, beam=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    lattice_beam=st.sampled_from([0.5, 2.0, 8.0]),
+    max_active=st.sampled_from([3, 10 ** 6]))
+
+
+@st.composite
+def _static_cut_cases(draw):
+    """A static graph over phones 1-3 whose epsilon arcs weigh -8.0 to 4.0
+    but close cycles only through arcs heavy enough that no cycle is
+    negative, a noisy utterance with close phone costs, and decode
+    options."""
+    weight = st.integers(0, 16).map(lambda k: k / 4)
+    n = draw(st.integers(2, 8))
+    g = Fst()
+    g.add_states(n)
+    for q in range(n):
+        for phone in (1, 2, 3):
+            g.add_arc(q, Arc(phone, 0, draw(weight), q))
+    for _ in range(draw(st.integers(1, 4 * n))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        il, ol, w = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(weight)
+        if il == 0:
+            w = w + 8.0 * n if dst <= src else w - 8.0 * draw(st.booleans())
+        g.add_arc(src, Arc(il, ol, w, dst))
+    for q in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        g.set_final(q, draw(weight))
+    g.set_initial(0)
+    phones = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    matrix = synthesize_utterance(
+        phones, 3, noise=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        seed=draw(st.integers(0, 100)),
+        margin=draw(st.sampled_from([1.0, 3.0, 12.0])))
+    return g, matrix, draw(_cut_options)
+
+
+@st.composite
+def _onthefly_cut_cases(draw):
+    """An on-the-fly task whose small LM may back off with positive log10
+    weights (negative epsilon weights in HCLG3), a noisy utterance and
+    decode options."""
+    big, small, lex, sent = draw(oracle_tasks())
+    for gram, e in list(small.ngrams(1)):
+        if e.backoff is not None and draw(st.booleans()):
+            small.add_entry(gram, e.logprob, draw(st.integers(1, 8)) / 10)
+    noise = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    seed = draw(st.integers(0, 100))
+    return big, small, lex, sent, noise, seed, draw(_cut_options)
+
+
+class TestCutoff:
+    """Decodes with the frame step's cutoff against the uncut reference:
+    equal hypotheses, costs, lattices and relay counters."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_static_cut_cases())
+    def test_static_decode_equals_uncut(self, case):
+        g, matrix, opts = case
+        got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
+                     for uncut in (False, True))
+        _assert_cut_equals_uncut(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_onthefly_cut_cases())
+    def test_onthefly_and_rescore_equal_uncut(self, case):
+        big, small, lex, sent, noise, seed, opts = case
+        runs = []
+        for uncut in (False, True):  # each on cold graphs, for the counters
+            hclg3, g3neg, g4 = oracle_graphs(big, small, lex)
+            phones = [hclg3.isyms.id_of(p) for m in sent for p in lex.prons[m][0]]
+            matrix = synthesize_utterance(phones, len(hclg3.isyms) - 1,
+                                          noise=noise, seed=seed)
+            stats = RelayStats()
+            onthefly = _cut_outcome(lambda: decode_onthefly(
+                hclg3, g3neg, g4, matrix, opts, stats), uncut)
+            rescore = _cut_outcome(lambda: rescore_lattice(
+                decode_static(hclg3, matrix, opts), g3neg, g4, stats), uncut)
+            runs.append((onthefly, rescore, stats))
+        (got, got_rescore, got_stats), (want, want_rescore, want_stats) = runs
+        _assert_cut_equals_uncut(got, want)
+        _assert_cut_equals_uncut(got_rescore, want_rescore)
+        assert got_stats == want_stats
 
 
 class TestBestPath:

@@ -32,7 +32,6 @@ from .graph import (
 from .acoustic import (
     AcousticMatrix,
     PriorVector,
-    acoustic_cost,
     posterior_to_loglik,
     synthesize_utterance,
 )

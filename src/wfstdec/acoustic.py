@@ -112,19 +112,6 @@ def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,
     return AcousticMatrix(utt_id, costs)
 
 
-def acoustic_cost(m: AcousticMatrix, frame: int, label: int,
-                  scale: float = 1.0) -> float:
-    """Scaled cost of one emitting symbol at one frame."""
-    if label < 1 or label > m.num_symbols:
-        raise AcousticError(f"label {label} outside 1..{m.num_symbols} "
-                            "(epsilon carries no acoustic cost)")
-    if not 0 <= frame < m.num_frames:
-        raise AcousticError(f"frame {frame} out of range")
-    if scale <= 0:
-        raise AcousticError("scale must be positive")
-    return scale * float(m.costs[frame, label - 1])
-
-
 def write_acoustic_text(m: AcousticMatrix) -> str:
     header = f"utt {m.utt_id} frames {m.num_frames} symbols {m.num_symbols}"
     rows = [" ".join(f"{c:.6f}" for c in row) for row in m.costs]

@@ -145,7 +145,11 @@ def cmd_report(args) -> int:
             setattr(cfg, key, value)
     if args.strategy:
         cfg.strategies = tuple(args.strategy)
-    report = pipeline.run_pipeline(cfg)
+    try:
+        report = pipeline.run_pipeline(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render(include_timing=not args.no_timing))
     return 0
 
@@ -191,7 +195,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("decode", help="decode one utterance")
-    p.add_argument("--strategy", choices=["onthefly", "static", "rescore"],
+    p.add_argument("--strategy", choices=pipeline.STRATEGIES,
                    default="onthefly")
     p.add_argument("--graph", required=True)
     p.add_argument("--g3neg")
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="run the three-strategy comparison")
     p.add_argument("--config", help="JSON file of PipelineConfig overrides")
     p.add_argument("--strategy", action="append",
-                   choices=["onthefly", "static", "rescore"])
+                   choices=pipeline.STRATEGIES)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(fn=cmd_report)
 

@@ -3,17 +3,19 @@ composition.
 
 The on-the-fly decoder walks the small-LM search graph while matching
 every non-epsilon output morpheme in the negated small LM and then in the
-big LM.  Epsilon-labelled LM arcs never take part in that matching; they
-are traversed only as back-off relays after a direct match fails, and
-each relay hop's weight is folded into the branch's graph weight.
+big LM.  Both LMs are acceptors, so G4 reads the morpheme G3neg matched.
+Epsilon-labelled LM arcs never take part in that matching; they are
+traversed only as back-off relays after a direct match fails, and each
+relay hop's weight is folded into the branch's graph weight.
 
 The search graph's own back-off arcs would let a path back off and then
 read a morpheme that the higher context lists, at the cheaper back-off
 score.  So each search-graph state carries the G3neg state it was
 composed from, and a morpheme arc is followed from LM state q2 only when
-G3 reads that morpheme at that back-off depth: not when the morpheme is
-listed on q2's back-off chain before that state.  A final weight counts
-only at q2 itself.  With that filter, and the negated small-LM scores
+G3 reads that morpheme at that back-off depth: when the relay from q2,
+which matches at the first state on the back-off chain that lists the
+morpheme, matches it at that very state.  A final weight counts only at
+q2 itself.  With that filter, and the negated small-LM scores
 cancelling the scores baked into the search graph, the surviving path
 weights equal big-LM scores exactly.
 
@@ -26,6 +28,7 @@ search loop with the trivial LM side (no relay operands).
 from __future__ import annotations
 
 import heapq
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -35,6 +38,8 @@ from .fst import ZERO, Arc, Fst, SymbolTable, _connect, arc_map, find_arc
 
 _INF = ZERO
 _NO_STATE = -1
+# The relay memo's entry for a dead branch; its match state is no state.
+_DEAD = (_NO_STATE, _NO_STATE, ZERO, _NO_STATE)
 # Slack on the lattice bound, and so on the frame step's cutoff, which
 # must skip only tokens the lattice builder's bound would drop anyway.
 _TOL = 1e-9
@@ -73,6 +78,13 @@ class DecodeOptions:
     acoustic_scale: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(
+                    f"decode option {name} must be a number, not {value!r}")
+        if not isinstance(self.max_active, numbers.Integral):
+            raise ValueError("decode option max_active must be an integer, "
+                             f"not {self.max_active!r}")
         # Written so that NaN, which compares false, fails too.
         if not (self.beam > 0 and self.max_active > 0
                 and self.lattice_beam > 0 and self.acoustic_scale > 0):
@@ -89,17 +101,16 @@ class RelayStats:
     dead_relays: int = 0
 
 
-def _relay_walk(g: Fst, state: int, labels, stats: Optional[RelayStats],
-                counts: Optional[dict] = None) -> tuple[dict, int]:
+def _relay_walk(g: Fst, state: int, labels,
+                stats: Optional[RelayStats]) -> tuple[dict, int]:
     """Back-off relay walk for a set of labels at once.
 
     Follows the back-off chain from ``state``; at each state on it, every
     label not yet matched is looked up in the state's arc map.  Returns
-    ({label: (matched arc, accumulated hop weight, hops)}, hops taken by
-    the labels left dead).  ``stats`` counts per label and per hop, as if
-    each label walked alone; ``counts`` gives labels that stand for more
-    than one lookup.  A back-off chain longer than the graph has states
-    is a cycle and raises BackoffCycleError.
+    ({label: (matched arc, accumulated hop weight, hops, state matched
+    at)}, hops taken by the labels left dead).  ``stats`` counts per label
+    and per hop, as if each label walked alone.  A back-off chain longer
+    than the graph has states is a cycle and raises BackoffCycleError.
     """
     found = {}
     todo = set(labels)
@@ -111,13 +122,13 @@ def _relay_walk(g: Fst, state: int, labels, stats: Optional[RelayStats],
         hit = todo & amap.keys()
         if hit:
             for lab in hit:
-                found[lab] = (amap[lab], acc, hops)
+                found[lab] = (amap[lab], acc, hops, q)
             todo -= hit
             if not todo:
                 return found, hops
         b = amap.get(0)
         if stats is not None:
-            n = len(todo) if counts is None else sum(counts[lab] for lab in todo)
+            n = len(todo)
             stats.failed_direct_matches += n
             if b is None:
                 stats.dead_relays += n
@@ -149,7 +160,7 @@ def relay_match(g: Fst, state: int, label: int,
     r = found.get(label)
     if r is None:
         return _NO_STATE, _INF, hops
-    a, acc, hops = r
+    a, acc, hops, _ = r
     return a.nextstate, acc + a.weight, hops
 
 
@@ -184,10 +195,10 @@ class _RelayMemo:
     in ``g4._relay_caches``, a weak-key map from each G3neg used with g4.
 
     - ``pairs``: per LM pair ``(q2, q3)``, a dict from morpheme to its
-      relay result ``(q2', q3', weight)``, or False when the branch is
-      dead, filled one search-graph state's labels at a time;
-    - ``blocked``: per LM state q2 and G3neg state g on q2's back-off
-      chain, the labels listed on the chain before g;
+      relay result ``(q2', q3', weight, at)``, where ``at`` is the state
+      on q2's back-off chain where G3neg matched the morpheme, or
+      ``_DEAD`` when the branch is dead, filled one search-graph state's
+      labels at a time;
     - ``spaces``: per search graph (a weak-key map again), the states of
       its on-the-fly search space.
 
@@ -200,7 +211,6 @@ class _RelayMemo:
 
     versions: tuple
     pairs: dict = field(default_factory=dict)
-    blocked: dict = field(default_factory=dict)
     spaces: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary)
 
@@ -235,8 +245,20 @@ def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
     versions = (g3neg.version, g4.version)
     memo = caches.get(g3neg)
     if memo is None or memo.versions != versions:
+        _check_acceptor(g3neg)
         memo = caches[g3neg] = _RelayMemo(versions)
     return memo
+
+
+def _check_acceptor(g3neg: Fst) -> None:
+    """G3neg is read as an acceptor: the relay walks G4 with the labels
+    G3neg matched.  An arc whose labels differ raises DecodeError."""
+    for s in g3neg.states():
+        for a in g3neg.arcs(s):
+            if a.ilabel != a.olabel:
+                raise DecodeError(
+                    f"G3neg is not an acceptor: state {s} has arc "
+                    f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
 
 
 def _graph_cache(fst: Fst):
@@ -408,9 +430,11 @@ class _OnTheFlySpace(SearchSpace):
     expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
     G3neg's back-off arc from it, and a morpheme arc takes the relay's
     G3neg target (the morpheme was matched directly there).  A morpheme
-    arc from (q1, q2, q3) is dropped when its label is listed on q2's
-    back-off chain before ``_g3[q1]``, and a final weight counts only
-    where ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
+    arc from (q1, q2, q3) is followed only when the relay from q2 matched
+    it at ``_g3[q1]``: the search graph reads it there, so it is listed
+    there, and the relay matches at the first state on q2's back-off
+    chain that lists it.  A final weight counts only where
+    ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
     hop, on relay memo misses only, so a warm decode adds nothing to it.
     """
 
@@ -419,7 +443,7 @@ class _OnTheFlySpace(SearchSpace):
                  states: _States):
         self.graph, self.g3neg, self.g4 = graph, g3neg, g4
         self.stats = stats if stats is not None else RelayStats()
-        self._pairs, self._blocked = memo.pairs, memo.blocked
+        self._pairs = memo.pairs
         self.emit, self.eps = states.emit, states.eps
         self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
         self._graph_arcs, self._new_eps = states.graph_arcs, states.new_eps
@@ -471,16 +495,15 @@ class _OnTheFlySpace(SearchSpace):
                 "state, so its G3neg state is unknown")
         labels = {a[1] for a in graph_arcs if a[1]}
         relays = self.relays(q2, q3, labels) if labels else None
-        blocked = self.blocked(q2, g) if labels and g != q2 else ()
         arcs = []
         for il, ol, w, ns in graph_arcs:
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, gw = q2, q3, 0.0
-            elif ol in blocked or relays[ol] is False:
-                continue
             else:
-                nq2, nq3, gw = relays[ol]
+                nq2, nq3, gw, at = relays[ol]
+                if at != g:
+                    continue
                 ng = nq2
             seen = g3[ns]
             if seen != ng:
@@ -493,33 +516,6 @@ class _OnTheFlySpace(SearchSpace):
             arcs.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
         return arcs
 
-    def blocked(self, q2: int, g: int) -> set:
-        """Labels listed on q2's back-off chain before G3neg state g.
-
-        A search-graph state composed from g, reached by backing off from
-        q2, may read none of them: G3 reads each where it is listed.  If
-        the chain never reaches g, every label on it is blocked.
-        """
-        labels = self._blocked.get((q2, g))
-        if labels is None:
-            labels = set()
-            q = q2
-            hops = 0
-            while q != g:
-                amap = arc_map(self.g3neg, q)
-                labels.update(amap)
-                b = amap.get(0)
-                if b is None:
-                    break
-                q = b.nextstate
-                hops += 1
-                if hops >= self.g3neg.num_states:
-                    raise BackoffCycleError(
-                        f"back-off cycle: no back-off chain from state {q2} "
-                        f"ends within {self.g3neg.num_states} states")
-            self._blocked[(q2, g)] = labels
-        return labels
-
     def backoff(self, g: int, q1: int) -> int:
         """G3neg's back-off target from g, where search-graph state q1,
         composed from g, takes an epsilon back-off arc."""
@@ -531,7 +527,11 @@ class _OnTheFlySpace(SearchSpace):
         return b.nextstate
 
     def relays(self, q2: int, q3: int, labels: set) -> dict:
-        """The LM pair's memo, with every label in ``labels`` resolved."""
+        """The LM pair's memo, with every label in ``labels`` resolved.
+
+        G3neg is an acceptor, so G4 is walked with the labels G3neg
+        matched.
+        """
         memo = self._pairs.get((q2, q3))
         if memo is None:
             memo = self._pairs[(q2, q3)] = {}
@@ -539,33 +539,18 @@ class _OnTheFlySpace(SearchSpace):
         if not labels:
             return memo
         found2, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
-        for lab in labels - found2.keys():
-            memo[lab] = False
-        out = {}  # morpheme -> its G3neg match's output label, for G4
-        for lab, (e2, acc2, _) in found2.items():
-            if e2.olabel == 0:
-                # Matched arc with epsilon output: the big LM is not consulted.
-                memo[lab] = (e2.nextstate, q3, acc2 + e2.weight)
-            else:
-                out[lab] = e2.olabel
-        if not out:
-            return memo
-        targets = set(out.values())
-        counts = None
-        if len(targets) < len(out):
-            counts = dict.fromkeys(targets, 0)
-            for ol in out.values():
-                counts[ol] += 1
-        found3, _ = _relay_walk(self.g4, q3, targets, self.stats, counts)
-        for lab, ol in out.items():
-            r3 = found3.get(ol)
+        found3 = {}
+        if found2:
+            found3, _ = _relay_walk(self.g4, q3, found2, self.stats)
+        for lab in labels:
+            r3 = found3.get(lab)
             if r3 is None:
-                memo[lab] = False
+                memo[lab] = _DEAD
             else:
-                e2, acc2, _ = found2[lab]
-                e3, acc3, _ = r3
+                e2, acc2, _, at = found2[lab]
+                e3, acc3, _, _ = r3
                 memo[lab] = (e2.nextstate, e3.nextstate,
-                             acc2 + e2.weight + acc3 + e3.weight)
+                             acc2 + e2.weight + acc3 + e3.weight, at)
         return memo
 
 
@@ -594,7 +579,7 @@ class Lattice:
 
     ``peak_tokens`` is the most tokens the decode made in one frame,
     before pruning; arrivals that the frame step's cutoff skipped made
-    none.
+    none.  A rescored lattice keeps its first pass's figure.
     """
 
     fst: Fst
@@ -821,4 +806,5 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
     out, keep = _connect(out)
-    return Lattice(out, [frames[s] for s in keep], None, lat.utt_id)
+    return Lattice(out, [frames[s] for s in keep], None, lat.utt_id,
+                   lat.peak_tokens)

@@ -337,21 +337,6 @@ def build_search_graph(lex: Lexicon, model: NGramModel,
     return graph
 
 
-def linear_acceptor(tokens: Sequence[str], syms: SymbolTable) -> Fst:
-    """Straight-line acceptor of a token sequence (weight 0 everywhere)."""
-    fst = Fst(syms, syms)
-    src = fst.add_state()
-    fst.set_initial(src)
-    for tok in tokens:
-        tid = syms.id_of(tok)
-        dst = fst.add_state()
-        fst.add_arc(src, Arc(tid, tid, 0.0, dst))
-        src = dst
-    fst.set_final(src, 0.0)
-    fst.arc_sort_input()
-    return fst
-
-
 def acceptor_sentence_cost(fst: Fst, labels: Sequence[int]) -> float:
     """Min path weight spelling the label sequence, with epsilon-input
     (back-off) arcs taken as failure transitions.

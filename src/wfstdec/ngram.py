@@ -348,7 +348,3 @@ def prune_to_small_lm(model: NGramModel, threshold: float = 1e-5,
     out.validate()
     return out
 
-
-def conditional_mass(model: NGramModel, context: Sequence[str]) -> float:
-    """Sum of P(w | context) over the full event space (test helper)."""
-    return sum(10.0 ** model.score_word(context, w) for w in model.events())

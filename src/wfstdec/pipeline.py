@@ -21,6 +21,7 @@ from . import metrics
 from . import ngram
 
 FRAME_SHIFT_MS = 10.0
+STRATEGIES = ("onthefly", "static", "rescore")
 
 _PHONE_NAMES = [
     "a", "e", "i", "o", "u", "b", "c", "d", "f", "g", "h", "k", "l", "m",
@@ -58,7 +59,7 @@ class PipelineConfig:
     max_active: int = 7000
     lattice_beam: float = 8.0
     acoustic_scale: float = 1.0
-    strategies: tuple[str, ...] = ("onthefly", "static", "rescore")
+    strategies: tuple[str, ...] = STRATEGIES
     frame_shift_ms: float = FRAME_SHIFT_MS
 
     def options(self) -> dec.DecodeOptions:
@@ -216,7 +217,16 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def run_pipeline(cfg: PipelineConfig,
                  stats: Optional[dec.RelayStats] = None) -> DecodeReport:
-    """Build LMs and graphs, decode every utterance per strategy, score."""
+    """Build LMs and graphs, decode every utterance per strategy, score.
+
+    Unknown strategies and bad decode options raise ValueError before any
+    stage runs.
+    """
+    for strategy in cfg.strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; expected one "
+                             f"of {', '.join(STRATEGIES)}")
+    opts = cfg.options()
     stats = stats if stats is not None else dec.RelayStats()
     task = _stage("generate", generate_task, cfg)
     g4 = _stage("lm-build", ngram.estimate_witten_bell, task.corpus, cfg.order)
@@ -262,7 +272,6 @@ def run_pipeline(cfg: PipelineConfig,
         utt_matrix(i, uid, morphs)
         for i, (uid, morphs) in enumerate(task.utterances)])
 
-    opts = cfg.options()
     results: dict[str, StrategyResult] = {}
     for strategy in cfg.strategies:
         sr = StrategyResult(strategy)
@@ -274,12 +283,9 @@ def run_pipeline(cfg: PipelineConfig,
                                               opts, stats, utt_id=utt_id)
                 elif strategy == "static":
                     lat = dec.decode_static(hclg4, matrix, opts, utt_id=utt_id)
-                elif strategy == "rescore":
+                else:
                     first = dec.decode_static(hclg3, matrix, opts, utt_id=utt_id)
                     lat = dec.rescore_lattice(first, g3neg, g4fst, stats)
-                    lat.peak_tokens = first.peak_tokens
-                else:
-                    raise ValueError(f"unknown strategy {strategy!r}")
                 hyp, cost = dec.best_path(lat)
             except dec.DecodeError as exc:
                 raise StageError(f"decode[{strategy}]", exc) from exc

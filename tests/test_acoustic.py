@@ -9,7 +9,6 @@ from wfstdec.acoustic import (
     AcousticError,
     AcousticMatrix,
     PriorVector,
-    acoustic_cost,
     posterior_to_loglik,
     read_acoustic_text,
     synthesize_utterance,
@@ -81,17 +80,6 @@ class TestAccess:
         row = m.padded_row(0)
         assert row[0] == math.inf
         assert row[2] == 0.0
-
-    def test_epsilon_has_no_cost(self):
-        m = synthesize_utterance([1], 2)
-        with pytest.raises(AcousticError, match="epsilon"):
-            acoustic_cost(m, 0, 0)
-
-    def test_scale_applies(self):
-        m = synthesize_utterance([1], 2)
-        assert acoustic_cost(m, 0, 2, scale=0.5) == pytest.approx(6.0)
-        with pytest.raises(AcousticError, match="positive"):
-            acoustic_cost(m, 0, 1, scale=0.0)
 
     def test_matrix_must_be_finite(self):
         with pytest.raises(AcousticError, match="finite"):

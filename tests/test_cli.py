@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wfstdec import pipeline
 from wfstdec.cli import main
 
 from conftest import MINI_CORPUS, MINI_LEXICON_TEXT
@@ -204,6 +205,22 @@ class TestErrors:
                               "G3neg states 1 and 2")
         assert out == ""
 
+    @pytest.mark.parametrize("strategy", ["onthefly", "rescore"])
+    def test_g3neg_with_hash_backoff_labels(self, workdir, capsys, tmp_path,
+                                            strategy):
+        # Back-off arcs labelled #0:eps make G3neg a transducer, which the
+        # relay refuses instead of scoring.
+        g3neg = tmp_path / "g3neg.fst"
+        assert main(["graph-build", "--lm", str(workdir / "g3.arpa"),
+                     "--negate", "--backoff-mode", "#0", str(g3neg)]) == 0
+        capsys.readouterr()
+        argv = _decode_argv(workdir, strategy)
+        argv[argv.index("--g3neg") + 1] = str(g3neg)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: G3neg is not an acceptor: state ")
+        assert out == ""
+
     @pytest.mark.parametrize("option, value", [
         ("--beam", "-1"), ("--beam", "nan"), ("--lattice-beam", "-1"),
         ("--acoustic-scale", "-1"), ("--max-active", "0")])
@@ -287,6 +304,27 @@ class TestErrors:
         code, _, err = run(capsys, "report", "--config", str(cfg))
         assert code == 2
         assert "bogus_knob" in err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"beam": -1}, "all decode options must be positive"),
+        ({"beam": "wide"}, "decode option beam must be a number, not 'wide'"),
+        ({"max_active": 2.5},
+         "decode option max_active must be an integer, not 2.5"),
+        ({"strategies": ["bogus"]}, "unknown strategy 'bogus'; expected one "
+         "of onthefly, static, rescore"),
+    ], ids=["negative", "not-a-number", "fractional-max-active",
+            "unknown-strategy"])
+    def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
+                              message):
+        def no_stage(cfg):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(pipeline, "generate_task", no_stage)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "report", "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     def test_score_without_reference(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"

@@ -106,9 +106,7 @@ def _decode(strategy, g, matrix, opts, stats):
     if strategy == "static":
         return dec.decode_static(g["hclg4"], matrix, opts, utt_id=matrix.utt_id)
     first = dec.decode_static(g["hclg3"], matrix, opts, utt_id=matrix.utt_id)
-    lat = dec.rescore_lattice(first, g["g3neg"], g["g4"], stats)
-    lat.peak_tokens = first.peak_tokens
-    return lat
+    return dec.rescore_lattice(first, g["g3neg"], g["g4"], stats)
 
 
 def _summary(lat):

@@ -163,18 +163,18 @@ class TestBackoffCycle:
 
 
 def _reference_relay(g, state, label, stats):
-    """The per-label walk, one find_arc per state: (arc, hop weight, hops),
-    with arc None when the label is dead."""
+    """The per-label walk, one find_arc per state: (arc, hop weight, hops,
+    state matched at), with arc None and state -1 when the label is dead."""
     acc, hops, q = 0.0, 0, state
     while True:
         a = find_arc(g, q, label)
         if a is not None:
-            return a, acc, hops
+            return a, acc, hops, q
         stats.failed_direct_matches += 1
         b = find_arc(g, q, 0)
         if b is None:
             stats.dead_relays += 1
-            return None, INF, hops
+            return None, INF, hops, -1
         q, acc, hops = b.nextstate, acc + b.weight, hops + 1
         stats.backoff_hops += 1
 
@@ -202,18 +202,19 @@ class TestBatchedRelay:
                     found, _ = _relay_walk(g, s, words, batch)
                     for w in words:
                         got = relay_match(g, s, w, single)
-                        a, acc, hops = _reference_relay(g, s, w, ref)
+                        a, acc, hops, at = _reference_relay(g, s, w, ref)
                         if a is None:
                             assert w not in found
                             assert got == (-1, INF, hops)
                             continue
                         assert got == (a.nextstate, acc + a.weight, hops)
-                        assert found[w] == (a, acc, hops)
+                        assert found[w] == (a, acc, hops, at)
                 assert batch == single == ref
                 total_hops += batch.backoff_hops
             assert total_hops > 0
 
     def test_lm_pair_memo_equals_per_label_relays(self, mini_model):
+        backed_off = 0  # matches made after a back-off hop
         for words, g3neg, g4 in _relay_models(mini_model):
             stats, ref = RelayStats(), RelayStats()
             space = search_space(Fst(), g3neg, g4, stats)
@@ -221,34 +222,48 @@ class TestBatchedRelay:
                 for q3 in g4.states():
                     memo = space.relays(q2, q3, set(words))
                     for w in words:
-                        e2, acc2, _ = _reference_relay(g3neg, q2, w, ref)
-                        want = False
+                        e2, acc2, _, at = _reference_relay(g3neg, q2, w, ref)
+                        want = (-1, -1, INF, -1)
                         if e2 is not None:
-                            e3, acc3, _ = _reference_relay(g4, q3, e2.olabel, ref)
+                            e3, acc3, _, _ = _reference_relay(g4, q3, w, ref)
                             if e3 is not None:
                                 want = (e2.nextstate, e3.nextstate,
-                                        acc2 + e2.weight + acc3 + e3.weight)
+                                        acc2 + e2.weight + acc3 + e3.weight, at)
                         assert memo[w] == want
+                        backed_off += want[3] not in (q2, -1)
             assert stats == ref
+        assert backed_off > 0
 
 
-    def test_shared_big_lm_label_counts_each_morpheme(self):
-        # G3neg maps morphemes 1 and 2 both to output 7; G4 reaches 7 only
-        # after one back-off hop, which each morpheme pays for separately.
-        g3neg = Fst()
-        g3neg.add_state()
-        g3neg.add_arc(0, Arc(1, 7, 0.5, 0))
-        g3neg.add_arc(0, Arc(2, 7, 0.25, 0))
-        g3neg.arc_sort_input()
-        g4 = Fst()
-        g4.add_states(2)
-        g4.add_arc(0, Arc(0, 0, 0.1, 1))
-        g4.add_arc(1, Arc(7, 7, 2.0, 1))
-        g4.arc_sort_input()
+def _transducer_g3neg(olabel):
+    """A one-state G3neg whose arc for morpheme 1 outputs olabel."""
+    g3neg = Fst()
+    g3neg.add_state()
+    g3neg.add_arc(0, Arc(1, olabel, -0.4, 0))
+    g3neg.set_initial(0)
+    g3neg.set_final(0, 0.0)
+    g3neg.arc_sort_input()
+    return g3neg
+
+
+class TestAcceptorG3neg:
+    """G3neg is read as an acceptor; an arc whose labels differ is
+    refused before any relay is made, by decoding and by rescoring."""
+
+    @pytest.mark.parametrize("olabel", [7, 0], ids=["morpheme", "epsilon"])
+    def test_decode_onthefly_raises(self, olabel):
         stats = RelayStats()
-        memo = search_space(Fst(), g3neg, g4, stats).relays(0, 0, {1, 2})
-        assert memo == {1: (0, 1, 0.5 + 0.1 + 2.0), 2: (0, 1, 0.25 + 0.1 + 2.0)}
-        assert stats == RelayStats(failed_direct_matches=2, backoff_hops=2)
+        with pytest.raises(DecodeError, match="not an acceptor: state 0 has "
+                           f"arc 1:{olabel} to state 0"):
+            decode_onthefly(_one_arc_graph(1, 1, 0.2), _transducer_g3neg(olabel),
+                            _loop_lm(7, 7, 0.5), synthesize_utterance([1], 1),
+                            stats=stats)
+        assert stats == RelayStats()
+
+    def test_rescore_lattice_raises(self):
+        lat = decode_static(_one_arc_graph(1, 1, 0.2), synthesize_utterance([1], 1))
+        with pytest.raises(DecodeError, match="not an acceptor: state 0"):
+            rescore_lattice(lat, _transducer_g3neg(7), _loop_lm(7, 7, 0.5))
 
 
 class TestRelayFinal:
@@ -345,20 +360,6 @@ class TestAdvance:
         [(triple, cost, _)] = _succ(space, out)
         assert cost == pytest.approx(2.65)
         assert triple == (1, 0, 0)
-
-    def test_epsilon_output_in_small_lm_ends_composition(self):
-        # The negated small LM maps the morpheme to epsilon output: the big
-        # LM is not consulted and its state stays put.
-        hclg = _one_arc_graph(1, 1, 0.2)
-        g3neg = _loop_lm(1, 0, -0.4)
-        g4 = _loop_lm(7, 7, 9.9)  # would dead-end if it were consulted
-        stats = RelayStats()
-        space = search_space(hclg, g3neg, g4, stats)
-        out = space.advance(_tokens(space, ((0, 0, 0), 2.0)), [INF, 0.5], 1, 8.0)
-        [(triple, cost, _)] = _succ(space, out)
-        assert cost == pytest.approx(2.0 + 0.2 - 0.4 + 0.5)
-        assert triple == (1, 0, 0)
-        assert stats.failed_direct_matches == 0
 
     def test_dead_branch_dropped(self):
         hclg = _one_arc_graph(1, 1, 0.2)
@@ -590,13 +591,16 @@ class TestPruneTokens:
         hclg.set_initial(0)
         g3neg = Fst()
         g3neg.add_states(3)
-        g3neg.add_arc(0, Arc(5, 0, 0.0, 2))
-        g3neg.add_arc(0, Arc(6, 0, 0.0, 1))
+        g3neg.add_arc(0, Arc(5, 5, 0.0, 2))
+        g3neg.add_arc(0, Arc(6, 6, 0.0, 1))
         g3neg.add_arc(1, Arc(0, 0, 0.0, 0))
         g3neg.add_arc(2, Arc(0, 0, 0.0, 0))
         g3neg.set_initial(0)
         g3neg.arc_sort_input()
-        space = search_space(hclg, g3neg, _loop_lm(5, 5, 0.0))
+        g4 = _loop_lm(5, 5, 0.0)
+        g4.add_arc(0, Arc(6, 6, 0.0, 0))
+        g4.arc_sort_input()
+        space = search_space(hclg, g3neg, g4)
         tokens = space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0],
                                1, 8.0)
         space.propagate(tokens, 1, 8.0)
@@ -974,6 +978,12 @@ class TestEndToEnd:
         assert seq == SENT
         assert cost == pytest.approx(
             cost_from_log10(score_sentence(mini["g4model"], SENT)), abs=1e-9)
+
+    def test_rescoring_keeps_first_pass_peak_tokens(self, mini):
+        first = decode_static(mini["hclg3"], _utt(mini, SENT))
+        assert first.peak_tokens > 0
+        second = rescore_lattice(first, mini["g3neg"], mini["g4fst"])
+        assert second.peak_tokens == first.peak_tokens
 
     def test_widening_beam_never_hurts(self, mini):
         matrix = _utt(mini, SENT, noise=2.0, seed=3)

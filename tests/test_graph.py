@@ -28,7 +28,6 @@ from wfstdec.graph import (
     compose_standard,
     cost_from_log10,
     lm_to_fst,
-    linear_acceptor,
     make_morpheme_symbols,
     negate_weights,
 )
@@ -36,6 +35,21 @@ from wfstdec.ngram import BOS, EOS, score_sentence
 from wfstdec.pipeline import PipelineConfig, generate_task
 
 from conftest import LEAKY_ARPA, LEAKY_COST, MINI_LEXICON_TEXT
+
+
+def linear_acceptor(tokens, syms):
+    """Straight-line acceptor of a token sequence (weight 0 everywhere)."""
+    fst = Fst(syms, syms)
+    src = fst.add_state()
+    fst.set_initial(src)
+    for tok in tokens:
+        tid = syms.id_of(tok)
+        dst = fst.add_state()
+        fst.add_arc(src, Arc(tid, tid, 0.0, dst))
+        src = dst
+    fst.set_final(src, 0.0)
+    fst.arc_sort_input()
+    return fst
 
 
 def context_states(model):

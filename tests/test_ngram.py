@@ -15,7 +15,6 @@ from wfstdec.ngram import (
     NGramError,
     NGramModel,
     OOVError,
-    conditional_mass,
     estimate_witten_bell,
     parse_arpa,
     prune_to_small_lm,
@@ -24,6 +23,11 @@ from wfstdec.ngram import (
 )
 
 from conftest import MINI_CORPUS
+
+
+def conditional_mass(model, context):
+    """Sum of P(w | context) over the full event space."""
+    return sum(10.0 ** model.score_word(context, w) for w in model.events())
 
 
 # -- independent oracle: interpolated Witten-Bell on the mini corpus -------

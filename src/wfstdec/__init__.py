@@ -9,7 +9,6 @@ from .fst import (
     connect,
     find_arc,
     read_text_fst,
-    weight_plus,
     weight_times,
     write_text_fst,
 )
@@ -31,8 +30,6 @@ from .graph import (
 )
 from .acoustic import (
     AcousticMatrix,
-    PriorVector,
-    posterior_to_loglik,
     synthesize_utterance,
 )
 from .decoder import (

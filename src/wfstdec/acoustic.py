@@ -8,10 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Floor applied to posteriors so numeric underflow never produces +inf
-# costs; the tropical zero stays reserved for structural impossibility.
-_POSTERIOR_FLOOR = 1e-10
-
 DEFAULT_MARGIN = 12.0
 
 
@@ -49,37 +45,6 @@ class AcousticMatrix:
         if not 0 <= frame < self.num_frames:
             raise AcousticError(f"frame {frame} out of range")
         return [math.inf] + self.costs[frame].tolist()
-
-
-@dataclass(frozen=True)
-class PriorVector:
-    priors: np.ndarray
-
-    def __post_init__(self):
-        p = self.priors
-        if p.ndim != 1 or np.any(p <= 0):
-            raise AcousticError("priors must be a positive vector")
-        if abs(float(p.sum()) - 1.0) > 1e-6:
-            raise AcousticError("priors must sum to 1")
-
-
-def posterior_to_loglik(posteriors: np.ndarray, priors: PriorVector,
-                        utt_id: str = "") -> AcousticMatrix:
-    """Pseudo-likelihood costs: -(ln posterior - ln prior).
-
-    The frame-evidence term is independent of the hypothesis and dropped.
-    """
-    post = np.asarray(posteriors, dtype=float)
-    if post.ndim != 2:
-        raise AcousticError("posteriors must be a T x S matrix")
-    if post.shape[1] != priors.priors.shape[0]:
-        raise AcousticError("posterior columns must match the prior length")
-    sums = post.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-4):
-        raise AcousticError("posterior rows must sum to 1")
-    post = np.clip(post, _POSTERIOR_FLOOR, None)
-    costs = -(np.log(post) - np.log(priors.priors)[None, :])
-    return AcousticMatrix(utt_id, costs)
 
 
 def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,

@@ -140,8 +140,6 @@ def cmd_report(args) -> int:
             if not hasattr(cfg, key):
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return 2
-            if isinstance(getattr(cfg, key), tuple):
-                value = tuple(value)
             setattr(cfg, key, value)
     if args.strategy:
         cfg.strategies = tuple(args.strategy)

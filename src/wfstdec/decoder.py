@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
@@ -189,30 +189,47 @@ def relay_final(g: Fst, state: int) -> float:
         q = b.nextstate
 
 
-@dataclass
-class _RelayMemo:
-    """The memo of one (G3neg, G4) pair, shared across decodes; it lives
-    in ``g4._relay_caches``, a weak-key map from each G3neg used with g4.
+# -- what the decoder derives from graphs ----------------------------------
 
-    - ``pairs``: per LM pair ``(q2, q3)``, a dict from morpheme to its
-      relay result ``(q2', q3', weight, at)``, where ``at`` is the state
-      on q2's back-off chain where G3neg matched the morpheme, or
-      ``_DEAD`` when the branch is dead, filled one search-graph state's
-      labels at a time;
-    - ``spaces``: per search graph (a weak-key map again), the states of
-      its on-the-fly search space.
-
-    ``versions`` are those of both LMs, and a space's states record that
-    of its search graph.  ``add_arc`` and ``arc_sort_input`` bump a
-    graph's version, and a stale memo or space is discarded on the next
-    decode.  Weak keys keep a dead graph's memo from being reused for a
-    new graph at the same ``id()``; no record holds a graph.
+class _Derived:
+    """What the decoder derived from one graph at one version: its arc
+    tables; as a G4, the relay memo of each G3neg, keyed by G3neg's
+    record; as a search graph, its on-the-fly states, keyed by the relay
+    memo they were expanded with.  The keys are weak, so what is keyed by
+    a record or memo goes with it.  No record holds a graph.
     """
 
-    versions: tuple
-    pairs: dict = field(default_factory=dict)
-    spaces: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary)
+    def __init__(self, version: int):
+        self.version = version
+        self.tables: Optional[tuple] = None
+        self.relays = weakref.WeakKeyDictionary()
+        self.spaces = weakref.WeakKeyDictionary()
+
+
+# Graph -> its record.  Weak keys keep a collected graph's record from
+# being lent to a new graph at the same id(), and a copy starts cold.
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _derived(fst: Fst) -> _Derived:
+    """The graph's record at its current version; no other code reads a
+    graph's ``version``.  After ``add_arc`` or ``arc_sort_input`` the graph
+    gets a new record."""
+    rec = _DERIVED.get(fst)
+    if rec is None or rec.version != fst.version:
+        rec = _DERIVED[fst] = _Derived(fst.version)
+    return rec
+
+
+class _RelayMemo:
+    """The relay results of one (G3neg, G4) pair, shared across decodes:
+    per LM pair ``(q2, q3)``, a dict from morpheme to ``(q2', q3', weight,
+    at)``, where ``at`` is the state on q2's back-off chain where G3neg
+    matched the morpheme, or ``_DEAD`` when the branch is dead, filled one
+    search-graph state's labels at a time."""
+
+    def __init__(self):
+        self.pairs: dict = {}
 
 
 class _States:
@@ -226,11 +243,10 @@ class _States:
     """
 
     def __init__(self, graph: Fst, tables: bool = True):
-        self.version = graph.version
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.g3 = [_NO_STATE] * graph.num_states
         if tables:
-            self.graph_arcs = _graph_cache(graph)
+            self.graph_arcs = _arc_tables(graph)
             self.new_eps = [True if z else () for z in self.graph_arcs[1]]
         else:
             self.graph_arcs = None
@@ -238,15 +254,14 @@ class _States:
 
 
 def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
-    """The current memo of the LM pair, made if missing or stale."""
-    caches = getattr(g4, "_relay_caches", None)
-    if caches is None:
-        caches = g4._relay_caches = weakref.WeakKeyDictionary()
-    versions = (g3neg.version, g4.version)
-    memo = caches.get(g3neg)
-    if memo is None or memo.versions != versions:
+    """The LM pair's memo, made if missing: kept in G4's record under
+    G3neg's, so it lasts while both records do."""
+    key = _derived(g3neg)
+    relays = _derived(g4).relays
+    memo = relays.get(key)
+    if memo is None:
         _check_acceptor(g3neg)
-        memo = caches[g3neg] = _RelayMemo(versions)
+        memo = relays[key] = _RelayMemo()
     return memo
 
 
@@ -261,11 +276,11 @@ def _check_acceptor(g3neg: Fst) -> None:
                     f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
 
 
-def _graph_cache(fst: Fst):
+def _arc_tables(fst: Fst) -> tuple:
     """Per-state arc tuples (ilabel, olabel, weight, nextstate), split into
-    emitting and epsilon-input arcs, kept on the graph with its version."""
-    cache = getattr(fst, "_decoder_cache", None)
-    if cache is None or cache[0] != fst.version:
+    emitting and epsilon-input arcs."""
+    rec = _derived(fst)
+    if rec.tables is None:
         emit = []
         eps = []
         for s in fst.states():
@@ -275,8 +290,8 @@ def _graph_cache(fst: Fst):
                 (e if a.ilabel else z).append(tuple(a))
             emit.append(tuple(e))
             eps.append(tuple(z))
-        cache = fst._decoder_cache = (fst.version, (emit, eps))
-    return cache[1]
+        rec.tables = (emit, eps)
+    return rec.tables
 
 
 # -- search spaces and the search loop -------------------------------------
@@ -299,7 +314,7 @@ class SearchSpace:
 
     def __init__(self, graph: Fst):
         self.graph = graph
-        self.emit, self.eps = _graph_cache(graph)
+        self.emit, self.eps = _arc_tables(graph)
         self.initial = graph.initial
 
     def triple(self, sid: int) -> tuple:
@@ -559,13 +574,15 @@ def search_space(graph: Fst, g3neg: Optional[Fst] = None,
                  stats: Optional[RelayStats] = None) -> SearchSpace:
     """The static space of graph or, given both LMs, the on-the-fly one
     over graph as HCLG3, with ``stats`` counting its relay memo misses.
-    An on-the-fly space's states are kept in the LM pair's memo."""
+    An on-the-fly space's states are kept in the search graph's record,
+    under the LM pair's memo."""
     if g3neg is None:
         return SearchSpace(graph)
     memo = _relay_memo(g3neg, g4)
-    states = memo.spaces.get(graph)
-    if states is None or states.version != graph.version:
-        states = memo.spaces[graph] = _States(graph)
+    spaces = _derived(graph).spaces
+    states = spaces.get(memo)
+    if states is None:
+        states = spaces[memo] = _States(graph)
     return _OnTheFlySpace(graph, g3neg, g4, stats, memo, states)
 
 
@@ -573,9 +590,9 @@ def search_space(graph: Fst, g3neg: Optional[Fst] = None,
 
 @dataclass
 class Lattice:
-    """Hypothesis graph; states are (triple, frame) tokens.  Acyclic unless
-    an epsilon cycle lighter than the lattice beam left a cycle of links
-    within the beam, which it keeps and ``best_path`` finds no path through.
+    """Hypothesis graph; states are (triple, frame) tokens, and ``frames``
+    holds each state's frame.  An epsilon-input arc stays in its frame and
+    an emitting arc goes to the next.
 
     ``peak_tokens`` is the most tokens the decode made in one frame,
     before pruning; arrivals that the frame step's cutoff skipped made
@@ -678,49 +695,49 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
 def best_path(lat: Lattice) -> tuple[list[str], float]:
     """Min-cost lattice path: (morpheme sequence, cost).
 
-    Exact cost ties resolve to the lexicographically smallest output.
+    No arc goes to an earlier frame, so the states are relaxed a frame at
+    a time, each frame's in FIFO order until none improves: exact on
+    cycles and with negative weights.  As in ``propagate``, an improving
+    path with more arcs within a frame than the lattice has states repeats
+    a state on a negative-weight cycle: NegativeCycleError.  Exact cost
+    ties resolve to the lexicographically smallest output.
     """
     fst = lat.fst
     if fst.num_states == 0 or fst.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
-    indeg = [0] * fst.num_states
-    for s in fst.states():
-        for a in fst.arcs(s):
-            indeg[a.nextstate] += 1
-    order = [s for s in fst.states() if indeg[s] == 0]
+    frames = lat.frames
+    sym = fst.osyms.sym_of if fst.osyms is not None else str
     best: dict[int, tuple[float, tuple[str, ...]]] = {fst.initial: (0.0, ())}
-    topo = []
-    while order:
-        s = order.pop()
-        topo.append(s)
-        for a in fst.arcs(s):
-            indeg[a.nextstate] -= 1
-            if indeg[a.nextstate] == 0:
-                order.append(a.nextstate)
-
-    def sym(ol: int) -> str:
-        return fst.osyms.sym_of(ol) if fst.osyms is not None else str(ol)
-
-    for s in topo:
-        if s not in best:
-            continue
-        cost, seq = best[s]
-        for a in fst.arcs(s):
-            nseq = seq if a.olabel == 0 else seq + (sym(a.olabel),)
-            cand = (cost + a.weight, nseq)
-            cur = best.get(a.nextstate)
-            if cur is None or cand < cur:
-                best[a.nextstate] = cand
-    winner = None
-    for s, w in fst.finals.items():
-        if s in best:
+    pending = {frames[fst.initial]: [fst.initial]}  # frame -> its FIFO
+    depth = {fst.initial: 0}  # queued state -> arcs in its frame on its path
+    while pending:
+        f = min(pending)
+        work = pending.pop(f)
+        for s in work:  # takes in the states appended while it runs
+            d = depth.pop(s) + 1
             cost, seq = best[s]
-            cand = (cost + w, seq)
-            if winner is None or cand < winner:
-                winner = cand
-    if winner is None:
+            for _, ol, w, t in fst.arcs(s):
+                cand = (cost + w, seq + (sym(ol),) if ol else seq)
+                cur = best.get(t)
+                if cur is None or cand < cur:
+                    best[t] = cand
+                    if frames[t] == f:
+                        if d > fst.num_states:
+                            raise NegativeCycleError(
+                                "negative-weight epsilon cycle in the lattice "
+                                f"through state {t}")
+                        if t not in depth:
+                            work.append(t)
+                        depth[t] = d
+                    elif t not in depth:
+                        pending.setdefault(frames[t], []).append(t)
+                        depth[t] = 0
+    ends = [(best[s][0] + w, best[s][1])
+            for s, w in fst.finals.items() if s in best]
+    if not ends:
         raise EmptyResultError(lat.utt_id, "lattice has no successful path")
-    return list(winner[1]), winner[0]
+    cost, seq = min(ends)
+    return list(seq), cost
 
 
 # -- full decodes ----------------------------------------------------------

@@ -27,11 +27,6 @@ class ParseError(FstError):
         self.lineno = lineno
 
 
-def weight_plus(a: float, b: float) -> float:
-    """Tropical collect: min(a, b)."""
-    return a if a <= b else b
-
-
 def weight_times(a: float, b: float) -> float:
     """Tropical extend: a + b, with +inf annihilating."""
     if a == ZERO or b == ZERO:

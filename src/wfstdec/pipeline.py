@@ -219,9 +219,19 @@ def run_pipeline(cfg: PipelineConfig,
                  stats: Optional[dec.RelayStats] = None) -> DecodeReport:
     """Build LMs and graphs, decode every utterance per strategy, score.
 
-    Unknown strategies and bad decode options raise ValueError before any
-    stage runs.
+    Malformed length ranges or strategy lists, unknown strategies and bad
+    decode options raise ValueError before any stage runs.
     """
+    for name in ("sentence_len", "utterance_len"):
+        span = getattr(cfg, name)
+        if not (isinstance(span, (list, tuple)) and len(span) == 2 and
+                all(type(n) is int for n in span) and span[0] <= span[1]):
+            raise ValueError(f"config {name} must be two integers lo <= hi, "
+                             f"not {span!r}")
+    if not (isinstance(cfg.strategies, (list, tuple))
+            and all(isinstance(s, str) for s in cfg.strategies)):
+        raise ValueError("config strategies must be a list of strategy "
+                         f"names, not {cfg.strategies!r}")
     for strategy in cfg.strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one "
@@ -235,8 +245,7 @@ def run_pipeline(cfg: PipelineConfig,
 
     morph_syms = gb.make_morpheme_symbols(g4, with_hash=True)
     phone_syms = None
-    need_otf = {"onthefly"} & set(cfg.strategies)
-    need_small = ({"onthefly", "rescore"} & set(cfg.strategies))
+    need_small = {"onthefly", "rescore"} & set(cfg.strategies)
     need_static = "static" in cfg.strategies
 
     fsts: dict[str, "gb.Fst"] = {}
@@ -246,7 +255,6 @@ def run_pipeline(cfg: PipelineConfig,
                        phone_syms, morph_syms)
         phone_syms = hclg3.isyms
         fsts["HCLG3"] = hclg3
-    if need_otf or "rescore" in cfg.strategies:
         g3neg = _stage("graph-build", lambda: gb.negate_weights(
             gb.lm_to_fst(g3, morph_syms, mode=gb.BACKOFF_EPS)))
         g4fst = _stage("graph-build", gb.lm_to_fst, g4, morph_syms, gb.BACKOFF_EPS)

@@ -1,11 +1,17 @@
-"""Shared fixtures: the mini morpheme corpus, hand-built models, and the
-acceptance-summary reporter."""
+"""Shared fixtures: the mini morpheme corpus, hand-built models, the
+default task's models and report, and the acceptance-summary reporter."""
 
 from __future__ import annotations
 
 import pytest
 
-from wfstdec.ngram import EOS, NGramModel, estimate_witten_bell
+from wfstdec.ngram import (
+    EOS,
+    NGramModel,
+    estimate_witten_bell,
+    prune_to_small_lm,
+)
+from wfstdec.pipeline import PipelineConfig, generate_task, run_pipeline
 
 # Two-sentence morpheme corpus; both sentences begin with "vix".
 MINI_CORPUS = [
@@ -33,6 +39,22 @@ def mini_corpus():
 def mini_model():
     """Witten-Bell 2-gram estimated from the mini corpus."""
     return estimate_witten_bell(MINI_CORPUS, 2)
+
+
+@pytest.fixture(scope="session")
+def default_run():
+    """The default pipeline's report: 20 noise-free utterances, all three
+    strategies."""
+    return run_pipeline(PipelineConfig())
+
+
+@pytest.fixture(scope="session")
+def task_models():
+    """The default synthetic task's big LM and its pruned small LM."""
+    task = generate_task(PipelineConfig())
+    g4 = estimate_witten_bell(task.corpus, 4)
+    g3 = prune_to_small_lm(g4, 1e-5, 3)
+    return task, g4, g3
 
 
 def make_ab_model(with_eos: bool = False) -> NGramModel:

@@ -60,20 +60,6 @@ def wide_open_run():
     return report, stats, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="session")
-def default_run():
-    return run_pipeline(PipelineConfig())
-
-
-@pytest.fixture(scope="session")
-def task_models():
-    """The default synthetic task's big LM and its pruned small LM."""
-    task = generate_task(PipelineConfig())
-    g4 = estimate_witten_bell(task.corpus, 4)
-    g3 = prune_to_small_lm(g4, 1e-5, 3)
-    return task, g4, g3
-
-
 def _random_sentences(model, count, seed):
     words = sorted(w for w in model.events() if w != EOS)
     rng = random.Random(seed)

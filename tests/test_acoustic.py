@@ -1,4 +1,4 @@
-"""Synthetic acoustic front end: posteriors, synthesis, text round trip."""
+"""Synthetic acoustic front end: synthesis, access, text round trip."""
 
 import math
 
@@ -8,37 +8,10 @@ import pytest
 from wfstdec.acoustic import (
     AcousticError,
     AcousticMatrix,
-    PriorVector,
-    posterior_to_loglik,
     read_acoustic_text,
     synthesize_utterance,
     write_acoustic_text,
 )
-
-
-class TestPosteriors:
-    def test_pseudo_likelihood_formula(self):
-        priors = PriorVector(np.array([0.25, 0.75]))
-        m = posterior_to_loglik(np.array([[0.5, 0.5]]), priors)
-        # cost = -(ln 0.5 - ln 0.25) = -ln 2.
-        assert m.costs[0, 0] == pytest.approx(-0.6931, abs=1e-4)
-        assert m.costs[0, 1] == pytest.approx(-math.log(0.5 / 0.75), abs=1e-9)
-
-    def test_rows_must_sum_to_one(self):
-        priors = PriorVector(np.array([0.5, 0.5]))
-        with pytest.raises(AcousticError, match="sum to 1"):
-            posterior_to_loglik(np.array([[0.9, 0.3]]), priors)
-
-    def test_underflow_floored_not_infinite(self):
-        priors = PriorVector(np.array([0.5, 0.5]))
-        m = posterior_to_loglik(np.array([[1.0, 0.0]]), priors)
-        assert np.all(np.isfinite(m.costs))
-
-    def test_priors_validated(self):
-        with pytest.raises(AcousticError, match="positive"):
-            PriorVector(np.array([0.5, 0.0, 0.5]))
-        with pytest.raises(AcousticError, match="sum to 1"):
-            PriorVector(np.array([0.5, 0.2]))
 
 
 class TestSynthesis:

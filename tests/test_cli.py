@@ -312,8 +312,17 @@ class TestErrors:
          "decode option max_active must be an integer, not 2.5"),
         ({"strategies": ["bogus"]}, "unknown strategy 'bogus'; expected one "
          "of onthefly, static, rescore"),
+        ({"sentence_len": 5},
+         "config sentence_len must be two integers lo <= hi, not 5"),
+        ({"utterance_len": [5]},
+         "config utterance_len must be two integers lo <= hi, not [5]"),
+        ({"utterance_len": [9, 5]},
+         "config utterance_len must be two integers lo <= hi, not [9, 5]"),
+        ({"strategies": "static"}, "config strategies must be a list of "
+         "strategy names, not 'static'"),
     ], ids=["negative", "not-a-number", "fractional-max-active",
-            "unknown-strategy"])
+            "unknown-strategy", "scalar-length", "short-length",
+            "reversed-length", "strategies-not-a-list"])
     def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
                               message):
         def no_stage(cfg):

@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -509,13 +510,8 @@ class TestNegativeCycle:
                             _loop_lm(3, 3, 0.0), synthesize_utterance([1], 1))
 
     # A cycle lighter than the default lattice beam (8.0) stays in the
-    # lattice as a cycle of links, which best_path cannot order.
-    @pytest.mark.parametrize("w", [
-        pytest.param(w, marks=pytest.mark.xfail(
-            strict=True, raises=EmptyResultError,
-            reason="lattices lose paths through epsilon cycles lighter than "
-                   "the lattice beam (ROADMAP item 3)"))
-        for w in (0.0, 0.5)] + [5.0, 20.0])
+    # lattice as a cycle of links, which best_path relaxes to a fixed point.
+    @pytest.mark.parametrize("w", [0.0, 0.5, 5.0, 20.0])
     def test_positive_cycle_converges(self, w):
         g = Fst()
         g.add_states(3)
@@ -528,6 +524,36 @@ class TestNegativeCycle:
             lat = decode_static(g, synthesize_utterance([1], 1))
             cost = best_path(lat)[1]
         assert cost == pytest.approx(w + 0.5)
+
+    @pytest.mark.parametrize("w", [5.0, 7.5, 8.5])
+    def test_two_cycle_within_lattice_beam_keeps_its_paths(self, w):
+        # Both frame-1 tokens link into each other through the cycle, and
+        # the frame-2 final token links to both.
+        g = Fst()
+        g.add_states(4)
+        g.add_arc(0, Arc(1, 0, 0.0, 1))
+        g.add_arc(0, Arc(1, 0, 0.0, 2))
+        g.add_arc(1, Arc(0, 0, w, 2))
+        g.add_arc(2, Arc(0, 0, w, 1))
+        g.add_arc(1, Arc(1, 0, 0.0, 3))
+        g.add_arc(2, Arc(1, 0, 0.0, 3))
+        g.set_initial(0)
+        g.set_final(3, 0.0)
+        with deadline(5):
+            lat = decode_static(g, synthesize_utterance([1, 1], 1),
+                                DecodeOptions(lattice_beam=8.0))
+            assert best_path(lat) == ([], 0.0)
+
+    def test_negative_cycle_in_a_lattice_raises(self):
+        fst = Fst()
+        fst.add_states(3)
+        fst.add_arc(0, Arc(1, 0, 0.0, 1))
+        fst.add_arc(1, Arc(0, 0, 1.0, 2))
+        fst.add_arc(2, Arc(0, 0, -2.0, 1))
+        fst.set_initial(0)
+        fst.set_final(2, 0.0)
+        with deadline(5), pytest.raises(NegativeCycleError, match="lattice"):
+            best_path(Lattice(fst, [0, 1, 1], None))
 
 
 def _tie_graph():
@@ -1129,18 +1155,31 @@ class TestRelayMemo:
         g4 = self._copy(mini["g4fst"])
         g3neg = self._copy(mini["g3neg"])
         decode_onthefly(mini["hclg3"], g3neg, g4, _utt(mini, SENT))
-        assert len(g4._relay_caches) == 1
+        relays = decoder._DERIVED[g4].relays
+        assert len(relays) == 1
         del g3neg
-        assert len(g4._relay_caches) == 0
+        assert len(relays) == 0
 
     def test_search_space_dies_with_its_graph(self, mini):
         hclg3 = self._copy(mini["hclg3"])
         decode_onthefly(hclg3, mini["g3neg"], mini["g4fst"], _utt(mini, SENT))
-        spaces = mini["g4fst"]._relay_caches[mini["g3neg"]].spaces
-        assert hclg3 in spaces
-        n = len(spaces)
-        del hclg3
-        assert len(spaces) == n - 1
+        spaces = decoder._DERIVED[hclg3].spaces
+        assert len(spaces) == 1
+        states = weakref.ref(next(iter(spaces.values())))
+        n = len(decoder._DERIVED)
+        del hclg3, spaces
+        assert len(decoder._DERIVED) == n - 1
+        assert states() is None
+
+    def test_new_version_drops_what_was_derived_from_the_old(self, mini):
+        g3neg = self._copy(mini["g3neg"])
+        decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))
+        memo = weakref.ref(decoder._relay_memo(g3neg, mini["g4fst"]))
+        states = weakref.ref(decoder._DERIVED[mini["hclg3"]].spaces[memo()])
+        g3neg.arc_sort_input()
+        decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))
+        assert memo() is None
+        assert states() is None
 
     def test_resorted_graph_decodes_like_a_fresh_copy(self):
         g = Fst()

@@ -5,6 +5,11 @@ On noise-free audio, the cost of a decoded path must be the big LM's
 models are drawn so that some listed n-grams cost more than their back-off
 routes, where a search graph that backs off past a listed n-gram would
 find a cheaper, inexact path.
+
+``static`` takes exactly that path: HCLG4's back-off arcs are plain
+epsilon arcs (ε semantics, Kaldi's approximation).  Its decoded cost is
+checked, to the same tolerance, against the cheapest path spelling its
+morphemes through G4 with every back-off arc free to take.
 """
 
 import pytest
@@ -29,6 +34,7 @@ from wfstdec.graph import (
     make_morpheme_symbols,
     negate_weights,
 )
+from wfstdec.fst import ZERO
 from wfstdec.ngram import (
     BOS,
     EOS,
@@ -65,12 +71,43 @@ def _decode(strategy, graphs, matrix, opts):
     return rescore_lattice(decode_static(hclg3, matrix, opts), g3neg, g4)
 
 
-def _oracle_cost(big, lex, hclg3, matrix, hyp):
-    """Analytic big-LM cost of hyp plus the acoustic cost of its phones."""
+def _acoustic_cost(lex, hclg3, matrix, hyp):
+    """The acoustic cost of hyp's phones, one frame each."""
     phones = [hclg3.isyms.id_of(p) for m in hyp for p in lex.prons[m][0]]
     assert len(phones) == matrix.num_frames
-    acoustic = sum(float(matrix.costs[t, p - 1]) for t, p in enumerate(phones))
-    return cost_from_log10(score_sentence(big, hyp)) + acoustic
+    return sum(float(matrix.costs[t, p - 1]) for t, p in enumerate(phones))
+
+
+def _oracle_cost(big, lex, hclg3, matrix, hyp):
+    """Analytic big-LM cost of hyp plus the acoustic cost of its phones."""
+    return (cost_from_log10(score_sentence(big, hyp))
+            + _acoustic_cost(lex, hclg3, matrix, hyp))
+
+
+def eps_sentence_cost(fst, labels):
+    """Min path weight spelling the label sequence, with epsilon-input
+    (back-off) arcs free to take anywhere: the twin of
+    ``acceptor_sentence_cost`` under ε semantics.  LM acceptors have no
+    negative epsilon cycles, so each closure ends."""
+    def closure(dist):
+        work = list(dist)
+        while work:
+            s = work.pop()
+            for a in fst.arcs(s):
+                if a.ilabel == 0 and dist[s] + a.weight < dist.get(a.nextstate, ZERO):
+                    dist[a.nextstate] = dist[s] + a.weight
+                    work.append(a.nextstate)
+        return dist
+
+    dist = closure({fst.initial: 0.0})
+    for lab in labels:
+        step = {}
+        for s, d in dist.items():
+            for a in fst.arcs(s):
+                if a.ilabel == lab and d + a.weight < step.get(a.nextstate, ZERO):
+                    step[a.nextstate] = d + a.weight
+        dist = closure(step)
+    return min((d + fst.final(s) for s, d in dist.items()), default=ZERO)
 
 
 class TestLeakyBigram:
@@ -154,3 +191,32 @@ def test_decoded_cost_is_the_analytic_big_lm_cost(strategy, task):
     hyp, cost = best_path(_decode(strategy, graphs, matrix, WIDE))
     assert cost == pytest.approx(
         _oracle_cost(big, lex, graphs[0], matrix, hyp), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=tasks())
+def test_static_cost_is_the_epsilon_semantics_cost(task):
+    big, small, lex, sent = task
+    hclg3, _, g4 = _graphs(big, small, lex)
+    hclg4 = build_search_graph(lex, big, hclg3.isyms, g4.isyms)
+    matrix = _audio(hclg3, lex, sent)
+    hyp, cost = best_path(decode_static(hclg4, matrix, WIDE))
+    labels = [g4.isyms.id_of(m) for m in hyp]
+    assert cost == pytest.approx(eps_sentence_cost(g4, labels)
+                                 + _acoustic_cost(lex, hclg3, matrix, hyp),
+                                 abs=1e-9)
+
+
+def test_static_default_task_costs_are_epsilon_semantics(default_run,
+                                                         task_models):
+    # Noise-free audio, decoded without error: the acoustic cost is 0.
+    _, g4, _ = task_models
+    g4fst = lm_to_fst(g4, make_morpheme_symbols(g4, with_hash=True),
+                      mode=BACKOFF_EPS)
+    utts = default_run.strategies["static"].utterances
+    assert len(utts) == 20
+    for u in utts:
+        assert u.hypothesis == u.reference
+        labels = [g4fst.isyms.id_of(m) for m in u.hypothesis]
+        assert u.cost == pytest.approx(eps_sentence_cost(g4fst, labels),
+                                       abs=1e-9)

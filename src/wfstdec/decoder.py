@@ -296,9 +296,11 @@ def _arc_tables(fst: Fst) -> tuple:
 
 # -- search spaces and the search loop -------------------------------------
 #
-# A token is one list, [state id, frame, cost, *links]; a link is
-# (previous token, ilabel, olabel, link weight), and the links are every
-# arrival that set the cost or came within the lattice slack of it.
+# A token is one flat list, [state id, frame, cost, prev, ilabel, olabel,
+# weight, prev, ilabel, olabel, weight, ...]: each link is four slots
+# (previous token, ilabel, olabel, link weight), with no object of its own,
+# and the links are every arrival that set the cost or came within the
+# lattice slack of it.
 # Token dicts map state ids to tokens, in the order the tokens were made.
 
 class SearchSpace:
@@ -340,6 +342,7 @@ class SearchSpace:
         token's cost, so the lattice builder would drop the link.
         """
         out = {}
+        get = out.get
         emit, eps = self.emit, self.eps
         margin = beam + slack + _TOL
         best = limit = _INF
@@ -351,7 +354,7 @@ class SearchSpace:
             for il, ol, bw, nid in arcs:
                 lw = bw + frame_costs[il]
                 nc = cost + lw
-                cur = out.get(nid)
+                cur = get(nid)
                 if cur is None:
                     if nc > limit:
                         if not eps[nid]:
@@ -359,15 +362,15 @@ class SearchSpace:
                     elif nc < best:
                         best = nc
                         limit = nc + margin
-                    out[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+                    out[nid] = [nid, frame, nc, tok, il, ol, lw]
                 elif nc < cur[2]:
                     cur[2] = nc
-                    cur.append((tok, il, ol, lw))
+                    cur += tok, il, ol, lw
                     if nc < best:
                         best = nc
                         limit = nc + margin
                 elif nc <= cur[2] + slack:
-                    cur.append((tok, il, ol, lw))
+                    cur += tok, il, ol, lw
         return out
 
     def propagate(self, tokens: dict, frame: int, slack: float) -> dict:
@@ -379,6 +382,7 @@ class SearchSpace:
         loop has negative weight: NegativeCycleError.
         """
         eps = self.eps
+        get = tokens.get
         depth = {}
         work = [t for t in tokens.values() if eps[t[0]]]
         while work:
@@ -391,19 +395,19 @@ class SearchSpace:
             d = depth.get(sid, 0) + 1
             for il, ol, w, nid in arcs:
                 nc = cost + w
-                cur = tokens.get(nid)
+                cur = get(nid)
                 if cur is None:
-                    cur = tokens[nid] = [nid, frame, nc, (tok, il, ol, w)]
+                    cur = tokens[nid] = [nid, frame, nc, tok, il, ol, w]
                 elif nc < cur[2]:
                     cur[2] = nc
-                    cur.append((tok, il, ol, w))
+                    cur += tok, il, ol, w
                     if d > len(tokens):
                         raise NegativeCycleError(
                             "negative-weight epsilon cycle in the search graph "
                             f"through state {self.triple(nid)[0]}")
                 else:
                     if nc <= cur[2] + slack:
-                        cur.append((tok, il, ol, w))
+                        cur += tok, il, ol, w
                     continue
                 depth[nid] = d
                 if eps[nid]:
@@ -412,11 +416,16 @@ class SearchSpace:
 
     def prune(self, tokens: dict, opts: DecodeOptions) -> dict:
         """Beam pruning around the best cost, then a max-active cap; cost
-        ties at the cap keep the smallest (q1, q2, q3)."""
+        ties at the cap keep the smallest (q1, q2, q3).  When neither cuts
+        a token, ``tokens`` itself is returned."""
         if not tokens:
             return tokens
-        cutoff = min(t[2] for t in tokens.values()) + opts.beam
-        kept = {k: t for k, t in tokens.items() if t[2] <= cutoff}
+        costs = [t[2] for t in tokens.values()]
+        cutoff = min(costs) + opts.beam
+        if max(costs) <= cutoff:
+            kept = tokens
+        else:
+            kept = {k: t for k, t in tokens.items() if t[2] <= cutoff}
         if len(kept) > opts.max_active:
             triple = self.triple
             kept = dict(heapq.nsmallest(
@@ -644,11 +653,11 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
             t = found[k]
             b = beta[k]
             into = arrivals[k] = []  # the last visit sees the final beta
-            for lk in t[3:]:
-                prev, w = lk[0], lk[3]
+            for i in range(3, len(t), 4):
+                prev, w = t[i], t[i + 3]
                 if prev[2] + w + b > bound:
                     continue
-                into.append(lk)
+                into.append(t[i:i + 4])
                 c = w + b
                 p = index.get(id(prev))
                 if p is None:

@@ -215,13 +215,40 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+# Integer fields and their least values; the stages check what depends on
+# more than one field (distinct pronunciations, max_order <= order).
+_INT_FIELDS = {"seed": 0, "num_sentences": 0, "num_utterances": 0,
+               "num_morphemes": 1, "pron_len": 1, "num_phones": 1,
+               "branching": 1, "order": 1, "max_order": 1,
+               "frames_per_phone": 1}
+_REAL_FIELDS = ("suffix_fraction", "prune_threshold", "noise", "margin",
+                "frame_shift_ms")
+
+
 def run_pipeline(cfg: PipelineConfig,
                  stats: Optional[dec.RelayStats] = None) -> DecodeReport:
     """Build LMs and graphs, decode every utterance per strategy, score.
 
-    Malformed length ranges or strategy lists, unknown strategies and bad
-    decode options raise ValueError before any stage runs.
+    Malformed length ranges or strategy lists, unknown strategies, bad
+    decode options, integer fields that are not integers or lie below their
+    least values (``_INT_FIELDS``), task reals that are not non-negative
+    numbers and a prune threshold outside (0, 1) raise ValueError before
+    any stage runs.
     """
+    for name, least in _INT_FIELDS.items():
+        value = getattr(cfg, name)
+        if type(value) is not int or value < least:
+            kind = "positive" if least else "non-negative"
+            raise ValueError(f"config {name} must be a {kind} integer, "
+                             f"not {value!r}")
+    for name in _REAL_FIELDS:
+        value = getattr(cfg, name)
+        if type(value) not in (int, float) or not value >= 0:
+            raise ValueError(f"config {name} must be a non-negative number, "
+                             f"not {value!r}")
+    if not 0 < cfg.prune_threshold < 1:
+        raise ValueError("config prune_threshold must lie in (0, 1), "
+                         f"not {cfg.prune_threshold!r}")
     for name in ("sentence_len", "utterance_len"):
         span = getattr(cfg, name)
         if not (isinstance(span, (list, tuple)) and len(span) == 2 and

@@ -320,9 +320,19 @@ class TestErrors:
          "config utterance_len must be two integers lo <= hi, not [9, 5]"),
         ({"strategies": "static"}, "config strategies must be a list of "
          "strategy names, not 'static'"),
+        ({"noise": -1}, "config noise must be a non-negative number, not -1"),
+        ({"seed": 1.5}, "config seed must be a non-negative integer, not 1.5"),
+        ({"num_utterances": "5"},
+         "config num_utterances must be a non-negative integer, not '5'"),
+        ({"frames_per_phone": 0},
+         "config frames_per_phone must be a positive integer, not 0"),
+        ({"prune_threshold": 1},
+         "config prune_threshold must lie in (0, 1), not 1"),
     ], ids=["negative", "not-a-number", "fractional-max-active",
             "unknown-strategy", "scalar-length", "short-length",
-            "reversed-length", "strategies-not-a-list"])
+            "reversed-length", "strategies-not-a-list", "negative-noise",
+            "fractional-seed", "string-count", "zero-frames-per-phone",
+            "prune-threshold-one"])
     def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
                               message):
         def no_stage(cfg):

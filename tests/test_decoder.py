@@ -335,9 +335,17 @@ def _tokens(space, *entries):
     return out
 
 
+def links(tok):
+    """(previous token, ilabel, olabel, weight) of each of a token's links,
+    which it stores as four consecutive slots after its first three."""
+    for i in range(3, len(tok), 4):
+        yield tuple(tok[i:i + 4])
+
+
 def _succ(space, tokens):
     """(triple, cost, link count) of each token, in dict order."""
-    return [(space.triple(t[0]), t[2], len(t) - 3) for t in tokens.values()]
+    return [(space.triple(t[0]), t[2], sum(1 for _ in links(t)))
+            for t in tokens.values()]
 
 
 class TestAdvance:
@@ -406,6 +414,33 @@ class TestAdvance:
         assert [space.triple(t[0])[0] for t in made.values()] == [1, 2, 4]
         everything = space.advance(tokens, [INF, 0.0], 1, 0.5)
         assert [space.triple(t[0])[0] for t in everything.values()] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("onthefly", [False, True])
+    def test_links_are_four_slots_into_this_or_the_previous_frame(
+            self, mini, onthefly):
+        if onthefly:
+            space = search_space(mini["hclg3"], mini["g3neg"], mini["g4fst"])
+        else:
+            space = search_space(mini["hclg4"])
+        matrix = _utt(mini, SENT, noise=1.0, seed=2)
+        tokens = {space.initial: [space.initial, 0, 0.0]}
+        space.propagate(tokens, 0, 8.0)
+        for frame in range(4):
+            before = tokens
+            tokens = space.advance(before, matrix.padded_row(frame), frame + 1,
+                                   8.0)
+            space.propagate(tokens, frame + 1, 8.0)
+            assert tokens
+            for t in tokens.values():
+                assert t[1] == frame + 1
+                assert len(t) > 3 and (len(t) - 3) % 4 == 0
+                for prev, il, ol, w in links(t):
+                    assert type(prev) is list
+                    assert prev[1] in (frame, frame + 1)
+                    made_in = before if prev[1] == frame else tokens
+                    assert made_in[prev[0]] is prev
+                    assert type(il) is int and type(ol) is int
+                    assert type(w) is float
 
     def test_new_states_without_epsilon_arcs_get_an_empty_table(self):
         # A cold on-the-fly space knows, before expanding a state, that a
@@ -583,6 +618,20 @@ class TestPruneTokens:
                         DecodeOptions(beam=100.0, max_active=2))
         assert sorted(s) == [1, 2]
 
+    def test_returns_the_same_dict_when_nothing_is_cut(self):
+        space = search_space(_tie_graph())
+        opts = DecodeOptions(beam=5.0)
+        tokens = _tokens(space, *(((i, -1, -1), c) for i, c in
+                                  enumerate([0.0, 4.0, 5.0])))
+        assert space.prune(tokens, opts) is tokens
+        tokens = _tokens(space, *(((i, -1, -1), c) for i, c in
+                                  enumerate([0.0, 4.0, 5.0, 5.5])))
+        kept = space.prune(tokens, opts)
+        assert kept is not tokens
+        assert list(kept) == [0, 1, 2]
+        assert all(kept[k] is tokens[k] for k in kept)
+        assert list(tokens) == [0, 1, 2, 3]
+
     def test_options_validated(self):
         with pytest.raises(ValueError, match="positive"):
             DecodeOptions(beam=0.0)
@@ -671,25 +720,25 @@ def _closure_lattice(space, finals, init_token, opts, utt_id):
     nodes = {i: t for i, (t, _) in final_of.items()}
     stack = list(nodes.values())
     while stack:
-        for link in stack.pop()[3:]:
+        for link in links(stack.pop()):
             if id(link[0]) not in nodes:
                 nodes[id(link[0])] = link[0]
                 stack.append(link[0])
     out_arcs = {i: [] for i in nodes}
     indeg = {}
     for ti, t in nodes.items():
-        links = t[3:]
-        if len(links) > 1:
+        into = list(links(t))
+        if len(into) > 1:
             seen = set()
             unique = []
-            for lk in links:
+            for lk in into:
                 sig = (id(lk[0]), lk[1], lk[2], round(lk[3], 10))
                 if sig not in seen:
                     seen.add(sig)
                     unique.append(lk)
-            links = unique
-        indeg[ti] = len(links)
-        for prev, il, ol, w in links:
+            into = unique
+        indeg[ti] = len(into)
+        for prev, il, ol, w in into:
             out_arcs[id(prev)].append((ti, il, ol, w))
     order = [i for i, d in indeg.items() if d == 0]
     topo = []
@@ -804,12 +853,12 @@ def _uncut_advance(self, tokens, frame_costs, frame, slack, beam=INF):
             nc = tok[2] + lw
             cur = out.get(nid)
             if cur is None:
-                out[nid] = [nid, frame, nc, (tok, il, ol, lw)]
+                out[nid] = [nid, frame, nc, tok, il, ol, lw]
             elif nc < cur[2]:
                 cur[2] = nc
-                cur.append((tok, il, ol, lw))
+                cur.extend((tok, il, ol, lw))
             elif nc <= cur[2] + slack:
-                cur.append((tok, il, ol, lw))
+                cur.extend((tok, il, ol, lw))
     return out
 
 

@@ -135,7 +135,16 @@ def cmd_score(args) -> int:
 def cmd_report(args) -> int:
     cfg = pipeline.PipelineConfig()
     if args.config:
-        data = json.loads(_read(args.config))
+        try:
+            data = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            print(f"error: config {args.config} is not valid JSON: {exc}",
+                  file=sys.stderr)
+            return 2
+        if not isinstance(data, dict):
+            print(f"error: config {args.config} must hold a JSON object, "
+                  f"not {type(data).__name__}", file=sys.stderr)
+            return 2
         for key, value in data.items():
             if not hasattr(cfg, key):
                 print(f"error: unknown config key {key!r}", file=sys.stderr)

@@ -19,10 +19,21 @@ q2 itself.  With that filter, and the negated small-LM scores
 cancelling the scores baked into the search graph, the surviving path
 weights equal big-LM scores exactly.
 
+Back-off states act as relay stations.  Tokens of many histories back
+off to one search-graph state q1, and their relays match most morphemes
+at one G4 state at3: from the station (q1, at3) they read the same arcs
+to the same targets, at weights that differ by the hop weight h of their
+back-off walks, less the morphemes each matched higher on its chains.
+The frame step takes a station's tokens in order of cost + h, and a
+token skips the arcs of each morpheme that a token more than the lattice
+beam (plus rounding slack) cheaper already read there: its arrival could
+set no cost and make no link the lattice keeps.  So the result is that
+of a scan of every arc.
+
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
 final rules are written once.  The static decoder runs the identical
-search loop with the trivial LM side (no relay operands).
+search loop with the trivial LM side (no relay operands, no stations).
 """
 
 from __future__ import annotations
@@ -38,8 +49,8 @@ from .fst import ZERO, Arc, Fst, SymbolTable, _connect, arc_map, find_arc
 
 _INF = ZERO
 _NO_STATE = -1
-# The relay memo's entry for a dead branch; its match state is no state.
-_DEAD = (_NO_STATE, _NO_STATE, ZERO, _NO_STATE)
+# The relay memo's entry for a dead branch; its match states are no states.
+_DEAD = (_NO_STATE, _NO_STATE, ZERO, (_NO_STATE, _NO_STATE, ZERO))
 # Slack on the lattice bound, and so on the frame step's cutoff, which
 # must skip only tokens the lattice builder's bound would drop anyway.
 _TOL = 1e-9
@@ -224,19 +235,22 @@ def _derived(fst: Fst) -> _Derived:
 class _RelayMemo:
     """The relay results of one (G3neg, G4) pair, shared across decodes:
     per LM pair ``(q2, q3)``, a dict from morpheme to ``(q2', q3', weight,
-    at)``, where ``at`` is the state on q2's back-off chain where G3neg
-    matched the morpheme, or ``_DEAD`` when the branch is dead, filled one
-    search-graph state's labels at a time."""
+    (at, at3, h))``, where ``at`` and ``at3`` are the states on q2's and
+    q3's back-off chains where G3neg and G4 matched the morpheme and ``h``
+    is the weight of both back-off walks, or ``_DEAD`` when the branch is
+    dead, filled one search-graph state's labels at a time.  The labels
+    of one batch matched at one ``(at, at3)`` share that triple."""
 
     def __init__(self):
         self.pairs: dict = {}
 
 
 class _States:
-    """An on-the-fly space's interned states and their expanded arcs; per
-    search-graph state the G3neg state it was composed from, and the
-    ``eps`` entry of a new search state over it: True (not yet expanded)
-    or, where it has no epsilon-input arcs, an empty table.
+    """An on-the-fly space's interned states and their expanded arcs
+    (``shared`` holds the emitting arcs of each state with station
+    segments); per search-graph state the G3neg state it was composed
+    from, and the ``eps`` entry of a new search state over it: True (not
+    yet expanded) or, where it has no epsilon-input arcs, an empty table.
 
     ``graph_arcs`` are the search graph's arc tables.  A lattice walk
     (``tables`` false) expands the arcs it is handed and needs none.
@@ -244,6 +258,7 @@ class _States:
 
     def __init__(self, graph: Fst, tables: bool = True):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
+        self.shared = {}
         self.g3 = [_NO_STATE] * graph.num_states
         if tables:
             self.graph_arcs = _arc_tables(graph)
@@ -261,6 +276,8 @@ def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
     memo = relays.get(key)
     if memo is None:
         _check_acceptor(g3neg)
+        _check_backoff_chains(g3neg, "G3neg")
+        _check_backoff_chains(g4, "G4")
         memo = relays[key] = _RelayMemo()
     return memo
 
@@ -274,6 +291,32 @@ def _check_acceptor(g3neg: Fst) -> None:
                 raise DecodeError(
                     f"G3neg is not an acceptor: state {s} has arc "
                     f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
+
+
+def _check_backoff_chains(g: Fst, name: str) -> None:
+    """Every back-off chain of an LM ends, even in parts of it that no
+    decode reaches: a chain that returns to a state raises
+    BackoffCycleError.  Each state is walked once, marked with the state
+    its walk began from.  The back-off arc is the first arc of an
+    input-sorted state, the one relays follow; an unsorted graph is left to
+    the relay walk, which refuses it."""
+    if not g.input_sorted:
+        return
+    arcs_of = g.arcs
+    walked = [_NO_STATE] * g.num_states
+    for s in g.states():
+        q = s
+        while walked[q] == _NO_STATE:
+            walked[q] = s
+            arcs = arcs_of(q)
+            if not arcs or arcs[0].ilabel:
+                break
+            q = arcs[0].nextstate
+        else:
+            if walked[q] == s:
+                raise BackoffCycleError(
+                    f"back-off cycle: the back-off chain from {name} state "
+                    f"{s} returns to state {q}")
 
 
 def _arc_tables(fst: Fst) -> tuple:
@@ -333,6 +376,8 @@ class SearchSpace:
         """One frame of forward expansion over emitting arcs.
 
         frame_costs is indexable by emitting symbol id (index 0 is unused).
+        A token whose ``emit`` entry is None scans the arcs ``_meet`` plans
+        for it: its own arcs and what it keeps of its station segments.
         An arrival makes no new token when its cost exceeds the cutoff,
         the best arrival so far plus ``beam + slack + _TOL``, and its state
         has no epsilon-input arcs.  Such a token costs more than the final
@@ -344,12 +389,13 @@ class SearchSpace:
         out = {}
         get = out.get
         emit, eps = self.emit, self.eps
+        plan = self._meet(tokens, slack)
         margin = beam + slack + _TOL
         best = limit = _INF
         for tok in tokens.values():
             arcs = emit[tok[0]]
             if arcs is None:
-                arcs = self._expand(tok[0], True)
+                arcs = plan[tok[0]]
             cost = tok[2]
             for il, ol, bw, nid in arcs:
                 lw = bw + frame_costs[il]
@@ -373,6 +419,11 @@ class SearchSpace:
                     cur += tok, il, ol, lw
         return out
 
+    def _meet(self, tokens: dict, slack: float) -> dict:
+        """The arcs each token of a frame scans, by state id, for the tokens
+        whose ``emit`` entry is None.  The static space has no stations."""
+        return {}
+
     def propagate(self, tokens: dict, frame: int, slack: float) -> dict:
         """Close a token dict under epsilon-input arcs, in place.
 
@@ -390,7 +441,7 @@ class SearchSpace:
             sid = tok[0]
             arcs = eps[sid]
             if arcs is True:
-                arcs = self._expand(sid, False)
+                arcs = self._expand_eps(sid)
             cost = tok[2]
             d = depth.get(sid, 0) + 1
             for il, ol, w, nid in arcs:
@@ -448,7 +499,8 @@ class _OnTheFlySpace(SearchSpace):
     state's emitting and epsilon arcs are expanded separately, when the
     search loop first needs each; until then ``emit[i]`` is None and
     ``eps[i]`` True, or an empty table where the search-graph state has no
-    epsilon-input arcs.
+    epsilon-input arcs.  A state whose morpheme arcs reach stations keeps
+    ``emit[i]`` None and its arcs in ``_shared``.
 
     The G3neg state of a search-graph state (``_g3``) is derived while
     expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
@@ -468,7 +520,7 @@ class _OnTheFlySpace(SearchSpace):
         self.graph, self.g3neg, self.g4 = graph, g3neg, g4
         self.stats = stats if stats is not None else RelayStats()
         self._pairs = memo.pairs
-        self.emit, self.eps = states.emit, states.eps
+        self.emit, self.eps, self._shared = states.emit, states.eps, states.shared
         self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
         self._graph_arcs, self._new_eps = states.graph_arcs, states.new_eps
         if graph.initial >= 0:
@@ -495,21 +547,96 @@ class _OnTheFlySpace(SearchSpace):
             return _INF
         return w1 + (relay_final(self.g3neg, q2) + relay_final(self.g4, q3))
 
-    def _expand(self, sid: int, emitting: bool) -> tuple:
-        """Expand state sid's emitting or epsilon-input arcs, once."""
-        emit, eps = self._graph_arcs
+    def _expand_eps(self, sid: int) -> tuple:
+        """Expand state sid's epsilon-input arcs, once."""
         q1 = self._triples[sid][0]
-        if emitting:
-            arcs = self.emit[sid] = tuple(self.expand_arcs(sid, emit[q1]))
-        else:
-            arcs = self.eps[sid] = tuple(self.expand_arcs(sid, eps[q1]))
+        arcs = self.eps[sid] = tuple(
+            self.expand_arcs(sid, self._graph_arcs[1][q1]))
         return arcs
 
-    def expand_arcs(self, sid: int, graph_arcs) -> list:
+    def _expand_emit(self, sid: int) -> tuple:
+        """Expand state sid's emitting arcs, once, as (own arcs, station
+        segments).  A segment is ``[station, h, arcs, None]``, the None a
+        cache for ``_labels``; a station is numbered ``q1 + (search-graph
+        states) * at3``.  A state with segments keeps them in ``_shared``
+        and its ``emit`` entry stays None."""
+        q1 = self._triples[sid][0]
+        met = {}
+        own = tuple(self.expand_arcs(sid, self._graph_arcs[0][q1], met))
+        if not met:
+            self.emit[sid] = own
+            return own, ()
+        n1 = len(self._g3)
+        split = self._shared[sid] = (own, tuple(
+            [q1 + n1 * at3, h, tuple(arcs), None]
+            for at3, (h, arcs) in met.items()))
+        return split
+
+    def _meet(self, tokens: dict, slack: float) -> dict:
+        """The arcs each token with station segments scans this frame: its
+        own arcs, then what it keeps of its segments.
+
+        Tokens at one search-graph state q1 whose relays match morphemes at
+        one G4 state at3 meet at the station (q1, at3): they read the same
+        arcs to the same targets, at weights that differ only by the hop
+        weight ``h`` of their back-off walks, less the labels each matched
+        higher on its chains.  Each segment enters its station with key
+        ``cost + h``, and the station's entries are taken in key order.  An
+        entry skips the arcs of labels that an earlier entry held at a key
+        more than ``slack + 2 * _TOL`` lower: there, each arrival would
+        cost more than the earlier one's plus ``slack``, so it could set no
+        cost, make no link the lattice bound keeps, and, if the earlier
+        one was cut, make no token.  ``2 * _TOL`` covers the rounding
+        between a key and an arrival's cost.
+        """
+        emit, shared = self.emit, self._shared
+        plan = {}
+        stations = {}
+        get = stations.get
+        for sid in tokens:
+            if emit[sid] is not None:
+                continue
+            split = shared.get(sid)
+            if split is None:
+                split = self._expand_emit(sid)
+                if not split[1]:
+                    continue
+            plan[sid], segs = split
+            cost = tokens[sid][2]
+            for seg in segs:
+                met = get(seg[0])
+                if met is None:
+                    stations[seg[0]] = [(cost + seg[1], sid, seg)]
+                else:
+                    met.append((cost + seg[1], sid, seg))
+        margin = slack + 2 * _TOL
+        for met in stations.values():
+            if len(met) == 1:
+                _, sid, seg = met[0]
+                plan[sid] += seg[2]
+                continue
+            met.sort()  # state ids break key ties; a state has one entry
+            covered = j = 0  # labels held by entries j' < j, as a bit mask
+            for key, sid, seg in met:
+                held = key - margin
+                while met[j][0] < held:
+                    covered |= _labels(met[j][2])
+                    j += 1
+                if not covered:
+                    plan[sid] += seg[2]
+                elif _labels(seg) | covered != covered:
+                    plan[sid] += tuple([a for a in seg[2]
+                                        if not (covered >> a[1]) & 1])
+        return plan
+
+    def expand_arcs(self, sid: int, graph_arcs,
+                    stations: Optional[dict] = None) -> list:
         """(ilabel, olabel, graph+LM weight, next id) for each of state
         sid's ``graph_arcs`` (ilabel, olabel, weight, next graph state)
         that survives, in order.  One batch relays the labels of all arcs;
-        the counters count per label, as if each arc were relayed alone."""
+        the counters count per label, as if each arc were relayed alone.
+        Given ``stations``, morpheme arcs go there instead, under the G4
+        state at3 where their relay matched, as ``(h, arcs)``."""
         q1, q2, q3 = self._triples[sid]
         g3 = self._g3
         g = g3[q1]
@@ -520,15 +647,24 @@ class _OnTheFlySpace(SearchSpace):
         labels = {a[1] for a in graph_arcs if a[1]}
         relays = self.relays(q2, q3, labels) if labels else None
         arcs = []
+        last = None  # the (at, at3, h) of the last station arc
         for il, ol, w, ns in graph_arcs:
+            into = arcs
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, gw = q2, q3, 0.0
             else:
-                nq2, nq3, gw, at = relays[ol]
-                if at != g:
+                nq2, nq3, gw, hop = relays[ol]
+                if hop[0] != g:
                     continue
                 ng = nq2
+                if stations is not None:
+                    if hop is not last:
+                        last = hop
+                        seg = stations.get(hop[1])
+                        if seg is None:
+                            seg = stations[hop[1]] = (hop[2], [])
+                    into = seg[1]
             seen = g3[ns]
             if seen != ng:
                 if seen != _NO_STATE:
@@ -537,7 +673,7 @@ class _OnTheFlySpace(SearchSpace):
                         f"states {seen} and {ng}: the search graph is not a "
                         "composition with G3neg")
                 g3[ns] = ng
-            arcs.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
+            into.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
         return arcs
 
     def backoff(self, g: int, q1: int) -> int:
@@ -566,16 +702,35 @@ class _OnTheFlySpace(SearchSpace):
         found3 = {}
         if found2:
             found3, _ = _relay_walk(self.g4, q3, found2, self.stats)
+        hops = {}
+        last = last3 = _NO_STATE
         for lab in labels:
             r3 = found3.get(lab)
             if r3 is None:
                 memo[lab] = _DEAD
             else:
                 e2, acc2, _, at = found2[lab]
-                e3, acc3, _, _ = r3
+                e3, acc3, _, at3 = r3
+                if at != last or at3 != last3:  # most labels repeat them
+                    last, last3 = at, at3
+                    hop = hops.get((at, at3))
+                    if hop is None:
+                        hop = hops[(at, at3)] = (at, at3, acc2 + acc3)
                 memo[lab] = (e2.nextstate, e3.nextstate,
-                             acc2 + e2.weight + acc3 + e3.weight, at)
+                             acc2 + e2.weight + acc3 + e3.weight, hop)
         return memo
+
+
+def _labels(seg: list) -> int:
+    """A station segment's labels as a bit mask, made when a station first
+    needs them."""
+    labels = seg[3]
+    if labels is None:
+        labels = 0
+        for a in seg[2]:
+            labels |= 1 << a[1]
+        seg[3] = labels
+    return labels
 
 
 def search_space(graph: Fst, g3neg: Optional[Fst] = None,

@@ -232,8 +232,8 @@ def run_pipeline(cfg: PipelineConfig,
     Malformed length ranges or strategy lists, unknown strategies, bad
     decode options, integer fields that are not integers or lie below their
     least values (``_INT_FIELDS``), task reals that are not non-negative
-    numbers and a prune threshold outside (0, 1) raise ValueError before
-    any stage runs.
+    numbers, a prune threshold outside (0, 1) and ``frames_per_phone``
+    other than 1 raise ValueError before any stage runs.
     """
     for name, least in _INT_FIELDS.items():
         value = getattr(cfg, name)
@@ -246,6 +246,11 @@ def run_pipeline(cfg: PipelineConfig,
         if type(value) not in (int, float) or not value >= 0:
             raise ValueError(f"config {name} must be a non-negative number, "
                              f"not {value!r}")
+    if cfg.frames_per_phone != 1:
+        raise ValueError("config frames_per_phone must be 1, not "
+                         f"{cfg.frames_per_phone!r}: the search graphs have "
+                         "no phone self-loops, so a phone held for several "
+                         "frames would be read as several phones")
     if not 0 < cfg.prune_threshold < 1:
         raise ValueError("config prune_threshold must lie in (0, 1), "
                          f"not {cfg.prune_threshold!r}")

@@ -298,6 +298,19 @@ class TestErrors:
         assert err.startswith(f"error: {where}") and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": ', "is not valid JSON: Expecting value: line 1 column 10 "
+         "(char 9)"),
+        ("[1, 2]", "must hold a JSON object, not list"),
+    ], ids=["truncated", "list"])
+    def test_config_not_a_json_object(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "report", "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: config {cfg} {message}\n"
+        assert out == ""
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))
@@ -326,13 +339,17 @@ class TestErrors:
          "config num_utterances must be a non-negative integer, not '5'"),
         ({"frames_per_phone": 0},
          "config frames_per_phone must be a positive integer, not 0"),
+        ({"frames_per_phone": 2},
+         "config frames_per_phone must be 1, not 2: the search graphs have no "
+         "phone self-loops, so a phone held for several frames would be read "
+         "as several phones"),
         ({"prune_threshold": 1},
          "config prune_threshold must lie in (0, 1), not 1"),
     ], ids=["negative", "not-a-number", "fractional-max-active",
             "unknown-strategy", "scalar-length", "short-length",
             "reversed-length", "strategies-not-a-list", "negative-noise",
             "fractional-seed", "string-count", "zero-frames-per-phone",
-            "prune-threshold-one"])
+            "held-phones", "prune-threshold-one"])
     def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
                               message):
         def no_stage(cfg):

@@ -162,6 +162,24 @@ class TestBackoffCycle:
             decode_onthefly(hclg, _backoff_cycle_lm(2), _loop_lm(3, 3, 0.0),
                             matrix)
 
+    @pytest.mark.parametrize("operand", ["G3neg", "G4"])
+    def test_unreached_cycle_raises_before_the_first_frame(self, operand):
+        # The LM's states 1 and 2 back off to each other, and no relay
+        # from state 0 ever reaches them: the decode would succeed.
+        lm = _loop_lm(3, 3, 0.0)
+        lm.add_states(2)
+        lm.add_arc(1, Arc(0, 0, 0.1, 2))
+        lm.add_arc(2, Arc(0, 0, 0.1, 1))
+        lm.arc_sort_input()
+        lms = {"G3neg": _loop_lm(3, 3, -0.7), "G4": _loop_lm(3, 3, 0.0)}
+        lms[operand] = lm
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder.SearchSpace, "advance", None)  # no frame runs
+            with pytest.raises(BackoffCycleError,
+                               match=f"from {operand} state 1 returns to state 1"):
+                decode_onthefly(_one_arc_graph(1, 3, 0.2), lms["G3neg"],
+                                lms["G4"], synthesize_utterance([1], 1))
+
 
 def _reference_relay(g, state, label, stats):
     """The per-label walk, one find_arc per state: (arc, hop weight, hops,
@@ -224,14 +242,15 @@ class TestBatchedRelay:
                     memo = space.relays(q2, q3, set(words))
                     for w in words:
                         e2, acc2, _, at = _reference_relay(g3neg, q2, w, ref)
-                        want = (-1, -1, INF, -1)
+                        want = (-1, -1, INF, (-1, -1, INF))
                         if e2 is not None:
-                            e3, acc3, _, _ = _reference_relay(g4, q3, w, ref)
+                            e3, acc3, _, at3 = _reference_relay(g4, q3, w, ref)
                             if e3 is not None:
                                 want = (e2.nextstate, e3.nextstate,
-                                        acc2 + e2.weight + acc3 + e3.weight, at)
+                                        acc2 + e2.weight + acc3 + e3.weight,
+                                        (at, at3, acc2 + acc3))
                         assert memo[w] == want
-                        backed_off += want[3] not in (q2, -1)
+                        backed_off += want[3][0] not in (q2, -1)
             assert stats == ref
         assert backed_off > 0
 
@@ -538,11 +557,20 @@ class TestNegativeCycle:
             decode_static(_negative_cycle_graph(), synthesize_utterance([1], 1))
 
     def test_onthefly_decode_raises(self):
-        # G3neg's back-off ring 0 -> 1 -> 0 matches the search graph's
-        # epsilon cycle, as in a composition with it.
+        # The epsilon cycle reads morpheme 1 twice, which both LMs read from
+        # state 0 back to it: the on-the-fly space has the cycle too.  (A
+        # cycle of back-off arcs needs a G3neg whose back-off chains cycle,
+        # which raises BackoffCycleError before the first frame.)
+        fst = Fst()
+        fst.add_states(3)
+        fst.add_arc(0, Arc(0, 1, -1.0, 1))
+        fst.add_arc(1, Arc(0, 1, 0.5, 0))
+        fst.add_arc(1, Arc(1, 0, 0.0, 2))
+        fst.set_initial(0)
+        fst.set_final(2, 0.0)
         with deadline(5), pytest.raises(NegativeCycleError, match="cycle"):
-            decode_onthefly(_negative_cycle_graph(), _backoff_cycle_lm(2),
-                            _loop_lm(3, 3, 0.0), synthesize_utterance([1], 1))
+            decode_onthefly(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0),
+                            synthesize_utterance([1], 1))
 
     # A cycle lighter than the default lattice beam (8.0) stays in the
     # lattice as a cycle of links, which best_path relaxes to a fixed point.
@@ -840,15 +868,22 @@ class TestBuildLattice:
 
 # -- the frame step's cutoff ------------------------------------------------
 
+def _all_arcs(space, sid):
+    """Every emitting arc of state sid: its own arcs, then the arcs of its
+    station segments."""
+    arcs = space.emit[sid]
+    if arcs is None:
+        own, segs = space._shared.get(sid) or space._expand_emit(sid)
+        arcs = own + tuple(a for seg in segs for a in seg[2])
+    return arcs
+
+
 def _uncut_advance(self, tokens, frame_costs, frame, slack, beam=INF):
-    """Reference frame step without the cutoff: every arrival makes or
-    reaches its token."""
+    """Reference frame step without the cutoff or stations: every arrival
+    makes or reaches its token."""
     out = {}
     for tok in tokens.values():
-        arcs = self.emit[tok[0]]
-        if arcs is None:
-            arcs = self._expand(tok[0], True)
-        for il, ol, w, nid in arcs:
+        for il, ol, w, nid in _all_arcs(self, tok[0]):
             lw = w + frame_costs[il]
             nc = tok[2] + lw
             cur = out.get(nid)
@@ -968,6 +1003,140 @@ class TestCutoff:
         _assert_cut_equals_uncut(got, want)
         _assert_cut_equals_uncut(got_rescore, want_rescore)
         assert got_stats == want_stats
+
+
+# -- stations: tokens that meet at a back-off state ------------------------
+
+class _CountingRow(list):
+    """A frame's costs that count the arcs a frame step scans: one lookup
+    per arc."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return list.__getitem__(self, i)
+
+
+def _kept_links(tok, slack):
+    """A token's links within ``slack`` of its cost, as a multiset."""
+    return sorted((id(prev), il, ol, w) for prev, il, ol, w in links(tok)
+                  if prev[2] + w <= tok[2] + slack)
+
+
+def _assert_stations_equal_full_scan(space, matrix, opts):
+    """Run a decode's frames with the station pass, checking each frame
+    against the full scan from the same tokens: equal costs, and equal
+    links within the lattice beam, on every token within the beam of the
+    frame's best.  Returns the arcs each pass scanned."""
+    slack, beam = opts.lattice_beam, opts.beam
+    tokens = {space.initial: [space.initial, 0, 0.0]}
+    space.propagate(tokens, 0, slack)
+    scanned = [0, 0]
+    for frame in range(matrix.num_frames):
+        rows = [_CountingRow(matrix.padded_row(frame)) for _ in range(2)]
+        got = space.advance(tokens, rows[0], frame + 1, slack, beam)
+        want = _uncut_advance(space, tokens, rows[1], frame + 1, slack)
+        scanned[0] += rows[0].lookups
+        scanned[1] += rows[1].lookups
+        if not want:
+            break
+        best = min(t[2] for t in want.values())
+        assert got.keys() <= want.keys()
+        for sid, t in want.items():
+            if sid not in got:  # skipped by the cutoff, beyond the beam
+                assert t[2] > best + beam + slack
+                continue
+            assert got[sid][2] == t[2]
+            if t[2] <= best + beam:
+                assert _kept_links(got[sid], slack) == _kept_links(t, slack)
+        space.propagate(got, frame + 1, slack)
+        tokens = space.prune(got, opts)
+    return scanned
+
+
+class TestStations:
+    """Tokens whose relays match at one back-off state share the scan of
+    that station's arcs; the result equals a scan of every arc."""
+
+    @pytest.mark.parametrize("beam", [INF, 16.0, 4.0])
+    @pytest.mark.parametrize("lattice_beam", [0.5, 8.0])
+    def test_mini_task_frames_equal_full_scan(self, mini, beam, lattice_beam):
+        space = search_space(mini["hclg3"], mini["g3neg"], mini["g4fst"])
+        opts = DecodeOptions(beam=beam, lattice_beam=lattice_beam)
+        for seed in range(3):
+            matrix = _utt(mini, SENT, noise=1.0, seed=seed)
+            got, full = _assert_stations_equal_full_scan(space, matrix, opts)
+            assert got < full if beam == INF else got <= full  # shared
+
+    @settings(max_examples=60, deadline=None)
+    @given(_onthefly_cut_cases(), st.booleans())
+    def test_drawn_task_frames_equal_full_scan(self, case, wide_open):
+        big, small, lex, sent, noise, seed, opts = case
+        if wide_open:
+            opts = DecodeOptions(beam=INF, max_active=10 ** 9,
+                                 lattice_beam=opts.lattice_beam)
+        hclg3, g3neg, g4 = oracle_graphs(big, small, lex)
+        phones = [hclg3.isyms.id_of(p) for m in sent for p in lex.prons[m][0]]
+        matrix = synthesize_utterance(phones, len(hclg3.isyms) - 1,
+                                      noise=noise, seed=seed)
+        _assert_stations_equal_full_scan(search_space(hclg3, g3neg, g4),
+                                         matrix, opts)
+
+    @staticmethod
+    def _meeting():
+        """Search-graph state 0 reads morphemes 1, 2 and 3 on phone 1.  G4
+        lists all three at state 0, and morpheme 1 also at state 1, which
+        backs off to 0, as state 2 does, both with weight 0.5.  So from
+        (0, 0, 1) and (0, 0, 2) morphemes 2 and 3 are relayed to state 0:
+        both tokens meet at the station (0, 0) with hop weight 0.5, where
+        only (0, 0, 2) holds morpheme 1."""
+        hclg = Fst()
+        hclg.add_states(4)
+        for m in (1, 2, 3):
+            hclg.add_arc(0, Arc(1, m, 0.0, m))
+            hclg.set_final(m, 0.0)
+        hclg.set_initial(0)
+        g3neg = Fst()
+        g3neg.add_state()
+        g4 = Fst()
+        g4.add_states(3)
+        for m in (1, 2, 3):
+            g3neg.add_arc(0, Arc(m, m, 0.0, 0))
+            g4.add_arc(0, Arc(m, m, 0.0, 0))
+        g4.add_arc(1, Arc(1, 1, 0.0, 1))
+        for s in (1, 2):
+            g4.add_arc(s, Arc(0, 0, 0.5, 0))
+        for g in (g3neg, g4):
+            g.set_initial(0)
+            g.set_final(0, 0.0)
+            g.arc_sort_input()
+        return search_space(hclg, g3neg, g4)
+
+    @pytest.mark.parametrize("costs, shared, scans", [
+        ((0.0, 8.5), "x", 4), ((0.0, 7.5), "xy", 6), ((8.5, 0.0), "y", 4)],
+        ids=["worse-holds-more", "within-the-slack", "worse-holds-less"])
+    def test_worse_token_skips_only_labels_held_beyond_the_slack(
+            self, costs, shared, scans):
+        # Lattice beam 8.0.  Token x at (0, 0, 1) reads morpheme 1 at its
+        # own station and 2 and 3 at (0, 0); token y at (0, 0, 2) reads all
+        # three at (0, 0).  The worse of them links to the targets of 2 and
+        # 3 only within the lattice beam, and y always reads morpheme 1.
+        space = self._meeting()
+        tokens = _tokens(space, ((0, 0, 1), costs[0]), ((0, 0, 2), costs[1]))
+        x, y = tokens.values()
+        row = _CountingRow([INF, 0.0])
+        out = space.advance(tokens, row, 1, 8.0)
+        into = {space.triple(sid): "".join("y" if lk[0] is y else "x"
+                                           for lk in links(t))
+                for sid, t in out.items()}
+        assert into == {(1, 0, 1): "x", (1, 0, 0): "y",
+                        (2, 0, 0): shared, (3, 0, 0): shared}
+        assert out[space.state_id((1, 0, 0))][2] == costs[1] + 0.5
+        assert out[space.state_id((2, 0, 0))][2] == min(costs) + 0.5
+        assert row.lookups == scans
+        assert out.keys() == _uncut_advance(space, tokens, [INF, 0.0], 1,
+                                            8.0).keys()
 
 
 class TestBestPath:

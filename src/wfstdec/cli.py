@@ -47,8 +47,7 @@ def cmd_graph_build(args) -> int:
         graph = gb.build_search_graph(lex, model)
         isyms, osyms = graph.isyms, graph.osyms
     else:
-        mode = gb.BACKOFF_EPS if args.backoff_mode == "eps" else gb.BACKOFF_HASH
-        graph = gb.lm_to_fst(model, mode=mode)
+        graph = gb.lm_to_fst(model, mode=args.backoff_mode)
         if args.negate:
             graph = gb.negate_weights(graph)
         isyms = osyms = graph.isyms
@@ -183,7 +182,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("graph-build", help="compile LM (and lexicon) into a WFST")
     p.add_argument("--lm", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--backoff-mode", choices=["eps", "#0"], default="eps")
+    p.add_argument("--backoff-mode", choices=[gb.BACKOFF_EPS, gb.BACKOFF_HASH],
+                   default=gb.BACKOFF_EPS)
     p.add_argument("--negate", action="store_true")
     p.add_argument("--isymbols")
     p.add_argument("--osymbols")
@@ -232,11 +232,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except pipeline.StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FstError, ngram.NGramError, gb.GraphError, ac.AcousticError,
-            dec.DecodeError, metrics.MetricsError, OSError) as exc:
+    except (pipeline.StageError, FstError, ngram.NGramError, gb.GraphError,
+            ac.AcousticError, dec.DecodeError, metrics.MetricsError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import ZERO, Arc, Fst, SymbolTable, _connect, arc_map, find_arc
+from .fst import (ZERO, Arc, Fst, SymbolTable, _check_sorted, _connect,
+                  find_arc)
 
 _INF = ZERO
 _NO_STATE = -1
@@ -117,19 +118,20 @@ def _relay_walk(g: Fst, state: int, labels,
     """Back-off relay walk for a set of labels at once.
 
     Follows the back-off chain from ``state``; at each state on it, every
-    label not yet matched is looked up in the state's arc map.  Returns
+    label not yet matched is looked up in the state's label map.  Returns
     ({label: (matched arc, accumulated hop weight, hops, state matched
     at)}, hops taken by the labels left dead).  ``stats`` counts per label
-    and per hop, as if each label walked alone.  A back-off chain longer
-    than the graph has states is a cycle and raises BackoffCycleError.
+    and per hop, as if each label walked alone.  ``_lm`` has checked that
+    the chain ends.
     """
+    maps = _lm(g).maps
     found = {}
     todo = set(labels)
     acc = 0.0
     hops = 0
     q = state
     while True:
-        amap = arc_map(g, q)
+        amap = _label_map(g, maps, q)
         hit = todo & amap.keys()
         if hit:
             for lab in hit:
@@ -150,10 +152,6 @@ def _relay_walk(g: Fst, state: int, labels,
         q = b.nextstate
         acc += b.weight
         hops += 1
-        if hops >= g.num_states:
-            raise BackoffCycleError(
-                f"back-off cycle: no back-off chain from state {state} ends "
-                f"within {g.num_states} states")
 
 
 def relay_match(g: Fst, state: int, label: int,
@@ -161,7 +159,8 @@ def relay_match(g: Fst, state: int, label: int,
     """Match a label from a context state, relaying through back-off arcs.
 
     Returns (target state, accumulated weight, hop count); a dead result
-    is (-1, +inf, hops) and means the calling branch must be dropped.
+    is (-1, +inf, hops) and means the calling branch must be dropped.  An
+    LM with a back-off cycle anywhere raises BackoffCycleError.
     """
     if label == 0:
         if stats is not None:
@@ -177,23 +176,15 @@ def relay_match(g: Fst, state: int, label: int,
 
 def relay_final(g: Fst, state: int) -> float:
     """Final weight of a state, following back-off arcs if it has none.
-
-    A back-off chain that returns to a state before reaching a final one
-    is a cycle and raises BackoffCycleError.
-    """
+    An LM with a back-off cycle anywhere raises BackoffCycleError."""
+    maps = _lm(g).maps
     q = state
     acc = 0.0
-    seen = set()
     while True:
         w = g.final(q)
         if w != ZERO:
             return acc + w
-        if q in seen:
-            raise BackoffCycleError(
-                f"back-off cycle: the back-off chain from state {state} "
-                f"returns to state {q} without reaching a final state")
-        seen.add(q)
-        b = find_arc(g, q, 0)
+        b = _label_map(g, maps, q).get(0)
         if b is None:
             return _INF
         acc += b.weight
@@ -204,7 +195,8 @@ def relay_final(g: Fst, state: int) -> float:
 
 class _Derived:
     """What the decoder derived from one graph at one version: its arc
-    tables; as a G4, the relay memo of each G3neg, keyed by G3neg's
+    tables; as an LM, its label maps (None until ``_lm`` has checked the
+    graph); as a G4, the relay memo of each G3neg, keyed by G3neg's
     record; as a search graph, its on-the-fly states, keyed by the relay
     memo they were expanded with.  The keys are weak, so what is keyed by
     a record or memo goes with it.  No record holds a graph.
@@ -213,6 +205,7 @@ class _Derived:
     def __init__(self, version: int):
         self.version = version
         self.tables: Optional[tuple] = None
+        self.maps: Optional[dict] = None
         self.relays = weakref.WeakKeyDictionary()
         self.spaces = weakref.WeakKeyDictionary()
 
@@ -271,15 +264,35 @@ class _States:
 def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
     """The LM pair's memo, made if missing: kept in G4's record under
     G3neg's, so it lasts while both records do."""
-    key = _derived(g3neg)
-    relays = _derived(g4).relays
-    memo = relays.get(key)
+    memo = _derived(g4).relays.get(_derived(g3neg))
     if memo is None:
         _check_acceptor(g3neg)
-        _check_backoff_chains(g3neg, "G3neg")
-        _check_backoff_chains(g4, "G4")
-        memo = relays[key] = _RelayMemo()
+        key = _lm(g3neg, "G3neg")
+        memo = _lm(g4, "G4").relays[key] = _RelayMemo()
     return memo
+
+
+def _lm(g: Fst, name: str = "LM") -> _Derived:
+    """An LM's record.  The first call at a graph version checks that the
+    arcs are input-sorted (else FstError) and that every back-off chain
+    ends, and only then gives the record its label maps; so the walks over
+    them need no guard, and a graph that fails is checked again."""
+    rec = _derived(g)
+    if rec.maps is None:
+        _check_sorted(g)
+        _check_backoff_chains(g, name)
+        rec.maps = {}
+    return rec
+
+
+def _label_map(g: Fst, maps: dict, q: int) -> dict:
+    """Input label -> the arc ``find_arc`` returns for it, at state q of an
+    LM whose record holds ``maps``; made on first use."""
+    amap = maps.get(q)
+    if amap is None:
+        # Reversed, so the first arc of each label in sorted order wins.
+        amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
+    return amap
 
 
 def _check_acceptor(g3neg: Fst) -> None:
@@ -297,11 +310,8 @@ def _check_backoff_chains(g: Fst, name: str) -> None:
     """Every back-off chain of an LM ends, even in parts of it that no
     decode reaches: a chain that returns to a state raises
     BackoffCycleError.  Each state is walked once, marked with the state
-    its walk began from.  The back-off arc is the first arc of an
-    input-sorted state, the one relays follow; an unsorted graph is left to
-    the relay walk, which refuses it."""
-    if not g.input_sorted:
-        return
+    its walk began from.  The back-off arc is the first arc of a state of
+    the input-sorted graph, the one relays follow."""
     arcs_of = g.arcs
     walked = [_NO_STATE] * g.num_states
     for s in g.states():
@@ -321,7 +331,10 @@ def _check_backoff_chains(g: Fst, name: str) -> None:
 
 def _arc_tables(fst: Fst) -> tuple:
     """Per-state arc tuples (ilabel, olabel, weight, nextstate), split into
-    emitting and epsilon-input arcs."""
+    emitting and epsilon-input arcs.  Plain tuples, not the graph's ``Arc``
+    objects: CPython 3.11 unpacks an exact tuple on a fast path that a
+    named tuple misses, which made the ``large-vocab`` static decode about
+    20% slower."""
     rec = _derived(fst)
     if rec.tables is None:
         emit = []
@@ -765,17 +778,8 @@ class Lattice:
 
     fst: Fst
     frames: list[int]
-    _best_cost: Optional[float]  # None until asked for, after rescoring
     utt_id: str = ""
     peak_tokens: int = 0
-
-    @property
-    def best_cost(self) -> float:
-        """The best path's cost; a rescored lattice runs ``best_path``
-        for it when first asked."""
-        if self._best_cost is None:
-            self._best_cost = best_path(self)[1]
-        return self._best_cost
 
 
 def _build_lattice(space: SearchSpace, finals: list, init_token: list,
@@ -853,7 +857,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
     for k, (_, fw) in enumerate(ends):
         fst.set_final(state[k], fw)
     fst.set_initial(state[init])
-    return Lattice(fst, [found[k][1] for k in ordered], best, utt_id)
+    return Lattice(fst, [found[k][1] for k in ordered], utt_id)
 
 
 def best_path(lat: Lattice) -> tuple[list[str], float]:
@@ -987,5 +991,4 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
     out, keep = _connect(out)
-    return Lattice(out, [frames[s] for s in keep], None, lat.utt_id,
-                   lat.peak_tokens)
+    return Lattice(out, [frames[s] for s in keep], lat.utt_id, lat.peak_tokens)

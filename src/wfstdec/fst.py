@@ -114,8 +114,9 @@ class Fst:
 
     The arcs change only through ``add_arc`` and ``arc_sort_input``, and
     each call bumps ``version``; ``arcs(state)`` returns the live list,
-    which callers must not modify.  A table derived from the arcs records
-    the version it was built at and is rebuilt when the version differs.
+    which callers must not modify.  The graph keeps nothing derived from
+    its arcs: a table derived from them records the version it was built
+    at and is rebuilt when the version differs.
     """
 
     def __init__(self, isyms: Optional[SymbolTable] = None, osyms: Optional[SymbolTable] = None):
@@ -126,7 +127,6 @@ class Fst:
         self.osyms = osyms
         self.version = 0
         self._sorted_at: Optional[int] = None  # version of the last arc_sort_input
-        self._arc_maps: dict[int, dict[int, Arc]] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -193,7 +193,6 @@ class Fst:
             arcs.sort(key=lambda a: (a.ilabel, a.weight))
         self.version += 1
         self._sorted_at = self.version
-        self._arc_maps.clear()
 
     @property
     def input_sorted(self) -> bool:
@@ -207,24 +206,19 @@ def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
     The arc list must be input-sorted; ties on ilabel resolve to the
     minimum-weight arc because sorting is by (ilabel, weight).
     """
-    return arc_map(fst, state).get(ilabel)
+    arcs = fst.arcs(state)
+    _check_sorted(fst)
+    for a in arcs:
+        if a.ilabel >= ilabel:
+            return a if a.ilabel == ilabel else None
+    return None
 
 
-def arc_map(fst: Fst, state: int) -> dict[int, Arc]:
-    """Input label -> the arc find_arc returns for it, for one state.
-
-    Built on first use and kept until the next arc_sort_input, so a set of
-    labels can be matched at once with ``labels & arc_map(...).keys()``.
-    After an ``add_arc`` the lookup is refused until the next sort.
-    """
-    fst._check_state(state)
-    if fst._sorted_at != fst.version:
+def _check_sorted(fst: Fst) -> None:
+    """Arc lookups need the arcs sorted at the current version: after an
+    ``add_arc`` they are refused until the next ``arc_sort_input``."""
+    if not fst.input_sorted:
         raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
-    amap = fst._arc_maps.get(state)
-    if amap is None:
-        # Reversed, so the first arc of each label in sorted order wins.
-        amap = fst._arc_maps[state] = {a.ilabel: a for a in reversed(fst._arcs[state])}
-    return amap
 
 
 # -- serialization ---------------------------------------------------------

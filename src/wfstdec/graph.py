@@ -42,8 +42,6 @@ class Lexicon:
     """Morpheme pronunciations over context-independent phones."""
 
     prons: dict[str, list[list[str]]] = field(default_factory=dict)
-    silence_phone: Optional[str] = None
-    silence_cost: float = 0.0
 
     def add(self, morpheme: str, phones: Sequence[str]) -> None:
         if not phones:
@@ -55,8 +53,6 @@ class Lexicon:
         for prons in self.prons.values():
             for p in prons:
                 out.update(p)
-        if self.silence_phone:
-            out.add(self.silence_phone)
         return sorted(out)
 
     @classmethod
@@ -193,9 +189,6 @@ def compile_lexicon(lex: Lexicon, phone_syms: Optional[SymbolTable] = None,
                 dst = loop if i == len(pron) - 1 else fst.add_state()
                 fst.add_arc(src, Arc(pid, olabel, 0.0, dst))
                 src = dst
-    if lex.silence_phone:
-        sid = phone_syms.id_of(lex.silence_phone)
-        fst.add_arc(loop, Arc(sid, 0, lex.silence_cost, loop))
     fst.arc_sort_input()
     return fst
 

@@ -120,6 +120,18 @@ class TestWorkflow:
         assert "wer[static]=0.00" in outs[0]
         assert "wer[rescore]=0.00" in outs[0]
 
+    def test_report_strategy_overrides_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "num_morphemes": 10, "num_phones": 8, "num_sentences": 150,
+            "num_utterances": 3, "utterance_len": [5, 8],
+            "sentence_len": [4, 6], "strategies": ["onthefly", "rescore"]}))
+        code, out, _ = run(capsys, "report", "--config", str(cfg),
+                           "--strategy", "static", "--no-timing")
+        assert code == 0
+        assert "wer[static]=0.00" in out
+        assert "onthefly" not in out and "rescore" not in out
+
 
 class TestErrors:
     def test_onthefly_requires_both_lms(self, workdir, capsys):
@@ -360,6 +372,17 @@ class TestErrors:
         code, out, err = run(capsys, "report", "--config", str(cfg))
         assert code == 2
         assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_failed_stage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"num_morphemes": 100, "num_phones": 2, "pron_len": 2}))
+        code, out, err = run(capsys, "report", "--config", str(cfg))
+        assert code == 1
+        assert err == ("error: stage 'generate' failed: cannot draw 100 "
+                       "distinct pronunciations from 2 phones at length 2 "
+                       "(4 possible)\n")
         assert out == ""
 
     def test_score_without_reference(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wfstdec import decoder
-from wfstdec.acoustic import synthesize_utterance
+from wfstdec.acoustic import AcousticMatrix, synthesize_utterance
 from wfstdec.decoder import (
     BackoffCycleError,
     DecodeError,
@@ -42,6 +42,7 @@ from wfstdec.graph import (
     negate_weights,
 )
 from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
+from wfstdec.pipeline import PipelineConfig
 
 from conftest import MINI_LEXICON_TEXT
 from test_acceptance import _random_model
@@ -149,8 +150,12 @@ class TestBackoffCycle:
         with deadline(5), pytest.raises(BackoffCycleError, match="cycle"):
             relay_match(g, 0, 3)
 
-    def test_match_before_the_cycle_still_resolves(self):
-        assert relay_match(_backoff_cycle_lm(3), 1, 5) == (0, 0.2 + 1.0, 2)
+    def test_match_before_the_cycle_raises(self):
+        # The relay from state 1 would match label 5 at state 0, before it
+        # comes round the ring again; the LM is refused all the same.
+        with deadline(5), pytest.raises(BackoffCycleError,
+                                        match="from LM state 0 returns"):
+            relay_match(_backoff_cycle_lm(3), 1, 5)
 
     def test_decode_onthefly_raises(self):
         hclg = _one_arc_graph(1, 3, 0.2)
@@ -162,17 +167,28 @@ class TestBackoffCycle:
             decode_onthefly(hclg, _backoff_cycle_lm(2), _loop_lm(3, 3, 0.0),
                             matrix)
 
-    @pytest.mark.parametrize("operand", ["G3neg", "G4"])
-    def test_unreached_cycle_raises_before_the_first_frame(self, operand):
-        # The LM's states 1 and 2 back off to each other, and no relay
-        # from state 0 ever reaches them: the decode would succeed.
+    @staticmethod
+    def _unreached_cycle_lm():
+        """States 1 and 2 back off to each other, and no relay from state
+        0 ever reaches them: a decode would succeed."""
         lm = _loop_lm(3, 3, 0.0)
         lm.add_states(2)
         lm.add_arc(1, Arc(0, 0, 0.1, 2))
         lm.add_arc(2, Arc(0, 0, 0.1, 1))
         lm.arc_sort_input()
+        return lm
+
+    @pytest.mark.parametrize("entry", [relay_match, relay_final])
+    def test_relay_refuses_an_unreached_cycle(self, entry):
+        args = (3,) if entry is relay_match else ()
+        with pytest.raises(BackoffCycleError,
+                           match="from LM state 1 returns to state 1"):
+            entry(self._unreached_cycle_lm(), 0, *args)
+
+    @pytest.mark.parametrize("operand", ["G3neg", "G4"])
+    def test_unreached_cycle_raises_before_the_first_frame(self, operand):
         lms = {"G3neg": _loop_lm(3, 3, -0.7), "G4": _loop_lm(3, 3, 0.0)}
-        lms[operand] = lm
+        lms[operand] = self._unreached_cycle_lm()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decoder.SearchSpace, "advance", None)  # no frame runs
             with pytest.raises(BackoffCycleError,
@@ -313,7 +329,9 @@ class TestRelayFinal:
     def test_no_final_on_a_longer_cycle(self):
         g = _backoff_cycle_lm(3)
         g.finals.clear()
-        with deadline(5), pytest.raises(BackoffCycleError, match="state 1"):
+        with deadline(5), pytest.raises(
+                BackoffCycleError,
+                match="from LM state 0 returns to state 0"):
             relay_final(g, 1)
 
     def test_dead_end_without_final(self):
@@ -616,7 +634,7 @@ class TestNegativeCycle:
         fst.set_initial(0)
         fst.set_final(2, 0.0)
         with deadline(5), pytest.raises(NegativeCycleError, match="lattice"):
-            best_path(Lattice(fst, [0, 1, 1], None))
+            best_path(Lattice(fst, [0, 1, 1]))
 
 
 def _tie_graph():
@@ -798,7 +816,7 @@ def _closure_lattice(space, finals, init_token, opts, utt_id):
     for i, (t, fw) in final_of.items():
         fst.set_final(state_of[i], fw)
     fst.set_initial(state_of[id(init_token)])
-    lat = Lattice(fst, [t[1] for t in ordered], best, utt_id)
+    lat = Lattice(fst, [t[1] for t in ordered], utt_id)
     return lat, len(topo) == len(nodes)
 
 
@@ -1055,6 +1073,26 @@ def _assert_stations_equal_full_scan(space, matrix, opts):
     return scanned
 
 
+def _default_task(task_models):
+    """The on-the-fly space of the default task, and the cost matrix of its
+    first utterance as the pipeline synthesizes it."""
+    task, g4model, g3model = task_models
+    cfg = PipelineConfig()
+    syms = make_morpheme_symbols(g4model, with_hash=True)
+    hclg3 = build_search_graph(task.lexicon, g3model, None, syms)
+    space = search_space(
+        hclg3, negate_weights(lm_to_fst(g3model, syms, mode=BACKOFF_EPS)),
+        lm_to_fst(g4model, syms, mode=BACKOFF_EPS))
+    utt_id, morphs = task.utterances[0]
+    phones = hclg3.isyms
+    ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
+    matrix = synthesize_utterance(
+        ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
+        noise=cfg.noise, seed=cfg.seed + 1000, margin=cfg.margin,
+        utt_id=utt_id)
+    return space, matrix
+
+
 class TestStations:
     """Tokens whose relays match at one back-off state share the scan of
     that station's arcs; the result equals a scan of every arc."""
@@ -1082,6 +1120,28 @@ class TestStations:
                                       noise=noise, seed=seed)
         _assert_stations_equal_full_scan(search_space(hclg3, g3neg, g4),
                                          matrix, opts)
+
+    def test_default_task_skips_arcs_wide_open(self, task_models):
+        # The default task's first utterance, wide open, with lattice beam
+        # 0.5: many histories meet at its stations, as they seldom do on the
+        # small drawn tasks.  A spy on the station pass counts the arcs it
+        # leaves out of the plans; the full scan reads exactly those more.
+        space, matrix = _default_task(task_models)
+        meet = space._meet
+        skipped = 0
+
+        def spy(tokens, slack):
+            nonlocal skipped
+            plan = meet(tokens, slack)
+            for sid, arcs in plan.items():
+                skipped += len(_all_arcs(space, sid)) - len(arcs)
+            return plan
+
+        space._meet = spy
+        opts = DecodeOptions(beam=INF, max_active=10 ** 9, lattice_beam=0.5)
+        got, full = _assert_stations_equal_full_scan(space, matrix, opts)
+        assert skipped > 0
+        assert full - got == skipped
 
     @staticmethod
     def _meeting():
@@ -1152,14 +1212,14 @@ class TestBestPath:
         fst.add_arc(1, Arc(1, syms.id_of("c"), 0.0, 3))
         fst.set_final(2, 0.0)
         fst.set_final(3, 1.0)
-        lat = Lattice(fst, [0, 1, 2, 2], 1.0)
+        lat = Lattice(fst, [0, 1, 2, 2])
         seq, cost = best_path(lat)
         assert seq == ["a", "b"]
         assert cost == pytest.approx(1.0)
 
     def test_empty_lattice_raises(self):
         with pytest.raises(EmptyResultError):
-            best_path(Lattice(Fst(), [], 0.0, utt_id="u"))
+            best_path(Lattice(Fst(), [], utt_id="u"))
 
 
 # -- end-to-end over the mini-corpus graphs --------------------------------
@@ -1229,6 +1289,23 @@ class TestEndToEnd:
         second = rescore_lattice(first, mini["g3neg"], mini["g4fst"])
         assert second.peak_tokens == first.peak_tokens
 
+    @pytest.mark.parametrize("strategy", ["static", "onthefly"])
+    def test_acoustic_scale_equals_scaled_costs(self, mini, strategy):
+        matrix = _utt(mini, SENT, noise=1.0, seed=2)
+        doubled = AcousticMatrix(matrix.utt_id, matrix.costs * 2.0)
+        lats = []
+        for m, scale in ((matrix, 2.0), (doubled, 1.0)):
+            opts = DecodeOptions(acoustic_scale=scale)
+            if strategy == "static":
+                lats.append(decode_static(mini["hclg4"], m, opts))
+            else:
+                lats.append(decode_onthefly(mini["hclg3"], mini["g3neg"],
+                                            mini["g4fst"], m, opts))
+        got, want = lats
+        assert best_path(got) == best_path(want)
+        assert got.frames == want.frames
+        assert write_text_fst(got.fst) == write_text_fst(want.fst)
+
     def test_widening_beam_never_hurts(self, mini):
         matrix = _utt(mini, SENT, noise=2.0, seed=3)
         costs = []
@@ -1264,17 +1341,16 @@ class TestEndToEnd:
             for a in fst.arcs(s):
                 assert lat.frames[a.nextstate] >= lat.frames[s]
         alpha, beta = self._costs(fst)
+        best = best_path(lat)[1]
         assert min(alpha[s] + fst.final(s) for s in fst.finals) == \
-            pytest.approx(lat.best_cost, abs=1e-9)
+            pytest.approx(best, abs=1e-9)
         # Every kept state lies on a path within lattice_beam of the best;
         # rescoring does not prune again, so there on a successful path.
         for s in fst.states():
             if strategy == "rescore":
                 assert alpha[s] + beta[s] < INF
             else:
-                assert alpha[s] + beta[s] <= \
-                    lat.best_cost + opts.lattice_beam + 1e-6
-        assert best_path(lat)[1] == pytest.approx(lat.best_cost, abs=1e-9)
+                assert alpha[s] + beta[s] <= best + opts.lattice_beam + 1e-6
 
     @staticmethod
     def _costs(fst):

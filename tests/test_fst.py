@@ -15,7 +15,6 @@ from wfstdec.fst import (
     FstError,
     ParseError,
     SymbolTable,
-    arc_map,
     connect,
     find_arc,
     read_text_fst,
@@ -138,17 +137,18 @@ class TestStructure:
         assert fst.version == 1
         fst.arc_sort_input()
         assert fst.version == 2 and fst.input_sorted
-        assert arc_map(fst, 0) == {1: Arc(1, 1, 0.0, 1)}
+        assert find_arc(fst, 0, 1) == Arc(1, 1, 0.0, 1)
         fst.add_arc(0, Arc(2, 2, 0.0, 1))
         assert fst.version == 3 and not fst.input_sorted
         with pytest.raises(FstError, match="input-sorted"):
             find_arc(fst, 0, 2)
         fst.add_arc(1, Arc(2, 2, 0.0, 0))
         with pytest.raises(FstError, match="input-sorted"):
-            arc_map(fst, 1)
-        fst.arc_sort_input()  # rebuilds the arc map made before the add
+            find_arc(fst, 1, 2)
+        fst.arc_sort_input()
         assert fst.version == 5 and fst.input_sorted
-        assert arc_map(fst, 0) == {1: Arc(1, 1, 0.0, 1), 2: Arc(2, 2, 0.0, 1)}
+        assert find_arc(fst, 0, 1) == Arc(1, 1, 0.0, 1)
+        assert find_arc(fst, 0, 2) == Arc(2, 2, 0.0, 1)
         assert find_arc(fst, 1, 2) == Arc(2, 2, 0.0, 0)
         fst.arc_sort_input()  # a re-sort is a new version too
         assert fst.version == 6 and fst.num_arcs == 3

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import (ZERO, Arc, Fst, SymbolTable, _check_sorted, _connect,
-                  find_arc)
+from .fst import ZERO, Arc, Fst, FstError, SymbolTable, _connect
 
 _INF = ZERO
 _NO_STATE = -1
@@ -279,15 +278,17 @@ def _lm(g: Fst, name: str = "LM") -> _Derived:
     them need no guard, and a graph that fails is checked again."""
     rec = _derived(g)
     if rec.maps is None:
-        _check_sorted(g)
+        if not g.input_sorted:
+            raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
         _check_backoff_chains(g, name)
         rec.maps = {}
     return rec
 
 
 def _label_map(g: Fst, maps: dict, q: int) -> dict:
-    """Input label -> the arc ``find_arc`` returns for it, at state q of an
-    LM whose record holds ``maps``; made on first use."""
+    """Input label -> its first arc in sorted order (the arc ``find_arc``
+    returns), at state q of an LM whose record holds ``maps``; made on
+    first use."""
     amap = maps.get(q)
     if amap is None:
         # Reversed, so the first arc of each label in sorted order wins.
@@ -310,18 +311,24 @@ def _check_backoff_chains(g: Fst, name: str) -> None:
     """Every back-off chain of an LM ends, even in parts of it that no
     decode reaches: a chain that returns to a state raises
     BackoffCycleError.  Each state is walked once, marked with the state
-    its walk began from.  The back-off arc is the first arc of a state of
-    the input-sorted graph, the one relays follow."""
+    its walk began from.  The back-off arc is the first arc with input
+    label 0 of an input-sorted state, the one ``_label_map`` gives the
+    relays; labels below 0 sort before it."""
     arcs_of = g.arcs
     walked = [_NO_STATE] * g.num_states
     for s in g.states():
         q = s
         while walked[q] == _NO_STATE:
             walked[q] = s
-            arcs = arcs_of(q)
-            if not arcs or arcs[0].ilabel:
+            b = None
+            for a in arcs_of(q):
+                if a.ilabel >= 0:
+                    if a.ilabel == 0:
+                        b = a
+                    break
+            if b is None:
                 break
-            q = arcs[0].nextstate
+            q = b.nextstate
         else:
             if walked[q] == s:
                 raise BackoffCycleError(
@@ -692,7 +699,8 @@ class _OnTheFlySpace(SearchSpace):
     def backoff(self, g: int, q1: int) -> int:
         """G3neg's back-off target from g, where search-graph state q1,
         composed from g, takes an epsilon back-off arc."""
-        b = find_arc(self.g3neg, g, 0) if g >= 0 else None
+        g3neg = self.g3neg
+        b = _label_map(g3neg, _lm(g3neg).maps, g).get(0) if g >= 0 else None
         if b is None:
             raise ProvenanceError(
                 f"search graph state {q1} backs off from G3neg state {g}, "

@@ -207,18 +207,12 @@ def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
     minimum-weight arc because sorting is by (ilabel, weight).
     """
     arcs = fst.arcs(state)
-    _check_sorted(fst)
+    if not fst.input_sorted:
+        raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
     for a in arcs:
         if a.ilabel >= ilabel:
             return a if a.ilabel == ilabel else None
     return None
-
-
-def _check_sorted(fst: Fst) -> None:
-    """Arc lookups need the arcs sorted at the current version: after an
-    ``add_arc`` they are refused until the next ``arc_sort_input``."""
-    if not fst.input_sorted:
-        raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
 
 
 # -- serialization ---------------------------------------------------------

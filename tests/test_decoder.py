@@ -185,6 +185,32 @@ class TestBackoffCycle:
                            match="from LM state 1 returns to state 1"):
             entry(self._unreached_cycle_lm(), 0, *args)
 
+    @staticmethod
+    def _negative_label_cycle_lm():
+        """A ring of back-off arcs whose states also carry a label -1 arc,
+        which sorts before the back-off arc."""
+        lm = _backoff_cycle_lm(3)
+        for s in lm.states():
+            lm.add_arc(s, Arc(-1, -1, 0.5, s))
+        lm.arc_sort_input()
+        assert all(lm.arcs(s)[0].ilabel == -1 for s in lm.states())
+        return lm
+
+    @pytest.mark.parametrize("entry", ["relay_match", "relay_final",
+                                       "decode_onthefly"])
+    def test_back_off_arc_after_a_negative_label(self, entry):
+        lm = self._negative_label_cycle_lm()
+        with deadline(5), pytest.raises(BackoffCycleError, match="returns"):
+            if entry == "relay_match":
+                relay_match(lm, 1, 3)
+            elif entry == "relay_final":
+                for s in lm.states():
+                    lm.set_final(s, ZERO)
+                relay_final(lm, 1)
+            else:
+                decode_onthefly(_one_arc_graph(1, 3, 0.2), _loop_lm(3, 3, -0.7),
+                                lm, synthesize_utterance([1], 1))
+
     @pytest.mark.parametrize("operand", ["G3neg", "G4"])
     def test_unreached_cycle_raises_before_the_first_frame(self, operand):
         lms = {"G3neg": _loop_lm(3, 3, -0.7), "G4": _loop_lm(3, 3, 0.0)}

@@ -47,7 +47,7 @@ def cmd_graph_build(args) -> int:
         graph = gb.build_search_graph(lex, model)
         isyms, osyms = graph.isyms, graph.osyms
     else:
-        graph = gb.lm_to_fst(model, mode=args.backoff_mode)
+        graph = gb.lm_to_fst(model)
         if args.negate:
             graph = gb.negate_weights(graph)
         isyms = osyms = graph.isyms
@@ -182,8 +182,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("graph-build", help="compile LM (and lexicon) into a WFST")
     p.add_argument("--lm", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--backoff-mode", choices=[gb.BACKOFF_EPS, gb.BACKOFF_HASH],
-                   default=gb.BACKOFF_EPS)
     p.add_argument("--negate", action="store_true")
     p.add_argument("--isymbols")
     p.add_argument("--osymbols")

@@ -42,6 +42,8 @@ import heapq
 import numbers
 import weakref
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
@@ -117,20 +119,25 @@ def _relay_walk(g: Fst, state: int, labels,
     """Back-off relay walk for a set of labels at once.
 
     Follows the back-off chain from ``state``; at each state on it, every
-    label not yet matched is looked up in the state's label map.  Returns
-    ({label: (matched arc, accumulated hop weight, hops, state matched
-    at)}, hops taken by the labels left dead).  ``stats`` counts per label
-    and per hop, as if each label walked alone.  ``_lm`` has checked that
-    the chain ends.
+    label not yet matched is looked up in the state's label map (input
+    label -> its first arc in sorted order, the arc ``find_arc`` returns;
+    made on first use).  Returns ({label: (matched arc, accumulated hop
+    weight, hops, state matched at)}, hops taken by the labels left dead).
+    ``stats`` counts per label and per hop, as if each label walked alone.
+    ``_lm`` has checked that the chain ends.
     """
-    maps = _lm(g).maps
+    rec = _lm(g)
+    maps, back = rec.maps, rec.back
     found = {}
     todo = set(labels)
     acc = 0.0
     hops = 0
     q = state
     while True:
-        amap = _label_map(g, maps, q)
+        amap = maps.get(q)
+        if amap is None:
+            # Reversed, so the first arc of each label in sorted order wins.
+            amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
         hit = todo & amap.keys()
         if hit:
             for lab in hit:
@@ -138,7 +145,7 @@ def _relay_walk(g: Fst, state: int, labels,
             todo -= hit
             if not todo:
                 return found, hops
-        b = amap.get(0)
+        b = back[q]
         if stats is not None:
             n = len(todo)
             stats.failed_direct_matches += n
@@ -176,14 +183,16 @@ def relay_match(g: Fst, state: int, label: int,
 def relay_final(g: Fst, state: int) -> float:
     """Final weight of a state, following back-off arcs if it has none.
     An LM with a back-off cycle anywhere raises BackoffCycleError."""
-    maps = _lm(g).maps
+    back = _lm(g).back
+    if not 0 <= state < len(back):
+        raise FstError(f"invalid state id {state}")
     q = state
     acc = 0.0
     while True:
         w = g.final(q)
         if w != ZERO:
             return acc + w
-        b = _label_map(g, maps, q).get(0)
+        b = back[q]
         if b is None:
             return _INF
         acc += b.weight
@@ -194,16 +203,17 @@ def relay_final(g: Fst, state: int) -> float:
 
 class _Derived:
     """What the decoder derived from one graph at one version: its arc
-    tables; as an LM, its label maps (None until ``_lm`` has checked the
-    graph); as a G4, the relay memo of each G3neg, keyed by G3neg's
-    record; as a search graph, its on-the-fly states, keyed by the relay
-    memo they were expanded with.  The keys are weak, so what is keyed by
-    a record or memo goes with it.  No record holds a graph.
+    tables; as an LM, its back-off arcs and label maps (None until ``_lm``
+    has checked it); as a G4, the relay memo of each G3neg, keyed by
+    G3neg's record; as a search graph, its on-the-fly states, keyed by the
+    relay memo they were expanded with.  The keys are weak, so what is
+    keyed by a record or memo goes with it.  No record holds a graph.
     """
 
     def __init__(self, version: int):
         self.version = version
         self.tables: Optional[tuple] = None
+        self.back: Optional[list] = None
         self.maps: Optional[dict] = None
         self.relays = weakref.WeakKeyDictionary()
         self.spaces = weakref.WeakKeyDictionary()
@@ -265,7 +275,6 @@ def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
     G3neg's, so it lasts while both records do."""
     memo = _derived(g4).relays.get(_derived(g3neg))
     if memo is None:
-        _check_acceptor(g3neg)
         key = _lm(g3neg, "G3neg")
         memo = _lm(g4, "G4").relays[key] = _RelayMemo()
     return memo
@@ -273,59 +282,41 @@ def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
     """An LM's record.  The first call at a graph version checks that the
-    arcs are input-sorted (else FstError) and that every back-off chain
-    ends, and only then gives the record its label maps; so the walks over
-    them need no guard, and a graph that fails is checked again."""
+    arcs are input-sorted (else FstError) and makes the back-off table,
+    which checks the rest, and only then gives the record its label maps;
+    so the walks need no guard, and a graph that fails is checked again."""
     rec = _derived(g)
-    if rec.maps is None:
+    if rec.back is None:
         if not g.input_sorted:
             raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
-        _check_backoff_chains(g, name)
+        rec.back = _backoff_table(g, name)
         rec.maps = {}
     return rec
 
 
-def _label_map(g: Fst, maps: dict, q: int) -> dict:
-    """Input label -> its first arc in sorted order (the arc ``find_arc``
-    returns), at state q of an LM whose record holds ``maps``; made on
-    first use."""
-    amap = maps.get(q)
-    if amap is None:
-        # Reversed, so the first arc of each label in sorted order wins.
-        amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
-    return amap
-
-
-def _check_acceptor(g3neg: Fst) -> None:
-    """G3neg is read as an acceptor: the relay walks G4 with the labels
-    G3neg matched.  An arc whose labels differ raises DecodeError."""
-    for s in g3neg.states():
-        for a in g3neg.arcs(s):
-            if a.ilabel != a.olabel:
-                raise DecodeError(
-                    f"G3neg is not an acceptor: state {s} has arc "
-                    f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
-
-
-def _check_backoff_chains(g: Fst, name: str) -> None:
-    """Every back-off chain of an LM ends, even in parts of it that no
-    decode reaches: a chain that returns to a state raises
-    BackoffCycleError.  Each state is walked once, marked with the state
-    its walk began from.  The back-off arc is the first arc with input
-    label 0 of an input-sorted state, the one ``_label_map`` gives the
-    relays; labels below 0 sort before it."""
-    arcs_of = g.arcs
-    walked = [_NO_STATE] * g.num_states
+def _backoff_table(g: Fst, name: str) -> list:
+    """Each state's back-off arc or None, from one pass over an LM.  The
+    relays walk G4 with the labels G3neg matched, so an arc whose labels
+    differ (``#0:eps``, say) raises DecodeError.  No label is negative, so
+    a back-off arc comes first in its input-sorted state.  A back-off
+    chain that returns to a state raises BackoffCycleError, even where no
+    decode goes; each state is walked once, marked with the state its walk
+    began from."""
+    back = []
     for s in g.states():
+        arcs = g.arcs(s)
+        for a in arcs:
+            if a[0] != a[1]:  # faster than the named fields
+                raise DecodeError(
+                    f"{name} is not an acceptor: state {s} has arc "
+                    f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
+        back.append(arcs[0] if arcs and not arcs[0].ilabel else None)
+    walked = [_NO_STATE] * len(back)
+    for s in range(len(back)):
         q = s
         while walked[q] == _NO_STATE:
             walked[q] = s
-            b = None
-            for a in arcs_of(q):
-                if a.ilabel >= 0:
-                    if a.ilabel == 0:
-                        b = a
-                    break
+            b = back[q]
             if b is None:
                 break
             q = b.nextstate
@@ -334,14 +325,15 @@ def _check_backoff_chains(g: Fst, name: str) -> None:
                 raise BackoffCycleError(
                     f"back-off cycle: the back-off chain from {name} state "
                     f"{s} returns to state {q}")
+    return back
 
 
 def _arc_tables(fst: Fst) -> tuple:
     """Per-state arc tuples (ilabel, olabel, weight, nextstate), split into
-    emitting and epsilon-input arcs.  Plain tuples, not the graph's ``Arc``
-    objects: CPython 3.11 unpacks an exact tuple on a fast path that a
-    named tuple misses, which made the ``large-vocab`` static decode about
-    20% slower."""
+    emitting and epsilon-input arcs, and the largest emitting input label
+    (0 if none).  Plain tuples, not the graph's ``Arc`` objects: CPython
+    3.11 unpacks an exact tuple on a fast path that a named tuple misses,
+    which made the ``large-vocab`` static decode about 20% slower."""
     rec = _derived(fst)
     if rec.tables is None:
         emit = []
@@ -353,7 +345,8 @@ def _arc_tables(fst: Fst) -> tuple:
                 (e if a.ilabel else z).append(tuple(a))
             emit.append(tuple(e))
             eps.append(tuple(z))
-        rec.tables = (emit, eps)
+        top = max(map(itemgetter(0), chain.from_iterable(emit)), default=0)
+        rec.tables = (emit, eps, top)
     return rec.tables
 
 
@@ -379,7 +372,7 @@ class SearchSpace:
 
     def __init__(self, graph: Fst):
         self.graph = graph
-        self.emit, self.eps = _arc_tables(graph)
+        self.emit, self.eps, _ = _arc_tables(graph)
         self.initial = graph.initial
 
     def triple(self, sid: int) -> tuple:
@@ -699,8 +692,7 @@ class _OnTheFlySpace(SearchSpace):
     def backoff(self, g: int, q1: int) -> int:
         """G3neg's back-off target from g, where search-graph state q1,
         composed from g, takes an epsilon back-off arc."""
-        g3neg = self.g3neg
-        b = _label_map(g3neg, _lm(g3neg).maps, g).get(0) if g >= 0 else None
+        b = _lm(self.g3neg).back[g]
         if b is None:
             raise ProvenanceError(
                 f"search graph state {q1} backs off from G3neg state {g}, "
@@ -922,6 +914,10 @@ def _decode(space: SearchSpace, acoustic: AcousticMatrix,
             opts: DecodeOptions, utt_id: str) -> Lattice:
     if space.graph.initial < 0:
         raise DecodeError("search graph has no initial state")
+    top = _arc_tables(space.graph)[2]
+    if top > acoustic.num_symbols:
+        raise DecodeError(f"search graph input label {top} is outside the "
+                          f"acoustic matrix's {acoustic.num_symbols} symbols")
     utt_id = utt_id or acoustic.utt_id
     init = [space.initial, 0, 0.0]
     tokens = {init[0]: init}

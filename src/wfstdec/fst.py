@@ -160,8 +160,9 @@ class Fst:
             raise FstError(f"invalid state id {state}")
         if not 0 <= arc.nextstate < n:
             raise FstError(f"invalid state id {arc.nextstate}")
-        if math.isnan(arc.weight):
-            raise FstError("NaN arc weight")
+        if arc.ilabel < 0 or arc.olabel < 0 or math.isnan(arc.weight):
+            raise FstError("NaN arc weight" if math.isnan(arc.weight) else
+                           f"negative label in arc {arc.ilabel}:{arc.olabel}")
         arcs[state].append(arc)
         self.version += 1
 
@@ -267,6 +268,8 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
             finals.append((ln, src, w))
             max_state = max(max_state, src)
             continue
+        if il < 0 or ol < 0:
+            raise ParseError(ln, f"negative label in {raw!r}")
         if isyms is not None and not isyms.has_id(il):
             raise ParseError(ln, f"unknown input symbol id {il}")
         if osyms is not None and not osyms.has_id(ol):

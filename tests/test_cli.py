@@ -6,6 +6,9 @@ import pytest
 
 from wfstdec import pipeline
 from wfstdec.cli import main
+from wfstdec.fst import SymbolTable, write_text_fst
+from wfstdec.graph import BACKOFF_HASH, lm_to_fst, negate_weights
+from wfstdec.ngram import parse_arpa
 
 from conftest import MINI_CORPUS, MINI_LEXICON_TEXT
 from test_decoder import deadline
@@ -217,20 +220,56 @@ class TestErrors:
                               "G3neg states 1 and 2")
         assert out == ""
 
+    @staticmethod
+    def _decode_with_hash_backoff_labels(workdir, capsys, tmp_path, lm,
+                                         strategy):
+        """Decode with the LM behind --<lm> built with #0:eps back-off
+        arcs, which make it a transducer."""
+        model = parse_arpa((workdir / ("g3.arpa" if lm == "g3neg" else
+                                       "g4.arpa")).read_text())
+        syms = SymbolTable.read_text((workdir / "morphs.syms").read_text())
+        fst = lm_to_fst(model, syms, mode=BACKOFF_HASH)
+        path = tmp_path / f"{lm}.fst"
+        path.write_text(write_text_fst(
+            negate_weights(fst) if lm == "g3neg" else fst))
+        argv = _decode_argv(workdir, strategy)
+        argv[argv.index(f"--{lm}") + 1] = str(path)
+        return run(capsys, *argv)
+
     @pytest.mark.parametrize("strategy", ["onthefly", "rescore"])
     def test_g3neg_with_hash_backoff_labels(self, workdir, capsys, tmp_path,
                                             strategy):
-        # Back-off arcs labelled #0:eps make G3neg a transducer, which the
-        # relay refuses instead of scoring.
-        g3neg = tmp_path / "g3neg.fst"
-        assert main(["graph-build", "--lm", str(workdir / "g3.arpa"),
-                     "--negate", "--backoff-mode", "#0", str(g3neg)]) == 0
-        capsys.readouterr()
-        argv = _decode_argv(workdir, strategy)
-        argv[argv.index("--g3neg") + 1] = str(g3neg)
-        code, out, err = run(capsys, *argv)
+        # The relay refuses a transducer instead of scoring it.
+        code, out, err = self._decode_with_hash_backoff_labels(
+            workdir, capsys, tmp_path, "g3neg", strategy)
         assert code == 1
         assert err.startswith("error: G3neg is not an acceptor: state ")
+        assert out == ""
+
+    @pytest.mark.parametrize("strategy", ["onthefly", "rescore"])
+    def test_g4_with_hash_backoff_labels(self, workdir, capsys, tmp_path,
+                                         strategy):
+        code, out, err = self._decode_with_hash_backoff_labels(
+            workdir, capsys, tmp_path, "g4", strategy)
+        assert code == 1
+        assert err.startswith("error: G4 is not an acceptor: state ")
+        assert out == ""
+
+    @pytest.mark.parametrize("label, message", [
+        (-1, "line 1: negative label in '0 1 -1 0 0.5'"),
+        (99, "search graph input label 99 is outside the acoustic matrix's "
+             "2 symbols"),
+    ], ids=["negative", "too-large"])
+    def test_label_outside_the_acoustic_matrix(self, capsys, tmp_path,
+                                               label, message):
+        graph = tmp_path / "graph.fst"
+        graph.write_text(f"0 1 {label} 0 0.5\n1 0\n")
+        utt = tmp_path / "utt.ac"
+        utt.write_text("utt u frames 1 symbols 2\n0.0 1.0\n")
+        code, out, err = run(capsys, "decode", "--strategy", "static",
+                             "--graph", str(graph), "--acoustic", str(utt))
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize("option, value", [

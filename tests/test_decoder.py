@@ -34,6 +34,7 @@ from wfstdec.fst import (ZERO, Arc, Fst, FstError, SymbolTable, find_arc,
                          write_text_fst)
 from wfstdec.graph import (
     BACKOFF_EPS,
+    BACKOFF_HASH,
     Lexicon,
     build_search_graph,
     cost_from_log10,
@@ -185,32 +186,6 @@ class TestBackoffCycle:
                            match="from LM state 1 returns to state 1"):
             entry(self._unreached_cycle_lm(), 0, *args)
 
-    @staticmethod
-    def _negative_label_cycle_lm():
-        """A ring of back-off arcs whose states also carry a label -1 arc,
-        which sorts before the back-off arc."""
-        lm = _backoff_cycle_lm(3)
-        for s in lm.states():
-            lm.add_arc(s, Arc(-1, -1, 0.5, s))
-        lm.arc_sort_input()
-        assert all(lm.arcs(s)[0].ilabel == -1 for s in lm.states())
-        return lm
-
-    @pytest.mark.parametrize("entry", ["relay_match", "relay_final",
-                                       "decode_onthefly"])
-    def test_back_off_arc_after_a_negative_label(self, entry):
-        lm = self._negative_label_cycle_lm()
-        with deadline(5), pytest.raises(BackoffCycleError, match="returns"):
-            if entry == "relay_match":
-                relay_match(lm, 1, 3)
-            elif entry == "relay_final":
-                for s in lm.states():
-                    lm.set_final(s, ZERO)
-                relay_final(lm, 1)
-            else:
-                decode_onthefly(_one_arc_graph(1, 3, 0.2), _loop_lm(3, 3, -0.7),
-                                lm, synthesize_utterance([1], 1))
-
     @pytest.mark.parametrize("operand", ["G3neg", "G4"])
     def test_unreached_cycle_raises_before_the_first_frame(self, operand):
         lms = {"G3neg": _loop_lm(3, 3, -0.7), "G4": _loop_lm(3, 3, 0.0)}
@@ -326,6 +301,49 @@ class TestAcceptorG3neg:
         lat = decode_static(_one_arc_graph(1, 1, 0.2), synthesize_utterance([1], 1))
         with pytest.raises(DecodeError, match="not an acceptor: state 0"):
             rescore_lattice(lat, _transducer_g3neg(7), _loop_lm(7, 7, 0.5))
+
+
+@pytest.mark.parametrize("state", [-1, 2])
+@pytest.mark.parametrize("entry", [relay_match, relay_final])
+def test_relay_refuses_a_state_out_of_range(entry, state):
+    # The last state backs off to state 0, which reads label 5 and is
+    # final: a table read at index -1 would return a result.
+    fst = Fst()
+    fst.add_states(2)
+    fst.add_arc(0, Arc(5, 5, 1.0, 0))
+    fst.add_arc(1, Arc(0, 0, 0.2, 0))
+    fst.set_final(0, 0.3)
+    fst.arc_sort_input()
+    args = (5,) if entry is relay_match else ()
+    with pytest.raises(FstError, match=f"^invalid state id {state}$"):
+        entry(fst, state, *args)
+
+
+class TestAcceptorG4:
+    def test_hash_backoff_labels_raise_on_the_default_task(self, task_models):
+        # G4 with #0:eps back-off arcs is a transducer.  A sentence with a
+        # bigram that G4 does not list backs off in G4: with epsilon
+        # back-off labels it decodes to its transcript, with #0 labels the
+        # decode is refused instead of scored.
+        task, g4model, g3model = task_models
+        syms = make_morpheme_symbols(g4model, with_hash=True)
+        hclg3 = build_search_graph(task.lexicon, g3model, None, syms)
+        g3neg = negate_weights(lm_to_fst(g3model, syms, mode=BACKOFF_EPS))
+        words = sorted(task.lexicon.prons)
+        rng = random.Random(0)
+        while True:
+            sent = [rng.choice(words) for _ in range(6)]
+            if any(g4model.entry(pair) is None for pair in zip(sent, sent[1:])):
+                break
+        phones = hclg3.isyms
+        matrix = synthesize_utterance(
+            [phones.id_of(p) for m in sent for p in task.lexicon.prons[m][0]],
+            len(phones) - 1)
+        g4 = lm_to_fst(g4model, syms, mode=BACKOFF_EPS)
+        assert best_path(decode_onthefly(hclg3, g3neg, g4, matrix))[0] == sent
+        g4 = lm_to_fst(g4model, syms, mode=BACKOFF_HASH)
+        with pytest.raises(DecodeError, match="^G4 is not an acceptor: state "):
+            decode_onthefly(hclg3, g3neg, g4, matrix)
 
 
 class TestRelayFinal:

@@ -129,6 +129,16 @@ class TestStructure:
             fst.add_arc(0, Arc(1, 1, math.nan, 1))
         assert fst.num_arcs == 0
 
+    @pytest.mark.parametrize("arc", [Arc(-1, 1, 0.0, 1), Arc(1, -2, 0.0, 1)],
+                             ids=["ilabel", "olabel"])
+    def test_add_arc_refuses_a_negative_label(self, arc):
+        fst = Fst()
+        fst.add_states(2)
+        with pytest.raises(FstError, match=r"^negative label in arc "
+                           f"{arc.ilabel}:{arc.olabel}$"):
+            fst.add_arc(0, arc)
+        assert fst.num_arcs == 0 and fst.version == 0
+
     def test_add_arc_drops_what_depends_on_the_arcs(self):
         fst = Fst()
         fst.add_states(2)
@@ -195,6 +205,11 @@ class TestTextFormat:
     def test_dangling_nextstate(self):
         with pytest.raises(ParseError, match="dangling"):
             read_text_fst("0\t5\t1\t1\t0.5\n0\t0.0\n")
+
+    @pytest.mark.parametrize("arc", ["0 1 -1 1 0.5", "0 1 1 -1 0.5"])
+    def test_negative_label_names_the_line(self, arc):
+        with pytest.raises(ParseError, match=f"^line 2: negative label in '{arc}'$"):
+            read_text_fst(f"# header\n{arc}\n1 0\n")
 
     def test_unknown_symbol_id(self):
         syms = SymbolTable()

@@ -109,20 +109,34 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
-    refs = {}
-    for line in _read(args.ref).splitlines():
+def _utterances(text: str, kind: str) -> dict:
+    """A score input's tokens by utterance id, in line order."""
+    out = {}
+    for line in text.splitlines():
         if line.strip():
             uid, *toks = line.split()
-            refs[uid] = toks
+            if uid in out:
+                raise ValueError(f"{kind} {uid} is given twice")
+            out[uid] = toks
+    return out
+
+
+def cmd_score(args) -> int:
+    ref_text, hyp_text = _read(args.ref), _read(args.hyp)
+    try:
+        refs = _utterances(ref_text, "reference")
+        hyps = _utterances(hyp_text, "hypothesis")
+        for uid in hyps:
+            if uid not in refs:
+                raise ValueError(f"no reference for {uid}")
+        for uid in refs:
+            if uid not in hyps:
+                raise ValueError(f"no hypothesis for {uid}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     total_err = total_ref = 0
-    for line in _read(args.hyp).splitlines():
-        if not line.strip():
-            continue
-        uid, *toks = line.split()
-        if uid not in refs:
-            print(f"error: no reference for {uid}", file=sys.stderr)
-            return 2
+    for uid, toks in hyps.items():
         _, s, i, d = metrics.wer_score(refs[uid], toks)
         total_err += s + i + d
         total_ref += len(refs[uid])

@@ -205,9 +205,10 @@ class _Derived:
     """What the decoder derived from one graph at one version: its arc
     tables; as an LM, its back-off arcs and label maps (None until ``_lm``
     has checked it); as a G4, the relay memo of each G3neg, keyed by
-    G3neg's record; as a search graph, its on-the-fly states, keyed by the
-    relay memo they were expanded with.  The keys are weak, so what is
-    keyed by a record or memo goes with it.  No record holds a graph.
+    G3neg's record; as a search graph or a rescored lattice, its on-the-fly
+    states, keyed by the relay memo they were expanded with.  The keys are
+    weak, so what is keyed by a record or memo goes with it.  No record
+    holds a graph.
     """
 
     def __init__(self, version: int):
@@ -250,34 +251,18 @@ class _RelayMemo:
 class _States:
     """An on-the-fly space's interned states and their expanded arcs
     (``shared`` holds the emitting arcs of each state with station
-    segments); per search-graph state the G3neg state it was composed
-    from, and the ``eps`` entry of a new search state over it: True (not
-    yet expanded) or, where it has no epsilon-input arcs, an empty table.
-
-    ``graph_arcs`` are the search graph's arc tables.  A lattice walk
-    (``tables`` false) expands the arcs it is handed and needs none.
+    segments); the search graph's arc tables; per search-graph state the
+    G3neg state it was composed from, and the ``eps`` entry of a new
+    search state over it: True (not yet expanded) or, where it has no
+    epsilon-input arcs, an empty table.
     """
 
-    def __init__(self, graph: Fst, tables: bool = True):
+    def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.shared = {}
         self.g3 = [_NO_STATE] * graph.num_states
-        if tables:
-            self.graph_arcs = _arc_tables(graph)
-            self.new_eps = [True if z else () for z in self.graph_arcs[1]]
-        else:
-            self.graph_arcs = None
-            self.new_eps = [True] * graph.num_states
-
-
-def _relay_memo(g3neg: Fst, g4: Fst) -> _RelayMemo:
-    """The LM pair's memo, made if missing: kept in G4's record under
-    G3neg's, so it lasts while both records do."""
-    memo = _derived(g4).relays.get(_derived(g3neg))
-    if memo is None:
-        key = _lm(g3neg, "G3neg")
-        memo = _lm(g4, "G4").relays[key] = _RelayMemo()
-    return memo
+        self.graph_arcs = _arc_tables(graph)
+        self.new_eps = [True if z else () for z in self.graph_arcs[1]]
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -746,16 +731,18 @@ def _labels(seg: list) -> int:
     return labels
 
 
-def search_space(graph: Fst, g3neg: Optional[Fst] = None,
-                 g4: Optional[Fst] = None,
-                 stats: Optional[RelayStats] = None) -> SearchSpace:
-    """The static space of graph or, given both LMs, the on-the-fly one
-    over graph as HCLG3, with ``stats`` counting its relay memo misses.
-    An on-the-fly space's states are kept in the search graph's record,
-    under the LM pair's memo."""
-    if g3neg is None:
-        return SearchSpace(graph)
-    memo = _relay_memo(g3neg, g4)
+def search_space(graph: Fst, g3neg: Fst, g4: Fst,
+                 stats: Optional[RelayStats] = None) -> _OnTheFlySpace:
+    """The on-the-fly space over graph (HCLG3 or a first-pass lattice) and
+    both LMs, with ``stats`` counting its relay memo misses.  The LM
+    pair's memo is kept in G4's record under G3neg's, so it lasts while
+    both records do; the space's states are kept in graph's record under
+    the memo.  A static space is ``SearchSpace(graph)``."""
+    key = _lm(g3neg, "G3neg")
+    relays = _lm(g4, "G4").relays
+    memo = relays.get(key)
+    if memo is None:
+        memo = relays[key] = _RelayMemo()
     spaces = _derived(graph).spaces
     states = spaces.get(memo)
     if states is None:
@@ -954,7 +941,7 @@ def decode_static(graph: Fst, acoustic: AcousticMatrix,
                   opts: Optional[DecodeOptions] = None,
                   utt_id: str = "") -> Lattice:
     """Plain one-pass decode over a fully composed search graph."""
-    return _decode(search_space(graph), acoustic, opts or DecodeOptions(),
+    return _decode(SearchSpace(graph), acoustic, opts or DecodeOptions(),
                    utt_id)
 
 
@@ -967,31 +954,32 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     as it finds them.  Paths whose morphemes cannot be matched (out of
     vocabulary), or that back off past a context listing their morpheme,
     are dropped, and so is every state then left on no successful path.
-    The walk shares the LM pair's relay memo, but keeps no states or arc
-    tables for the lattice.
+    The space comes from ``search_space``, so its states are kept in the
+    lattice's own record, which goes with the lattice.
     """
     src = lat.fst
     if src.num_states == 0 or src.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
-    space = _OnTheFlySpace(src, g3neg, g4, stats, _relay_memo(g3neg, g4),
-                           _States(src, tables=False))
+    space = search_space(src, g3neg, g4, stats)
     out = Fst(src.isyms, src.osyms)
-    out.add_state()
+    state = {space.initial: out.add_state()}  # space id -> output state
     frames = [lat.frames[src.initial]]
     stack = [space.initial]
     while stack:
         sid = stack.pop()
+        s = state[sid]
         for il, ol, w, nid in space.expand_arcs(
                 sid, src.arcs(space.triple(sid)[0])):
-            if nid == out.num_states:  # space ids count up as states are found
-                out.add_state()
+            t = state.get(nid)
+            if t is None:
+                t = state[nid] = out.add_state()
                 frames.append(lat.frames[space.triple(nid)[0]])
                 stack.append(nid)
-            out.add_arc(sid, Arc(il, ol, w, nid))
+            out.add_arc(s, Arc(il, ol, w, t))
         fw = space.final_weight(sid)
         if fw != _INF:
-            out.set_final(sid, fw)
-    out.set_initial(space.initial)
+            out.set_final(s, fw)
+    out.set_initial(0)
     if not out.finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
     out, keep = _connect(out)

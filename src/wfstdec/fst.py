@@ -264,6 +264,8 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
                 raise ValueError(f"expected 2, 4 or 5 fields, got {len(parts)}")
         except ValueError as exc:
             raise ParseError(ln, f"malformed line {raw!r}: {exc}") from None
+        if src < 0 or (dst is not None and dst < 0):
+            raise ParseError(ln, f"negative state id in {raw!r}")
         if dst is None:
             finals.append((ln, src, w))
             max_state = max(max_state, src)

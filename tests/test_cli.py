@@ -432,3 +432,22 @@ class TestErrors:
         code, _, err = run(capsys, "score", str(hyp), "--ref", str(ref))
         assert code == 2
         assert "uttX" in err
+
+    @pytest.mark.parametrize("refs,hyps,message", [
+        ("utt0 a b c\nutt1 d e f g\n", "utt0 a b c\n",
+         "no hypothesis for utt1"),
+        ("utt0 a b c\n", "utt0 a b c\nutt0 a b c\n",
+         "hypothesis utt0 is given twice"),
+        ("utt0 a b c\nutt0 d e\n", "utt0 a b c\n",
+         "reference utt0 is given twice"),
+    ], ids=["missing-hypothesis", "hypothesis-twice", "reference-twice"])
+    def test_score_counts_each_reference_once(self, capsys, tmp_path, refs,
+                                              hyps, message):
+        ref = tmp_path / "ref.txt"
+        ref.write_text(refs)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text(hyps)
+        code, out, err = run(capsys, "score", str(hyp), "--ref", str(ref))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""

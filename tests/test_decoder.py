@@ -1,5 +1,6 @@
 """Decoder behavior: relay matching, frame expansion, lattices, strategies."""
 
+import gc
 import math
 import random
 import signal
@@ -21,6 +22,7 @@ from wfstdec.decoder import (
     NegativeCycleError,
     ProvenanceError,
     RelayStats,
+    SearchSpace,
     best_path,
     decode_onthefly,
     decode_static,
@@ -433,7 +435,7 @@ class TestAdvance:
     def test_epsilon_output_arc_skips_lm(self):
         # Arc a:eps w=1.0, token cost 2.0, acoustic 0.5 -> successor 3.5
         # with the LM pair untouched.
-        space = search_space(_one_arc_graph(1, 0, 1.0))
+        space = SearchSpace(_one_arc_graph(1, 0, 1.0))
         out = space.advance(_tokens(space, ((0, -1, -1), 2.0)), [INF, 0.5], 1, 8.0)
         [(triple, cost, _)] = _succ(space, out)
         assert cost == pytest.approx(3.5)
@@ -466,7 +468,7 @@ class TestAdvance:
         fst.add_arc(1, Arc(1, 0, 0.1, 2))
         fst.set_initial(0)
         fst.set_final(2, 0.0)
-        space = search_space(fst)
+        space = SearchSpace(fst)
         tokens = _tokens(space, ((0, -1, -1), 2.0), ((1, -1, -1), 1.0))
         out = space.advance(tokens, [INF, 0.0], 1, 8.0)
         [(_, cost, links)] = _succ(space, out)
@@ -489,7 +491,7 @@ class TestAdvance:
         if onthefly:
             space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
         else:
-            space = search_space(fst)
+            space = SearchSpace(fst)
         tokens = _tokens(space, (space.triple(space.initial), 0.0))
         made = space.advance(tokens, [INF, 0.0], 1, 0.5, beam=1.0)
         assert [space.triple(t[0])[0] for t in made.values()] == [1, 2, 4]
@@ -502,7 +504,7 @@ class TestAdvance:
         if onthefly:
             space = search_space(mini["hclg3"], mini["g3neg"], mini["g4fst"])
         else:
-            space = search_space(mini["hclg4"])
+            space = SearchSpace(mini["hclg4"])
         matrix = _utt(mini, SENT, noise=1.0, seed=2)
         tokens = {space.initial: [space.initial, 0, 0.0]}
         space.propagate(tokens, 0, 8.0)
@@ -560,7 +562,7 @@ class TestPropagate:
         fst.add_arc(0, Arc(0, 0, 0.3, 1))
         fst.set_initial(0)
         fst.set_final(1, 0.0)
-        space = search_space(fst)
+        space = SearchSpace(fst)
         s = space.propagate(_tokens(space, ((0, -1, -1), 2.0)), 0, 8.0)
         assert s[space.state_id((1, -1, -1))][2] == pytest.approx(2.3)
 
@@ -571,7 +573,7 @@ class TestPropagate:
         fst.add_arc(1, Arc(0, 0, 0.25, 2))
         fst.set_initial(0)
         fst.set_final(2, 0.0)
-        space = search_space(fst)
+        space = SearchSpace(fst)
         s = space.propagate(_tokens(space, ((0, -1, -1), 0.0)), 0, 8.0)
         assert s[space.state_id((2, -1, -1))][2] == pytest.approx(0.5)
 
@@ -695,21 +697,21 @@ def _tie_graph():
 
 class TestPruneTokens:
     def test_beam_cut(self):
-        space = search_space(_tie_graph())
+        space = SearchSpace(_tie_graph())
         s = space.prune(_tokens(space, *(((i, -1, -1), c) for i, c in
                                          enumerate([0.0, 4.0, 10.0]))),
                         DecodeOptions(beam=5.0))
         assert sorted(s) == [0, 1]
 
     def test_max_active_cap(self):
-        space = search_space(_tie_graph())
+        space = SearchSpace(_tie_graph())
         s = space.prune(_tokens(space, *(((i, -1, -1), c) for i, c in
                                          enumerate([0.3, 0.1, 0.2]))),
                         DecodeOptions(beam=100.0, max_active=2))
         assert sorted(s) == [1, 2]
 
     def test_returns_the_same_dict_when_nothing_is_cut(self):
-        space = search_space(_tie_graph())
+        space = SearchSpace(_tie_graph())
         opts = DecodeOptions(beam=5.0)
         tokens = _tokens(space, *(((i, -1, -1), c) for i, c in
                                   enumerate([0.0, 4.0, 5.0])))
@@ -732,7 +734,7 @@ class TestPruneTokens:
                 DecodeOptions(**{option: math.nan})
 
     def test_static_tie_keeps_smallest_states(self):
-        space = search_space(_tie_graph())
+        space = SearchSpace(_tie_graph())
         tokens = space.advance(_tokens(space, ((0, -1, -1), 0.0)), [INF, 0.0],
                                1, 8.0)
         assert [space.triple(k) for k in tokens] == \
@@ -783,7 +785,7 @@ class TestFinalize:
         fst.add_states(2)
         fst.set_initial(0)
         fst.set_final(1, 0.75)
-        space = search_space(fst)
+        space = SearchSpace(fst)
         tokens = _tokens(space, ((0, -1, -1), 1.0), ((1, -1, -1), 2.0))
         [(tok, fw)] = space.finalize(tokens, "u")
         assert space.triple(tok[0]) == (1, -1, -1)
@@ -793,7 +795,7 @@ class TestFinalize:
         fst = Fst()
         fst.add_state()
         fst.set_initial(0)
-        space = search_space(fst)
+        space = SearchSpace(fst)
         with pytest.raises(EmptyResultError):
             space.finalize(_tokens(space, ((0, -1, -1), 0.0)), "u")
 
@@ -1509,10 +1511,39 @@ class TestRelayMemo:
         assert len(decoder._DERIVED) == n - 1
         assert states() is None
 
+    def test_rescoring_a_warm_space_gives_the_same_lattice(self, mini_model):
+        m = _build_mini(mini_model)
+        matrix = _utt(m, SENT, noise=1.0, seed=2)
+        first = decode_static(m["hclg3"], matrix,
+                              DecodeOptions(beam=30.0, lattice_beam=30.0))
+        cold, warm = RelayStats(), RelayStats()
+        once = rescore_lattice(first, m["g3neg"], m["g4fst"], cold)
+        twice = rescore_lattice(first, m["g3neg"], m["g4fst"], warm)
+        assert cold != RelayStats()
+        assert warm == RelayStats()
+        # A decode over a copy of the lattice interns the copy's space
+        # states in another order before the rescore walks them.
+        copy = Lattice(self._copy(first.fst), first.frames, first.utt_id)
+        decode_onthefly(copy.fst, m["g3neg"], m["g4fst"], matrix)
+        thrice = rescore_lattice(copy, m["g3neg"], m["g4fst"])
+        for lat in (twice, thrice):
+            assert write_text_fst(lat.fst) == write_text_fst(once.fst)
+            assert lat.frames == once.frames
+
+    def test_rescoring_states_die_with_the_lattice(self, mini):
+        first = decode_static(mini["hclg3"], _utt(mini, SENT))
+        rescore_lattice(first, mini["g3neg"], mini["g4fst"])
+        rec = weakref.ref(decoder._DERIVED[first.fst])
+        assert len(rec().spaces) == 1
+        del first
+        gc.collect()
+        assert rec() is None
+
     def test_new_version_drops_what_was_derived_from_the_old(self, mini):
         g3neg = self._copy(mini["g3neg"])
         decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))
-        memo = weakref.ref(decoder._relay_memo(g3neg, mini["g4fst"]))
+        memo = weakref.ref(
+            decoder._DERIVED[mini["g4fst"]].relays[decoder._DERIVED[g3neg]])
         states = weakref.ref(decoder._DERIVED[mini["hclg3"]].spaces[memo()])
         g3neg.arc_sort_input()
         decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))

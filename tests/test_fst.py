@@ -211,6 +211,16 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=f"^line 2: negative label in '{arc}'$"):
             read_text_fst(f"# header\n{arc}\n1 0\n")
 
+    @pytest.mark.parametrize("text,ln,line", [
+        ("-1 0 1 1 0.5\n0 0.0\n", 1, "-1 0 1 1 0.5"),
+        ("0 1 1 1 0.5\n-1 0.0\n1 0.0\n", 2, "-1 0.0"),
+        ("0 -1 1 1 0.5\n-1 0.0\n", 1, "0 -1 1 1 0.5"),
+    ], ids=["source", "final", "target"])
+    def test_negative_state_names_the_line(self, text, ln, line):
+        with pytest.raises(ParseError,
+                           match=f"^line {ln}: negative state id in '{line}'$"):
+            read_text_fst(text)
+
     def test_unknown_symbol_id(self):
         syms = SymbolTable()
         syms.add("a")

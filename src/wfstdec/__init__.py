@@ -46,6 +46,7 @@ from .decoder import (
     search_space,
 )
 from .metrics import morphemes_to_words, size_report, wer_score
-from .pipeline import DecodeReport, PipelineConfig, run_pipeline
+from .pipeline import (DecodeReport, PipelineConfig, build_graphs,
+                       decode_utterance, run_pipeline)
 
 __version__ = "0.1.0"

@@ -43,19 +43,16 @@ def cmd_lm_prune(args) -> int:
 def cmd_graph_build(args) -> int:
     model = ngram.parse_arpa(_read(args.lm))
     if args.lexicon:
-        lex = gb.Lexicon.parse(_read(args.lexicon))
-        graph = gb.build_search_graph(lex, model)
-        isyms, osyms = graph.isyms, graph.osyms
+        graph = gb.build_search_graph(gb.Lexicon.parse(_read(args.lexicon)), model)
     else:
         graph = gb.lm_to_fst(model)
-        if args.negate:
-            graph = gb.negate_weights(graph)
-        isyms = osyms = graph.isyms
+    if args.negate:  # an LM graph: argparse refuses it with --lexicon
+        graph = gb.negate_weights(graph)
     _write(args.output, write_text_fst(graph))
     if args.isymbols:
-        _write(args.isymbols, isyms.write_text())
+        _write(args.isymbols, graph.isyms.write_text())
     if args.osymbols:
-        _write(args.osymbols, osyms.write_text())
+        _write(args.osymbols, graph.osyms.write_text())
     print(f"graph: {graph.num_states} states, {graph.num_arcs} arcs")
     return 0
 
@@ -64,7 +61,6 @@ def cmd_synth(args) -> int:
     phone_syms = SymbolTable.read_text(_read(args.phone_symbols))
     phones = [phone_syms.id_of(p) for p in _read(args.phones).split()]
     m = ac.synthesize_utterance(phones, len(phone_syms) - 1,
-                                frames_per_phone=args.frames_per_phone,
                                 noise=args.noise, seed=args.seed,
                                 margin=args.margin, utt_id=args.utt_id)
     _write(args.output, ac.write_acoustic_text(m))
@@ -84,23 +80,17 @@ def cmd_decode(args) -> int:
     graph = read_text_fst(_read(args.graph), isyms, osyms)
     graph.arc_sort_input()
     matrix = ac.read_acoustic_text(_read(args.acoustic))
-    if args.strategy == "static":
-        lat = dec.decode_static(graph, matrix, opts, utt_id=matrix.utt_id)
-    else:
+    graphs = {"HCLG4" if args.strategy == "static" else "HCLG3": graph}
+    if args.strategy != "static":
         if not (args.g3neg and args.g4):
             print("error: --g3neg and --g4 are required for this strategy",
                   file=sys.stderr)
             return 2
-        g3neg = read_text_fst(_read(args.g3neg), osyms, osyms)
-        g3neg.arc_sort_input()
-        g4 = read_text_fst(_read(args.g4), osyms, osyms)
-        g4.arc_sort_input()
-        if args.strategy == "onthefly":
-            lat = dec.decode_onthefly(graph, g3neg, g4, matrix, opts,
-                                      utt_id=matrix.utt_id)
-        else:
-            lat = dec.decode_static(graph, matrix, opts, utt_id=matrix.utt_id)
-            lat = dec.rescore_lattice(lat, g3neg, g4)
+        for name, path in (("G3neg", args.g3neg), ("G4", args.g4)):
+            graphs[name] = read_text_fst(_read(path), osyms, osyms)
+            graphs[name].arc_sort_input()
+    lat = pipeline.decode_utterance(args.strategy, graphs, matrix, opts,
+                                    utt_id=matrix.utt_id)
     hyp, cost = dec.best_path(lat)
     print(f"{matrix.utt_id}\t{' '.join(hyp)}\t{cost:.4f}")
     if args.lattice:
@@ -195,8 +185,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("graph-build", help="compile LM (and lexicon) into a WFST")
     p.add_argument("--lm", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--negate", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--lexicon")
+    kind.add_argument("--negate", action="store_true",
+                      help="negate the LM graph's weights (no lexicon)")
     p.add_argument("--isymbols")
     p.add_argument("--osymbols")
     p.add_argument("output")
@@ -206,7 +198,6 @@ def main(argv=None) -> int:
     p.add_argument("phones", help="file with a space-separated phone sequence")
     p.add_argument("phone_symbols")
     p.add_argument("output")
-    p.add_argument("--frames-per-phone", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=ac.DEFAULT_MARGIN)

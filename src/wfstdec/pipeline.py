@@ -30,6 +30,45 @@ _PHONE_NAMES = [
 ]
 
 
+def build_graphs(lexicon: gb.Lexicon, big: ngram.NGramModel,
+                 small: ngram.NGramModel,
+                 strategies: Sequence[str] = STRATEGIES) -> dict[str, gb.Fst]:
+    """The graphs that ``strategies`` decode with, named as in the size
+    report: ``HCLG3``, ``G3neg`` and ``G4`` for ``onthefly`` and
+    ``rescore``, ``HCLG4`` for ``static``.  They share one morpheme table,
+    with ``#0``, and one phone table."""
+    syms = gb.make_morpheme_symbols(big, with_hash=True)
+    graphs: dict[str, gb.Fst] = {}
+    if {"onthefly", "rescore"} & set(strategies):
+        graphs["HCLG3"] = gb.build_search_graph(lexicon, small, None, syms)
+        graphs["G3neg"] = gb.negate_weights(gb.lm_to_fst(small, syms, gb.BACKOFF_EPS))
+        graphs["G4"] = gb.lm_to_fst(big, syms, gb.BACKOFF_EPS)
+    if "static" in strategies:
+        phones = graphs["HCLG3"].isyms if graphs else None
+        graphs["HCLG4"] = gb.build_search_graph(lexicon, big, phones, syms)
+    return graphs
+
+
+def decode_utterance(strategy: str, graphs: dict[str, gb.Fst],
+                     matrix: ac.AcousticMatrix, opts: dec.DecodeOptions,
+                     stats: Optional[dec.RelayStats] = None,
+                     utt_id: str = "") -> dec.Lattice:
+    """One utterance's lattice under ``strategy``, over graphs named as
+    ``build_graphs`` names them.  ``onthefly`` searches HCLG3 x G3neg x G4,
+    ``static`` searches HCLG4, and ``rescore`` searches HCLG3 and rescores
+    the lattice with G3neg and G4; relay counters go to ``stats``."""
+    if strategy == "static":
+        return dec.decode_static(graphs["HCLG4"], matrix, opts, utt_id=utt_id)
+    if strategy == "onthefly":
+        return dec.decode_onthefly(graphs["HCLG3"], graphs["G3neg"],
+                                   graphs["G4"], matrix, opts, stats,
+                                   utt_id=utt_id)
+    if strategy == "rescore":
+        first = dec.decode_static(graphs["HCLG3"], matrix, opts, utt_id=utt_id)
+        return dec.rescore_lattice(first, graphs["G3neg"], graphs["G4"], stats)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -154,7 +193,6 @@ class StrategyResult:
     decode_seconds: float = 0.0
     audio_seconds: float = 0.0
     graph_arcs: int = 0
-    graph_states: int = 0
     peak_tokens: int = 0
 
     @property
@@ -229,11 +267,12 @@ def run_pipeline(cfg: PipelineConfig,
                  stats: Optional[dec.RelayStats] = None) -> DecodeReport:
     """Build LMs and graphs, decode every utterance per strategy, score.
 
-    Malformed length ranges or strategy lists, unknown strategies, bad
-    decode options, integer fields that are not integers or lie below their
-    least values (``_INT_FIELDS``), task reals that are not non-negative
-    numbers, a prune threshold outside (0, 1) and ``frames_per_phone``
-    other than 1 raise ValueError before any stage runs.
+    Malformed length ranges, strategy lists that are malformed, empty or
+    repeat a name, unknown strategies, bad decode options, integer fields
+    that are not integers or lie below their least values
+    (``_INT_FIELDS``), task reals that are not non-negative numbers, a
+    prune threshold outside (0, 1) and ``frames_per_phone`` other than 1
+    raise ValueError before any stage runs.
     """
     for name, least in _INT_FIELDS.items():
         value = getattr(cfg, name)
@@ -260,10 +299,11 @@ def run_pipeline(cfg: PipelineConfig,
                 all(type(n) is int for n in span) and span[0] <= span[1]):
             raise ValueError(f"config {name} must be two integers lo <= hi, "
                              f"not {span!r}")
-    if not (isinstance(cfg.strategies, (list, tuple))
-            and all(isinstance(s, str) for s in cfg.strategies)):
-        raise ValueError("config strategies must be a list of strategy "
-                         f"names, not {cfg.strategies!r}")
+    if not (isinstance(cfg.strategies, (list, tuple)) and cfg.strategies
+            and all(isinstance(s, str) for s in cfg.strategies)
+            and len(set(cfg.strategies)) == len(cfg.strategies)):
+        raise ValueError("config strategies must be a non-empty list of "
+                         f"distinct strategy names, not {cfg.strategies!r}")
     for strategy in cfg.strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one "
@@ -275,34 +315,13 @@ def run_pipeline(cfg: PipelineConfig,
     g3 = _stage("lm-prune", ngram.prune_to_small_lm, g4,
                 cfg.prune_threshold, cfg.max_order)
 
-    morph_syms = gb.make_morpheme_symbols(g4, with_hash=True)
-    phone_syms = None
-    need_small = {"onthefly", "rescore"} & set(cfg.strategies)
-    need_static = "static" in cfg.strategies
-
-    fsts: dict[str, "gb.Fst"] = {}
-    hclg3 = g3neg = g4fst = hclg4 = None
-    if need_small:
-        hclg3 = _stage("graph-build", gb.build_search_graph, task.lexicon, g3,
-                       phone_syms, morph_syms)
-        phone_syms = hclg3.isyms
-        fsts["HCLG3"] = hclg3
-        g3neg = _stage("graph-build", lambda: gb.negate_weights(
-            gb.lm_to_fst(g3, morph_syms, mode=gb.BACKOFF_EPS)))
-        g4fst = _stage("graph-build", gb.lm_to_fst, g4, morph_syms, gb.BACKOFF_EPS)
-        fsts["G3neg"] = g3neg
-        fsts["G4"] = g4fst
-    if need_static:
-        hclg4 = _stage("graph-build", gb.build_search_graph, task.lexicon, g4,
-                       phone_syms, morph_syms)
-        phone_syms = phone_syms or hclg4.isyms
-        fsts["HCLG4"] = hclg4
+    graphs = _stage("graph-build", build_graphs, task.lexicon, g4, g3,
+                    cfg.strategies)
+    phone_syms = next(iter(graphs.values())).isyms
 
     def utt_matrix(i: int, utt_id: str, morphs: Sequence[str]) -> ac.AcousticMatrix:
-        phone_ids = []
-        for m in morphs:
-            for p in task.lexicon.prons[m][0]:
-                phone_ids.append(phone_syms.id_of(p))
+        phone_ids = [phone_syms.id_of(p)
+                     for m in morphs for p in task.lexicon.prons[m][0]]
         return ac.synthesize_utterance(
             phone_ids, len(phone_syms) - 1,
             frames_per_phone=cfg.frames_per_phone, noise=cfg.noise,
@@ -318,14 +337,8 @@ def run_pipeline(cfg: PipelineConfig,
         for (utt_id, ref_morphs), matrix in zip(task.utterances, matrices):
             t0 = time.perf_counter()
             try:
-                if strategy == "onthefly":
-                    lat = dec.decode_onthefly(hclg3, g3neg, g4fst, matrix,
-                                              opts, stats, utt_id=utt_id)
-                elif strategy == "static":
-                    lat = dec.decode_static(hclg4, matrix, opts, utt_id=utt_id)
-                else:
-                    first = dec.decode_static(hclg3, matrix, opts, utt_id=utt_id)
-                    lat = dec.rescore_lattice(first, g3neg, g4fst, stats)
+                lat = decode_utterance(strategy, graphs, matrix, opts, stats,
+                                       utt_id)
                 hyp, cost = dec.best_path(lat)
             except dec.DecodeError as exc:
                 raise StageError(f"decode[{strategy}]", exc) from exc
@@ -334,15 +347,12 @@ def run_pipeline(cfg: PipelineConfig,
             sr.peak_tokens = max(sr.peak_tokens, lat.peak_tokens)
             sr.utterances.append(UttResult(utt_id, list(ref_morphs), hyp, cost))
         _score_strategy(sr)
-        graph = {"onthefly": hclg3, "static": hclg4, "rescore": hclg3}[strategy]
-        sr.graph_states = graph.num_states
-        sr.graph_arcs = graph.num_arcs
-        if strategy == "onthefly":
-            sr.graph_states += g3neg.num_states + g4fst.num_states
-            sr.graph_arcs += g3neg.num_arcs + g4fst.num_arcs
+        searched = {"onthefly": ("HCLG3", "G3neg", "G4"), "static": ("HCLG4",),
+                    "rescore": ("HCLG3",)}[strategy]
+        sr.graph_arcs = sum(graphs[name].num_arcs for name in searched)
         results[strategy] = sr
 
-    sizes = _stage("report", metrics.size_report, fsts)
+    sizes = _stage("report", metrics.size_report, graphs)
     return DecodeReport(cfg, results, sizes, stats)
 
 

@@ -15,7 +15,6 @@ from wfstdec.decoder import RelayStats, relay_final, relay_match
 from wfstdec.graph import (
     BACKOFF_EPS,
     acceptor_sentence_cost,
-    build_search_graph,
     cost_from_log10,
     lm_to_fst,
     make_morpheme_symbols,
@@ -28,7 +27,8 @@ from wfstdec.ngram import (
     prune_to_small_lm,
     score_sentence,
 )
-from wfstdec.pipeline import PipelineConfig, generate_task, run_pipeline
+from wfstdec.pipeline import (PipelineConfig, build_graphs, generate_task,
+                              run_pipeline)
 
 from test_graph import context_states
 
@@ -171,11 +171,8 @@ def test_criterion_5_onthefly_graphs_are_smaller(criterion_record):
     task = generate_task(cfg)
     g4 = estimate_witten_bell(task.corpus, cfg.order)
     g3 = prune_to_small_lm(g4, cfg.prune_threshold, cfg.max_order)
-    syms = make_morpheme_symbols(g4, with_hash=True)
-    hclg3 = build_search_graph(task.lexicon, g3, None, syms)
-    hclg4 = build_search_graph(task.lexicon, g4, hclg3.isyms, syms)
-    g3neg = negate_weights(lm_to_fst(g3, syms, mode=BACKOFF_EPS))
-    g4fst = lm_to_fst(g4, syms, mode=BACKOFF_EPS)
+    g = build_graphs(task.lexicon, g4, g3)
+    hclg3, g3neg, g4fst, hclg4 = g["HCLG3"], g["G3neg"], g["G4"], g["HCLG4"]
     onthefly_arcs = hclg3.num_arcs + g3neg.num_arcs + g4fst.num_arcs
     ratio = hclg4.num_arcs / onthefly_arcs
     with criterion(criterion_record, 5,

@@ -382,8 +382,12 @@ class TestErrors:
          "config utterance_len must be two integers lo <= hi, not [5]"),
         ({"utterance_len": [9, 5]},
          "config utterance_len must be two integers lo <= hi, not [9, 5]"),
-        ({"strategies": "static"}, "config strategies must be a list of "
-         "strategy names, not 'static'"),
+        ({"strategies": "static"}, "config strategies must be a non-empty "
+         "list of distinct strategy names, not 'static'"),
+        ({"strategies": []}, "config strategies must be a non-empty list of "
+         "distinct strategy names, not []"),
+        ({"strategies": ["static", "static"]}, "config strategies must be a "
+         "non-empty list of distinct strategy names, not ['static', 'static']"),
         ({"noise": -1}, "config noise must be a non-negative number, not -1"),
         ({"seed": 1.5}, "config seed must be a non-negative integer, not 1.5"),
         ({"num_utterances": "5"},
@@ -398,7 +402,8 @@ class TestErrors:
          "config prune_threshold must lie in (0, 1), not 1"),
     ], ids=["negative", "not-a-number", "fractional-max-active",
             "unknown-strategy", "scalar-length", "short-length",
-            "reversed-length", "strategies-not-a-list", "negative-noise",
+            "reversed-length", "strategies-not-a-list", "no-strategies",
+            "repeated-strategy", "negative-noise",
             "fractional-seed", "string-count", "zero-frames-per-phone",
             "held-phones", "prune-threshold-one"])
     def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
@@ -412,6 +417,23 @@ class TestErrors:
         assert code == 2
         assert err == f"error: {message}\n"
         assert out == ""
+
+    def test_repeated_strategy_flag(self, capsys):
+        code, out, err = run(capsys, "report", "--strategy", "static",
+                             "--strategy", "static")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config strategies must be a non-empty")
+
+    @pytest.mark.parametrize("argv", [
+        "graph-build --lm g3.arpa --lexicon lexicon.txt --negate o.fst",
+        "synth phones.txt phones.syms o.ac --frames-per-phone 2",
+    ], ids=["negated-search-graph", "frames-per-phone"])
+    def test_refused_arguments(self, workdir, capsys, monkeypatch, argv):
+        # --negate is for LM graphs only; synth writes one frame per phone.
+        monkeypatch.chdir(workdir)
+        with pytest.raises(SystemExit, match="^2$"):
+            main(argv.split())
+        assert capsys.readouterr().out == ""
 
     def test_failed_stage(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

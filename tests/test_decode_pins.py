@@ -35,10 +35,8 @@ import pytest
 
 from wfstdec import acoustic as ac
 from wfstdec import decoder as dec
-from wfstdec import graph as gb
-from wfstdec import ngram
 from wfstdec.fst import write_text_fst
-from wfstdec.pipeline import PipelineConfig, generate_task
+from wfstdec.pipeline import PipelineConfig, build_graphs, decode_utterance
 
 # strategy -> digest of the per-utterance (hypothesis, repr(cost)) lines.
 HYPOTHESES = dict.fromkeys(
@@ -76,19 +74,10 @@ WIDE_OPEN = {
 }
 
 
-def _setup(cfg):
-    task = generate_task(cfg)
-    g4 = ngram.estimate_witten_bell(task.corpus, cfg.order)
-    g3 = ngram.prune_to_small_lm(g4, cfg.prune_threshold, cfg.max_order)
-    syms = gb.make_morpheme_symbols(g4, with_hash=True)
-    hclg3 = gb.build_search_graph(task.lexicon, g3, None, syms)
-    graphs = {
-        "hclg3": hclg3,
-        "hclg4": gb.build_search_graph(task.lexicon, g4, hclg3.isyms, syms),
-        "g3neg": gb.negate_weights(gb.lm_to_fst(g3, syms, mode=gb.BACKOFF_EPS)),
-        "g4": gb.lm_to_fst(g4, syms, mode=gb.BACKOFF_EPS),
-    }
-    phones = hclg3.isyms
+def _setup(task_models, cfg):
+    task, g4, g3 = task_models
+    graphs = build_graphs(task.lexicon, g4, g3)
+    phones = graphs["HCLG3"].isyms
     matrices = []
     for i, (utt_id, morphs) in enumerate(task.utterances):
         ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
@@ -97,16 +86,6 @@ def _setup(cfg):
             noise=cfg.noise, seed=cfg.seed + 1000 + i, margin=cfg.margin,
             utt_id=utt_id))
     return graphs, matrices
-
-
-def _decode(strategy, g, matrix, opts, stats):
-    if strategy == "onthefly":
-        return dec.decode_onthefly(g["hclg3"], g["g3neg"], g["g4"], matrix,
-                                   opts, stats, utt_id=matrix.utt_id)
-    if strategy == "static":
-        return dec.decode_static(g["hclg4"], matrix, opts, utt_id=matrix.utt_id)
-    first = dec.decode_static(g["hclg3"], matrix, opts, utt_id=matrix.utt_id)
-    return dec.rescore_lattice(first, g["g3neg"], g["g4"], stats)
 
 
 def _summary(lat):
@@ -120,31 +99,32 @@ def _relays(stats):
     return tuple(getattr(stats, f.name) for f in dataclasses.fields(stats))
 
 
-def _decode_default_task():
+def _decode_default_task(task_models):
     """Per-strategy utterance summaries and cold and warm relay counters,
     plus the wide-open summaries."""
     cfg = PipelineConfig()
     opts = cfg.options()
     out = {}
     for strategy in DEFAULT_TASK:
-        g, matrices = _setup(cfg)  # graphs never decoded: a cold memo
+        g, matrices = _setup(task_models, cfg)  # graphs never decoded: a cold memo
         cold, warm = dec.RelayStats(), dec.RelayStats()
-        rows = [_summary(_decode(strategy, g, m, opts, cold)) for m in matrices]
+        rows = [_summary(decode_utterance(strategy, g, m, opts, cold, m.utt_id))
+                for m in matrices]
         for m in matrices:
-            _decode(strategy, g, m, opts, warm)
+            decode_utterance(strategy, g, m, opts, warm, m.utt_id)
         out[strategy] = (rows, cold, warm)
     wide = dataclasses.replace(opts, beam=1e9, max_active=10 ** 9)
     out["wide"] = {}
     for strategy in WIDE_OPEN:
         stats = dec.RelayStats()
-        lat = _decode(strategy, g, matrices[0], wide, stats)
+        lat = decode_utterance(strategy, g, matrices[0], wide, stats)
         out["wide"][strategy] = _summary(lat) + _relays(stats)
     return out
 
 
 @pytest.fixture(scope="module")
-def default_task():
-    return _decode_default_task()
+def default_task(task_models):
+    return _decode_default_task(task_models)
 
 
 def _digest(rows):

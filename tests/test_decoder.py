@@ -38,18 +38,17 @@ from wfstdec.graph import (
     BACKOFF_EPS,
     BACKOFF_HASH,
     Lexicon,
-    build_search_graph,
     cost_from_log10,
     lm_to_fst,
     make_morpheme_symbols,
     negate_weights,
 )
 from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
-from wfstdec.pipeline import PipelineConfig
+from wfstdec.pipeline import PipelineConfig, build_graphs, decode_utterance
 
 from conftest import MINI_LEXICON_TEXT
 from test_acceptance import _random_model
-from test_oracle import _graphs as oracle_graphs
+from test_oracle import _audio as oracle_audio
 from test_oracle import tasks as oracle_tasks
 from test_graph import context_states
 
@@ -217,6 +216,12 @@ def _reference_relay(g, state, label, stats):
         stats.backoff_hops += 1
 
 
+def _onthefly_graphs(lex, big, small):
+    """(HCLG3, G3neg, G4) as ``build_graphs`` makes them."""
+    g = build_graphs(lex, big, small, ("onthefly",))
+    return g["HCLG3"], g["G3neg"], g["G4"]
+
+
 def _relay_models(mini_model):
     """(words, G3neg, G4) for the mini model and three random 3-gram models."""
     out = []
@@ -328,9 +333,7 @@ class TestAcceptorG4:
         # back-off labels it decodes to its transcript, with #0 labels the
         # decode is refused instead of scored.
         task, g4model, g3model = task_models
-        syms = make_morpheme_symbols(g4model, with_hash=True)
-        hclg3 = build_search_graph(task.lexicon, g3model, None, syms)
-        g3neg = negate_weights(lm_to_fst(g3model, syms, mode=BACKOFF_EPS))
+        hclg3, g3neg, g4 = _onthefly_graphs(task.lexicon, g4model, g3model)
         words = sorted(task.lexicon.prons)
         rng = random.Random(0)
         while True:
@@ -341,9 +344,8 @@ class TestAcceptorG4:
         matrix = synthesize_utterance(
             [phones.id_of(p) for m in sent for p in task.lexicon.prons[m][0]],
             len(phones) - 1)
-        g4 = lm_to_fst(g4model, syms, mode=BACKOFF_EPS)
         assert best_path(decode_onthefly(hclg3, g3neg, g4, matrix))[0] == sent
-        g4 = lm_to_fst(g4model, syms, mode=BACKOFF_HASH)
+        g4 = lm_to_fst(g4model, g4.isyms, mode=BACKOFF_HASH)
         with pytest.raises(DecodeError, match="^G4 is not an acceptor: state "):
             decode_onthefly(hclg3, g3neg, g4, matrix)
 
@@ -502,9 +504,9 @@ class TestAdvance:
     def test_links_are_four_slots_into_this_or_the_previous_frame(
             self, mini, onthefly):
         if onthefly:
-            space = search_space(mini["hclg3"], mini["g3neg"], mini["g4fst"])
+            space = search_space(mini["HCLG3"], mini["G3neg"], mini["G4"])
         else:
-            space = SearchSpace(mini["hclg4"])
+            space = SearchSpace(mini["HCLG4"])
         matrix = _utt(mini, SENT, noise=1.0, seed=2)
         tokens = {space.initial: [space.initial, 0, 0.0]}
         space.propagate(tokens, 0, 8.0)
@@ -1053,10 +1055,8 @@ class TestCutoff:
         big, small, lex, sent, noise, seed, opts = case
         runs = []
         for uncut in (False, True):  # each on cold graphs, for the counters
-            hclg3, g3neg, g4 = oracle_graphs(big, small, lex)
-            phones = [hclg3.isyms.id_of(p) for m in sent for p in lex.prons[m][0]]
-            matrix = synthesize_utterance(phones, len(hclg3.isyms) - 1,
-                                          noise=noise, seed=seed)
+            hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
+            matrix = oracle_audio(hclg3, lex, sent, noise=noise, seed=seed)
             stats = RelayStats()
             onthefly = _cut_outcome(lambda: decode_onthefly(
                 hclg3, g3neg, g4, matrix, opts, stats), uncut)
@@ -1124,11 +1124,8 @@ def _default_task(task_models):
     first utterance as the pipeline synthesizes it."""
     task, g4model, g3model = task_models
     cfg = PipelineConfig()
-    syms = make_morpheme_symbols(g4model, with_hash=True)
-    hclg3 = build_search_graph(task.lexicon, g3model, None, syms)
-    space = search_space(
-        hclg3, negate_weights(lm_to_fst(g3model, syms, mode=BACKOFF_EPS)),
-        lm_to_fst(g4model, syms, mode=BACKOFF_EPS))
+    hclg3, g3neg, g4 = _onthefly_graphs(task.lexicon, g4model, g3model)
+    space = search_space(hclg3, g3neg, g4)
     utt_id, morphs = task.utterances[0]
     phones = hclg3.isyms
     ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
@@ -1146,7 +1143,7 @@ class TestStations:
     @pytest.mark.parametrize("beam", [INF, 16.0, 4.0])
     @pytest.mark.parametrize("lattice_beam", [0.5, 8.0])
     def test_mini_task_frames_equal_full_scan(self, mini, beam, lattice_beam):
-        space = search_space(mini["hclg3"], mini["g3neg"], mini["g4fst"])
+        space = search_space(mini["HCLG3"], mini["G3neg"], mini["G4"])
         opts = DecodeOptions(beam=beam, lattice_beam=lattice_beam)
         for seed in range(3):
             matrix = _utt(mini, SENT, noise=1.0, seed=seed)
@@ -1160,10 +1157,8 @@ class TestStations:
         if wide_open:
             opts = DecodeOptions(beam=INF, max_active=10 ** 9,
                                  lattice_beam=opts.lattice_beam)
-        hclg3, g3neg, g4 = oracle_graphs(big, small, lex)
-        phones = [hclg3.isyms.id_of(p) for m in sent for p in lex.prons[m][0]]
-        matrix = synthesize_utterance(phones, len(hclg3.isyms) - 1,
-                                      noise=noise, seed=seed)
+        hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
+        matrix = oracle_audio(hclg3, lex, sent, noise=noise, seed=seed)
         _assert_stations_equal_full_scan(search_space(hclg3, g3neg, g4),
                                          matrix, opts)
 
@@ -1282,17 +1277,12 @@ def _build_mini(mini_model):
     assert sum(g3model.num_ngrams(n) for n in (1, 2)) < \
         sum(g4model.num_ngrams(n) for n in (1, 2))
     lex = Lexicon.parse(MINI_LEXICON_TEXT)
-    syms = make_morpheme_symbols(g4model, with_hash=True)
-    hclg3 = build_search_graph(lex, g3model, None, syms)
-    hclg4 = build_search_graph(lex, g4model, hclg3.isyms, syms)
-    g3neg = negate_weights(lm_to_fst(g3model, syms, mode=BACKOFF_EPS))
-    g4fst = lm_to_fst(g4model, syms, mode=BACKOFF_EPS)
     return {"g4model": g4model, "g3model": g3model, "lex": lex,
-            "hclg3": hclg3, "hclg4": hclg4, "g3neg": g3neg, "g4fst": g4fst}
+            **build_graphs(lex, g4model, g3model)}
 
 
 def _utt(mini, sent, **kwargs):
-    phones = mini["hclg3"].isyms
+    phones = mini["HCLG3"].isyms
     ids = [phones.id_of(p) for m in sent for p in mini["lex"].prons[m][0]]
     return synthesize_utterance(ids, len(phones) - 1, **kwargs)
 
@@ -1302,7 +1292,7 @@ SENT = ["vix", "tin", "cUx"]
 
 class TestEndToEnd:
     def test_onthefly_recovers_transcript_at_big_lm_cost(self, mini):
-        lat = decode_onthefly(mini["hclg3"], mini["g3neg"], mini["g4fst"],
+        lat = decode_onthefly(mini["HCLG3"], mini["G3neg"], mini["G4"],
                               _utt(mini, SENT))
         seq, cost = best_path(lat)
         assert seq == SENT
@@ -1312,27 +1302,27 @@ class TestEndToEnd:
     def test_static_matches_onthefly(self, mini):
         matrix = _utt(mini, SENT)
         opts = DecodeOptions(beam=1e9, max_active=10 ** 9)
-        s1, c1 = best_path(decode_onthefly(mini["hclg3"], mini["g3neg"],
-                                           mini["g4fst"], matrix, opts))
-        s2, c2 = best_path(decode_static(mini["hclg4"], matrix, opts))
+        s1, c1 = best_path(decode_onthefly(mini["HCLG3"], mini["G3neg"],
+                                           mini["G4"], matrix, opts))
+        s2, c2 = best_path(decode_static(mini["HCLG4"], matrix, opts))
         assert s1 == s2
         assert c1 == pytest.approx(c2, abs=1e-9)
 
     def test_rescoring_replaces_small_lm_scores(self, mini):
         matrix = _utt(mini, SENT)
-        first = decode_static(mini["hclg3"], matrix)
+        first = decode_static(mini["HCLG3"], matrix)
         assert best_path(first)[1] == pytest.approx(
             cost_from_log10(score_sentence(mini["g3model"], SENT)), abs=1e-9)
-        second = rescore_lattice(first, mini["g3neg"], mini["g4fst"])
+        second = rescore_lattice(first, mini["G3neg"], mini["G4"])
         seq, cost = best_path(second)
         assert seq == SENT
         assert cost == pytest.approx(
             cost_from_log10(score_sentence(mini["g4model"], SENT)), abs=1e-9)
 
     def test_rescoring_keeps_first_pass_peak_tokens(self, mini):
-        first = decode_static(mini["hclg3"], _utt(mini, SENT))
+        first = decode_static(mini["HCLG3"], _utt(mini, SENT))
         assert first.peak_tokens > 0
-        second = rescore_lattice(first, mini["g3neg"], mini["g4fst"])
+        second = rescore_lattice(first, mini["G3neg"], mini["G4"])
         assert second.peak_tokens == first.peak_tokens
 
     @pytest.mark.parametrize("strategy", ["static", "onthefly"])
@@ -1343,10 +1333,10 @@ class TestEndToEnd:
         for m, scale in ((matrix, 2.0), (doubled, 1.0)):
             opts = DecodeOptions(acoustic_scale=scale)
             if strategy == "static":
-                lats.append(decode_static(mini["hclg4"], m, opts))
+                lats.append(decode_static(mini["HCLG4"], m, opts))
             else:
-                lats.append(decode_onthefly(mini["hclg3"], mini["g3neg"],
-                                            mini["g4fst"], m, opts))
+                lats.append(decode_onthefly(mini["HCLG3"], mini["G3neg"],
+                                            mini["G4"], m, opts))
         got, want = lats
         assert best_path(got) == best_path(want)
         assert got.frames == want.frames
@@ -1356,7 +1346,7 @@ class TestEndToEnd:
         matrix = _utt(mini, SENT, noise=2.0, seed=3)
         costs = []
         for beam in (2.0, 8.0, 1e9):
-            lat = decode_onthefly(mini["hclg3"], mini["g3neg"], mini["g4fst"],
+            lat = decode_onthefly(mini["HCLG3"], mini["G3neg"], mini["G4"],
                                   matrix, DecodeOptions(beam=beam, max_active=10 ** 6))
             costs.append(best_path(lat)[1])
         assert costs[0] >= costs[1] - 1e-12
@@ -1364,7 +1354,7 @@ class TestEndToEnd:
 
     def test_decode_counters(self, mini):
         stats = RelayStats()
-        decode_onthefly(mini["hclg3"], mini["g3neg"], mini["g4fst"],
+        decode_onthefly(mini["HCLG3"], mini["G3neg"], mini["G4"],
                         _utt(mini, SENT), stats=stats)
         assert stats.eps_output_matches == 0
         assert stats.failed_direct_matches == stats.backoff_hops + stats.dead_relays
@@ -1373,14 +1363,7 @@ class TestEndToEnd:
     def test_lattice_is_sound(self, mini, strategy):
         opts = DecodeOptions(lattice_beam=4.0)
         matrix = _utt(mini, SENT + ["kAn", "vix", "ci"], noise=1.5, seed=8)
-        if strategy == "static":
-            lat = decode_static(mini["hclg4"], matrix, opts)
-        elif strategy == "onthefly":
-            lat = decode_onthefly(mini["hclg3"], mini["g3neg"], mini["g4fst"],
-                                  matrix, opts)
-        else:
-            lat = rescore_lattice(decode_static(mini["hclg3"], matrix, opts),
-                                  mini["g3neg"], mini["g4fst"])
+        lat = decode_utterance(strategy, mini, matrix, opts)
         fst = lat.fst
         # Frames never decrease along arcs.
         for s in fst.states():
@@ -1447,18 +1430,17 @@ class TestRelayMemo:
         m = _build_mini(mini_model)
         matrix = _utt(m, SENT)
         cold = RelayStats()
-        decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix, stats=cold)
+        decode_onthefly(m["HCLG3"], m["G3neg"], m["G4"], matrix, stats=cold)
         assert cold == RelayStats(eps_output_matches=0,
                                   failed_direct_matches=41, backoff_hops=41,
                                   dead_relays=0)
         warm = RelayStats()
-        decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix, stats=warm)
+        decode_onthefly(m["HCLG3"], m["G3neg"], m["G4"], matrix, stats=warm)
         assert warm == RelayStats()
 
     @staticmethod
     def _decode(m, matrix):
-        return best_path(decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"],
-                                         matrix))
+        return best_path(decode_onthefly(m["HCLG3"], m["G3neg"], m["G4"], matrix))
 
     @staticmethod
     def _copy(g):
@@ -1474,7 +1456,8 @@ class TestRelayMemo:
             out.arc_sort_input()
         return out
 
-    @pytest.mark.parametrize("operand", ["g3neg", "g4fst", "hclg3"])
+    @pytest.mark.parametrize("operand", ["G3neg", "G4", "HCLG3"],
+                             ids=["g3neg", "g4fst", "hclg3"])
     def test_mutated_operand_gives_fresh_scores(self, mini_model, operand):
         m = _build_mini(mini_model)
         matrix = _utt(m, SENT)
@@ -1487,22 +1470,22 @@ class TestRelayMemo:
         g.arc_sort_input()
         after = self._decode(m, matrix)
         fresh = {k: self._copy(g) for k, g in m.items()
-                 if k in ("hclg3", "g3neg", "g4fst")}
+                 if k in ("HCLG3", "G3neg", "G4")}
         assert after == self._decode(fresh, matrix)
         assert after[1] < before[1] - 2.0
 
     def test_memo_dies_with_its_graph(self, mini):
-        g4 = self._copy(mini["g4fst"])
-        g3neg = self._copy(mini["g3neg"])
-        decode_onthefly(mini["hclg3"], g3neg, g4, _utt(mini, SENT))
+        g4 = self._copy(mini["G4"])
+        g3neg = self._copy(mini["G3neg"])
+        decode_onthefly(mini["HCLG3"], g3neg, g4, _utt(mini, SENT))
         relays = decoder._DERIVED[g4].relays
         assert len(relays) == 1
         del g3neg
         assert len(relays) == 0
 
     def test_search_space_dies_with_its_graph(self, mini):
-        hclg3 = self._copy(mini["hclg3"])
-        decode_onthefly(hclg3, mini["g3neg"], mini["g4fst"], _utt(mini, SENT))
+        hclg3 = self._copy(mini["HCLG3"])
+        decode_onthefly(hclg3, mini["G3neg"], mini["G4"], _utt(mini, SENT))
         spaces = decoder._DERIVED[hclg3].spaces
         assert len(spaces) == 1
         states = weakref.ref(next(iter(spaces.values())))
@@ -1514,25 +1497,25 @@ class TestRelayMemo:
     def test_rescoring_a_warm_space_gives_the_same_lattice(self, mini_model):
         m = _build_mini(mini_model)
         matrix = _utt(m, SENT, noise=1.0, seed=2)
-        first = decode_static(m["hclg3"], matrix,
+        first = decode_static(m["HCLG3"], matrix,
                               DecodeOptions(beam=30.0, lattice_beam=30.0))
         cold, warm = RelayStats(), RelayStats()
-        once = rescore_lattice(first, m["g3neg"], m["g4fst"], cold)
-        twice = rescore_lattice(first, m["g3neg"], m["g4fst"], warm)
+        once = rescore_lattice(first, m["G3neg"], m["G4"], cold)
+        twice = rescore_lattice(first, m["G3neg"], m["G4"], warm)
         assert cold != RelayStats()
         assert warm == RelayStats()
         # A decode over a copy of the lattice interns the copy's space
         # states in another order before the rescore walks them.
         copy = Lattice(self._copy(first.fst), first.frames, first.utt_id)
-        decode_onthefly(copy.fst, m["g3neg"], m["g4fst"], matrix)
-        thrice = rescore_lattice(copy, m["g3neg"], m["g4fst"])
+        decode_onthefly(copy.fst, m["G3neg"], m["G4"], matrix)
+        thrice = rescore_lattice(copy, m["G3neg"], m["G4"])
         for lat in (twice, thrice):
             assert write_text_fst(lat.fst) == write_text_fst(once.fst)
             assert lat.frames == once.frames
 
     def test_rescoring_states_die_with_the_lattice(self, mini):
-        first = decode_static(mini["hclg3"], _utt(mini, SENT))
-        rescore_lattice(first, mini["g3neg"], mini["g4fst"])
+        first = decode_static(mini["HCLG3"], _utt(mini, SENT))
+        rescore_lattice(first, mini["G3neg"], mini["G4"])
         rec = weakref.ref(decoder._DERIVED[first.fst])
         assert len(rec().spaces) == 1
         del first
@@ -1540,13 +1523,13 @@ class TestRelayMemo:
         assert rec() is None
 
     def test_new_version_drops_what_was_derived_from_the_old(self, mini):
-        g3neg = self._copy(mini["g3neg"])
-        decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))
+        g3neg = self._copy(mini["G3neg"])
+        decode_onthefly(mini["HCLG3"], g3neg, mini["G4"], _utt(mini, SENT))
         memo = weakref.ref(
-            decoder._DERIVED[mini["g4fst"]].relays[decoder._DERIVED[g3neg]])
-        states = weakref.ref(decoder._DERIVED[mini["hclg3"]].spaces[memo()])
+            decoder._DERIVED[mini["G4"]].relays[decoder._DERIVED[g3neg]])
+        states = weakref.ref(decoder._DERIVED[mini["HCLG3"]].spaces[memo()])
         g3neg.arc_sort_input()
-        decode_onthefly(mini["hclg3"], g3neg, mini["g4fst"], _utt(mini, SENT))
+        decode_onthefly(mini["HCLG3"], g3neg, mini["G4"], _utt(mini, SENT))
         assert memo() is None
         assert states() is None
 
@@ -1569,20 +1552,14 @@ class TestMutationAfterDecode:
     """Decodes on warm graphs mutated by add_arc and arc_sort_input equal
     decodes over cold arc-by-arc copies of them."""
 
-    GRAPHS = ("hclg3", "g3neg", "g4fst", "hclg4")
+    GRAPHS = ("HCLG3", "G3neg", "G4", "HCLG4")
 
     @staticmethod
     def _outcome(m, strategy, matrix):
         """(hypothesis, cost repr, lattice text), or the error's type and
         message."""
         try:
-            if strategy == "onthefly":
-                lat = decode_onthefly(m["hclg3"], m["g3neg"], m["g4fst"], matrix)
-            elif strategy == "static":
-                lat = decode_static(m["hclg4"], matrix)
-            else:
-                lat = rescore_lattice(decode_static(m["hclg3"], matrix),
-                                      m["g3neg"], m["g4fst"])
+            lat = decode_utterance(strategy, m, matrix, DecodeOptions())
             hyp, cost = best_path(lat)
         except (DecodeError, FstError) as exc:
             return type(exc), str(exc)

@@ -32,7 +32,7 @@ from wfstdec.graph import (
     negate_weights,
 )
 from wfstdec.ngram import BOS, EOS, score_sentence
-from wfstdec.pipeline import PipelineConfig, generate_task
+from wfstdec.pipeline import build_graphs
 
 from conftest import LEAKY_ARPA, LEAKY_COST, MINI_LEXICON_TEXT
 
@@ -401,16 +401,11 @@ SEARCH_GRAPH_SHA256 = {
 }
 
 
-def test_default_task_search_graphs_are_pinned():
-    cfg = PipelineConfig()
-    task = generate_task(cfg)
-    g4 = ngram.estimate_witten_bell(task.corpus, cfg.order)
-    g3 = ngram.prune_to_small_lm(g4, cfg.prune_threshold, cfg.max_order)
-    syms = make_morpheme_symbols(g4, with_hash=True)
-    hclg3 = build_search_graph(task.lexicon, g3, None, syms)
-    hclg4 = build_search_graph(task.lexicon, g4, hclg3.isyms, syms)
-    got = {name: hashlib.sha256(write_text_fst(g).encode()).hexdigest()
-           for name, g in (("HCLG3", hclg3), ("HCLG4", hclg4))}
+def test_default_task_search_graphs_are_pinned(task_models):
+    task, g4, g3 = task_models
+    graphs = build_graphs(task.lexicon, g4, g3)
+    got = {name: hashlib.sha256(write_text_fst(graphs[name]).encode()).hexdigest()
+           for name in SEARCH_GRAPH_SHA256}
     assert got == SEARCH_GRAPH_SHA256
 
 

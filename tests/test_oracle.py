@@ -17,22 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfstdec.acoustic import synthesize_utterance
-from wfstdec.decoder import (
-    DecodeOptions,
-    EmptyResultError,
-    best_path,
-    decode_onthefly,
-    decode_static,
-    rescore_lattice,
-)
+from wfstdec.decoder import DecodeOptions, EmptyResultError, best_path
 from wfstdec.graph import (
     BACKOFF_EPS,
     Lexicon,
-    build_search_graph,
     cost_from_log10,
     lm_to_fst,
     make_morpheme_symbols,
-    negate_weights,
 )
 from wfstdec.fst import ZERO
 from wfstdec.ngram import (
@@ -43,6 +34,7 @@ from wfstdec.ngram import (
     prune_to_small_lm,
     score_sentence,
 )
+from wfstdec.pipeline import build_graphs, decode_utterance
 
 from conftest import LEAKY_ARPA, LEAKY_COST
 
@@ -50,25 +42,10 @@ PHONES = ("x", "y", "z")
 WIDE = DecodeOptions(beam=1e9, max_active=10 ** 9, lattice_beam=100.0)
 
 
-def _graphs(big, small, lex):
-    """HCLG3 over the small LM, G3neg and G4, on one morpheme table."""
-    syms = make_morpheme_symbols(big, with_hash=True)
-    return (build_search_graph(lex, small, None, syms),
-            negate_weights(lm_to_fst(small, syms, mode=BACKOFF_EPS)),
-            lm_to_fst(big, syms, mode=BACKOFF_EPS))
-
-
-def _audio(hclg3, lex, sent):
+def _audio(hclg3, lex, sent, **kwargs):
     phones = hclg3.isyms
     ids = [phones.id_of(p) for m in sent for p in lex.prons[m][0]]
-    return synthesize_utterance(ids, len(phones) - 1)
-
-
-def _decode(strategy, graphs, matrix, opts):
-    hclg3, g3neg, g4 = graphs
-    if strategy == "onthefly":
-        return decode_onthefly(hclg3, g3neg, g4, matrix, opts)
-    return rescore_lattice(decode_static(hclg3, matrix, opts), g3neg, g4)
+    return synthesize_utterance(ids, len(phones) - 1, **kwargs)
 
 
 def _acoustic_cost(lex, hclg3, matrix, hyp):
@@ -118,17 +95,18 @@ class TestLeakyBigram:
     def setup(self):
         model = parse_arpa(LEAKY_ARPA)
         lex = Lexicon.parse("a\tx\nb\ty\n")
-        graphs = _graphs(model, model, lex)
-        return graphs, _audio(graphs[0], lex, ["a", "b"])
+        graphs = build_graphs(lex, model, model, ("onthefly", "rescore"))
+        return graphs, _audio(graphs["HCLG3"], lex, ["a", "b"])
 
     def test_onthefly_is_exact(self, setup):
         graphs, matrix = setup
-        lat = _decode("onthefly", graphs, matrix, DecodeOptions())
+        lat = decode_utterance("onthefly", graphs, matrix, DecodeOptions())
         assert best_path(lat) == (["a", "b"], pytest.approx(LEAKY_COST, abs=1e-12))
 
     def test_rescore_is_exact_with_the_exact_path_in_the_lattice(self, setup):
         graphs, matrix = setup
-        lat = _decode("rescore", graphs, matrix, DecodeOptions(lattice_beam=5.0))
+        lat = decode_utterance("rescore", graphs, matrix,
+                               DecodeOptions(lattice_beam=5.0))
         assert best_path(lat) == (["a", "b"], pytest.approx(LEAKY_COST, abs=1e-12))
 
     def test_rescore_drops_a_lattice_of_leaked_paths(self, setup):
@@ -136,7 +114,8 @@ class TestLeakyBigram:
         # past "a b" survive; none of them is a big-LM path.
         graphs, matrix = setup
         with pytest.raises(EmptyResultError, match="all lattice paths dropped"):
-            _decode("rescore", graphs, matrix, DecodeOptions(lattice_beam=0.5))
+            decode_utterance("rescore", graphs, matrix,
+                             DecodeOptions(lattice_beam=0.5))
 
 
 def _cost(draw):
@@ -186,21 +165,21 @@ def tasks(draw):
 @given(task=tasks())
 def test_decoded_cost_is_the_analytic_big_lm_cost(strategy, task):
     big, small, lex, sent = task
-    graphs = _graphs(big, small, lex)
-    matrix = _audio(graphs[0], lex, sent)
-    hyp, cost = best_path(_decode(strategy, graphs, matrix, WIDE))
+    graphs = build_graphs(lex, big, small, (strategy,))
+    matrix = _audio(graphs["HCLG3"], lex, sent)
+    hyp, cost = best_path(decode_utterance(strategy, graphs, matrix, WIDE))
     assert cost == pytest.approx(
-        _oracle_cost(big, lex, graphs[0], matrix, hyp), abs=1e-9)
+        _oracle_cost(big, lex, graphs["HCLG3"], matrix, hyp), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(task=tasks())
 def test_static_cost_is_the_epsilon_semantics_cost(task):
     big, small, lex, sent = task
-    hclg3, _, g4 = _graphs(big, small, lex)
-    hclg4 = build_search_graph(lex, big, hclg3.isyms, g4.isyms)
+    graphs = build_graphs(lex, big, small)
+    hclg3, g4 = graphs["HCLG3"], graphs["G4"]
     matrix = _audio(hclg3, lex, sent)
-    hyp, cost = best_path(decode_static(hclg4, matrix, WIDE))
+    hyp, cost = best_path(decode_utterance("static", graphs, matrix, WIDE))
     labels = [g4.isyms.id_of(m) for m in hyp]
     assert cost == pytest.approx(eps_sentence_cost(g4, labels)
                                  + _acoustic_cost(lex, hclg3, matrix, hyp),

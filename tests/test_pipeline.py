@@ -4,14 +4,22 @@ import dataclasses
 
 import pytest
 
+from wfstdec.decoder import (DecodeOptions, RelayStats, decode_onthefly,
+                             decode_static, rescore_lattice)
+from wfstdec.fst import write_text_fst
 from wfstdec.metrics import SUFFIX_MARK
 from wfstdec.pipeline import (
+    STRATEGIES,
     DecodeReport,
     PipelineConfig,
     StageError,
+    build_graphs,
+    decode_utterance,
     generate_task,
     run_pipeline,
 )
+
+from test_decoder import SENT, _build_mini, _utt
 
 SMALL = PipelineConfig(num_morphemes=12, num_phones=8, num_sentences=400,
                        num_utterances=6, utterance_len=(6, 10),
@@ -115,3 +123,41 @@ class TestRunPipeline:
         assert text.endswith("relay_eps_output_matches=0\n")
         assert "rtf[" not in text
         assert "rtf[onthefly]" in small_report.render(include_timing=True)
+
+
+class TestBuildGraphs:
+    def test_builds_only_the_graphs_of_the_strategies(self, mini_model):
+        m = _build_mini(mini_model)
+        build = lambda *s: build_graphs(m["lex"], m["g4model"], m["g3model"], s)
+        assert list(build("onthefly")) == ["HCLG3", "G3neg", "G4"]
+        static = build("static")
+        assert list(static) == ["HCLG4"]
+        assert write_text_fst(static["HCLG4"]) == write_text_fst(m["HCLG4"])
+
+
+class TestDecodeUtterance:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equals_the_direct_decoder_calls(self, mini_model, strategy):
+        m, g = _build_mini(mini_model), _build_mini(mini_model)  # both cold
+        matrix = _utt(m, SENT, noise=1.0, seed=2)
+        opts = DecodeOptions(beam=30.0, lattice_beam=30.0)
+        via, direct = RelayStats(), RelayStats()
+        got = decode_utterance(strategy, m, matrix, opts, via, "u")
+        if strategy == "onthefly":
+            want = decode_onthefly(g["HCLG3"], g["G3neg"], g["G4"], matrix,
+                                   opts, direct, utt_id="u")
+        elif strategy == "static":
+            want = decode_static(g["HCLG4"], matrix, opts, utt_id="u")
+        else:
+            want = rescore_lattice(decode_static(g["HCLG3"], matrix, opts,
+                                                 utt_id="u"),
+                                   g["G3neg"], g["G4"], direct)
+        assert (write_text_fst(got.fst), got.frames, got.peak_tokens,
+                got.utt_id) == (write_text_fst(want.fst), want.frames,
+                                want.peak_tokens, want.utt_id)
+        assert via == direct and (via != RelayStats()) == (strategy != "static")
+
+    def test_unknown_strategy(self, mini_model):
+        m = _build_mini(mini_model)
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            decode_utterance("bogus", m, _utt(m, SENT), DecodeOptions())

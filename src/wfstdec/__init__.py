@@ -47,6 +47,6 @@ from .decoder import (
 )
 from .metrics import morphemes_to_words, size_report, wer_score
 from .pipeline import (DecodeReport, PipelineConfig, build_graphs,
-                       decode_utterance, run_pipeline)
+                       decode_utterance, run_pipeline, synthesize_task)
 
 __version__ = "0.1.0"

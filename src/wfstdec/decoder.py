@@ -24,6 +24,8 @@ off to one search-graph state q1, and their relays match most morphemes
 at one G4 state at3: from the station (q1, at3) they read the same arcs
 to the same targets, at weights that differ by the hop weight h of their
 back-off walks, less the morphemes each matched higher on its chains.
+So a station's arcs are made once, as a table, and each LM pair that
+meets there takes a filtered copy, weighted by its own walks.
 The frame step takes a station's tokens in order of cost + h, and a
 token skips the arcs of each morpheme that a token more than the lattice
 beam (plus rounding slack) cheaper already read there: its arrival could
@@ -51,8 +53,10 @@ from .fst import ZERO, Arc, Fst, FstError, SymbolTable, _connect
 
 _INF = ZERO
 _NO_STATE = -1
-# The relay memo's entry for a dead branch; its match states are no states.
-_DEAD = (_NO_STATE, _NO_STATE, ZERO, (_NO_STATE, _NO_STATE, ZERO))
+# A dead branch's record in the relay memo, and its per-label entry; its
+# match states are no states.
+_DEAD_RECORD = (_NO_STATE, _NO_STATE, ZERO, ZERO, ZERO)
+_DEAD = (_NO_STATE, _NO_STATE, ZERO, _DEAD_RECORD)
 # Slack on the lattice bound, and so on the frame step's cutoff, which
 # must skip only tokens the lattice builder's bound would drop anyway.
 _TOL = 1e-9
@@ -115,20 +119,21 @@ class RelayStats:
 
 
 def _relay_walk(g: Fst, state: int, labels,
-                stats: Optional[RelayStats]) -> tuple[dict, int]:
+                stats: Optional[RelayStats]) -> tuple[list, set, int]:
     """Back-off relay walk for a set of labels at once.
 
-    Follows the back-off chain from ``state``; at each state on it, every
-    label not yet matched is looked up in the state's label map (input
+    Follows the back-off chain from ``state``; at each state on it, the
+    labels not yet matched are looked up in the state's label map (input
     label -> its first arc in sorted order, the arc ``find_arc`` returns;
-    made on first use).  Returns ({label: (matched arc, accumulated hop
-    weight, hops, state matched at)}, hops taken by the labels left dead).
-    ``stats`` counts per label and per hop, as if each label walked alone.
-    ``_lm`` has checked that the chain ends.
+    made on first use) as one set.  Returns ([(state matched at,
+    accumulated hop weight, hops, labels matched there)], the labels left
+    dead, the hops they took).  A label's arc is the label map's entry at
+    the state it matched at.  ``stats`` counts per label and per hop, as
+    if each label walked alone.  ``_lm`` has checked that the chain ends.
     """
     rec = _lm(g)
     maps, back = rec.maps, rec.back
-    found = {}
+    groups = []
     todo = set(labels)
     acc = 0.0
     hops = 0
@@ -140,11 +145,10 @@ def _relay_walk(g: Fst, state: int, labels,
             amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
         hit = todo & amap.keys()
         if hit:
-            for lab in hit:
-                found[lab] = (amap[lab], acc, hops, q)
+            groups.append((q, acc, hops, hit))
             todo -= hit
             if not todo:
-                return found, hops
+                return groups, todo, hops
         b = back[q]
         if stats is not None:
             n = len(todo)
@@ -154,7 +158,7 @@ def _relay_walk(g: Fst, state: int, labels,
             else:
                 stats.backoff_hops += n
         if b is None:
-            return found, hops
+            return groups, todo, hops
         q = b.nextstate
         acc += b.weight
         hops += 1
@@ -172,11 +176,11 @@ def relay_match(g: Fst, state: int, label: int,
         if stats is not None:
             stats.eps_output_matches += 1
         raise DecodeError("relay matching an epsilon label is forbidden")
-    found, hops = _relay_walk(g, state, (label,), stats)
-    r = found.get(label)
-    if r is None:
+    groups, dead, hops = _relay_walk(g, state, (label,), stats)
+    if dead:
         return _NO_STATE, _INF, hops
-    a, acc, hops, _ = r
+    at, acc, hops, _ = groups[0]
+    a = _lm(g).maps[at][label]
     return a.nextstate, acc + a.weight, hops
 
 
@@ -237,32 +241,57 @@ def _derived(fst: Fst) -> _Derived:
 
 class _RelayMemo:
     """The relay results of one (G3neg, G4) pair, shared across decodes:
-    per LM pair ``(q2, q3)``, a dict from morpheme to ``(q2', q3', weight,
-    (at, at3, h))``, where ``at`` and ``at3`` are the states on q2's and
-    q3's back-off chains where G3neg and G4 matched the morpheme and ``h``
-    is the weight of both back-off walks, or ``_DEAD`` when the branch is
-    dead, filled one search-graph state's labels at a time.  The labels
-    of one batch matched at one ``(at, at3)`` share that triple."""
+    one ``_Pair`` per LM pair ``(q2, q3)``."""
 
     def __init__(self):
         self.pairs: dict = {}
 
 
+class _Pair:
+    """The relay results of one LM pair ``(q2, q3)``, filled one
+    search-graph state's labels at a time.  The labels that G3neg matched
+    at state ``at`` on q2's back-off chain and G4 at ``at3`` on q3's form
+    a group, whose one record ``groups[(at, at3)]`` is ``(at, at3, h,
+    acc2, acc3)``: ``acc2`` and ``acc3`` are the weights of the two
+    back-off walks and ``h = acc2 + acc3``.  ``records`` maps each label
+    to its group's record, so a group's labels are those whose record is
+    that object, and a dead label to ``_DEAD_RECORD``.  ``entries`` maps a
+    label to ``(q2', q3', weight, record)``, made when the per-arc path
+    first reads the label."""
+
+    __slots__ = ("records", "groups", "entries")
+
+    def __init__(self):
+        self.records, self.groups, self.entries = {}, {}, {}
+
+
 class _States:
     """An on-the-fly space's interned states and their expanded arcs
     (``shared`` holds the emitting arcs of each state with station
-    segments); the search graph's arc tables; per search-graph state the
-    G3neg state it was composed from, and the ``eps`` entry of a new
-    search state over it: True (not yet expanded) or, where it has no
-    epsilon-input arcs, an empty table.
+    segments); per search-graph state the G3neg state it was composed
+    from; the station tables, keyed ``(q1, at3)``; and, once the frame
+    step first needs them, the search graph's arc tables and, per
+    search-graph state, the ``eps`` entry of a new search state over it:
+    True (not yet expanded) or, where it has no epsilon-input arcs, an
+    empty table.  Rescoring walks a lattice's own arcs and makes neither.
     """
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
-        self.shared = {}
+        self.shared, self.stations = {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
-        self.graph_arcs = _arc_tables(graph)
-        self.new_eps = [True if z else () for z in self.graph_arcs[1]]
+        self.graph_arcs = self.new_eps = None
+
+    def frame_tables(self, graph: Fst) -> tuple:
+        """The search graph's arc tables, made on the first call, which
+        also gives the states interned before it their ``eps`` entries."""
+        if self.graph_arcs is None:
+            self.graph_arcs = _arc_tables(graph)
+            self.new_eps = [True if z else () for z in self.graph_arcs[1]]
+            for sid, triple in enumerate(self.triples):
+                if self.eps[sid] is True:
+                    self.eps[sid] = self.new_eps[triple[0]]
+        return self.graph_arcs
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -518,9 +547,10 @@ class _OnTheFlySpace(SearchSpace):
         self.graph, self.g3neg, self.g4 = graph, g3neg, g4
         self.stats = stats if stats is not None else RelayStats()
         self._pairs = memo.pairs
+        self._maps3, self._maps4 = _lm(g3neg).maps, _lm(g4).maps
+        self._states = states
         self.emit, self.eps, self._shared = states.emit, states.eps, states.shared
         self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
-        self._graph_arcs, self._new_eps = states.graph_arcs, states.new_eps
         if graph.initial >= 0:
             self._g3[graph.initial] = g3neg.initial
             self.initial = self.state_id(
@@ -535,7 +565,8 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            self.eps.append(self._new_eps[triple[0]])
+            new_eps = self._states.new_eps
+            self.eps.append(True if new_eps is None else new_eps[triple[0]])
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -548,27 +579,78 @@ class _OnTheFlySpace(SearchSpace):
     def _expand_eps(self, sid: int) -> tuple:
         """Expand state sid's epsilon-input arcs, once."""
         q1 = self._triples[sid][0]
-        arcs = self.eps[sid] = tuple(
-            self.expand_arcs(sid, self._graph_arcs[1][q1]))
+        arcs = self.eps[sid] = tuple(self.expand_arcs(
+            sid, self._states.frame_tables(self.graph)[1][q1]))
         return arcs
 
     def _expand_emit(self, sid: int) -> tuple:
         """Expand state sid's emitting arcs, once, as (own arcs, station
-        segments).  A segment is ``[station, h, arcs, None]``, the None a
-        cache for ``_labels``; a station is numbered ``q1 + (search-graph
-        states) * at3``.  A state with segments keeps them in ``_shared``
-        and its ``emit`` entry stays None."""
-        q1 = self._triples[sid][0]
-        met = {}
-        own = tuple(self.expand_arcs(sid, self._graph_arcs[0][q1], met))
-        if not met:
+        segments).  The own arcs are its ``phone:eps`` arcs.  Its morpheme
+        arcs that the LM pair (q2, q3) matched at q1's G3neg state and at
+        G4 state at3 form a segment ``[station, h, arcs, None]``, the None
+        a cache for ``_labels``: the rows of the station's table with those
+        morphemes, each weighted ``w + (((acc2 + e2w) + acc3) + e3w)``, the
+        float sum the per-arc path makes.  A station is numbered ``q1 +
+        (search-graph states) * at3``, and segments are ordered by their
+        first arc.  A state with segments keeps them in ``_shared`` and its
+        ``emit`` entry stays None."""
+        q1, q2, q3 = self._triples[sid]
+        g = self._g3_of(q1)
+        graph_arcs = self._states.frame_tables(self.graph)[0][q1]
+        own = tuple(self.expand_arcs(sid, [a for a in graph_arcs if not a[1]]))
+        labels = {a[1] for a in graph_arcs if a[1]}
+        segs = []
+        if labels:
+            n1 = len(self._g3)
+            pair = self.relays(q2, q3, labels)
+            records = pair.records
+            for (at, at3), record in pair.groups.items():
+                if at != g:
+                    continue
+                rows = [r for r in self._station(q1, g, at3)
+                        if records[r[2]] is record]
+                if rows:
+                    _, _, h, acc2, acc3 = record
+                    segs.append((rows[0][0], [q1 + n1 * at3, h, tuple([
+                        (il, ol, w + (((acc2 + e2w) + acc3) + e3w), nid)
+                        for _, il, ol, w, e2w, e3w, nid in rows]), None]))
+        if not segs:
             self.emit[sid] = own
             return own, ()
-        n1 = len(self._g3)
-        split = self._shared[sid] = (own, tuple(
-            [q1 + n1 * at3, h, tuple(arcs), None]
-            for at3, (h, arcs) in met.items()))
+        segs.sort(key=itemgetter(0))
+        split = self._shared[sid] = (own, tuple([seg for _, seg in segs]))
         return split
+
+    def _station(self, q1: int, g: int, at3: int) -> tuple:
+        """The table of the station (q1, at3): a row ``(arc index, ilabel,
+        olabel, weight, G3neg arc weight, G4 arc weight, next id)`` for each
+        emitting arc of q1 whose morpheme G3neg lists at g, q1's G3neg
+        state, and G4 lists at at3.  Every LM pair that meets there reads a
+        filtered copy.  Made once, when the first pair meets there, which
+        interns each row's next state and checks its G3neg state."""
+        key = (q1, at3)
+        stations = self._states.stations
+        rows = stations.get(key)
+        if rows is not None:
+            return rows
+        map3, map4, g3 = self._maps3[g], self._maps4[at3], self._g3
+        rows = []
+        for k, (il, ol, w, ns) in enumerate(self._states.graph_arcs[0][q1]):
+            if not ol:
+                continue
+            e2, e3 = map3.get(ol), map4.get(ol)
+            if e2 is None or e3 is None:
+                continue
+            ng = e2.nextstate
+            seen = g3[ns]
+            if seen != ng:
+                if seen != _NO_STATE:
+                    raise _composition_error(ns, seen, ng)
+                g3[ns] = ng
+            rows.append((k, il, ol, w, e2.weight, e3.weight,
+                         self.state_id((ns, ng, e3.nextstate))))
+        rows = stations[key] = tuple(rows)
+        return rows
 
     def _meet(self, tokens: dict, slack: float) -> dict:
         """The arcs each token with station segments scans this frame: its
@@ -627,52 +709,48 @@ class _OnTheFlySpace(SearchSpace):
                                         if not (covered >> a[1]) & 1])
         return plan
 
-    def expand_arcs(self, sid: int, graph_arcs,
-                    stations: Optional[dict] = None) -> list:
+    def expand_arcs(self, sid: int, graph_arcs) -> list:
         """(ilabel, olabel, graph+LM weight, next id) for each of state
         sid's ``graph_arcs`` (ilabel, olabel, weight, next graph state)
         that survives, in order.  One batch relays the labels of all arcs;
         the counters count per label, as if each arc were relayed alone.
-        Given ``stations``, morpheme arcs go there instead, under the G4
-        state at3 where their relay matched, as ``(h, arcs)``."""
+        A morpheme arc reads its label's entry in the LM pair's memo."""
         q1, q2, q3 = self._triples[sid]
         g3 = self._g3
-        g = g3[q1]
-        if g == _NO_STATE:
-            raise ProvenanceError(
-                f"search graph state {q1} was not reached from the initial "
-                "state, so its G3neg state is unknown")
+        g = self._g3_of(q1)
         labels = {a[1] for a in graph_arcs if a[1]}
-        relays = self.relays(q2, q3, labels) if labels else None
+        if labels:
+            pair = self.relays(q2, q3, labels)
+            entries = pair.entries
         arcs = []
-        last = None  # the (at, at3, h) of the last station arc
         for il, ol, w, ns in graph_arcs:
-            into = arcs
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, gw = q2, q3, 0.0
             else:
-                nq2, nq3, gw, hop = relays[ol]
-                if hop[0] != g:
+                entry = entries.get(ol)
+                if entry is None:
+                    entry = self._entry(pair, ol)
+                nq2, nq3, gw, record = entry
+                if record[0] != g:
                     continue
                 ng = nq2
-                if stations is not None:
-                    if hop is not last:
-                        last = hop
-                        seg = stations.get(hop[1])
-                        if seg is None:
-                            seg = stations[hop[1]] = (hop[2], [])
-                    into = seg[1]
             seen = g3[ns]
             if seen != ng:
                 if seen != _NO_STATE:
-                    raise ProvenanceError(
-                        f"search graph state {ns} is reached from G3neg "
-                        f"states {seen} and {ng}: the search graph is not a "
-                        "composition with G3neg")
+                    raise _composition_error(ns, seen, ng)
                 g3[ns] = ng
-            into.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
+            arcs.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
         return arcs
+
+    def _g3_of(self, q1: int) -> int:
+        """The G3neg state search-graph state q1 was composed from."""
+        g = self._g3[q1]
+        if g == _NO_STATE:
+            raise ProvenanceError(
+                f"search graph state {q1} was not reached from the initial "
+                "state, so its G3neg state is unknown")
+        return g
 
     def backoff(self, g: int, q1: int) -> int:
         """G3neg's back-off target from g, where search-graph state q1,
@@ -684,39 +762,60 @@ class _OnTheFlySpace(SearchSpace):
                 "which has no back-off arc")
         return b.nextstate
 
-    def relays(self, q2: int, q3: int, labels: set) -> dict:
+    def relays(self, q2: int, q3: int, labels: set) -> _Pair:
         """The LM pair's memo, with every label in ``labels`` resolved.
 
-        G3neg is an acceptor, so G4 is walked with the labels G3neg
-        matched.
+        G3neg is walked once with the labels, and G4 once with the labels
+        G3neg matched (G3neg is an acceptor).  Each of G3neg's groups
+        meets each of G4's in the labels both matched, and those labels
+        join the memo's group of that ``(at, at3)``, each mapped to its
+        record by one ``dict.fromkeys``.
         """
-        memo = self._pairs.get((q2, q3))
-        if memo is None:
-            memo = self._pairs[(q2, q3)] = {}
-        labels = labels.difference(memo)  # walks labels, not the memo
+        pair = self._pairs.get((q2, q3))
+        if pair is None:
+            pair = self._pairs[(q2, q3)] = _Pair()
+        records = pair.records
+        labels = labels.difference(records)  # walks labels, not the memo
         if not labels:
-            return memo
-        found2, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
-        found3 = {}
+            return pair
+        found2, dead, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
         if found2:
-            found3, _ = _relay_walk(self.g4, q3, found2, self.stats)
-        hops = {}
-        last = last3 = _NO_STATE
-        for lab in labels:
-            r3 = found3.get(lab)
-            if r3 is None:
-                memo[lab] = _DEAD
-            else:
-                e2, acc2, _, at = found2[lab]
-                e3, acc3, _, at3 = r3
-                if at != last or at3 != last3:  # most labels repeat them
-                    last, last3 = at, at3
-                    hop = hops.get((at, at3))
-                    if hop is None:
-                        hop = hops[(at, at3)] = (at, at3, acc2 + acc3)
-                memo[lab] = (e2.nextstate, e3.nextstate,
-                             acc2 + e2.weight + acc3 + e3.weight, hop)
-        return memo
+            found3, dead3, _ = _relay_walk(self.g4, q3, labels - dead,
+                                           self.stats)
+            dead |= dead3
+            groups = pair.groups
+            for at, acc2, _, labels2 in found2:
+                for at3, acc3, _, labels3 in found3:
+                    both = labels2 & labels3
+                    if both:
+                        record = groups.get((at, at3))
+                        if record is None:
+                            record = groups[(at, at3)] = (
+                                at, at3, acc2 + acc3, acc2, acc3)
+                        records.update(dict.fromkeys(both, record))
+        if dead:
+            records.update(dict.fromkeys(dead, _DEAD_RECORD))
+        return pair
+
+    def _entry(self, pair: _Pair, label: int) -> tuple:
+        """A label's memo entry ``(q2', q3', weight, record)``, made from
+        its group's record on first use."""
+        record = pair.records[label]
+        if record is _DEAD_RECORD:
+            entry = _DEAD
+        else:
+            at, at3, _, acc2, acc3 = record
+            e2, e3 = self._maps3[at][label], self._maps4[at3][label]
+            entry = (e2.nextstate, e3.nextstate,
+                     acc2 + e2.weight + acc3 + e3.weight, record)
+        pair.entries[label] = entry
+        return entry
+
+
+def _composition_error(ns: int, seen: int, ng: int) -> ProvenanceError:
+    return ProvenanceError(
+        f"search graph state {ns} is reached from G3neg states {seen} and "
+        f"{ng}: the search graph is not a composition with G3neg")
 
 
 def _labels(seg: list) -> int:

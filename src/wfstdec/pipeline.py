@@ -174,6 +174,23 @@ def generate_task(cfg: PipelineConfig) -> SynthTask:
     return SynthTask(lex, morphemes, chain, starts, corpus, utterances)
 
 
+def synthesize_task(cfg: PipelineConfig, task: SynthTask,
+                    phones: gb.SymbolTable) -> list[ac.AcousticMatrix]:
+    """The cost matrix of each of the task's utterances, as
+    ``run_pipeline`` decodes them: the phones of each morpheme's first
+    pronunciation, numbered by the search graphs' phone table ``phones``,
+    with ``cfg``'s noise and margin, utterance i seeded ``cfg.seed + 1000
+    + i``."""
+    matrices = []
+    for i, (utt_id, morphs) in enumerate(task.utterances):
+        ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
+        matrices.append(ac.synthesize_utterance(
+            ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
+            noise=cfg.noise, seed=cfg.seed + 1000 + i, margin=cfg.margin,
+            utt_id=utt_id))
+    return matrices
+
+
 @dataclass
 class UttResult:
     utt_id: str
@@ -317,19 +334,8 @@ def run_pipeline(cfg: PipelineConfig,
 
     graphs = _stage("graph-build", build_graphs, task.lexicon, g4, g3,
                     cfg.strategies)
-    phone_syms = next(iter(graphs.values())).isyms
-
-    def utt_matrix(i: int, utt_id: str, morphs: Sequence[str]) -> ac.AcousticMatrix:
-        phone_ids = [phone_syms.id_of(p)
-                     for m in morphs for p in task.lexicon.prons[m][0]]
-        return ac.synthesize_utterance(
-            phone_ids, len(phone_syms) - 1,
-            frames_per_phone=cfg.frames_per_phone, noise=cfg.noise,
-            seed=cfg.seed + 1000 + i, margin=cfg.margin, utt_id=utt_id)
-
-    matrices = _stage("synth", lambda: [
-        utt_matrix(i, uid, morphs)
-        for i, (uid, morphs) in enumerate(task.utterances)])
+    matrices = _stage("synth", synthesize_task, cfg, task,
+                      next(iter(graphs.values())).isyms)
 
     results: dict[str, StrategyResult] = {}
     for strategy in cfg.strategies:

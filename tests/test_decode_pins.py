@@ -33,10 +33,10 @@ import hashlib
 
 import pytest
 
-from wfstdec import acoustic as ac
 from wfstdec import decoder as dec
 from wfstdec.fst import write_text_fst
-from wfstdec.pipeline import PipelineConfig, build_graphs, decode_utterance
+from wfstdec.pipeline import (PipelineConfig, build_graphs, decode_utterance,
+                              synthesize_task)
 
 # strategy -> digest of the per-utterance (hypothesis, repr(cost)) lines.
 HYPOTHESES = dict.fromkeys(
@@ -77,15 +77,7 @@ WIDE_OPEN = {
 def _setup(task_models, cfg):
     task, g4, g3 = task_models
     graphs = build_graphs(task.lexicon, g4, g3)
-    phones = graphs["HCLG3"].isyms
-    matrices = []
-    for i, (utt_id, morphs) in enumerate(task.utterances):
-        ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
-        matrices.append(ac.synthesize_utterance(
-            ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
-            noise=cfg.noise, seed=cfg.seed + 1000 + i, margin=cfg.margin,
-            utt_id=utt_id))
-    return graphs, matrices
+    return graphs, synthesize_task(cfg, task, graphs["HCLG3"].isyms)
 
 
 def _summary(lat):

@@ -44,7 +44,8 @@ from wfstdec.graph import (
     negate_weights,
 )
 from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
-from wfstdec.pipeline import PipelineConfig, build_graphs, decode_utterance
+from wfstdec.pipeline import (PipelineConfig, build_graphs, decode_utterance,
+                              synthesize_task)
 
 from conftest import MINI_LEXICON_TEXT
 from test_acceptance import _random_model
@@ -242,16 +243,23 @@ class TestBatchedRelay:
             for g in (g3neg, g4):
                 batch, single, ref = RelayStats(), RelayStats(), RelayStats()
                 for s in g.states():
-                    found, _ = _relay_walk(g, s, words, batch)
+                    groups, dead, dead_hops = _relay_walk(g, s, words, batch)
+                    found = {w: (at, acc, hops)
+                             for at, acc, hops, labels in groups for w in labels}
+                    assert len(found) == sum(len(gr[3]) for gr in groups)
+                    assert found.keys() | dead == set(words)
+                    assert not found.keys() & dead
+                    maps = decoder._DERIVED[g].maps
                     for w in words:
                         got = relay_match(g, s, w, single)
                         a, acc, hops, at = _reference_relay(g, s, w, ref)
                         if a is None:
-                            assert w not in found
+                            assert w in dead and dead_hops == hops
                             assert got == (-1, INF, hops)
                             continue
                         assert got == (a.nextstate, acc + a.weight, hops)
-                        assert found[w] == (a, acc, hops, at)
+                        assert found[w] == (at, acc, hops)
+                        assert maps[at][w] == a
                 assert batch == single == ref
                 total_hops += batch.backoff_hops
             assert total_hops > 0
@@ -263,18 +271,27 @@ class TestBatchedRelay:
             space = search_space(Fst(), g3neg, g4, stats)
             for q2 in g3neg.states():
                 for q3 in g4.states():
-                    memo = space.relays(q2, q3, set(words))
+                    # Two batches, so the second grows the first's groups.
+                    space.relays(q2, q3, set(words[::2]))
+                    pair = space.relays(q2, q3, set(words))
                     for w in words:
+                        record = pair.records[w]
                         e2, acc2, _, at = _reference_relay(g3neg, q2, w, ref)
-                        want = (-1, -1, INF, (-1, -1, INF))
+                        e3 = None
                         if e2 is not None:
                             e3, acc3, _, at3 = _reference_relay(g4, q3, w, ref)
-                            if e3 is not None:
-                                want = (e2.nextstate, e3.nextstate,
-                                        acc2 + e2.weight + acc3 + e3.weight,
-                                        (at, at3, acc2 + acc3))
-                        assert memo[w] == want
-                        backed_off += want[3][0] not in (q2, -1)
+                        if e3 is None:
+                            assert record is decoder._DEAD_RECORD
+                            assert space._entry(pair, w) == (-1, -1, INF, record)
+                            continue
+                        assert record == (at, at3, acc2 + acc3, acc2, acc3)
+                        assert pair.groups[(at, at3)] is record
+                        assert space._entry(pair, w) == (
+                            e2.nextstate, e3.nextstate,
+                            acc2 + e2.weight + acc3 + e3.weight, record)
+                        backed_off += at != q2
+                    for key, record in pair.groups.items():
+                        assert key == record[:2]
             assert stats == ref
         assert backed_off > 0
 
@@ -1126,14 +1143,7 @@ def _default_task(task_models):
     cfg = PipelineConfig()
     hclg3, g3neg, g4 = _onthefly_graphs(task.lexicon, g4model, g3model)
     space = search_space(hclg3, g3neg, g4)
-    utt_id, morphs = task.utterances[0]
-    phones = hclg3.isyms
-    ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
-    matrix = synthesize_utterance(
-        ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
-        noise=cfg.noise, seed=cfg.seed + 1000, margin=cfg.margin,
-        utt_id=utt_id)
-    return space, matrix
+    return space, synthesize_task(cfg, task, hclg3.isyms)[0]
 
 
 class TestStations:
@@ -1238,6 +1248,105 @@ class TestStations:
         assert row.lookups == scans
         assert out.keys() == _uncut_advance(space, tokens, [INF, 0.0], 1,
                                             8.0).keys()
+
+
+def _reference_emit(space, g3neg, g4, sid):
+    """State sid's emitting arcs expanded one arc at a time, with a
+    per-label ``_reference_relay`` for each morpheme arc: (own arcs,
+    [[station, h, arcs]]), each arc ``(ilabel, olabel, weight, next
+    triple)``, the segments in the order of their first arcs, and every
+    float as hex, so that equal is bit-identical."""
+    q1, q2, q3 = space.triple(sid)
+    g = space._g3[q1]
+    n1 = len(space._g3)
+    scratch = RelayStats()
+    own, segs = [], {}
+    for il, ol, w, ns in space.graph.arcs(q1):
+        if not il:
+            continue
+        if not ol:
+            own.append((il, ol, (w + 0.0).hex(), (ns, q2, q3)))
+            continue
+        e2, acc2, _, at = _reference_relay(g3neg, q2, ol, scratch)
+        if e2 is None or at != g:
+            continue
+        e3, acc3, _, at3 = _reference_relay(g4, q3, ol, scratch)
+        if e3 is None:
+            continue
+        seg = segs.setdefault(at3, [q1 + n1 * at3, (acc2 + acc3).hex(), []])
+        weight = w + (acc2 + e2.weight + acc3 + e3.weight)
+        seg[2].append((il, ol, weight.hex(), (ns, e2.nextstate, e3.nextstate)))
+    return own, list(segs.values())
+
+
+def _expansion(space, sid):
+    """State sid's emitting arcs as ``_expand_emit`` makes them, in the
+    form of ``_reference_emit``."""
+    own, segs = space._shared.get(sid) or space._expand_emit(sid)
+
+    def arcs(tab):
+        return [(il, ol, w.hex(), space.triple(nid)) for il, ol, w, nid in tab]
+    return arcs(own), [[st, h.hex(), arcs(tab)] for st, h, tab, _ in segs]
+
+
+class TestStationTables:
+    """Each station's arcs are made once, as a table that every LM pair
+    meeting there filters and weights: bit for bit the per-arc expansion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_onthefly_cut_cases())
+    def test_expansion_equals_per_arc_reference(self, case):
+        big, small, lex, sent, noise, seed, opts = case
+        hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
+        matrix = oracle_audio(hclg3, lex, sent, noise=noise, seed=seed)
+        try:
+            decode_onthefly(hclg3, g3neg, g4, matrix, opts)
+        except EmptyResultError:
+            pass  # the states it interned are checked all the same
+        space = search_space(hclg3, g3neg, g4)
+        for sid in range(len(space._triples)):  # the states the decode interned
+            assert _expansion(space, sid) == _reference_emit(space, g3neg, g4, sid)
+
+    def test_each_station_table_is_built_once_and_shared(self, task_models):
+        # A cold decode of the default task's first utterance.  The spy
+        # records, per station, each table it returns and the LM pairs of
+        # the states that read it.
+        space, matrix = _default_task(task_models)
+        station, expand = decoder._OnTheFlySpace._station, \
+            decoder._OnTheFlySpace._expand_emit
+        built = {}
+        readers = {}
+        pairs = []
+
+        def spy_station(self, q1, g, at3):
+            fresh = (q1, at3) not in self._states.stations
+            rows = station(self, q1, g, at3)
+            built[(q1, at3)] = built.get((q1, at3), 0) + fresh
+            readers.setdefault(id(rows), (rows, set()))[1].add(pairs[-1])
+            return rows
+
+        def spy_emit(self, sid):
+            pairs.append(self.triple(sid)[1:])
+            try:
+                return expand(self, sid)
+            finally:
+                pairs.pop()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder._OnTheFlySpace, "_station", spy_station)
+            mp.setattr(decoder._OnTheFlySpace, "_expand_emit", spy_emit)
+            decode_onthefly(space.graph, space.g3neg, space.g4, matrix)
+        assert built and set(built.values()) == {1}
+        assert len(readers) == len(built) == len(space._states.stations)
+        assert max(len(p) for _, p in readers.values()) >= 2
+        # Every segment is a filtered copy of its station's table.
+        n1 = len(space._g3)
+        for own, segs in space._shared.values():
+            for st, _, arcs, _ in segs:
+                rows = space._states.stations[(st % n1, st // n1)]
+                kept = iter([(il, ol, nid) for _, il, ol, _, _, _, nid in rows])
+                assert all(a in kept for a in [(il, ol, nid)
+                                                for il, ol, _, nid in arcs])
 
 
 class TestBestPath:
@@ -1512,6 +1621,38 @@ class TestRelayMemo:
         for lat in (twice, thrice):
             assert write_text_fst(lat.fst) == write_text_fst(once.fst)
             assert lat.frames == once.frames
+
+    def test_rescoring_makes_no_arc_tables(self, mini):
+        # Rescoring walks the lattice's own arcs: neither the lattice's
+        # record nor its space's states get arc tables, and the rescored
+        # lattice is that of a lattice whose tables were made first.
+        first = decode_static(mini["HCLG3"], _utt(mini, SENT, noise=1.0))
+        got = rescore_lattice(first, mini["G3neg"], mini["G4"])
+        rec = decoder._DERIVED[first.fst]
+        assert rec.tables is None
+        assert next(iter(rec.spaces.values())).graph_arcs is None
+        copy = Lattice(self._copy(first.fst), first.frames, first.utt_id)
+        decoder._arc_tables(copy.fst)
+        want = rescore_lattice(copy, mini["G3neg"], mini["G4"])
+        assert write_text_fst(got.fst) == write_text_fst(want.fst)
+        assert got.frames == want.frames
+
+    def test_decoding_a_rescored_space_equals_a_cold_decode(self, mini):
+        # States interned by rescoring, before the frame step made the arc
+        # tables, get the same epsilon entries as states interned after.
+        matrix = _utt(mini, SENT, noise=1.0)
+        first = decode_static(mini["HCLG3"], matrix)
+        rescore_lattice(first, mini["G3neg"], mini["G4"])
+        space = search_space(first.fst, mini["G3neg"], mini["G4"])
+        assert len(space._triples) > 1
+        space.propagate({space.initial: [space.initial, 0, 0.0]}, 0, 8.0)
+        for sid, (q1, _, _) in enumerate(space._triples):
+            if all(a.ilabel for a in first.fst.arcs(q1)):
+                assert space.eps[sid] == ()
+        got, want = (decode_onthefly(g, mini["G3neg"], mini["G4"], matrix)
+                     for g in (first.fst, self._copy(first.fst)))
+        assert write_text_fst(got.fst) == write_text_fst(want.fst)
+        assert (got.frames, got.peak_tokens) == (want.frames, want.peak_tokens)
 
     def test_rescoring_states_die_with_the_lattice(self, mini):
         first = decode_static(mini["HCLG3"], _utt(mini, SENT))

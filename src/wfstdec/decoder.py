@@ -207,17 +207,17 @@ def relay_final(g: Fst, state: int) -> float:
 
 class _Derived:
     """What the decoder derived from one graph at one version: its arc
-    tables; as an LM, its back-off arcs and label maps (None until ``_lm``
-    has checked it); as a G4, the relay memo of each G3neg, keyed by
-    G3neg's record; as a search graph or a rescored lattice, its on-the-fly
-    states, keyed by the relay memo they were expanded with.  The keys are
-    weak, so what is keyed by a record or memo goes with it.  No record
-    holds a graph.
+    rows (``_Rows``, made when a decode first needs them); as an LM, its
+    back-off arcs and label maps (None until ``_lm`` has checked it); as a
+    G4, the relay memo of each G3neg, keyed by G3neg's record; as a search
+    graph or a rescored lattice, its on-the-fly states, keyed by the relay
+    memo they were expanded with.  The keys are weak, so what is keyed by a
+    record or memo goes with it.  No record holds a graph.
     """
 
     def __init__(self, version: int):
         self.version = version
-        self.tables: Optional[tuple] = None
+        self.rows: Optional[_Rows] = None
         self.back: Optional[list] = None
         self.maps: Optional[dict] = None
         self.relays = weakref.WeakKeyDictionary()
@@ -270,28 +270,29 @@ class _States:
     (``shared`` holds the emitting arcs of each state with station
     segments); per search-graph state the G3neg state it was composed
     from; the station tables, keyed ``(q1, at3)``; and, once the frame
-    step first needs them, the search graph's arc tables and, per
-    search-graph state, the ``eps`` entry of a new search state over it:
-    True (not yet expanded) or, where it has no epsilon-input arcs, an
-    empty table.  Rescoring walks a lattice's own arcs and makes neither.
+    step first expands a state, the search graph's ``_Rows``, whose
+    epsilon flags give a new search state over search-graph state q1 its
+    ``eps`` entry: True (not yet expanded) or, where q1 has no
+    epsilon-input arcs, an empty table.  Rescoring walks a lattice's own
+    arcs and reads no rows.
     """
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.shared, self.stations = {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
-        self.graph_arcs = self.new_eps = None
+        self.rows: Optional[_Rows] = None
 
-    def frame_tables(self, graph: Fst) -> tuple:
-        """The search graph's arc tables, made on the first call, which
+    def graph_rows(self, graph: Fst) -> _Rows:
+        """The search graph's rows, looked up on the first call, which
         also gives the states interned before it their ``eps`` entries."""
-        if self.graph_arcs is None:
-            self.graph_arcs = _arc_tables(graph)
-            self.new_eps = [True if z else () for z in self.graph_arcs[1]]
+        if self.rows is None:
+            self.rows = _rows(graph)
+            flags = self.rows.eps
             for sid, triple in enumerate(self.triples):
-                if self.eps[sid] is True:
-                    self.eps[sid] = self.new_eps[triple[0]]
-        return self.graph_arcs
+                if self.eps[sid] is True and not flags[triple[0]]:
+                    self.eps[sid] = ()
+        return self.rows
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -342,26 +343,65 @@ def _backoff_table(g: Fst, name: str) -> list:
     return back
 
 
-def _arc_tables(fst: Fst) -> tuple:
-    """Per-state arc tuples (ilabel, olabel, weight, nextstate), split into
-    emitting and epsilon-input arcs, and the largest emitting input label
-    (0 if none).  Plain tuples, not the graph's ``Arc`` objects: CPython
-    3.11 unpacks an exact tuple on a fast path that a named tuple misses,
-    which made the ``large-vocab`` static decode about 20% slower."""
+class _Rows(dict):
+    """The arc rows of one graph at one version, made per state on first
+    visit.  ``emit[s]`` is None until state s is visited, then its
+    emitting arcs; ``eps[s]`` is True where s has epsilon-input arcs and
+    its row is not made yet, then that row, and () where it has none.  A
+    row holds the state's arcs in order as plain tuples (ilabel, olabel,
+    weight, nextstate), not the graph's ``Arc`` objects: CPython 3.11
+    unpacks an exact tuple on a fast path that a named tuple misses, which
+    made the ``large-vocab`` static decode about 20% slower.  ``top`` is
+    the largest emitting input label (0 if none).
+
+    The epsilon flags and ``top`` come from one pass before the first
+    frame: from each state's first and last arc where the graph is
+    input-sorted, else from every arc.  The mapping itself stays empty:
+    indexing it with state s makes both of s's rows and returns the
+    emitting one, so it is the static space's plan for the frame step.
+    It holds the graph's arc lists, not the graph.
+    """
+
+    def __init__(self, fst: Fst):
+        super().__init__()
+        # The live lists, read without a call per state; rows copy them.
+        lists = self._lists = list(fst._arcs)
+        self.emit = [None] * len(lists)
+        first = itemgetter(0)
+        if fst.input_sorted:
+            self.eps = [True if a and not a[0][0] else () for a in lists]
+            self.top = max(map(first, map(itemgetter(-1), filter(None, lists))),
+                           default=0)
+        else:
+            self.eps = [True if 0 in map(first, a) else () for a in lists]
+            self.top = max(map(first, chain.from_iterable(lists)), default=0)
+
+    def __missing__(self, s: int) -> tuple:
+        arcs = self._lists[s]
+        if self.eps[s]:
+            self.eps[s] = tuple([tuple(a) for a in arcs if not a[0]])
+            arcs = [a for a in arcs if a[0]]
+        row = self.emit[s] = tuple(map(tuple, arcs))
+        return row
+
+    def emit_row(self, s: int) -> tuple:
+        """State s's emitting row, made if s was not visited."""
+        row = self.emit[s]
+        return self[s] if row is None else row
+
+    def eps_row(self, s: int) -> tuple:
+        """State s's epsilon-input row, made if it is not yet."""
+        if self.eps[s] is True:
+            self.__missing__(s)
+        return self.eps[s]
+
+
+def _rows(fst: Fst) -> _Rows:
+    """The graph's rows at its current version, made on first use."""
     rec = _derived(fst)
-    if rec.tables is None:
-        emit = []
-        eps = []
-        for s in fst.states():
-            e = []
-            z = []
-            for a in fst.arcs(s):
-                (e if a.ilabel else z).append(tuple(a))
-            emit.append(tuple(e))
-            eps.append(tuple(z))
-        top = max(map(itemgetter(0), chain.from_iterable(emit)), default=0)
-        rec.tables = (emit, eps, top)
-    return rec.tables
+    if rec.rows is None:
+        rec.rows = _Rows(fst)
+    return rec.rows
 
 
 # -- search spaces and the search loop -------------------------------------
@@ -381,12 +421,15 @@ class SearchSpace:
     id)``; ``triple(i)`` is the state's ``(q1, q2, q3)``, which orders the
     max-active cut and the lattice states.  The frame steps below are the
     search loop of both decoders.  This class is the static space: the ids
-    are the graph's own states, with the trivial LM side.
+    are the graph's own states, with the trivial LM side, and its tables
+    are the graph's ``_Rows``, so a state's arcs are copied when a decode
+    first visits it.
     """
 
     def __init__(self, graph: Fst):
         self.graph = graph
-        self.emit, self.eps, _ = _arc_tables(graph)
+        self._rows = _rows(graph)
+        self.emit, self.eps = self._rows.emit, self._rows.eps
         self.initial = graph.initial
 
     def triple(self, sid: int) -> tuple:
@@ -448,8 +491,14 @@ class SearchSpace:
 
     def _meet(self, tokens: dict, slack: float) -> dict:
         """The arcs each token of a frame scans, by state id, for the tokens
-        whose ``emit`` entry is None.  The static space has no stations."""
-        return {}
+        whose ``emit`` entry is None.  The static space has no stations:
+        its plan is the graph's rows, which make a state's row when the
+        frame step first reads it."""
+        return self._rows
+
+    def _expand_eps(self, sid: int) -> tuple:
+        """State sid's epsilon-input arcs, made on first visit."""
+        return self._rows.eps_row(sid)
 
     def propagate(self, tokens: dict, frame: int, slack: float) -> dict:
         """Close a token dict under epsilon-input arcs, in place.
@@ -565,8 +614,9 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            new_eps = self._states.new_eps
-            self.eps.append(True if new_eps is None else new_eps[triple[0]])
+            rows = self._states.rows
+            self.eps.append(() if rows is not None and not rows.eps[triple[0]]
+                            else True)
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -580,7 +630,7 @@ class _OnTheFlySpace(SearchSpace):
         """Expand state sid's epsilon-input arcs, once."""
         q1 = self._triples[sid][0]
         arcs = self.eps[sid] = tuple(self.expand_arcs(
-            sid, self._states.frame_tables(self.graph)[1][q1]))
+            sid, self._states.graph_rows(self.graph).eps_row(q1)))
         return arcs
 
     def _expand_emit(self, sid: int) -> tuple:
@@ -596,7 +646,7 @@ class _OnTheFlySpace(SearchSpace):
         ``emit`` entry stays None."""
         q1, q2, q3 = self._triples[sid]
         g = self._g3_of(q1)
-        graph_arcs = self._states.frame_tables(self.graph)[0][q1]
+        graph_arcs = self._states.graph_rows(self.graph).emit_row(q1)
         own = tuple(self.expand_arcs(sid, [a for a in graph_arcs if not a[1]]))
         labels = {a[1] for a in graph_arcs if a[1]}
         segs = []
@@ -635,7 +685,7 @@ class _OnTheFlySpace(SearchSpace):
             return rows
         map3, map4, g3 = self._maps3[g], self._maps4[at3], self._g3
         rows = []
-        for k, (il, ol, w, ns) in enumerate(self._states.graph_arcs[0][q1]):
+        for k, (il, ol, w, ns) in enumerate(self._states.rows.emit[q1]):
             if not ol:
                 continue
             e2, e3 = map3.get(ol), map4.get(ol)
@@ -1000,7 +1050,7 @@ def _decode(space: SearchSpace, acoustic: AcousticMatrix,
             opts: DecodeOptions, utt_id: str) -> Lattice:
     if space.graph.initial < 0:
         raise DecodeError("search graph has no initial state")
-    top = _arc_tables(space.graph)[2]
+    top = _rows(space.graph).top
     if top > acoustic.num_symbols:
         raise DecodeError(f"search graph input label {top} is outside the "
                           f"acoustic matrix's {acoustic.num_symbols} symbols")

@@ -7,6 +7,7 @@ import signal
 import weakref
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -952,12 +953,15 @@ class TestBuildLattice:
 # -- the frame step's cutoff ------------------------------------------------
 
 def _all_arcs(space, sid):
-    """Every emitting arc of state sid: its own arcs, then the arcs of its
-    station segments."""
+    """Every emitting arc of state sid, as a lone token scans them: a
+    static state's row, made on first visit, or an on-the-fly state's own
+    arcs, then the arcs of its station segments."""
     arcs = space.emit[sid]
     if arcs is None:
-        own, segs = space._shared.get(sid) or space._expand_emit(sid)
-        arcs = own + tuple(a for seg in segs for a in seg[2])
+        plan = type(space)._meet(space, {sid: [sid, 0, 0.0]}, 0.0)  # no spy
+        arcs = space.emit[sid]  # set by the expansion if it has no segments
+        if arcs is None:
+            arcs = plan[sid]
     return arcs
 
 
@@ -1349,6 +1353,191 @@ class TestStationTables:
                                                 for il, ol, _, nid in arcs])
 
 
+# -- arc rows: made per state on first visit -------------------------------
+
+def _row_form(row):
+    """A row's arcs with their types and weights as hex, so that equal is
+    bit-identical and made of plain tuples."""
+    return [(type(a), a[0], a[1], a[2].hex(), a[3]) for a in row]
+
+
+def _split_reference(g, s):
+    """State s's (emitting, epsilon-input) arcs, split in one eager pass
+    over its arcs in order, in the form of ``_row_form``."""
+    arcs = [tuple(a) for a in g.arcs(s)]
+    return (_row_form([a for a in arcs if a[0]]),
+            _row_form([a for a in arcs if not a[0]]))
+
+
+class _RowCount:
+    """Counts the rows ``_Rows`` makes while it is entered."""
+
+    def __enter__(self):
+        self.made = 0
+        self._mp = pytest.MonkeyPatch()
+        missing = decoder._Rows.__missing__
+
+        def spy(rows, s):
+            self.made += 1
+            return missing(rows, s)
+        self._mp.setattr(decoder._Rows, "__missing__", spy)
+        return self
+
+    def __exit__(self, *exc):
+        self._mp.undo()
+
+
+def _unreached_label_graph(sort):
+    """State 0 reads phone 1 into final state 1; state 2, which no path
+    reaches, reads label 99, listed before a smaller label, so that only
+    a scan of every arc of an unsorted graph, or of each sorted state's
+    last arc, finds it."""
+    g = Fst()
+    g.add_states(3)
+    g.add_arc(0, Arc(1, 0, 0.0, 1))
+    g.add_arc(2, Arc(99, 0, 0.0, 1))
+    g.add_arc(2, Arc(1, 0, 0.0, 1))
+    g.add_arc(2, Arc(0, 0, 0.0, 1))
+    g.set_initial(0)
+    g.set_final(1)
+    if sort:
+        g.arc_sort_input()
+    return g
+
+
+class TestLazyRows:
+    """A graph's arc rows are made per state, on the first visit, from one
+    record per graph version: each equals an eager split of the state's
+    arcs, bit for bit and in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_static_cut_cases(), st.booleans(), st.data())
+    def test_rows_equal_an_eager_split_in_any_visit_order(self, case, sort, data):
+        g, _, _ = case
+        if sort:
+            g.arc_sort_input()
+        rows = decoder._rows(g)
+        # The one pass before the first frame: flags and the label bound.
+        assert rows.emit == [None] * g.num_states
+        for s in g.states():
+            has_eps = any(a.ilabel == 0 for a in g.arcs(s))
+            assert rows.eps[s] is True if has_eps else rows.eps[s] == ()
+        assert rows.top == max([a.ilabel for s in g.states()
+                                for a in g.arcs(s)], default=0)
+        order = data.draw(st.permutations(list(g.states())))
+        how = data.draw(st.lists(st.sampled_from(["plan", "emit", "eps"]),
+                                 min_size=len(order), max_size=len(order)))
+        for s, way in zip(order, how):
+            if way == "plan":
+                assert rows[s] is rows.emit[s]
+            elif way == "emit":
+                assert rows.emit_row(s) is rows.emit[s]
+            else:
+                assert rows.eps_row(s) is rows.eps[s]
+            emit, eps = _split_reference(g, s)
+            assert _row_form(rows.eps[s]) == eps
+            if rows.emit[s] is not None:  # an empty eps row needs no visit
+                assert _row_form(rows.emit[s]) == emit
+        for s in order:
+            assert (_row_form(rows.emit_row(s)), _row_form(rows.eps_row(s))) \
+                == _split_reference(g, s)
+            assert type(rows.emit[s]) is tuple and type(rows.eps[s]) is tuple
+        assert len(rows) == 0  # the plan mapping itself stays empty
+
+    @settings(max_examples=100, deadline=None)
+    @given(_static_cut_cases())
+    def test_warm_static_decode_makes_no_rows(self, case):
+        g, matrix, opts = case
+        with _RowCount() as cold:
+            first = _cut_outcome(lambda: decode_static(g, matrix, opts), False)
+        with _RowCount() as warm:
+            again = _cut_outcome(lambda: decode_static(g, matrix, opts), False)
+        assert 0 < cold.made <= g.num_states
+        assert warm.made == 0
+        assert again == first
+
+    def test_cold_static_decode_visits_part_of_the_graph(self, task_models):
+        # The default task's HCLG4 and first utterance: a cold decode makes
+        # rows for the states it enters only, and a warm repeat makes none.
+        task, g4model, g3model = task_models
+        graphs = build_graphs(task.lexicon, g4model, g3model, ("static",))
+        hclg4 = graphs["HCLG4"]
+        matrix = synthesize_task(PipelineConfig(), task, hclg4.isyms)[0]
+        with _RowCount() as cold:
+            first = best_path(decode_static(hclg4, matrix))
+        rows = decoder._DERIVED[hclg4].rows
+        made = sum(r is not None for r in rows.emit)
+        assert cold.made == made
+        assert 0 < made < hclg4.num_states // 2
+        with _RowCount() as warm:
+            assert best_path(decode_static(hclg4, matrix)) == first
+        assert warm.made == 0
+        assert decoder._DERIVED[hclg4].rows is rows
+
+    def test_onthefly_rows_serve_the_static_first_pass(self, mini_model):
+        # One record per graph version: the rows a cold on-the-fly decode
+        # makes over HCLG3 are those rescoring's static first pass reads.
+        m = _build_mini(mini_model)
+        matrix = _utt(m, SENT)
+        decode_onthefly(m["HCLG3"], m["G3neg"], m["G4"], matrix)
+        rows = decoder._DERIVED[m["HCLG3"]].rows
+        space = search_space(m["HCLG3"], m["G3neg"], m["G4"])
+        assert space._states.rows is rows
+        made = [s for s, r in enumerate(rows.emit) if r is not None]
+        assert made
+        with _RowCount() as count:
+            decode_static(m["HCLG3"], matrix)
+        assert decoder._DERIVED[m["HCLG3"]].rows is rows
+        assert count.made == sum(r is not None for r in rows.emit) - len(made)
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    def test_label_bound_covers_unreached_states(self, sort):
+        g = _unreached_label_graph(sort)
+        assert g.input_sorted == sort
+        matrix = synthesize_utterance([1], 3, seed=0)
+        with pytest.raises(DecodeError, match="input label 99 is outside"):
+            decode_static(g, matrix)
+        # Raised before the first frame: no row was made.
+        assert decoder._DERIVED[g].rows.emit == [None] * g.num_states
+
+    @pytest.mark.parametrize("change", ["add_arc", "arc_sort_input"])
+    def test_mutation_after_a_decode_leaves_no_rows(self, change):
+        # State 0 reads phone 1 to final state 1 or, at cost 1.0, phone 2
+        # to final state 2, listed first.  A decode makes rows at the
+        # graph's version; the change makes a new version, whose decode
+        # equals that of a fresh copy.
+        g = Fst()
+        g.add_states(3)
+        g.add_arc(0, Arc(2, 2, 1.0, 2))
+        g.add_arc(0, Arc(1, 1, 0.0, 1))
+        g.set_initial(0)
+        g.set_final(1)
+        g.set_final(2)
+        matrix = AcousticMatrix("u", np.array([[0.0, 0.5]]))
+        before = best_path(decode_static(g, matrix))
+        old = decoder._DERIVED[g].rows
+        assert old.emit[0] is not None
+        if change == "add_arc":
+            g.add_arc(0, Arc(2, 3, -2.0, 2))
+        else:
+            g.arc_sort_input()
+        with _RowCount() as count:
+            after = best_path(decode_static(g, matrix))
+        rows = decoder._DERIVED[g].rows
+        assert rows is not old
+        assert count.made == sum(r is not None for r in rows.emit)
+        for s in g.states():
+            if rows.emit[s] is not None:
+                assert (_row_form(rows.emit[s]), _row_form(rows.eps_row(s))) \
+                    == _split_reference(g, s)
+        fresh = TestRelayMemo._copy(g)
+        assert after == best_path(decode_static(fresh, matrix))
+        if change == "add_arc":
+            assert after != before
+        else:
+            assert rows.emit[0][0][0] == 1  # the sorted order
+
+
 class TestBestPath:
     def test_exact_tie_is_lexicographic(self):
         syms = SymbolTable()
@@ -1624,15 +1813,18 @@ class TestRelayMemo:
 
     def test_rescoring_makes_no_arc_tables(self, mini):
         # Rescoring walks the lattice's own arcs: neither the lattice's
-        # record nor its space's states get arc tables, and the rescored
-        # lattice is that of a lattice whose tables were made first.
+        # record nor its space's states get arc rows, and the rescored
+        # lattice is that of a lattice whose rows were all made first.
         first = decode_static(mini["HCLG3"], _utt(mini, SENT, noise=1.0))
         got = rescore_lattice(first, mini["G3neg"], mini["G4"])
         rec = decoder._DERIVED[first.fst]
-        assert rec.tables is None
-        assert next(iter(rec.spaces.values())).graph_arcs is None
+        assert rec.rows is None
+        assert next(iter(rec.spaces.values())).rows is None
         copy = Lattice(self._copy(first.fst), first.frames, first.utt_id)
-        decoder._arc_tables(copy.fst)
+        rows = decoder._rows(copy.fst)
+        for s in copy.fst.states():
+            rows.emit_row(s)
+        assert None not in rows.emit
         want = rescore_lattice(copy, mini["G3neg"], mini["G4"])
         assert write_text_fst(got.fst) == write_text_fst(want.fst)
         assert got.frames == want.frames

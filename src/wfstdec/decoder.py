@@ -24,13 +24,15 @@ off to one search-graph state q1, and their relays match most morphemes
 at one G4 state at3: from the station (q1, at3) they read the same arcs
 to the same targets, at weights that differ by the hop weight h of their
 back-off walks, less the morphemes each matched higher on its chains.
-So a station's arcs are made once, as a table, and each LM pair that
-meets there takes a filtered copy, weighted by its own walks.
-The frame step takes a station's tokens in order of cost + h, and a
-token skips the arcs of each morpheme that a token more than the lattice
-beam (plus rounding slack) cheaper already read there: its arrival could
-set no cost and make no link the lattice keeps.  So the result is that
-of a scan of every arc.
+So a station's rows are made once, each weighted by the search graph and
+the two LM arcs alone, and every LM pair that meets there shares them: a
+pair keeps references to the rows of its morphemes, and the frame step
+adds its hop weight h to the frame's acoustic costs, once per frame and
+h, not to each row.  The frame step takes a station's tokens in order of
+cost + h, and a token skips the arcs of each morpheme that a token more
+than the lattice beam (plus rounding slack) cheaper already read there:
+its arrival could set no cost and make no link the lattice keeps.  So
+the result is that of a scan of every arc.
 
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
@@ -55,8 +57,10 @@ _INF = ZERO
 _NO_STATE = -1
 # A dead branch's record in the relay memo, and its per-label entry; its
 # match states are no states.
-_DEAD_RECORD = (_NO_STATE, _NO_STATE, ZERO, ZERO, ZERO)
-_DEAD = (_NO_STATE, _NO_STATE, ZERO, _DEAD_RECORD)
+_DEAD_RECORD = (_NO_STATE, _NO_STATE, ZERO)
+_DEAD = (_NO_STATE, _NO_STATE, ZERO, ZERO, _DEAD_RECORD)
+# The station segments of a static space's tokens: it has none.
+_NO_HOPS: dict = {}
 # Slack on the lattice bound, and so on the frame step's cutoff, which
 # must skip only tokens the lattice builder's bound would drop anyway.
 _TOL = 1e-9
@@ -251,13 +255,13 @@ class _Pair:
     """The relay results of one LM pair ``(q2, q3)``, filled one
     search-graph state's labels at a time.  The labels that G3neg matched
     at state ``at`` on q2's back-off chain and G4 at ``at3`` on q3's form
-    a group, whose one record ``groups[(at, at3)]`` is ``(at, at3, h,
-    acc2, acc3)``: ``acc2`` and ``acc3`` are the weights of the two
-    back-off walks and ``h = acc2 + acc3``.  ``records`` maps each label
-    to its group's record, so a group's labels are those whose record is
-    that object, and a dead label to ``_DEAD_RECORD``.  ``entries`` maps a
-    label to ``(q2', q3', weight, record)``, made when the per-arc path
-    first reads the label."""
+    a group, whose one record ``groups[(at, at3)]`` is ``(at, at3, h)``:
+    ``h = acc2 + acc3``, the weights of the two back-off walks.
+    ``records`` maps each label to its group's record, so a group's labels
+    are those whose record is that object, and a dead label to
+    ``_DEAD_RECORD``.  ``entries`` maps a label to ``(q2', q3', G3neg arc
+    weight, G4 arc weight, record)``, made when the per-arc path first
+    reads the label."""
 
     __slots__ = ("records", "groups", "entries")
 
@@ -269,17 +273,19 @@ class _States:
     """An on-the-fly space's interned states and their expanded arcs
     (``shared`` holds the emitting arcs of each state with station
     segments); per search-graph state the G3neg state it was composed
-    from; the station tables, keyed ``(q1, at3)``; and, once the frame
-    step first expands a state, the search graph's ``_Rows``, whose
-    epsilon flags give a new search state over search-graph state q1 its
-    ``eps`` entry: True (not yet expanded) or, where q1 has no
-    epsilon-input arcs, an empty table.  Rescoring walks a lattice's own
-    arcs and reads no rows.
+    from; the station tables, keyed ``(q1, at3)``; per search-graph state
+    q1 whose emitting arcs a state expanded, ``q1_arcs[q1]``: its
+    ``phone:eps`` arcs, the morphemes its other arcs read, and the index
+    of each morpheme's first arc; and, once the frame step first expands a
+    state, the search graph's ``_Rows``, whose epsilon flags give a new
+    search state over search-graph state q1 its ``eps`` entry: True (not
+    yet expanded) or, where q1 has no epsilon-input arcs, an empty table.
+    Rescoring walks a lattice's own arcs and reads no rows.
     """
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
-        self.shared, self.stations = {}, {}
+        self.shared, self.stations, self.q1_arcs = {}, {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
         self.rows: Optional[_Rows] = None
 
@@ -447,7 +453,14 @@ class SearchSpace:
 
         frame_costs is indexable by emitting symbol id (index 0 is unused).
         A token whose ``emit`` entry is None scans the arcs ``_meet`` plans
-        for it: its own arcs and what it keeps of its station segments.
+        for it: its own arcs, then the rows of each station segment it
+        keeps at the frame's costs plus the segment's hop weight h.  So a
+        link from a shared row carries h in its weight, and the token's
+        cost plus that weight is the arrival's cost.  The parts come
+        chained, ``(costs, rows, next part)``, and the last restores the
+        frame's costs.  One inner loop serves every token: a token without
+        parts pays only the test that it has none, and no arc or link pays
+        for them.
         An arrival makes no new token when its cost exceeds the cutoff,
         the best arrival so far plus ``beam + slack + _TOL``, and its state
         has no epsilon-input arcs.  Such a token costs more than the final
@@ -459,42 +472,52 @@ class SearchSpace:
         out = {}
         get = out.get
         emit, eps = self.emit, self.eps
-        plan = self._meet(tokens, slack)
+        plan, hops = self._meet(tokens, slack, frame_costs)
         margin = beam + slack + _TOL
         best = limit = _INF
+        costs = frame_costs
+        rest = None  # a token's parts still to scan
         for tok in tokens.values():
             arcs = emit[tok[0]]
             if arcs is None:
                 arcs = plan[tok[0]]
+                rest = hops.get(tok[0])
             cost = tok[2]
-            for il, ol, bw, nid in arcs:
-                lw = bw + frame_costs[il]
-                nc = cost + lw
-                cur = get(nid)
-                if cur is None:
-                    if nc > limit:
-                        if not eps[nid]:
-                            continue
-                    elif nc < best:
-                        best = nc
-                        limit = nc + margin
-                    out[nid] = [nid, frame, nc, tok, il, ol, lw]
-                elif nc < cur[2]:
-                    cur[2] = nc
-                    cur += tok, il, ol, lw
-                    if nc < best:
-                        best = nc
-                        limit = nc + margin
-                elif nc <= cur[2] + slack:
-                    cur += tok, il, ol, lw
+            while True:
+                for il, ol, bw, nid in arcs:
+                    lw = bw + costs[il]
+                    nc = cost + lw
+                    cur = get(nid)
+                    if cur is None:
+                        if nc > limit:
+                            if not eps[nid]:
+                                continue
+                        elif nc < best:
+                            best = nc
+                            limit = nc + margin
+                        out[nid] = [nid, frame, nc, tok, il, ol, lw]
+                    elif nc < cur[2]:
+                        cur[2] = nc
+                        cur += tok, il, ol, lw
+                        if nc < best:
+                            best = nc
+                            limit = nc + margin
+                    elif nc <= cur[2] + slack:
+                        cur += tok, il, ol, lw
+                if rest:
+                    costs, arcs, rest = rest
+                    continue
+                break  # the one test a token without parts pays
         return out
 
-    def _meet(self, tokens: dict, slack: float) -> dict:
-        """The arcs each token of a frame scans, by state id, for the tokens
-        whose ``emit`` entry is None.  The static space has no stations:
-        its plan is the graph's rows, which make a state's row when the
-        frame step first reads it."""
-        return self._rows
+    def _meet(self, tokens: dict, slack: float,
+              frame_costs: Sequence[float]) -> tuple[dict, dict]:
+        """For the tokens whose ``emit`` entry is None, by state id, the own
+        arcs each scans this frame and, for those that keep station rows,
+        the chain of parts it scans after them.  The static space has no
+        stations: its plan is the graph's rows, which make a state's row
+        when the frame step first reads it."""
+        return self._rows, _NO_HOPS
 
     def _expand_eps(self, sid: int) -> tuple:
         """State sid's epsilon-input arcs, made on first visit."""
@@ -576,7 +599,8 @@ class _OnTheFlySpace(SearchSpace):
     search loop first needs each; until then ``emit[i]`` is None and
     ``eps[i]`` True, or an empty table where the search-graph state has no
     epsilon-input arcs.  A state whose morpheme arcs reach stations keeps
-    ``emit[i]`` None and its arcs in ``_shared``.
+    ``emit[i]`` None and, in ``_shared``, its own arcs and its segments of
+    the stations' shared rows.
 
     The G3neg state of a search-graph state (``_g3``) is derived while
     expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
@@ -637,18 +661,18 @@ class _OnTheFlySpace(SearchSpace):
         """Expand state sid's emitting arcs, once, as (own arcs, station
         segments).  The own arcs are its ``phone:eps`` arcs.  Its morpheme
         arcs that the LM pair (q2, q3) matched at q1's G3neg state and at
-        G4 state at3 form a segment ``[station, h, arcs, None]``, the None
-        a cache for ``_labels``: the rows of the station's table with those
-        morphemes, each weighted ``w + (((acc2 + e2w) + acc3) + e3w)``, the
-        float sum the per-arc path makes.  A station is numbered ``q1 +
-        (search-graph states) * at3``, and segments are ordered by their
+        G4 state at3 form a segment ``[station, h, rows, None]``, the None
+        a cache for ``_labels``: h is the pair's hop weight ``acc2 +
+        acc3``, and rows are the station's own row objects with those
+        morphemes (the station's table itself when it keeps them all), so
+        no arc is copied or weighted per pair.  A station is numbered ``q1
+        + (search-graph states) * at3``, and segments are ordered by their
         first arc.  A state with segments keeps them in ``_shared`` and its
         ``emit`` entry stays None."""
         q1, q2, q3 = self._triples[sid]
         g = self._g3_of(q1)
-        graph_arcs = self._states.graph_rows(self.graph).emit_row(q1)
-        own = tuple(self.expand_arcs(sid, [a for a in graph_arcs if not a[1]]))
-        labels = {a[1] for a in graph_arcs if a[1]}
+        phones, labels, first = self._q1_arcs(q1)
+        own = tuple(self.expand_arcs(sid, phones))
         segs = []
         if labels:
             n1 = len(self._g3)
@@ -657,27 +681,41 @@ class _OnTheFlySpace(SearchSpace):
             for (at, at3), record in pair.groups.items():
                 if at != g:
                     continue
-                rows = [r for r in self._station(q1, g, at3)
-                        if records[r[2]] is record]
+                table = self._station(q1, g, at3)
+                rows = [r for r in table if records[r[1]] is record]
                 if rows:
-                    _, _, h, acc2, acc3 = record
-                    segs.append((rows[0][0], [q1 + n1 * at3, h, tuple([
-                        (il, ol, w + (((acc2 + e2w) + acc3) + e3w), nid)
-                        for _, il, ol, w, e2w, e3w, nid in rows]), None]))
+                    rows = table if len(rows) == len(table) else tuple(rows)
+                    segs.append([q1 + n1 * at3, record[2], rows, None])
         if not segs:
             self.emit[sid] = own
             return own, ()
-        segs.sort(key=itemgetter(0))
-        split = self._shared[sid] = (own, tuple([seg for _, seg in segs]))
+        segs.sort(key=lambda seg: first[seg[2][0][1]])
+        split = self._shared[sid] = (own, tuple(segs))
         return split
 
+    def _q1_arcs(self, q1: int) -> tuple:
+        """Search-graph state q1's ``phone:eps`` arcs, the morphemes its
+        other emitting arcs read, and the index of each morpheme's first
+        arc; made once per q1, not once per LM pair."""
+        derived = self._states.q1_arcs.get(q1)
+        if derived is None:
+            row = self._states.graph_rows(self.graph).emit_row(q1)
+            first = {}
+            for k, a in enumerate(row):
+                if a[1] and a[1] not in first:
+                    first[a[1]] = k
+            derived = self._states.q1_arcs[q1] = (
+                [a for a in row if not a[1]], set(first), first)
+        return derived
+
     def _station(self, q1: int, g: int, at3: int) -> tuple:
-        """The table of the station (q1, at3): a row ``(arc index, ilabel,
-        olabel, weight, G3neg arc weight, G4 arc weight, next id)`` for each
-        emitting arc of q1 whose morpheme G3neg lists at g, q1's G3neg
-        state, and G4 lists at at3.  Every LM pair that meets there reads a
-        filtered copy.  Made once, when the first pair meets there, which
-        interns each row's next state and checks its G3neg state."""
+        """The table of the station (q1, at3): a row ``(ilabel, olabel,
+        station weight, next id)`` for each emitting arc of q1 whose
+        morpheme G3neg lists at g, q1's G3neg state, and G4 lists at at3,
+        its station weight ``(w + G3neg arc weight) + G4 arc weight``.
+        Every LM pair that meets there shares these rows.  Made once, when
+        the first pair meets there, which interns each row's next state and
+        checks its G3neg state."""
         key = (q1, at3)
         stations = self._states.stations
         rows = stations.get(key)
@@ -685,7 +723,7 @@ class _OnTheFlySpace(SearchSpace):
             return rows
         map3, map4, g3 = self._maps3[g], self._maps4[at3], self._g3
         rows = []
-        for k, (il, ol, w, ns) in enumerate(self._states.rows.emit[q1]):
+        for il, ol, w, ns in self._states.rows.emit[q1]:
             if not ol:
                 continue
             e2, e3 = map3.get(ol), map4.get(ol)
@@ -697,14 +735,19 @@ class _OnTheFlySpace(SearchSpace):
                 if seen != _NO_STATE:
                     raise _composition_error(ns, seen, ng)
                 g3[ns] = ng
-            rows.append((k, il, ol, w, e2.weight, e3.weight,
+            rows.append((il, ol, (w + e2.weight) + e3.weight,
                          self.state_id((ns, ng, e3.nextstate))))
         rows = stations[key] = tuple(rows)
         return rows
 
-    def _meet(self, tokens: dict, slack: float) -> dict:
+    def _meet(self, tokens: dict, slack: float,
+              frame_costs: Sequence[float]) -> tuple[dict, dict]:
         """The arcs each token with station segments scans this frame: its
-        own arcs, then what it keeps of its segments.
+        own arcs, then what it keeps of its segments, in the order of the
+        stations met, as a chain of parts ``(costs, rows, next part)``.  A
+        kept segment's costs are the frame's plus its h, made once per
+        frame and h; the chain ends with ``(frame_costs, (), None)``, which
+        restores the frame's costs.
 
         Tokens at one search-graph state q1 whose relays match morphemes at
         one G4 state at3 meet at the station (q1, at3): they read the same
@@ -720,7 +763,7 @@ class _OnTheFlySpace(SearchSpace):
         between a key and an arrival's cost.
         """
         emit, shared = self.emit, self._shared
-        plan = {}
+        plan, hops = {}, {}
         stations = {}
         get = stations.get
         for sid in tokens:
@@ -740,10 +783,21 @@ class _OnTheFlySpace(SearchSpace):
                 else:
                     met.append((cost + seg[1], sid, seg))
         margin = slack + 2 * _TOL
-        for met in stations.values():
+        shifted = {}  # h -> the frame's costs plus h
+        restore = (frame_costs, (), None)
+
+        def keep(sid, h, rows):
+            costs = shifted.get(h)
+            if costs is None:
+                costs = shifted[h] = [c + h for c in frame_costs]
+            hops[sid] = (costs, rows, hops.get(sid, restore))
+
+        # Taken last first, so that a token's parts, each put before those
+        # it has, come in the order its stations were met.
+        for met in reversed(stations.values()):
             if len(met) == 1:
                 _, sid, seg = met[0]
-                plan[sid] += seg[2]
+                keep(sid, seg[1], seg[2])
                 continue
             met.sort()  # state ids break key ties; a state has one entry
             covered = j = 0  # labels held by entries j' < j, as a bit mask
@@ -753,18 +807,23 @@ class _OnTheFlySpace(SearchSpace):
                     covered |= _labels(met[j][2])
                     j += 1
                 if not covered:
-                    plan[sid] += seg[2]
+                    keep(sid, seg[1], seg[2])
                 elif _labels(seg) | covered != covered:
-                    plan[sid] += tuple([a for a in seg[2]
-                                        if not (covered >> a[1]) & 1])
-        return plan
+                    keep(sid, seg[1], tuple(
+                        [a for a in seg[2] if not (covered >> a[1]) & 1]))
+        return plan, hops
 
     def expand_arcs(self, sid: int, graph_arcs) -> list:
         """(ilabel, olabel, graph+LM weight, next id) for each of state
         sid's ``graph_arcs`` (ilabel, olabel, weight, next graph state)
         that survives, in order.  One batch relays the labels of all arcs;
         the counters count per label, as if each arc were relayed alone.
-        A morpheme arc reads its label's entry in the LM pair's memo."""
+        A morpheme arc reads its label's entry in the LM pair's memo, and
+        weighs ``((w + G3neg arc weight) + G4 arc weight) + h``, its station
+        row's weight plus the pair's hop weight: the weight of the frame
+        step's link from that row where the arc's phone costs nothing.  So
+        on such paths rescoring a lattice and decoding on the fly make the
+        same floats."""
         q1, q2, q3 = self._triples[sid]
         g3 = self._g3
         g = self._g3_of(q1)
@@ -776,21 +835,22 @@ class _OnTheFlySpace(SearchSpace):
         for il, ol, w, ns in graph_arcs:
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
-                nq2, nq3, gw = q2, q3, 0.0
+                nq2, nq3, w = q2, q3, w + 0.0
             else:
                 entry = entries.get(ol)
                 if entry is None:
                     entry = self._entry(pair, ol)
-                nq2, nq3, gw, record = entry
+                nq2, nq3, e2w, e3w, record = entry
                 if record[0] != g:
                     continue
                 ng = nq2
+                w = ((w + e2w) + e3w) + record[2]
             seen = g3[ns]
             if seen != ng:
                 if seen != _NO_STATE:
                     raise _composition_error(ns, seen, ng)
                 g3[ns] = ng
-            arcs.append((il, ol, w + gw, self.state_id((ns, nq2, nq3))))
+            arcs.append((il, ol, w, self.state_id((ns, nq2, nq3))))
         return arcs
 
     def _g3_of(self, q1: int) -> int:
@@ -840,24 +900,22 @@ class _OnTheFlySpace(SearchSpace):
                     if both:
                         record = groups.get((at, at3))
                         if record is None:
-                            record = groups[(at, at3)] = (
-                                at, at3, acc2 + acc3, acc2, acc3)
+                            record = groups[(at, at3)] = (at, at3, acc2 + acc3)
                         records.update(dict.fromkeys(both, record))
         if dead:
             records.update(dict.fromkeys(dead, _DEAD_RECORD))
         return pair
 
     def _entry(self, pair: _Pair, label: int) -> tuple:
-        """A label's memo entry ``(q2', q3', weight, record)``, made from
-        its group's record on first use."""
+        """A label's memo entry ``(q2', q3', G3neg arc weight, G4 arc
+        weight, record)``, made from its group's record on first use."""
         record = pair.records[label]
         if record is _DEAD_RECORD:
             entry = _DEAD
         else:
-            at, at3, _, acc2, acc3 = record
-            e2, e3 = self._maps3[at][label], self._maps4[at3][label]
-            entry = (e2.nextstate, e3.nextstate,
-                     acc2 + e2.weight + acc3 + e3.weight, record)
+            e2 = self._maps3[record[0]][label]
+            e3 = self._maps4[record[1]][label]
+            entry = (e2.nextstate, e3.nextstate, e2.weight, e3.weight, record)
         pair.entries[label] = entry
         return entry
 

@@ -112,8 +112,9 @@ class SymbolTable:
 class Fst:
     """Mutable WFST builder; treated as immutable once handed to consumers.
 
-    The arcs change only through ``add_arc`` and ``arc_sort_input``, and
-    each call bumps ``version``; ``arcs(state)`` returns the live list,
+    The states and arcs change only through ``add_state``,
+    ``add_states``, ``add_arc`` and ``arc_sort_input``, and each call bumps
+    ``version``; ``arcs(state)`` returns the live list,
     which callers must not modify.  The graph keeps nothing derived from
     its arcs: a table derived from them records the version it was built
     at and is rebuilt when the version differs.
@@ -131,11 +132,18 @@ class Fst:
     # -- structure ---------------------------------------------------------
 
     def add_state(self) -> int:
+        # A hot path of graph building, so add_states' lines are repeated.
         self._arcs.append([])
+        if self._sorted_at == self.version:  # no arcs: sorted arcs stay sorted
+            self._sorted_at += 1
+        self.version += 1
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:
         self._arcs.extend([] for _ in range(n))
+        if self._sorted_at == self.version:  # no arcs: sorted arcs stay sorted
+            self._sorted_at += 1
+        self.version += 1
 
     @property
     def num_states(self) -> int:

@@ -148,3 +148,17 @@ def test_relay_counters_are_pinned(default_task, strategy):
 @pytest.mark.parametrize("strategy", sorted(WIDE_OPEN))
 def test_wide_open_decode_is_pinned(default_task, strategy):
     assert default_task["wide"][strategy] == WIDE_OPEN[strategy]
+
+
+def test_onthefly_and_rescore_costs_are_equal(default_task):
+    # Rescoring weighs each morpheme arc of a lattice as the on-the-fly
+    # frame step weighs its station row, so where every best-path phone
+    # costs 0, as on the noise-free default task, the two strategies give
+    # each utterance the same float cost, not merely a close one.  Here G3
+    # keeps G4's weights and the sums cancel exactly in any order, so the
+    # order itself is checked on hand-built weights in test_decoder.py
+    # (test_onthefly_and_rescore_sum_each_arc_in_one_order).
+    onthefly, rescore = ([float(r[1]) for r in default_task[s][0]]
+                         for s in ("onthefly", "rescore"))
+    assert onthefly == rescore
+    assert len(onthefly) == PipelineConfig().num_utterances

@@ -283,13 +283,14 @@ class TestBatchedRelay:
                             e3, acc3, _, at3 = _reference_relay(g4, q3, w, ref)
                         if e3 is None:
                             assert record is decoder._DEAD_RECORD
-                            assert space._entry(pair, w) == (-1, -1, INF, record)
+                            assert space._entry(pair, w) == (-1, -1, INF, INF,
+                                                             record)
                             continue
-                        assert record == (at, at3, acc2 + acc3, acc2, acc3)
+                        assert record == (at, at3, acc2 + acc3)
                         assert pair.groups[(at, at3)] is record
                         assert space._entry(pair, w) == (
-                            e2.nextstate, e3.nextstate,
-                            acc2 + e2.weight + acc3 + e3.weight, record)
+                            e2.nextstate, e3.nextstate, e2.weight, e3.weight,
+                            record)
                         backed_off += at != q2
                     for key, record in pair.groups.items():
                         assert key == record[:2]
@@ -952,35 +953,47 @@ class TestBuildLattice:
 
 # -- the frame step's cutoff ------------------------------------------------
 
-def _all_arcs(space, sid):
-    """Every emitting arc of state sid, as a lone token scans them: a
-    static state's row, made on first visit, or an on-the-fly state's own
-    arcs, then the arcs of its station segments."""
+def _lone_plan(space, sid):
+    """Every emitting arc of state sid, as a lone token scans them, as (own
+    arcs, [(h, station rows), ...]): a static state's row, made on first
+    visit, or an on-the-fly state's own arcs, then its station segments,
+    each with its hop weight h."""
     arcs = space.emit[sid]
-    if arcs is None:
-        plan = type(space)._meet(space, {sid: [sid, 0, 0.0]}, 0.0)  # no spy
-        arcs = space.emit[sid]  # set by the expansion if it has no segments
-        if arcs is None:
-            arcs = plan[sid]
-    return arcs
+    if arcs is not None:
+        return arcs, []
+    if not isinstance(space, decoder._OnTheFlySpace):
+        return space._rows.emit_row(sid), []
+    own, segs = space._shared.get(sid) or space._expand_emit(sid)
+    return own, [(h, rows) for _, h, rows, _ in segs]
+
+
+def _all_arcs(space, sid):
+    """The arcs of ``_lone_plan``, in the order a lone token scans them."""
+    own, segs = _lone_plan(space, sid)
+    return [*own, *(a for _, rows in segs for a in rows)]
 
 
 def _uncut_advance(self, tokens, frame_costs, frame, slack, beam=INF):
     """Reference frame step without the cutoff or stations: every arrival
-    makes or reaches its token."""
+    makes or reaches its token.  A token reads its own arcs at the frame's
+    costs, and a station segment's rows at the frame's costs plus the
+    segment's hop weight h, so each link from them carries h."""
     out = {}
     for tok in tokens.values():
-        for il, ol, w, nid in _all_arcs(self, tok[0]):
-            lw = w + frame_costs[il]
-            nc = tok[2] + lw
-            cur = out.get(nid)
-            if cur is None:
-                out[nid] = [nid, frame, nc, tok, il, ol, lw]
-            elif nc < cur[2]:
-                cur[2] = nc
-                cur.extend((tok, il, ol, lw))
-            elif nc <= cur[2] + slack:
-                cur.extend((tok, il, ol, lw))
+        own, segs = _lone_plan(self, tok[0])
+        for h, arcs in [(None, own)] + segs:
+            for il, ol, w, nid in arcs:
+                ac = frame_costs[il]
+                lw = w + (ac if h is None else ac + h)
+                nc = tok[2] + lw
+                cur = out.get(nid)
+                if cur is None:
+                    out[nid] = [nid, frame, nc, tok, il, ol, lw]
+                elif nc < cur[2]:
+                    cur[2] = nc
+                    cur.extend((tok, il, ol, lw))
+                elif nc <= cur[2] + slack:
+                    cur.extend((tok, il, ol, lw))
     return out
 
 
@@ -1093,14 +1106,43 @@ class TestCutoff:
 # -- stations: tokens that meet at a back-off state ------------------------
 
 class _CountingRow(list):
-    """A frame's costs that count the arcs a frame step scans: one lookup
-    per arc."""
+    """A frame's costs that count the arcs a frame step scans at them: one
+    lookup per arc."""
 
     lookups = 0
 
     def __getitem__(self, i):
         self.lookups += 1
         return list.__getitem__(self, i)
+
+
+def _part_rows(hops, sid):
+    """The station rows of the parts ``_meet`` gives state sid's token, in
+    the order the frame step scans them: the parts are chained as
+    ``(costs, rows, next part)``, the last with no rows."""
+    part = hops.get(sid)
+    while part is not None:
+        costs, rows, part = part
+        yield rows
+
+
+def _counted_advance(space, tokens, row, frame, slack, beam=INF):
+    """``space.advance`` over the counting ``row``, and the arcs it scanned:
+    the lookups in row, plus the rows of the station parts, which it scans
+    at the frame's costs plus their hop weight, a list of its own."""
+    meet = space._meet  # a spy set on the instance stays in the chain
+    parts = 0
+
+    def counting(tokens, slack, frame_costs):
+        nonlocal parts
+        plan, hops = meet(tokens, slack, frame_costs)
+        parts += sum(len(rows) for sid in hops for rows in _part_rows(hops, sid))
+        return plan, hops
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space, "_meet", counting)
+        out = space.advance(tokens, row, frame, slack, beam)
+    return out, row.lookups + parts
 
 
 def _kept_links(tok, slack):
@@ -1119,11 +1161,13 @@ def _assert_stations_equal_full_scan(space, matrix, opts):
     space.propagate(tokens, 0, slack)
     scanned = [0, 0]
     for frame in range(matrix.num_frames):
-        rows = [_CountingRow(matrix.padded_row(frame)) for _ in range(2)]
-        got = space.advance(tokens, rows[0], frame + 1, slack, beam)
-        want = _uncut_advance(space, tokens, rows[1], frame + 1, slack)
-        scanned[0] += rows[0].lookups
-        scanned[1] += rows[1].lookups
+        got, n = _counted_advance(space, tokens,
+                                  _CountingRow(matrix.padded_row(frame)),
+                                  frame + 1, slack, beam)
+        row = _CountingRow(matrix.padded_row(frame))
+        want = _uncut_advance(space, tokens, row, frame + 1, slack)
+        scanned[0] += n
+        scanned[1] += row.lookups
         if not want:
             break
         best = min(t[2] for t in want.values())
@@ -1185,12 +1229,13 @@ class TestStations:
         meet = space._meet
         skipped = 0
 
-        def spy(tokens, slack):
+        def spy(tokens, slack, frame_costs):
             nonlocal skipped
-            plan = meet(tokens, slack)
-            for sid, arcs in plan.items():
-                skipped += len(_all_arcs(space, sid)) - len(arcs)
-            return plan
+            plan, hops = meet(tokens, slack, frame_costs)
+            for sid, own in plan.items():
+                kept = len(own) + sum(map(len, _part_rows(hops, sid)))
+                skipped += len(_all_arcs(space, sid)) - kept
+            return plan, hops
 
         space._meet = spy
         opts = DecodeOptions(beam=INF, max_active=10 ** 9, lattice_beam=0.5)
@@ -1240,8 +1285,8 @@ class TestStations:
         space = self._meeting()
         tokens = _tokens(space, ((0, 0, 1), costs[0]), ((0, 0, 2), costs[1]))
         x, y = tokens.values()
-        row = _CountingRow([INF, 0.0])
-        out = space.advance(tokens, row, 1, 8.0)
+        out, scanned = _counted_advance(space, tokens, _CountingRow([INF, 0.0]),
+                                        1, 8.0)
         into = {space.triple(sid): "".join("y" if lk[0] is y else "x"
                                            for lk in links(t))
                 for sid, t in out.items()}
@@ -1249,7 +1294,7 @@ class TestStations:
                         (2, 0, 0): shared, (3, 0, 0): shared}
         assert out[space.state_id((1, 0, 0))][2] == costs[1] + 0.5
         assert out[space.state_id((2, 0, 0))][2] == min(costs) + 0.5
-        assert row.lookups == scans
+        assert scanned == scans
         assert out.keys() == _uncut_advance(space, tokens, [INF, 0.0], 1,
                                             8.0).keys()
 
@@ -1259,7 +1304,9 @@ def _reference_emit(space, g3neg, g4, sid):
     per-label ``_reference_relay`` for each morpheme arc: (own arcs,
     [[station, h, arcs]]), each arc ``(ilabel, olabel, weight, next
     triple)``, the segments in the order of their first arcs, and every
-    float as hex, so that equal is bit-identical."""
+    float as hex, so that equal is bit-identical.  A segment's arcs weigh
+    ``(w + G3neg arc weight) + G4 arc weight``, and its h is ``acc2 +
+    acc3``, the weights of the two back-off walks."""
     q1, q2, q3 = space.triple(sid)
     g = space._g3[q1]
     n1 = len(space._g3)
@@ -1278,7 +1325,7 @@ def _reference_emit(space, g3neg, g4, sid):
         if e3 is None:
             continue
         seg = segs.setdefault(at3, [q1 + n1 * at3, (acc2 + acc3).hex(), []])
-        weight = w + (acc2 + e2.weight + acc3 + e3.weight)
+        weight = (w + e2.weight) + e3.weight
         seg[2].append((il, ol, weight.hex(), (ns, e2.nextstate, e3.nextstate)))
     return own, list(segs.values())
 
@@ -1294,8 +1341,9 @@ def _expansion(space, sid):
 
 
 class TestStationTables:
-    """Each station's arcs are made once, as a table that every LM pair
-    meeting there filters and weights: bit for bit the per-arc expansion."""
+    """Each station's arcs are made once, as a table whose rows every LM
+    pair meeting there shares, with its hop weight beside them: bit for bit
+    the per-arc expansion."""
 
     @settings(max_examples=60, deadline=None)
     @given(_onthefly_cut_cases())
@@ -1310,6 +1358,32 @@ class TestStationTables:
         space = search_space(hclg3, g3neg, g4)
         for sid in range(len(space._triples)):  # the states the decode interned
             assert _expansion(space, sid) == _reference_emit(space, g3neg, g4, sid)
+
+    def test_onthefly_and_rescore_sum_each_arc_in_one_order(self):
+        # Search-graph arc 0 -> 1 reads phone 1 and morpheme 1 with weight
+        # 0.1; G3neg lists morpheme 1 at its state 0 with weight 0.1, and
+        # G4, starting at state 1, backs off with weight 0.3 to state 0,
+        # which lists it with weight 0.4.  These floats sum to a different
+        # value in each other order, so both strategies must make the
+        # station row's ((w + e2w) + e3w) and then add h.
+        hclg = Fst()
+        hclg.add_states(2)
+        hclg.add_arc(0, Arc(1, 1, 0.1, 1))
+        hclg.set_initial(0)
+        hclg.set_final(1, 0.0)
+        g3neg = _loop_lm(1, 1, 0.1)
+        g4 = Fst()
+        g4.add_states(2)
+        g4.add_arc(0, Arc(1, 1, 0.4, 0))
+        g4.add_arc(1, Arc(0, 0, 0.3, 0))
+        g4.set_initial(1)
+        g4.set_final(0, 0.0)
+        g4.arc_sort_input()
+        matrix = AcousticMatrix("u", np.zeros((1, 1)))
+        costs = [best_path(lat)[1] for lat in (
+            decode_onthefly(hclg, g3neg, g4, matrix),
+            rescore_lattice(decode_static(hclg, matrix), g3neg, g4))]
+        assert costs == [((0.1 + 0.1) + 0.4) + 0.3] * 2
 
     def test_each_station_table_is_built_once_and_shared(self, task_models):
         # A cold decode of the default task's first utterance.  The spy
@@ -1343,14 +1417,16 @@ class TestStationTables:
         assert built and set(built.values()) == {1}
         assert len(readers) == len(built) == len(space._states.stations)
         assert max(len(p) for _, p in readers.values()) >= 2
-        # Every segment is a filtered copy of its station's table.
+        # Every row of every segment is one of its station's own row
+        # objects, in the station's order: no LM pair copies a row.
         n1 = len(space._g3)
+        segments = 0
         for own, segs in space._shared.values():
-            for st, _, arcs, _ in segs:
-                rows = space._states.stations[(st % n1, st // n1)]
-                kept = iter([(il, ol, nid) for _, il, ol, _, _, _, nid in rows])
-                assert all(a in kept for a in [(il, ol, nid)
-                                                for il, ol, _, nid in arcs])
+            for st, _, rows, _ in segs:
+                kept = iter(space._states.stations[(st % n1, st // n1)])
+                assert all(any(r is t for t in kept) for r in rows)
+                segments += 1
+        assert segments > len(space._states.stations)
 
 
 # -- arc rows: made per state on first visit -------------------------------
@@ -1882,8 +1958,8 @@ class TestRelayMemo:
 
 
 class TestMutationAfterDecode:
-    """Decodes on warm graphs mutated by add_arc and arc_sort_input equal
-    decodes over cold arc-by-arc copies of them."""
+    """Decodes on warm graphs mutated by add_state, add_states, add_arc
+    and arc_sort_input equal decodes over cold arc-by-arc copies of them."""
 
     GRAPHS = ("HCLG3", "G3neg", "G4", "HCLG4")
 
@@ -1931,3 +2007,26 @@ class TestMutationAfterDecode:
                 m[rng.choice(unsorted or self.GRAPHS)].arc_sort_input()
             decoded |= self._check(m, matrices)
         assert decoded == {"onthefly", "static", "rescore"}
+
+    @pytest.mark.parametrize("grow", ["add_state", "add_states"])
+    def test_added_states_give_a_fresh_record(self, mini_model, grow):
+        # After a decode, each graph gets new states, which keep sorted arcs
+        # sorted; then the search graphs start at one of them.  A record
+        # made before the states were added would lack them, and the rows
+        # would raise a bare IndexError; a fresh one gives every strategy
+        # the fresh copies' outcome, a typed error when nothing is read.
+        m = _build_mini(mini_model)
+        matrices = [_utt(m, SENT)]
+        self._check(m, matrices)  # warm every memo first
+        for k in self.GRAPHS:
+            g = m[k]
+            was_sorted = g.input_sorted
+            if grow == "add_state":
+                g.add_state()
+            else:
+                g.add_states(2)
+            assert g.input_sorted == was_sorted
+        assert self._check(m, matrices) == {"onthefly", "static", "rescore"}
+        for k in ("HCLG3", "HCLG4"):
+            m[k].set_initial(m[k].num_states - 1)
+        assert self._check(m, matrices) == set()

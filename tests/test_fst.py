@@ -137,31 +137,31 @@ class TestStructure:
         with pytest.raises(FstError, match=r"^negative label in arc "
                            f"{arc.ilabel}:{arc.olabel}$"):
             fst.add_arc(0, arc)
-        assert fst.num_arcs == 0 and fst.version == 0
+        assert fst.num_arcs == 0 and fst.version == 1  # add_states' bump only
 
     def test_add_arc_drops_what_depends_on_the_arcs(self):
         fst = Fst()
         fst.add_states(2)
-        assert fst.version == 0 and not fst.input_sorted
+        assert fst.version == 1 and not fst.input_sorted
         fst.add_arc(0, Arc(1, 1, 0.0, 1))
-        assert fst.version == 1
+        assert fst.version == 2
         fst.arc_sort_input()
-        assert fst.version == 2 and fst.input_sorted
+        assert fst.version == 3 and fst.input_sorted
         assert find_arc(fst, 0, 1) == Arc(1, 1, 0.0, 1)
         fst.add_arc(0, Arc(2, 2, 0.0, 1))
-        assert fst.version == 3 and not fst.input_sorted
+        assert fst.version == 4 and not fst.input_sorted
         with pytest.raises(FstError, match="input-sorted"):
             find_arc(fst, 0, 2)
         fst.add_arc(1, Arc(2, 2, 0.0, 0))
         with pytest.raises(FstError, match="input-sorted"):
             find_arc(fst, 1, 2)
         fst.arc_sort_input()
-        assert fst.version == 5 and fst.input_sorted
+        assert fst.version == 6 and fst.input_sorted
         assert find_arc(fst, 0, 1) == Arc(1, 1, 0.0, 1)
         assert find_arc(fst, 0, 2) == Arc(2, 2, 0.0, 1)
         assert find_arc(fst, 1, 2) == Arc(2, 2, 0.0, 0)
         fst.arc_sort_input()  # a re-sort is a new version too
-        assert fst.version == 6 and fst.num_arcs == 3
+        assert fst.version == 7 and fst.num_arcs == 3
 
     def test_add_states(self):
         fst = Fst()
@@ -169,10 +169,16 @@ class TestStructure:
         fst.add_states(3)
         fst.add_states(0)
         assert fst.num_states == 4
+        assert fst.version == 3  # each call is a new version
         fst.add_arc(3, Arc(1, 1, 0.0, 0))
         fst.arc_sort_input()
         assert find_arc(fst, 3, 1) == Arc(1, 1, 0.0, 0)
         assert find_arc(fst, 2, 1) is None
+        # A new state has no arcs, so sorted arcs stay sorted.
+        assert fst.add_state() == 4 and fst.version == 6 and fst.input_sorted
+        fst.add_states(2)
+        assert fst.version == 7 and fst.input_sorted
+        assert find_arc(fst, 6, 1) is None
 
     def test_final_default_is_zero(self):
         fst = Fst()

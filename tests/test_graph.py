@@ -409,6 +409,46 @@ def test_default_task_search_graphs_are_pinned(task_models):
     assert got == SEARCH_GRAPH_SHA256
 
 
+# SHA-256 of every set-up output of the default task, with each float as
+# float.hex so that no rounding hides a changed bit: the two LMs' entries
+# and the four graphs' arcs (in list order), finals and initial states.
+SETUP_BIT_SHA256 = {
+    "g4": "9bed389c20969cf0f9e64544d6712326c8dda081ee12feab7a269506513633f7",
+    "g3": "5c9fa0617fb02d717c8a7204abbfdead35cff17fac24eaed4065684fef77c2fc",
+    "HCLG3": "d06fb03189e8c21d268d96f2c09452c6c2d022319d81f2260ec492caa02930bb",
+    "G3neg": "4f3ec11bacdef522826b70b11c55b641f184d5e17060b89fe518a1e93d1e6bfc",
+    "G4": "5baccbdd5a0e0207f9da8bf2028358f602734d93469c5b0b3efa9048c8ad3bb0",
+    "HCLG4": "a4be974788899b24644deeb95b6ae900f3e383655f3df3bc8b52e850f39020b7",
+}
+
+
+def model_bits(model):
+    h = hashlib.sha256()
+    for n in range(1, model.order + 1):
+        for gram, e in sorted(model.ngrams(n)):
+            bow = "-" if e.backoff is None else e.backoff.hex()
+            h.update(f"{' '.join(gram)}\t{e.logprob.hex()}\t{bow}\n".encode())
+    return h.hexdigest()
+
+
+def graph_bits(g):
+    h = hashlib.sha256(f"{g.num_states} {g.initial}\n".encode())
+    for s in g.states():
+        for a in g.arcs(s):
+            h.update(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight.hex()}\n".encode())
+    for s, w in sorted(g.finals.items()):
+        h.update(f"{s} {w.hex()}\n".encode())
+    return h.hexdigest()
+
+
+def test_default_task_setup_outputs_are_bit_pinned(task_models):
+    task, g4, g3 = task_models
+    got = {"g4": model_bits(g4), "g3": model_bits(g3)}
+    got.update((name, graph_bits(g))
+               for name, g in build_graphs(task.lexicon, g4, g3).items())
+    assert got == SETUP_BIT_SHA256
+
+
 class TestSearchGraph:
     def test_accepts_exactly_lexical_phone_strings(self, mini_model):
         lex = Lexicon.parse(MINI_LEXICON_TEXT)

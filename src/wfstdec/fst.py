@@ -8,6 +8,7 @@ semiring one is 0.0.  NaN weights are rejected at arc/final insertion.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 ZERO = math.inf
@@ -39,6 +40,9 @@ class Arc(NamedTuple):
     olabel: int
     weight: float
     nextstate: int
+
+
+_ILABEL_WEIGHT = itemgetter(0, 2)  # an arc's (ilabel, weight)
 
 
 class SymbolTable:
@@ -129,6 +133,21 @@ class Fst:
         self.version = 0
         self._sorted_at: Optional[int] = None  # version of the last arc_sort_input
 
+    @classmethod
+    def _adopt(cls, isyms: Optional[SymbolTable], osyms: Optional[SymbolTable],
+               arcs: list[list[Arc]], finals: dict[int, float], initial: int) -> "Fst":
+        """An Fst that takes over ``arcs`` and ``finals`` as they are.
+
+        For builders whose states, labels and weights are valid by
+        construction: it skips the per-arc checks of ``add_arc`` and
+        ``set_final``.
+        """
+        out = cls(isyms, osyms)
+        out._arcs = arcs
+        out.finals = finals
+        out.initial = initial
+        return out
+
     # -- structure ---------------------------------------------------------
 
     def add_state(self) -> int:
@@ -199,7 +218,7 @@ class Fst:
     def arc_sort_input(self) -> None:
         """Sort every arc list by (ilabel, weight); required by find_arc."""
         for arcs in self._arcs:
-            arcs.sort(key=lambda a: (a.ilabel, a.weight))
+            arcs.sort(key=_ILABEL_WEIGHT)
         self.version += 1
         self._sorted_at = self.version
 
@@ -345,23 +364,27 @@ def _connect(fst: Fst) -> tuple[Fst, list[int]]:
                 bwd[p] = True
                 stack.append(p)
     keep = [s for s in fst.states() if fwd[s] and bwd[s]]
-    out = Fst(fst.isyms, fst.osyms)
     if not keep or not bwd[fst.initial]:
-        return out, []
-    # The arc lists are assembled directly: every state in them is valid.
+        return Fst(fst.isyms, fst.osyms), []
     if len(keep) == n:
-        out._arcs = [list(state_arcs) for state_arcs in arcs]
-        out.finals = dict(fst.finals)
-        out.initial = fst.initial
+        # Copied even though nothing is trimmed.  A list built by appends
+        # (as compose_standard's are) has spare room and lies where the
+        # build left it; its copy is allocated at its length, in state
+        # order.  On the 1000-morpheme task, handing the lists over saved
+        # 4% of set-up and 7 MB of peak RSS, but decoding over HCLG4 ran
+        # 6-7% slower, warm and cold.
+        out = Fst._adopt(fst.isyms, fst.osyms, [list(state_arcs) for state_arcs in arcs],
+                         dict(fst.finals), fst.initial)
     else:
         remap = [-1] * n
         for i, s in enumerate(keep):
             remap[s] = i
-        out._arcs = [[Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
-                      for a in arcs[s] if remap[a.nextstate] >= 0]
-                     for s in keep]
-        out.finals = {remap[s]: w for s, w in fst.finals.items() if remap[s] >= 0}
-        out.initial = remap[fst.initial]
+        out = Fst._adopt(fst.isyms, fst.osyms,
+                         [[Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
+                           for a in arcs[s] if remap[a.nextstate] >= 0]
+                          for s in keep],
+                         {remap[s]: w for s, w in fst.finals.items() if remap[s] >= 0},
+                         remap[fst.initial])
     if fst.input_sorted:
         out.arc_sort_input()
     return out, keep

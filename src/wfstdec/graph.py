@@ -108,10 +108,10 @@ def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
         backoff_ilabel = syms.add(BACKOFF_HASH)
 
     contexts = sorted(model.contexts(), key=lambda h: (len(h), h))
-    state_of = {}
-    fst = Fst(syms, syms)
-    for h in contexts:
-        state_of[h] = fst.add_state()
+    state_of = {h: s for s, h in enumerate(contexts)}
+    # The arc lists are assembled directly: every label comes from syms,
+    # every state from state_of, and add_entry refuses NaN scores.
+    arcs: list[list[Arc]] = [[] for _ in contexts]
 
     def target(seq: tuple[str, ...]) -> int:
         while seq not in state_of:
@@ -126,34 +126,32 @@ def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
                 continue
             wid = syms.id_of(w)
             dst = target(gram[-max_ctx:] if max_ctx > 0 else ())
-            fst.add_arc(state_of[h], Arc(wid, wid, cost_from_log10(e.logprob), dst))
+            arcs[state_of[h]].append(Arc(wid, wid, cost_from_log10(e.logprob), dst))
     for h in contexts:
         if not h:
             continue
         e = model.entry(h)
         bow = e.backoff if e is not None and e.backoff is not None else 0.0
-        fst.add_arc(state_of[h],
-                    Arc(backoff_ilabel, 0, cost_from_log10(bow), target(h[1:])))
-    for h in contexts:
-        fst.set_final(state_of[h], cost_from_log10(model.score_word(h, EOS)))
+        arcs[state_of[h]].append(
+            Arc(backoff_ilabel, 0, cost_from_log10(bow), target(h[1:])))
+    finals = {state_of[h]: cost_from_log10(model.score_word(h, EOS)) for h in contexts}
+    if any(map(math.isnan, finals.values())):  # back-off sums of inf and -inf
+        raise FstError("NaN final weight")
 
     init = (BOS,) if (BOS,) in state_of else ()
-    fst.set_initial(state_of[init])
+    fst = Fst._adopt(syms, syms, arcs, finals, state_of[init])
     fst.arc_sort_input()
     return fst
 
 
 def negate_weights(g: Fst) -> Fst:
     """Same topology with every arc and final weight negated."""
-    out = Fst(g.isyms, g.osyms)
-    out.add_states(g.num_states)
-    for s in g.states():
-        for a in g.arcs(s):
-            w = a.weight if a.weight == ZERO else -a.weight
-            out.add_arc(s, Arc(a.ilabel, a.olabel, w, a.nextstate))
-    for s, w in g.finals.items():
-        out.set_final(s, w if w == ZERO else -w)
-    out.set_initial(g.initial)
+    out = Fst._adopt(
+        g.isyms, g.osyms,
+        [[Arc(a.ilabel, a.olabel, a.weight if a.weight == ZERO else -a.weight, a.nextstate)
+          for a in state_arcs] for state_arcs in g._arcs],
+        {s: w if w == ZERO else -w for s, w in g.finals.items()},
+        g.initial)
     out.arc_sort_input()
     return out
 
@@ -219,10 +217,17 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     _check_alphabets(a, b)
     if a.initial < 0 or b.initial < 0:
         return Fst(a.isyms, b.osyms)
-    out = Fst(a.isyms, b.osyms)
+    # The operands' lists are read directly, and the output's arc lists
+    # and finals are assembled directly: its states are made here, and its
+    # labels and weights come from checked operands (weight_times of two
+    # non-NaN weights is never NaN).
+    arcs_a, arcs_b = a._arcs, b._arcs
+    finals_a, finals_b = a.finals, b.finals
     start = (a.initial, b.initial, 0)
-    state_of = {start: out.add_state()}
+    state_of = {start: 0}
     stack = [start]
+    out_arcs: list[list[Arc]] = [[]]
+    finals: dict[int, float] = {}
     # Right-side arcs grouped by input label per state, built lazily.
     b_groups: dict[int, dict[int, list[Arc]]] = {}
 
@@ -230,44 +235,32 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     # lazily; the epsilon-output positions are the list under label 0.
     a_index: dict[int, dict[int, list[int]]] = {}
 
-    def groups(q2: int) -> dict[int, list[Arc]]:
-        g = b_groups.get(q2)
-        if g is None:
-            g = {}
-            for arc in b.arcs(q2):
-                g.setdefault(arc.ilabel, []).append(arc)
-            b_groups[q2] = g
-        return g
-
-    def index(q1: int) -> dict[int, list[int]]:
-        ix = a_index.get(q1)
-        if ix is None:
-            ix = {0: []}
-            for i, arc in enumerate(a.arcs(q1)):
-                ix.setdefault(arc.olabel, []).append(i)
-            a_index[q1] = ix
-        return ix
-
-    def visit(key) -> int:
-        s = state_of.get(key)
-        if s is None:
-            s = out.add_state()
-            state_of[key] = s
-            stack.append(key)
+    def new_state(key) -> int:
+        s = state_of[key] = len(out_arcs)
+        out_arcs.append([])
+        stack.append(key)
         return s
 
     while stack:
         key = stack.pop()
         q1, q2, f = key
-        src = state_of[key]
-        grp = groups(q2)
-        arcs1 = a.arcs(q1)
+        row = out_arcs[state_of[key]]
+        grp = b_groups.get(q2)
+        if grp is None:
+            grp = b_groups[q2] = {}
+            for arc in arcs_b[q2]:
+                grp.setdefault(arc.ilabel, []).append(arc)
+        arcs1 = arcs_a[q1]
         if len(arcs1) > len(grp):
             # Match from the sparser right side: only the left arcs whose
             # output label the right state reads can match, besides the
             # epsilon-output ones.  Visiting them in their list order
             # emits exactly what the full scan emits, in the same order.
-            ix = index(q1)
+            ix = a_index.get(q1)
+            if ix is None:
+                ix = a_index[q1] = {0: []}
+                for i, arc in enumerate(arcs1):
+                    ix.setdefault(arc.olabel, []).append(i)
             pos = list(ix[0])
             for label in grp:
                 if label:
@@ -277,29 +270,40 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
         for a1 in arcs1:
             if a1.olabel != 0:
                 for a2 in grp.get(a1.olabel, ()):
-                    dst = visit((a1.nextstate, a2.nextstate, 0))
-                    out.add_arc(src, Arc(a1.ilabel, a2.olabel,
-                                         weight_times(a1.weight, a2.weight), dst))
+                    nkey = (a1.nextstate, a2.nextstate, 0)
+                    dst = state_of.get(nkey)
+                    if dst is None:
+                        dst = new_state(nkey)
+                    row.append(Arc(a1.ilabel, a2.olabel,
+                                   weight_times(a1.weight, a2.weight), dst))
             else:
                 # Paired epsilon move (resets the filter).
                 if f == 0:
                     for a2 in grp.get(0, ()):
-                        dst = visit((a1.nextstate, a2.nextstate, 0))
-                        out.add_arc(src, Arc(a1.ilabel, a2.olabel,
-                                             weight_times(a1.weight, a2.weight), dst))
+                        nkey = (a1.nextstate, a2.nextstate, 0)
+                        dst = state_of.get(nkey)
+                        if dst is None:
+                            dst = new_state(nkey)
+                        row.append(Arc(a1.ilabel, a2.olabel,
+                                       weight_times(a1.weight, a2.weight), dst))
                 # Left-only epsilon move.
                 if f != 2:
-                    dst = visit((a1.nextstate, q2, 1))
-                    out.add_arc(src, Arc(a1.ilabel, 0, a1.weight, dst))
+                    nkey = (a1.nextstate, q2, 1)
+                    dst = state_of.get(nkey)
+                    if dst is None:
+                        dst = new_state(nkey)
+                    row.append(Arc(a1.ilabel, 0, a1.weight, dst))
         if f != 1:
             for a2 in grp.get(0, ()):
-                dst = visit((q1, a2.nextstate, 2))
-                out.add_arc(src, Arc(0, a2.olabel, a2.weight, dst))
-        wa, wb = a.final(q1), b.final(q2)
+                nkey = (q1, a2.nextstate, 2)
+                dst = state_of.get(nkey)
+                if dst is None:
+                    dst = new_state(nkey)
+                row.append(Arc(0, a2.olabel, a2.weight, dst))
+        wa, wb = finals_a.get(q1, ZERO), finals_b.get(q2, ZERO)
         if wa != ZERO and wb != ZERO:
-            out.set_final(src, weight_times(wa, wb))
-    out.set_initial(0)
-    return connect(out)
+            finals[state_of[key]] = weight_times(wa, wb)
+    return connect(Fst._adopt(a.isyms, b.osyms, out_arcs, finals, 0))
 
 
 def build_search_graph(lex: Lexicon, model: NGramModel,

@@ -17,7 +17,9 @@ and the decoder's relay matching must reproduce.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 BOS = "<s>"
@@ -64,6 +66,8 @@ class NGramModel:
             raise NGramError(f"entry order {n} outside 1..{self.order}")
         if backoff is not None and n == self.order:
             raise NGramError(f"back-off weight on highest-order entry {gram}")
+        if math.isnan(logprob) or (backoff is not None and math.isnan(backoff)):
+            raise NGramError(f"NaN log-probability or back-off weight on {gram}")
         self._grams[n][gram] = NGramEntry(logprob, backoff)
         self.vocabulary.update(gram)
 
@@ -106,14 +110,19 @@ class NGramModel:
             h = h[-(self.order - 1):]
         else:
             h = ()
+        return self._backoff_score(h, word)
+
+    def _backoff_score(self, h: tuple[str, ...], word: str) -> float:
+        """score_word for a context ``h`` already cut to the model's order."""
+        grams = self._grams
         total = 0.0
         while True:
-            e = self.entry(h + (word,))
+            e = grams[len(h) + 1].get(h + (word,))
             if e is not None:
                 return total + e.logprob
             if not h:
                 raise OOVError(word)
-            ce = self.entry(h)
+            ce = grams[len(h)].get(h)
             if ce is not None and ce.backoff is not None:
                 total += ce.backoff
             h = h[1:]
@@ -204,7 +213,10 @@ def parse_arpa(text: str) -> NGramModel:
             backoff = float(parts[-1]) if len(parts) == current_n + 2 else None
         except ValueError:
             raise NGramError(f"line {i}: bad number in {line!r}") from None
-        model.add_entry(parts[1:current_n + 1], logprob, backoff)
+        try:
+            model.add_entry(parts[1:current_n + 1], logprob, backoff)
+        except NGramError as exc:
+            raise NGramError(f"line {i}: {exc}") from None
         seen[current_n] += 1
     for n, declared in counts.items():
         if seen[n] != declared:
@@ -246,14 +258,13 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
         raise NGramError("empty corpus")
     if order < 1:
         raise NGramError(f"order must be >= 1, got {order}")
-    counts: list[dict[tuple[str, ...], int]] = [{} for _ in range(order + 1)]
-    for sent in corpus:
-        toks = [BOS] + list(sent) + [EOS]
-        for n in range(1, order + 1):
-            start = 1 if n == 1 else 0  # <s> is never a predicted event
-            for j in range(start, len(toks) - n + 1):
-                gram = tuple(toks[j:j + n])
-                counts[n][gram] = counts[n].get(gram, 0) + 1
+    # counts[n] counts the n-grams of every sentence, each sentence's being
+    # the zip of its n shifted copies (counts[0] stays empty).
+    counts: list[Counter[tuple[str, ...]]] = [
+        Counter(chain.from_iterable(zip(*(t[j:] for j in range(n)))
+                                    for t in ([BOS, *sent, EOS] for sent in corpus)))
+        for n in range(order + 1)]
+    del counts[1][(BOS,)]  # <s> is never a predicted event
 
     events = sorted({g[0] for g in counts[1]})
     v = len(events)
@@ -270,6 +281,7 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
 
     # Higher orders, bottom-up; lower-order entries are already in place.
     for n in range(2, order + 1):
+        lower = model._grams[n - 1]
         ctx_total: dict[tuple[str, ...], int] = {}
         ctx_types: dict[tuple[str, ...], int] = {}
         for gram, c in counts[n].items():
@@ -277,9 +289,8 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
             ctx_total[h] = ctx_total.get(h, 0) + c
             ctx_types[h] = ctx_types.get(h, 0) + 1
         for gram, c in sorted(counts[n].items()):
-            h, w = gram[:-1], gram[-1]
-            lower = model.entry(gram[1:])
-            p_low = 10.0 ** lower.logprob
+            h = gram[:-1]
+            p_low = 10.0 ** lower[gram[1:]].logprob
             t = ctx_types[h]
             p = (c + t * p_low) / (ctx_total[h] + t)
             model.add_entry(gram, math.log10(p))
@@ -296,24 +307,25 @@ def _assign_backoffs(model: NGramModel) -> None:
     same words), which makes each context distribution sum to one given
     that the next-lower order does.
     """
+    grams = model._grams
     for n in range(2, model.order + 1):
         by_ctx: dict[tuple[str, ...], list[str]] = {}
-        for gram in model._grams[n]:
+        for gram in grams[n]:
             by_ctx.setdefault(gram[:-1], []).append(gram[-1])
         for h, words in by_ctx.items():
             num = 1.0
             den = 1.0
             for w in words:
-                num -= 10.0 ** model.entry(h + (w,)).logprob
-                den -= 10.0 ** model.score_word(h[1:], w)
+                num -= 10.0 ** grams[n][h + (w,)].logprob
+                den -= 10.0 ** model._backoff_score(h[1:], w)
             if den <= 1e-12 or num <= 1e-12:
                 bow = 1.0 if num <= 1e-12 else 1e-12
             else:
                 bow = num / den
-            old = model.entry(h)
+            old = grams[n - 1].get(h)
             if old is None:
                 raise NGramError(f"context {h} has no entry")
-            model._grams[len(h)][h] = NGramEntry(old.logprob, math.log10(bow))
+            grams[n - 1][h] = NGramEntry(old.logprob, math.log10(bow))
 
 
 # -- pruning ---------------------------------------------------------------

@@ -104,6 +104,21 @@ class TestFindArc:
         with pytest.raises(FstError, match="invalid state"):
             find_arc(fst, 3, 1)
 
+    # Few labels and weights, so that (ilabel, weight) keys repeat and
+    # the stable order of tied arcs is exercised, with ZERO among them.
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.sampled_from([ZERO, -1.0, 0.0, 0.5]),
+                              st.integers(0, 2)),
+                    max_size=12))
+    def test_sort_order_is_ilabel_then_weight_and_stable(self, rows):
+        fst = Fst()
+        fst.add_states(3)
+        for row in rows:
+            fst.add_arc(0, Arc(*row))
+        want = sorted(fst.arcs(0), key=lambda a: (a.ilabel, a.weight))
+        fst.arc_sort_input()
+        assert [tuple(a) for a in fst.arcs(0)] == [tuple(a) for a in want]
+
 
 class TestStructure:
     def test_nan_rejected(self):

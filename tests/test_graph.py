@@ -11,6 +11,7 @@ from wfstdec.fst import (
     ZERO,
     Arc,
     Fst,
+    FstError,
     SymbolTable,
     connect,
     find_arc,
@@ -177,6 +178,17 @@ class TestLmToFst:
     def test_unknown_mode(self, mini_model):
         with pytest.raises(GraphError, match="mode"):
             lm_to_fst(mini_model, mode="bogus")
+
+    def test_nan_final_weight_refused(self):
+        # P(</s> | a) backs off through bow(a) = +inf to log10 P(</s>) =
+        # -inf: the sum is NaN, which no final weight may hold.
+        model = ngram.NGramModel(2)
+        model.add_entry(("a",), -0.5, math.inf)
+        model.add_entry((EOS,), -math.inf)
+        model.add_entry(("a", "a"), -0.1)
+        assert math.isnan(model.score_word(("a",), EOS))
+        with pytest.raises(FstError, match="NaN final weight"):
+            lm_to_fst(model, mode=BACKOFF_EPS)
 
 
 class TestNegate:

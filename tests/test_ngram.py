@@ -12,6 +12,7 @@ import pytest
 from wfstdec.ngram import (
     BOS,
     EOS,
+    NGramEntry,
     NGramError,
     NGramModel,
     OOVError,
@@ -120,6 +121,23 @@ class TestWittenBell:
             estimate_witten_bell([["a"]], 0)
 
 
+class TestEntries:
+    @pytest.mark.parametrize("logprob, backoff", [
+        (math.nan, None), (math.nan, -0.2), (-0.5, math.nan)])
+    def test_nan_refused(self, logprob, backoff):
+        model = NGramModel(2)
+        with pytest.raises(NGramError, match="NaN"):
+            model.add_entry(("a",), logprob, backoff)
+        assert model.entry(("a",)) is None and not model.vocabulary
+
+    def test_infinities_accepted(self):
+        model = NGramModel(2)
+        model.add_entry(("a",), -math.inf, math.inf)
+        model.add_entry(("b",), math.inf, -math.inf)
+        assert model.entry(("a",)) == NGramEntry(-math.inf, math.inf)
+        assert model.entry(("b",)) == NGramEntry(math.inf, -math.inf)
+
+
 class TestScoring:
     def test_interior_score_with_listed_bigram(self, ab_model):
         # P(a) * P(b|a): -0.5 + -0.3.
@@ -195,6 +213,33 @@ ngram 1=2
     def test_bad_numbers_name_the_line(self, old, new, where):
         with pytest.raises(NGramError, match=f"^{where}"):
             parse_arpa(self.TRIVIAL.replace(old, new))
+
+    BIGRAM = """\\data\\
+ngram 1=2
+ngram 2=1
+
+\\1-grams:
+-0.5\ta\t-0.2
+-0.7\tb
+
+\\2-grams:
+-0.3\ta b
+
+\\end\\
+"""
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("-0.5\ta\t-0.2", "nan\ta\t-0.2", "line 6: NaN"),
+        ("-0.5\ta\t-0.2", "-0.5\ta\tNaN", "line 6: NaN"),
+        ("-0.3\ta b", "nan\ta b", "line 10: NaN"),
+    ], ids=["logprob", "backoff", "bigram"])
+    def test_nan_names_the_line(self, old, new, where):
+        with pytest.raises(NGramError, match=f"^{where}"):
+            parse_arpa(self.BIGRAM.replace(old, new))
+
+    def test_infinities_accepted(self):
+        model = parse_arpa(self.BIGRAM.replace("-0.5\ta\t-0.2", "-inf\ta\tinf"))
+        assert model.entry(("a",)) == NGramEntry(-math.inf, math.inf)
 
     def test_backoff_chain_validated(self):
         model = NGramModel(2)

@@ -7,9 +7,11 @@ semiring one is 0.0.  NaN weights are rejected at arc/final insertion.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
 ZERO = math.inf
 ONE = 0.0
@@ -26,6 +28,31 @@ class ParseError(FstError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """Run ``fn`` with the cyclic garbage collector off, then turn it back on.
+
+    For the calls that build a whole LM, task or graph.  What they build is
+    never garbage and holds no cycles, yet it is hundreds of thousands of
+    containers, and each full collection during a build walks all of them
+    (an ``Arc`` is a tuple subclass, which the collector never untracks).
+    A call made while the collector is already off, as a builder nested in
+    another is, leaves it off; an error leaves it as it was found.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused  # type: ignore[return-value]
 
 
 def weight_times(a: float, b: float) -> float:
@@ -267,11 +294,17 @@ def write_text_fst(fst: Fst, state_comments: Optional[dict[int, str]] = None) ->
     return "\n".join(out) + "\n"
 
 
+@gc_paused
 def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
                   osyms: Optional[SymbolTable] = None) -> Fst:
-    """Parse the text format written by write_text_fst."""
+    """Parse the text format written by write_text_fst.
+
+    Each line is checked as it is read, for everything that ``add_arc``
+    and ``set_final`` check, so an error names its line; the arc lists
+    (in line order) and the finals are then handed to the graph whole.
+    """
     arcs: list[tuple[int, int, Arc]] = []  # (lineno, src, arc)
-    finals: list[tuple[int, int, float]] = []
+    finals: dict[int, float] = {}
     initial = -1
     max_state = -1
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -294,7 +327,9 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
         if src < 0 or (dst is not None and dst < 0):
             raise ParseError(ln, f"negative state id in {raw!r}")
         if dst is None:
-            finals.append((ln, src, w))
+            if math.isnan(w):
+                raise ParseError(ln, "NaN final weight")
+            finals[src] = w
             max_state = max(max_state, src)
             continue
         if il < 0 or ol < 0:
@@ -312,23 +347,20 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
     if initial < 0:
         if not finals:
             raise ParseError(0, "empty fst body")
-        initial = finals[0][1]
-    known = {src for _, src, _ in arcs} | {s for _, s, _ in finals}
+        initial = next(iter(finals))
+    known = {src for _, src, _ in arcs} | finals.keys()
     for ln, _, arc in arcs:
         if arc.nextstate not in known:
             raise ParseError(ln, f"dangling nextstate {arc.nextstate}")
-    fst = Fst(isyms, osyms)
-    fst.add_states(max_state + 1)
+    state_arcs: list[list[Arc]] = [[] for _ in range(max_state + 1)]
     for _, src, arc in arcs:
-        fst.add_arc(src, arc)
-    for _, s, w in finals:
-        fst.set_final(s, w)
-    fst.set_initial(initial)
-    return fst
+        state_arcs[src].append(arc)
+    return Fst._adopt(isyms, osyms, state_arcs, finals, initial)
 
 
 # -- trimming --------------------------------------------------------------
 
+@gc_paused
 def connect(fst: Fst) -> Fst:
     """Remove states not on a successful initial -> final path."""
     return _connect(fst)[0]

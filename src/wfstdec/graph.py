@@ -23,6 +23,7 @@ from .fst import (
     FstError,
     SymbolTable,
     connect,
+    gc_paused,
     weight_times,
 )
 from .ngram import BOS, EOS, NGramModel
@@ -91,6 +92,7 @@ def make_morpheme_symbols(model: NGramModel, with_hash: bool = False) -> SymbolT
     return syms
 
 
+@gc_paused
 def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
               mode: str = BACKOFF_EPS) -> Fst:
     """Compile a back-off model into a context-state acceptor.
@@ -144,6 +146,7 @@ def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
     return fst
 
 
+@gc_paused
 def negate_weights(g: Fst) -> Fst:
     """Same topology with every arc and final weight negated."""
     out = Fst._adopt(
@@ -201,6 +204,7 @@ def _check_alphabets(a: Fst, b: Fst) -> None:
                          "left output symbols differ from right input symbols")
 
 
+@gc_paused
 def compose_standard(a: Fst, b: Fst) -> Fst:
     """Standard composition with the three-state epsilon filter.
 
@@ -306,6 +310,7 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     return connect(Fst._adopt(a.isyms, b.osyms, out_arcs, finals, 0))
 
 
+@gc_paused
 def build_search_graph(lex: Lexicon, model: NGramModel,
                        phone_syms: Optional[SymbolTable] = None,
                        morph_syms: Optional[SymbolTable] = None) -> Fst:

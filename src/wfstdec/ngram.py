@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
+from .fst import gc_paused
+
 BOS = "<s>"
 EOS = "</s>"
 
@@ -156,6 +158,7 @@ def score_sentence(model: NGramModel, tokens: Sequence[str]) -> float:
 
 # -- ARPA serialization ----------------------------------------------------
 
+@gc_paused
 def parse_arpa(text: str) -> NGramModel:
     """Parse standard ARPA text into a model; validates section counts."""
     lines = text.splitlines()
@@ -247,6 +250,7 @@ def write_arpa(model: NGramModel) -> str:
 
 # -- estimation ------------------------------------------------------------
 
+@gc_paused
 def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramModel:
     """Estimate a back-off model with Witten-Bell smoothing.
 
@@ -330,6 +334,7 @@ def _assign_backoffs(model: NGramModel) -> None:
 
 # -- pruning ---------------------------------------------------------------
 
+@gc_paused
 def prune_to_small_lm(model: NGramModel, threshold: float = 1e-5,
                       max_order: Optional[int] = None) -> NGramModel:
     """Drop high orders and low-probability entries; renormalize back-offs.

@@ -19,6 +19,7 @@ from . import decoder as dec
 from . import graph as gb
 from . import metrics
 from . import ngram
+from .fst import gc_paused
 
 FRAME_SHIFT_MS = 10.0
 STRATEGIES = ("onthefly", "static", "rescore")
@@ -117,6 +118,7 @@ class SynthTask:
     utterances: list[tuple[str, list[str]]]  # (utt_id, morpheme sequence)
 
 
+@gc_paused
 def generate_task(cfg: PipelineConfig) -> SynthTask:
     rng = random.Random(cfg.seed)
     phones = _PHONE_NAMES[:cfg.num_phones]

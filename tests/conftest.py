@@ -3,6 +3,8 @@ default task's models and report, and the acceptance-summary reporter."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from wfstdec.ngram import (
@@ -28,6 +30,17 @@ MINI_LEXICON_TEXT = (
     "ti\tt i\n"
     "kAn\tk A n\n"
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test after which the cyclic garbage collector is off, as a
+    builder that leaked its pause would leave it; turn it back on so the
+    tests after it run as usual."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic garbage collector was left disabled")
 
 
 @pytest.fixture(scope="session")

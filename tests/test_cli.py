@@ -300,8 +300,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("name, text", [
         ("graph", "0\t1\t1\t1\theavy\n1\t0\n"),
+        ("graph", "0\t1\t1\t1\t0.5\n1\tnan\n"),
         ("isymbols", "a\t0\nb\t1\n"),
-    ], ids=["non-numeric-weight", "id-0-not-eps"])
+    ], ids=["non-numeric-weight", "nan-final-weight", "id-0-not-eps"])
     def test_malformed_decode_input(self, workdir, capsys, tmp_path, name,
                                     text):
         bad = tmp_path / "bad.txt"

@@ -242,6 +242,14 @@ class TestTextFormat:
                            match=f"^line {ln}: negative state id in '{line}'$"):
             read_text_fst(text)
 
+    @pytest.mark.parametrize("text,ln,what", [
+        ("0 1 1 1 nan\n1 0.0\n", 1, "NaN weight"),
+        ("0 1 1 1 0.5\n1 nan\n", 2, "NaN final weight"),
+    ], ids=["arc", "final"])
+    def test_nan_weight_names_the_line(self, text, ln, what):
+        with pytest.raises(ParseError, match=f"^line {ln}: {what}$"):
+            read_text_fst(text)
+
     def test_unknown_symbol_id(self):
         syms = SymbolTable()
         syms.add("a")

@@ -66,6 +66,8 @@ def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,
             raise AcousticError(f"phone id {p} outside 1..{num_symbols}")
     if noise < 0:
         raise AcousticError("noise must be non-negative")
+    if seed < 0:
+        raise AcousticError("seed must be non-negative")
     t = len(phones) * frames_per_phone
     rng = np.random.default_rng(seed)
     costs = np.full((t, num_symbols), margin)

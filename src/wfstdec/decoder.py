@@ -51,14 +51,12 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import ZERO, Arc, Fst, FstError, SymbolTable, _connect
+from .fst import ZERO, Arc, Fst, FstError, _connect
 
 _INF = ZERO
 _NO_STATE = -1
-# A dead branch's record in the relay memo, and its per-label entry; its
-# match states are no states.
+# A dead branch's record in the relay memo; its match states are no states.
 _DEAD_RECORD = (_NO_STATE, _NO_STATE, ZERO)
-_DEAD = (_NO_STATE, _NO_STATE, ZERO, ZERO, _DEAD_RECORD)
 # The station segments of a static space's tokens: it has none.
 _NO_HOPS: dict = {}
 # Slack on the lattice bound, and so on the frame step's cutoff, which
@@ -123,7 +121,7 @@ class RelayStats:
 
 
 def _relay_walk(g: Fst, state: int, labels,
-                stats: Optional[RelayStats]) -> tuple[list, set, int]:
+                stats: RelayStats) -> tuple[list, set, int]:
     """Back-off relay walk for a set of labels at once.
 
     Follows the back-off chain from ``state``; at each state on it, the
@@ -154,15 +152,11 @@ def _relay_walk(g: Fst, state: int, labels,
             if not todo:
                 return groups, todo, hops
         b = back[q]
-        if stats is not None:
-            n = len(todo)
-            stats.failed_direct_matches += n
-            if b is None:
-                stats.dead_relays += n
-            else:
-                stats.backoff_hops += n
+        stats.failed_direct_matches += len(todo)
         if b is None:
+            stats.dead_relays += len(todo)
             return groups, todo, hops
+        stats.backoff_hops += len(todo)
         q = b.nextstate
         acc += b.weight
         hops += 1
@@ -176,9 +170,10 @@ def relay_match(g: Fst, state: int, label: int,
     is (-1, +inf, hops) and means the calling branch must be dropped.  An
     LM with a back-off cycle anywhere raises BackoffCycleError.
     """
+    if stats is None:
+        stats = RelayStats()
     if label == 0:
-        if stats is not None:
-            stats.eps_output_matches += 1
+        stats.eps_output_matches += 1
         raise DecodeError("relay matching an epsilon label is forbidden")
     groups, dead, hops = _relay_walk(g, state, (label,), stats)
     if dead:
@@ -259,14 +254,13 @@ class _Pair:
     ``h = acc2 + acc3``, the weights of the two back-off walks.
     ``records`` maps each label to its group's record, so a group's labels
     are those whose record is that object, and a dead label to
-    ``_DEAD_RECORD``.  ``entries`` maps a label to ``(q2', q3', G3neg arc
-    weight, G4 arc weight, record)``, made when the per-arc path first
-    reads the label."""
+    ``_DEAD_RECORD``.  A label's two LM arcs are those the label maps of
+    G3neg's state ``at`` and G4's state ``at3`` hold."""
 
-    __slots__ = ("records", "groups", "entries")
+    __slots__ = ("records", "groups")
 
     def __init__(self):
-        self.records, self.groups, self.entries = {}, {}, {}
+        self.records, self.groups = {}, {}
 
 
 class _States:
@@ -276,29 +270,13 @@ class _States:
     from; the station tables, keyed ``(q1, at3)``; per search-graph state
     q1 whose emitting arcs a state expanded, ``q1_arcs[q1]``: its
     ``phone:eps`` arcs, the morphemes its other arcs read, and the index
-    of each morpheme's first arc; and, once the frame step first expands a
-    state, the search graph's ``_Rows``, whose epsilon flags give a new
-    search state over search-graph state q1 its ``eps`` entry: True (not
-    yet expanded) or, where q1 has no epsilon-input arcs, an empty table.
-    Rescoring walks a lattice's own arcs and reads no rows.
+    of each morpheme's first arc.
     """
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.shared, self.stations, self.q1_arcs = {}, {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
-        self.rows: Optional[_Rows] = None
-
-    def graph_rows(self, graph: Fst) -> _Rows:
-        """The search graph's rows, looked up on the first call, which
-        also gives the states interned before it their ``eps`` entries."""
-        if self.rows is None:
-            self.rows = _rows(graph)
-            flags = self.rows.eps
-            for sid, triple in enumerate(self.triples):
-                if self.eps[sid] is True and not flags[triple[0]]:
-                    self.eps[sid] = ()
-        return self.rows
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -612,12 +590,17 @@ class _OnTheFlySpace(SearchSpace):
     chain that lists it.  A final weight counts only where
     ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
     hop, on relay memo misses only, so a warm decode adds nothing to it.
+
+    The space reads the graph's ``_Rows``, whose epsilon flags give a new
+    state over search-graph state q1 its ``eps`` entry.  Rescoring walks a
+    lattice's own arcs and makes no row.
     """
 
     def __init__(self, graph: Fst, g3neg: Fst, g4: Fst,
                  stats: Optional[RelayStats], memo: _RelayMemo,
                  states: _States):
         self.graph, self.g3neg, self.g4 = graph, g3neg, g4
+        self._rows = _rows(graph)
         self.stats = stats if stats is not None else RelayStats()
         self._pairs = memo.pairs
         self._maps3, self._maps4 = _lm(g3neg).maps, _lm(g4).maps
@@ -638,9 +621,7 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            rows = self._states.rows
-            self.eps.append(() if rows is not None and not rows.eps[triple[0]]
-                            else True)
+            self.eps.append(True if self._rows.eps[triple[0]] else ())
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -654,7 +635,7 @@ class _OnTheFlySpace(SearchSpace):
         """Expand state sid's epsilon-input arcs, once."""
         q1 = self._triples[sid][0]
         arcs = self.eps[sid] = tuple(self.expand_arcs(
-            sid, self._states.graph_rows(self.graph).eps_row(q1)))
+            sid, self._rows.eps_row(q1)))
         return arcs
 
     def _expand_emit(self, sid: int) -> tuple:
@@ -699,7 +680,7 @@ class _OnTheFlySpace(SearchSpace):
         arc; made once per q1, not once per LM pair."""
         derived = self._states.q1_arcs.get(q1)
         if derived is None:
-            row = self._states.graph_rows(self.graph).emit_row(q1)
+            row = self._rows.emit_row(q1)
             first = {}
             for k, a in enumerate(row):
                 if a[1] and a[1] not in first:
@@ -721,20 +702,16 @@ class _OnTheFlySpace(SearchSpace):
         rows = stations.get(key)
         if rows is not None:
             return rows
-        map3, map4, g3 = self._maps3[g], self._maps4[at3], self._g3
+        map3, map4 = self._maps3[g], self._maps4[at3]
         rows = []
-        for il, ol, w, ns in self._states.rows.emit[q1]:
+        for il, ol, w, ns in self._rows.emit[q1]:
             if not ol:
                 continue
             e2, e3 = map3.get(ol), map4.get(ol)
             if e2 is None or e3 is None:
                 continue
             ng = e2.nextstate
-            seen = g3[ns]
-            if seen != ng:
-                if seen != _NO_STATE:
-                    raise _composition_error(ns, seen, ng)
-                g3[ns] = ng
+            self._reach(ns, ng)
             rows.append((il, ol, (w + e2.weight) + e3.weight,
                          self.state_id((ns, ng, e3.nextstate))))
         rows = stations[key] = tuple(rows)
@@ -818,40 +795,47 @@ class _OnTheFlySpace(SearchSpace):
         sid's ``graph_arcs`` (ilabel, olabel, weight, next graph state)
         that survives, in order.  One batch relays the labels of all arcs;
         the counters count per label, as if each arc were relayed alone.
-        A morpheme arc reads its label's entry in the LM pair's memo, and
-        weighs ``((w + G3neg arc weight) + G4 arc weight) + h``, its station
-        row's weight plus the pair's hop weight: the weight of the frame
-        step's link from that row where the arc's phone costs nothing.  So
-        on such paths rescoring a lattice and decoding on the fly make the
-        same floats."""
+        A morpheme arc reads its two LM arcs from the label maps of its
+        group's record, as the station tables do, and weighs ``((w + G3neg
+        arc weight) + G4 arc weight) + h``, its station row's weight plus
+        the pair's hop weight: the weight of the frame step's link from
+        that row where the arc's phone costs nothing.  So on such paths
+        rescoring a lattice and decoding on the fly make the same floats."""
         q1, q2, q3 = self._triples[sid]
-        g3 = self._g3
         g = self._g3_of(q1)
         labels = {a[1] for a in graph_arcs if a[1]}
         if labels:
-            pair = self.relays(q2, q3, labels)
-            entries = pair.entries
+            records = self.relays(q2, q3, labels).records
+            maps3, maps4 = self._maps3, self._maps4
         arcs = []
         for il, ol, w, ns in graph_arcs:
             if ol == 0:
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, w = q2, q3, w + 0.0
             else:
-                entry = entries.get(ol)
-                if entry is None:
-                    entry = self._entry(pair, ol)
-                nq2, nq3, e2w, e3w, record = entry
+                record = records[ol]
                 if record[0] != g:
                     continue
-                ng = nq2
-                w = ((w + e2w) + e3w) + record[2]
-            seen = g3[ns]
-            if seen != ng:
-                if seen != _NO_STATE:
-                    raise _composition_error(ns, seen, ng)
-                g3[ns] = ng
+                e2, e3 = maps3[g][ol], maps4[record[1]][ol]
+                ng = nq2 = e2.nextstate
+                nq3 = e3.nextstate
+                w = ((w + e2.weight) + e3.weight) + record[2]
+            self._reach(ns, ng)
             arcs.append((il, ol, w, self.state_id((ns, nq2, nq3))))
         return arcs
+
+    def _reach(self, ns: int, ng: int) -> None:
+        """Record that search-graph state ns is reached from G3neg state
+        ng.  A state reached from two G3neg states raises ProvenanceError:
+        the search graph is no composition with G3neg."""
+        seen = self._g3[ns]
+        if seen != ng:
+            if seen != _NO_STATE:
+                raise ProvenanceError(
+                    f"search graph state {ns} is reached from G3neg states "
+                    f"{seen} and {ng}: the search graph is not a composition "
+                    "with G3neg")
+            self._g3[ns] = ng
 
     def _g3_of(self, q1: int) -> int:
         """The G3neg state search-graph state q1 was composed from."""
@@ -906,24 +890,6 @@ class _OnTheFlySpace(SearchSpace):
             records.update(dict.fromkeys(dead, _DEAD_RECORD))
         return pair
 
-    def _entry(self, pair: _Pair, label: int) -> tuple:
-        """A label's memo entry ``(q2', q3', G3neg arc weight, G4 arc
-        weight, record)``, made from its group's record on first use."""
-        record = pair.records[label]
-        if record is _DEAD_RECORD:
-            entry = _DEAD
-        else:
-            e2 = self._maps3[record[0]][label]
-            e3 = self._maps4[record[1]][label]
-            entry = (e2.nextstate, e3.nextstate, e2.weight, e3.weight, record)
-        pair.entries[label] = entry
-        return entry
-
-
-def _composition_error(ns: int, seen: int, ng: int) -> ProvenanceError:
-    return ProvenanceError(
-        f"search graph state {ns} is reached from G3neg states {seen} and "
-        f"{ng}: the search graph is not a composition with G3neg")
 
 
 def _labels(seg: list) -> int:
@@ -1108,7 +1074,7 @@ def _decode(space: SearchSpace, acoustic: AcousticMatrix,
             opts: DecodeOptions, utt_id: str) -> Lattice:
     if space.graph.initial < 0:
         raise DecodeError("search graph has no initial state")
-    top = _rows(space.graph).top
+    top = space._rows.top
     if top > acoustic.num_symbols:
         raise DecodeError(f"search graph input label {top} is outside the "
                           f"acoustic matrix's {acoustic.num_symbols} symbols")

@@ -178,11 +178,7 @@ class Fst:
     # -- structure ---------------------------------------------------------
 
     def add_state(self) -> int:
-        # A hot path of graph building, so add_states' lines are repeated.
-        self._arcs.append([])
-        if self._sorted_at == self.version:  # no arcs: sorted arcs stay sorted
-            self._sorted_at += 1
-        self.version += 1
+        self.add_states(1)
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:

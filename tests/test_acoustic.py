@@ -45,6 +45,8 @@ class TestSynthesis:
             synthesize_utterance([1], 3, frames_per_phone=0)
         with pytest.raises(AcousticError, match="noise"):
             synthesize_utterance([1], 3, noise=-1.0)
+        with pytest.raises(AcousticError, match="seed"):
+            synthesize_utterance([1], 3, seed=-1)
 
 
 class TestAccess:

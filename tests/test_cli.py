@@ -144,6 +144,15 @@ class TestErrors:
         assert code == 2
         assert "--g3neg" in err
 
+    def test_negative_synth_seed(self, workdir, capsys, tmp_path):
+        out_path = tmp_path / "o.ac"
+        code, out, err = run(capsys, "synth", str(workdir / "phones.txt"),
+                             str(workdir / "phones.syms"), str(out_path),
+                             "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be non-negative\n"
+        assert not out_path.exists()
+
     def test_backoff_cycle_in_big_lm(self, workdir, capsys, tmp_path):
         cyclic = tmp_path / "cyclic.fst"
         cyclic.write_text("0\t0\t0\t0\t0.5\n0\t0\n")  # back-off self-loop

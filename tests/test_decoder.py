@@ -283,14 +283,12 @@ class TestBatchedRelay:
                             e3, acc3, _, at3 = _reference_relay(g4, q3, w, ref)
                         if e3 is None:
                             assert record is decoder._DEAD_RECORD
-                            assert space._entry(pair, w) == (-1, -1, INF, INF,
-                                                             record)
                             continue
                         assert record == (at, at3, acc2 + acc3)
                         assert pair.groups[(at, at3)] is record
-                        assert space._entry(pair, w) == (
-                            e2.nextstate, e3.nextstate, e2.weight, e3.weight,
-                            record)
+                        # The per-arc path reads the label's arcs here.
+                        assert space._maps3[record[0]][w] == e2
+                        assert space._maps4[record[1]][w] == e3
                         backed_off += at != q2
                     for key, record in pair.groups.items():
                         assert key == record[:2]
@@ -1366,9 +1364,20 @@ class TestStationTables:
         # which lists it with weight 0.4.  These floats sum to a different
         # value in each other order, so both strategies must make the
         # station row's ((w + e2w) + e3w) and then add h.
+        self._assert_one_order([(0, Arc(1, 1, 0.1, 1))])
+
+    def test_epsilon_input_morpheme_arcs_sum_in_the_same_order(self):
+        # The same morpheme and LMs, read on an epsilon-input arc 0 -> 2
+        # before the phone arc 2 -> 1: the per-arc path that expands it
+        # must make the same float as a station row plus h.
+        self._assert_one_order([(0, Arc(0, 1, 0.1, 2)), (2, Arc(1, 0, 0.0, 1))])
+
+    @staticmethod
+    def _assert_one_order(arcs):
         hclg = Fst()
-        hclg.add_states(2)
-        hclg.add_arc(0, Arc(1, 1, 0.1, 1))
+        hclg.add_states(3)
+        for s, a in arcs:
+            hclg.add_arc(s, a)
         hclg.set_initial(0)
         hclg.set_final(1, 0.0)
         g3neg = _loop_lm(1, 1, 0.1)
@@ -1558,7 +1567,7 @@ class TestLazyRows:
         decode_onthefly(m["HCLG3"], m["G3neg"], m["G4"], matrix)
         rows = decoder._DERIVED[m["HCLG3"]].rows
         space = search_space(m["HCLG3"], m["G3neg"], m["G4"])
-        assert space._states.rows is rows
+        assert space._rows is rows
         made = [s for s, r in enumerate(rows.emit) if r is not None]
         assert made
         with _RowCount() as count:
@@ -1888,14 +1897,15 @@ class TestRelayMemo:
             assert lat.frames == once.frames
 
     def test_rescoring_makes_no_arc_tables(self, mini):
-        # Rescoring walks the lattice's own arcs: neither the lattice's
-        # record nor its space's states get arc rows, and the rescored
-        # lattice is that of a lattice whose rows were all made first.
+        # Rescoring walks the lattice's own arcs: the lattice's record
+        # gets its epsilon flags but no arc row, and the rescored lattice
+        # is that of a lattice whose rows were all made first.
         first = decode_static(mini["HCLG3"], _utt(mini, SENT, noise=1.0))
         got = rescore_lattice(first, mini["G3neg"], mini["G4"])
-        rec = decoder._DERIVED[first.fst]
-        assert rec.rows is None
-        assert next(iter(rec.spaces.values())).rows is None
+        flags = decoder._DERIVED[first.fst].rows
+        assert flags.emit == [None] * first.fst.num_states
+        assert True in flags.eps
+        assert all(e is True or e == () for e in flags.eps)
         copy = Lattice(self._copy(first.fst), first.frames, first.utt_id)
         rows = decoder._rows(copy.fst)
         for s in copy.fst.states():

@@ -1,6 +1,7 @@
 """Synthetic-task generation and the end-to-end pipeline driver."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -99,6 +100,13 @@ class TestRunPipeline:
         again = run_pipeline(SMALL)
         assert small_report.render(include_timing=False) == \
             again.render(include_timing=False)
+
+    def test_default_report_text_is_pinned(self, default_run):
+        # Criterion 8 compares two runs of the same code; this pin also
+        # catches a change that moves the default report between commits.
+        text = default_run.render(include_timing=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "dfc68007959f1835121057599670d2363280ae900b2d73cb5748cb5164c7c69f"
 
     def test_size_rows_present(self, small_report):
         names = [r.name for r in small_report.sizes]

@@ -54,7 +54,7 @@ def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,
     """Deterministic cost matrix whose zero-cost symbols spell the phones.
 
     Every frame gives the scheduled phone cost 0 and all other symbols a
-    positive margin, perturbed by seeded Gaussian noise when noise > 0.
+    non-negative margin, perturbed by seeded Gaussian noise when noise > 0.
     """
     phones = list(phone_sequence)
     if not phones:
@@ -68,6 +68,8 @@ def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,
         raise AcousticError("noise must be non-negative")
     if seed < 0:
         raise AcousticError("seed must be non-negative")
+    if not margin >= 0:  # NaN fails too
+        raise AcousticError("margin must be non-negative")
     t = len(phones) * frames_per_phone
     rng = np.random.default_rng(seed)
     costs = np.full((t, num_symbols), margin)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import acoustic as ac
@@ -69,9 +70,8 @@ def cmd_synth(args) -> int:
 
 def cmd_decode(args) -> int:
     try:
-        opts = dec.DecodeOptions(beam=args.beam, max_active=args.max_active,
-                                 lattice_beam=args.lattice_beam,
-                                 acoustic_scale=args.acoustic_scale)
+        opts = dec.DecodeOptions(**{f.name: getattr(args, f.name)
+                                    for f in fields(dec.DecodeOptions)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -125,13 +125,9 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    total_err = total_ref = 0
-    for uid, toks in hyps.items():
-        _, s, i, d = metrics.wer_score(refs[uid], toks)
-        total_err += s + i + d
-        total_ref += len(refs[uid])
-    wer = 100.0 * total_err / total_ref if total_ref else 0.0
-    print(f"WER {wer:.2f}% ({total_err} errors / {total_ref} reference tokens)")
+    wer, s, i, d, total_ref = metrics.corpus_wer(
+        (refs[uid], toks) for uid, toks in hyps.items())
+    print(f"WER {wer:.2f}% ({s + i + d} errors / {total_ref} reference tokens)")
     return 0
 
 
@@ -149,7 +145,7 @@ def cmd_report(args) -> int:
                   f"not {type(data).__name__}", file=sys.stderr)
             return 2
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in {f.name for f in fields(cfg)}:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return 2
             setattr(cfg, key, value)
@@ -169,18 +165,19 @@ def main(argv=None) -> int:
         prog="wfstdec",
         description="WFST toolkit and one-pass morpheme decoder")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = pipeline.PipelineConfig
 
     p = sub.add_parser("lm-build", help="estimate an ARPA model from a corpus")
     p.add_argument("corpus")
     p.add_argument("output")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, default=defaults.order)
     p.set_defaults(fn=cmd_lm_build)
 
     p = sub.add_parser("lm-prune", help="prune a big LM into a small LM")
     p.add_argument("lm")
     p.add_argument("output")
-    p.add_argument("--prune-threshold", type=float, default=1e-5)
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--prune-threshold", type=float, default=defaults.prune_threshold)
+    p.add_argument("--max-order", type=int, default=defaults.max_order)
     p.set_defaults(fn=cmd_lm_prune)
 
     p = sub.add_parser("graph-build", help="compile LM (and lexicon) into a WFST")
@@ -214,10 +211,9 @@ def main(argv=None) -> int:
     p.add_argument("--isymbols")
     p.add_argument("--osymbols")
     p.add_argument("--lattice", help="write the output lattice here")
-    p.add_argument("--beam", type=float, default=16.0)
-    p.add_argument("--max-active", type=int, default=7000)
-    p.add_argument("--lattice-beam", type=float, default=8.0)
-    p.add_argument("--acoustic-scale", type=float, default=1.0)
+    for f in fields(dec.DecodeOptions):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("score", help="score hypothesis file against references")

@@ -104,9 +104,7 @@ class DecodeOptions:
         if not isinstance(self.max_active, numbers.Integral):
             raise ValueError("decode option max_active must be an integer, "
                              f"not {self.max_active!r}")
-        # Written so that NaN, which compares false, fails too.
-        if not (self.beam > 0 and self.max_active > 0
-                and self.lattice_beam > 0 and self.acoustic_scale > 0):
+        if not all(v > 0 for v in vars(self).values()):  # NaN fails too
             raise ValueError("all decode options must be positive")
 
 
@@ -998,8 +996,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
     ordered = [k for k in range(len(found)) if kept[k] or k == init]
     ordered.sort(key=lambda k: (found[k][1], space.triple(found[k][0])))
     state = {k: s for s, k in enumerate(ordered)}
-    fst = Fst(space.graph.isyms, space.graph.osyms)
-    fst.add_states(len(ordered))
+    arcs: list[list[Arc]] = [[] for _ in ordered]
     for j, k in enumerate(ordered):
         if not kept[k]:
             continue
@@ -1013,10 +1010,10 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
         for prev, il, ol, w in links:
             s = state.get(index[id(prev)])
             if s is not None:
-                fst.add_arc(s, Arc(il, ol, w, j))
-    for k, (_, fw) in enumerate(ends):
-        fst.set_final(state[k], fw)
-    fst.set_initial(state[init])
+                arcs[s].append(Arc(il, ol, w, j))
+    fst = Fst._adopt(space.graph.isyms, space.graph.osyms, arcs,
+                     {state[k]: fw for k, (_, fw) in enumerate(ends)},
+                     state[init])
     return Lattice(fst, [found[k][1] for k in ordered], utt_id)
 
 
@@ -1134,8 +1131,8 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
     if src.num_states == 0 or src.initial < 0:
         raise EmptyResultError(lat.utt_id, "empty lattice")
     space = search_space(src, g3neg, g4, stats)
-    out = Fst(src.isyms, src.osyms)
-    state = {space.initial: out.add_state()}  # space id -> output state
+    state = {space.initial: 0}  # space id -> output state
+    arcs, finals = [[]], {}  # by output state
     frames = [lat.frames[src.initial]]
     stack = [space.initial]
     while stack:
@@ -1145,15 +1142,15 @@ def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
                 sid, src.arcs(space.triple(sid)[0])):
             t = state.get(nid)
             if t is None:
-                t = state[nid] = out.add_state()
+                t = state[nid] = len(arcs)
+                arcs.append([])
                 frames.append(lat.frames[space.triple(nid)[0]])
                 stack.append(nid)
-            out.add_arc(s, Arc(il, ol, w, t))
+            arcs[s].append(Arc(il, ol, w, t))
         fw = space.final_weight(sid)
         if fw != _INF:
-            out.set_final(s, fw)
-    out.set_initial(0)
-    if not out.finals:
+            finals[s] = fw
+    if not finals:
         raise EmptyResultError(lat.utt_id, "all lattice paths dropped in rescoring")
-    out, keep = _connect(out)
+    out, keep = _connect(Fst._adopt(src.isyms, src.osyms, arcs, finals, 0))
     return Lattice(out, [frames[s] for s in keep], lat.utt_id, lat.peak_tokens)

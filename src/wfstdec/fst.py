@@ -271,23 +271,26 @@ def find_arc(fst: Fst, state: int, ilabel: int) -> Optional[Arc]:
 def write_text_fst(fst: Fst, state_comments: Optional[dict[int, str]] = None) -> str:
     """Arc lines "src dst ilabel olabel weight" (tab separated), then final lines.
 
-    The initial state's arcs are written first so a round trip restores it.
+    As in OpenFst, the first line names the initial state: its arcs are
+    written first, or its final line when it has no arcs.  An initial state
+    with neither cannot be named, so FstError.
     """
     if fst.initial < 0:
         raise FstError("fst has no initial state")
+    if not fst.arcs(fst.initial) and not fst.is_final(fst.initial):
+        raise FstError(f"initial state {fst.initial} has no arcs and is not final")
     order = [fst.initial] + [s for s in fst.states() if s != fst.initial]
     out = []
     if state_comments:
         for s in order:
             if s in state_comments:
                 out.append(f"# state {s} {state_comments[s]}")
-    for s in order:
-        for a in fst.arcs(s):
-            out.append(f"{s}\t{a.nextstate}\t{a.ilabel}\t{a.olabel}\t{a.weight:.12g}")
-    for s in order:
-        if fst.is_final(s):
-            out.append(f"{s}\t{fst.final(s):.12g}")
-    return "\n".join(out) + "\n"
+    arcs = [f"{s}\t{a.nextstate}\t{a.ilabel}\t{a.olabel}\t{a.weight:.12g}"
+            for s in order for a in fst.arcs(s)]
+    finals = [f"{s}\t{fst.final(s):.12g}" for s in order if fst.is_final(s)]
+    if not fst.arcs(fst.initial):  # then finals[0] is its line
+        arcs.insert(0, finals.pop(0))
+    return "\n".join(out + arcs + finals) + "\n"
 
 
 @gc_paused
@@ -295,9 +298,10 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
                   osyms: Optional[SymbolTable] = None) -> Fst:
     """Parse the text format written by write_text_fst.
 
-    Each line is checked as it is read, for everything that ``add_arc``
-    and ``set_final`` check, so an error names its line; the arc lists
-    (in line order) and the finals are then handed to the graph whole.
+    The first line, arc or final, names the initial state.  Each line is
+    checked as it is read, for everything that ``add_arc`` and
+    ``set_final`` check, so an error names its line; the arc lists (in line
+    order) and the finals are then handed to the graph whole.
     """
     arcs: list[tuple[int, int, Arc]] = []  # (lineno, src, arc)
     finals: dict[int, float] = {}
@@ -322,6 +326,8 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
             raise ParseError(ln, f"malformed line {raw!r}: {exc}") from None
         if src < 0 or (dst is not None and dst < 0):
             raise ParseError(ln, f"negative state id in {raw!r}")
+        if initial < 0:
+            initial = src
         if dst is None:
             if math.isnan(w):
                 raise ParseError(ln, "NaN final weight")
@@ -336,14 +342,10 @@ def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
             raise ParseError(ln, f"unknown output symbol id {ol}")
         if math.isnan(w):
             raise ParseError(ln, "NaN weight")
-        if initial < 0:
-            initial = src
         arcs.append((ln, src, Arc(il, ol, w, dst)))
         max_state = max(max_state, src, dst)
     if initial < 0:
-        if not finals:
-            raise ParseError(0, "empty fst body")
-        initial = next(iter(finals))
+        raise ParseError(0, "empty fst body")
     known = {src for _, src, _ in arcs} | finals.keys()
     for ln, _, arc in arcs:
         if arc.nextstate not in known:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fst import Fst, write_text_fst
 
@@ -51,6 +51,17 @@ def wer_score(reference: Sequence[str], hypothesis: Sequence[str]
             i -= 1
     wer = 100.0 * (s + i_cnt + d) / n
     return wer, s, i_cnt, d
+
+
+def corpus_wer(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]
+               ) -> tuple[float, int, int, int, int]:
+    """``wer_score`` summed over (reference, hypothesis) pairs: (WER
+    percent, substitutions, insertions, deletions, reference tokens)."""
+    s = i = d = n = 0
+    for reference, hypothesis in pairs:
+        _, s1, i1, d1 = wer_score(reference, hypothesis)
+        s, i, d, n = s + s1, i + i1, d + d1, n + len(reference)
+    return (100.0 * (s + i + d) / n if n else 0.0), s, i, d, n
 
 
 SUFFIX_MARK = "+"

@@ -207,17 +207,22 @@ def parse_arpa(text: str) -> NGramModel:
                 raise NGramError(f"section \\{current_n}-grams: not declared in \\data\\")
             continue
         if current_n is None:
-            raise NGramError(f"unexpected line outside a section: {line!r}")
+            raise NGramError(f"line {i}: unexpected line outside a section: "
+                             f"{line!r}")
         parts = line.split()
         if len(parts) not in (current_n + 1, current_n + 2):
-            raise NGramError(f"bad {current_n}-gram line: {line!r}")
+            raise NGramError(f"line {i}: bad {current_n}-gram line: {line!r}")
         try:
             logprob = float(parts[0])
             backoff = float(parts[-1]) if len(parts) == current_n + 2 else None
         except ValueError:
             raise NGramError(f"line {i}: bad number in {line!r}") from None
+        gram = parts[1:current_n + 1]
+        if model.entry(gram) is not None:
+            raise NGramError(f"line {i}: repeated {current_n}-gram "
+                             f"{' '.join(gram)!r}")
         try:
-            model.add_entry(parts[1:current_n + 1], logprob, backoff)
+            model.add_entry(gram, logprob, backoff)
         except NGramError as exc:
             raise NGramError(f"line {i}: {exc}") from None
         seen[current_n] += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import acoustic as ac
@@ -21,7 +21,6 @@ from . import metrics
 from . import ngram
 from .fst import gc_paused
 
-FRAME_SHIFT_MS = 10.0
 STRATEGIES = ("onthefly", "static", "rescore")
 
 _PHONE_NAMES = [
@@ -94,18 +93,19 @@ class PipelineConfig:
     utterance_len: tuple[int, int] = (24, 32)
     noise: float = 0.0
     margin: float = ac.DEFAULT_MARGIN
-    frames_per_phone: int = 1
-    beam: float = 16.0
-    max_active: int = 7000
-    lattice_beam: float = 8.0
-    acoustic_scale: float = 1.0
+    beam: float = dec.DecodeOptions.beam
+    max_active: int = dec.DecodeOptions.max_active
+    lattice_beam: float = dec.DecodeOptions.lattice_beam
+    acoustic_scale: float = dec.DecodeOptions.acoustic_scale
     strategies: tuple[str, ...] = STRATEGIES
-    frame_shift_ms: float = FRAME_SHIFT_MS
+    # Constants, not fields: one 10 ms frame per phone, as the search
+    # graphs have no phone self-loops.
+    frames_per_phone = 1
+    frame_shift_ms = 10.0
 
     def options(self) -> dec.DecodeOptions:
-        return dec.DecodeOptions(beam=self.beam, max_active=self.max_active,
-                                 lattice_beam=self.lattice_beam,
-                                 acoustic_scale=self.acoustic_scale)
+        return dec.DecodeOptions(**{f.name: getattr(self, f.name)
+                                    for f in fields(dec.DecodeOptions)})
 
 
 @dataclass
@@ -187,9 +187,8 @@ def synthesize_task(cfg: PipelineConfig, task: SynthTask,
     for i, (utt_id, morphs) in enumerate(task.utterances):
         ids = [phones.id_of(p) for m in morphs for p in task.lexicon.prons[m][0]]
         matrices.append(ac.synthesize_utterance(
-            ids, len(phones) - 1, frames_per_phone=cfg.frames_per_phone,
-            noise=cfg.noise, seed=cfg.seed + 1000 + i, margin=cfg.margin,
-            utt_id=utt_id))
+            ids, len(phones) - 1, noise=cfg.noise, seed=cfg.seed + 1000 + i,
+            margin=cfg.margin, utt_id=utt_id))
     return matrices
 
 
@@ -276,10 +275,8 @@ def _stage(name: str, fn, *args, **kwargs):
 # more than one field (distinct pronunciations, max_order <= order).
 _INT_FIELDS = {"seed": 0, "num_sentences": 0, "num_utterances": 0,
                "num_morphemes": 1, "pron_len": 1, "num_phones": 1,
-               "branching": 1, "order": 1, "max_order": 1,
-               "frames_per_phone": 1}
-_REAL_FIELDS = ("suffix_fraction", "prune_threshold", "noise", "margin",
-                "frame_shift_ms")
+               "branching": 1, "order": 1, "max_order": 1}
+_REAL_FIELDS = ("suffix_fraction", "prune_threshold", "noise", "margin")
 
 
 def run_pipeline(cfg: PipelineConfig,
@@ -289,9 +286,8 @@ def run_pipeline(cfg: PipelineConfig,
     Malformed length ranges, strategy lists that are malformed, empty or
     repeat a name, unknown strategies, bad decode options, integer fields
     that are not integers or lie below their least values
-    (``_INT_FIELDS``), task reals that are not non-negative numbers, a
-    prune threshold outside (0, 1) and ``frames_per_phone`` other than 1
-    raise ValueError before any stage runs.
+    (``_INT_FIELDS``), task reals that are not non-negative numbers and a
+    prune threshold outside (0, 1) raise ValueError before any stage runs.
     """
     for name, least in _INT_FIELDS.items():
         value = getattr(cfg, name)
@@ -304,11 +300,6 @@ def run_pipeline(cfg: PipelineConfig,
         if type(value) not in (int, float) or not value >= 0:
             raise ValueError(f"config {name} must be a non-negative number, "
                              f"not {value!r}")
-    if cfg.frames_per_phone != 1:
-        raise ValueError("config frames_per_phone must be 1, not "
-                         f"{cfg.frames_per_phone!r}: the search graphs have "
-                         "no phone self-loops, so a phone held for several "
-                         "frames would be read as several phones")
     if not 0 < cfg.prune_threshold < 1:
         raise ValueError("config prune_threshold must lie in (0, 1), "
                          f"not {cfg.prune_threshold!r}")
@@ -354,7 +345,10 @@ def run_pipeline(cfg: PipelineConfig,
             sr.audio_seconds += matrix.num_frames * cfg.frame_shift_ms / 1000.0
             sr.peak_tokens = max(sr.peak_tokens, lat.peak_tokens)
             sr.utterances.append(UttResult(utt_id, list(ref_morphs), hyp, cost))
-        _score_strategy(sr)
+        sr.wer, sr.substitutions, sr.insertions, sr.deletions, _ = \
+            metrics.corpus_wer((metrics.morphemes_to_words(u.reference),
+                                metrics.morphemes_to_words(u.hypothesis))
+                               for u in sr.utterances)
         searched = {"onthefly": ("HCLG3", "G3neg", "G4"), "static": ("HCLG4",),
                     "rescore": ("HCLG3",)}[strategy]
         sr.graph_arcs = sum(graphs[name].num_arcs for name in searched)
@@ -363,17 +357,3 @@ def run_pipeline(cfg: PipelineConfig,
     sizes = _stage("report", metrics.size_report, graphs)
     return DecodeReport(cfg, results, sizes, stats)
 
-
-def _score_strategy(sr: StrategyResult) -> None:
-    total_ref = 0
-    total_err = 0
-    for u in sr.utterances:
-        ref_words = metrics.morphemes_to_words(u.reference)
-        hyp_words = metrics.morphemes_to_words(u.hypothesis)
-        _, s, i, d = metrics.wer_score(ref_words, hyp_words)
-        sr.substitutions += s
-        sr.insertions += i
-        sr.deletions += d
-        total_err += s + i + d
-        total_ref += len(ref_words)
-    sr.wer = 100.0 * total_err / total_ref if total_ref else 0.0

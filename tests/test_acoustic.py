@@ -47,6 +47,9 @@ class TestSynthesis:
             synthesize_utterance([1], 3, noise=-1.0)
         with pytest.raises(AcousticError, match="seed"):
             synthesize_utterance([1], 3, seed=-1)
+        for margin in (-3.0, math.nan):
+            with pytest.raises(AcousticError, match="margin"):
+                synthesize_utterance([1], 3, margin=margin)
 
 
 class TestAccess:

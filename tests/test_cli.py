@@ -153,6 +153,16 @@ class TestErrors:
         assert err == "error: seed must be non-negative\n"
         assert not out_path.exists()
 
+    def test_negative_synth_margin(self, workdir, capsys, tmp_path):
+        # A negative margin would make the scheduled phone the dearest.
+        out_path = tmp_path / "o.ac"
+        code, out, err = run(capsys, "synth", str(workdir / "phones.txt"),
+                             str(workdir / "phones.syms"), str(out_path),
+                             "--margin", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: margin must be non-negative\n"
+        assert not out_path.exists()
+
     def test_backoff_cycle_in_big_lm(self, workdir, capsys, tmp_path):
         cyclic = tmp_path / "cyclic.fst"
         cyclic.write_text("0\t0\t0\t0\t0.5\n0\t0\n")  # back-off self-loop
@@ -402,20 +412,20 @@ class TestErrors:
         ({"seed": 1.5}, "config seed must be a non-negative integer, not 1.5"),
         ({"num_utterances": "5"},
          "config num_utterances must be a non-negative integer, not '5'"),
-        ({"frames_per_phone": 0},
-         "config frames_per_phone must be a positive integer, not 0"),
-        ({"frames_per_phone": 2},
-         "config frames_per_phone must be 1, not 2: the search graphs have no "
-         "phone self-loops, so a phone held for several frames would be read "
-         "as several phones"),
+        # A constant of PipelineConfig, not a field.
+        ({"frames_per_phone": 0}, "unknown config key 'frames_per_phone'"),
+        ({"frames_per_phone": 2}, "unknown config key 'frames_per_phone'"),
         ({"prune_threshold": 1},
          "config prune_threshold must lie in (0, 1), not 1"),
+        # Attributes of PipelineConfig that are not fields.
+        ({"options": 1}, "unknown config key 'options'"),
+        ({"__class__": 1}, "unknown config key '__class__'"),
     ], ids=["negative", "not-a-number", "fractional-max-active",
             "unknown-strategy", "scalar-length", "short-length",
             "reversed-length", "strategies-not-a-list", "no-strategies",
             "repeated-strategy", "negative-noise",
             "fractional-seed", "string-count", "zero-frames-per-phone",
-            "held-phones", "prune-threshold-one"])
+            "held-phones", "prune-threshold-one", "method", "dunder"])
     def test_bad_config_value(self, capsys, tmp_path, monkeypatch, config,
                               message):
         def no_stage(cfg):

@@ -1645,6 +1645,14 @@ class TestBestPath:
         with pytest.raises(EmptyResultError):
             best_path(Lattice(Fst(), [], utt_id="u"))
 
+    def test_lattice_without_successful_path_raises(self):
+        fst = Fst()
+        fst.add_states(2)
+        fst.add_arc(0, Arc(1, 0, 0.0, 1))
+        fst.set_initial(0)
+        with pytest.raises(EmptyResultError, match="no successful path$"):
+            best_path(Lattice(fst, [0, 1], utt_id="u"))
+
 
 # -- end-to-end over the mini-corpus graphs --------------------------------
 
@@ -1707,6 +1715,11 @@ class TestEndToEnd:
         assert first.peak_tokens > 0
         second = rescore_lattice(first, mini["G3neg"], mini["G4"])
         assert second.peak_tokens == first.peak_tokens
+
+    def test_rescoring_an_empty_lattice_raises(self, mini):
+        with pytest.raises(EmptyResultError, match="empty lattice$"):
+            rescore_lattice(Lattice(Fst(), [], utt_id="u"), mini["G3neg"],
+                            mini["G4"])
 
     @pytest.mark.parametrize("strategy", ["static", "onthefly"])
     def test_acoustic_scale_equals_scaled_costs(self, mini, strategy):

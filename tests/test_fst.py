@@ -219,6 +219,47 @@ class TestTextFormat:
             again = write_text_fst(read_text_fst(text))
             assert text == again
 
+    def test_initial_state_without_arcs_survives_a_round_trip(self):
+        # Initial state 0 is final and has no arcs; state 1's arc is the
+        # first arc line, so only a final line first can name state 0.
+        fst = Fst()
+        fst.add_states(3)
+        fst.add_arc(1, Arc(1, 1, 1.0, 2))
+        fst.set_initial(0)
+        fst.set_final(0, 0.5)
+        fst.set_final(2, 0.0)
+        text = write_text_fst(fst)
+        assert text == "0\t0.5\n1\t2\t1\t1\t1\n2\t0\n"
+        again = read_text_fst(text)
+        assert again.initial == 0
+        assert again.finals == fst.finals
+        assert [again.arcs(s) for s in again.states()] == [[], fst.arcs(1), []]
+
+    def test_initial_state_without_arcs_or_final_weight_is_refused(self):
+        fst = Fst()
+        fst.add_states(2)
+        fst.add_arc(1, Arc(1, 1, 1.0, 1))
+        fst.set_final(1)
+        fst.set_initial(0)
+        with pytest.raises(FstError, match="^initial state 0 has no arcs and is not final$"):
+            write_text_fst(fst)
+
+    @pytest.mark.parametrize("text,initial,num_states", [
+        ("1 2 1 1 0.5\n0 1 1 1 0.5\n2 0\n", 1, 3),
+        ("1 0.5\n0 1 1 1 0.5\n", 1, 2),
+        ("# finals only\n2 0.5\n0 0\n", 2, 3),
+    ], ids=["arc", "final", "finals-only"])
+    def test_first_line_names_the_initial_state(self, text, initial,
+                                                num_states):
+        fst = read_text_fst(text)
+        assert (fst.initial, fst.num_states) == (initial, num_states)
+
+    @pytest.mark.parametrize("text", ["", "# header\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_empty_body(self, text):
+        with pytest.raises(ParseError, match="^line 0: empty fst body$"):
+            read_text_fst(text)
+
     def test_malformed_line_reports_lineno(self):
         with pytest.raises(ParseError, match="line 2"):
             read_text_fst("0\t1\t1\t1\t0.5\nbogus line here extra junk fields x\n1\t0")

@@ -492,6 +492,16 @@ class TestSearchGraph:
         with pytest.raises(GraphError, match="missing from the LM vocabulary"):
             build_search_graph(lex, mini_model)
 
+    def test_lm_that_never_ends_gives_an_empty_composition(self):
+        # </s> has probability 0, so no path through G is successful.
+        model = ngram.parse_arpa(
+            "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\ta\n-inf\t</s>\n"
+            "-99\t<s>\n\n\\end\\\n")
+        lex = Lexicon()
+        lex.add("a", ("x",))
+        with pytest.raises(GraphError, match="^empty composition"):
+            build_search_graph(lex, model)
+
     def test_backoff_surfaces_as_double_epsilon(self, mini_model):
         lex = Lexicon.parse(MINI_LEXICON_TEXT)
         graph = build_search_graph(lex, mini_model)

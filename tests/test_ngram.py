@@ -193,6 +193,17 @@ ngram 1=2
         with pytest.raises(NGramError, match="declares 3"):
             parse_arpa(bad)
 
+    def test_repeated_ngram_rejected(self):
+        # Three lines for three declared 1-grams, but "a" twice.
+        bad = self.TRIVIAL.replace("ngram 1=2", "ngram 1=3").replace(
+            "-0.7\tb", "-0.7\tb\n-0.9\ta")
+        with pytest.raises(NGramError, match="^line 7: repeated 1-gram 'a'$"):
+            parse_arpa(bad)
+
+    def test_no_count_declarations_rejected(self):
+        with pytest.raises(NGramError, match="^no ngram count declarations$"):
+            parse_arpa("\\data\\\n\\1-grams:\n-0.5\ta\n\\end\\\n")
+
     def test_missing_header_rejected(self):
         with pytest.raises(NGramError, match="data"):
             parse_arpa("\\1-grams:\n-0.5 a\n\\end\\\n")
@@ -208,8 +219,11 @@ ngram 1=2
         ("\\1-grams:", "\\one-grams:", "line 4: bad section header"),
         ("-0.5\ta", "-0.5x\ta", "line 5: bad number"),
         ("-0.7\tb", "-0.7\tb\tnone", "line 6: bad number"),
+        ("\\1-grams:", "-0.1\tc\n\\1-grams:",
+         "line 4: unexpected line outside a section"),
+        ("-0.7\tb", "-0.7\tb c d", "line 6: bad 1-gram line"),
     ], ids=["count", "count-without-equals", "section-header", "logprob",
-            "backoff"])
+            "backoff", "outside-section", "field-count"])
     def test_bad_numbers_name_the_line(self, old, new, where):
         with pytest.raises(NGramError, match=f"^{where}"):
             parse_arpa(self.TRIVIAL.replace(old, new))

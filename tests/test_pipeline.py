@@ -5,8 +5,9 @@ import hashlib
 
 import pytest
 
-from wfstdec.decoder import (DecodeOptions, RelayStats, decode_onthefly,
-                             decode_static, rescore_lattice)
+from wfstdec import pipeline
+from wfstdec.decoder import (DecodeOptions, EmptyResultError, RelayStats,
+                             decode_onthefly, decode_static, rescore_lattice)
 from wfstdec.fst import write_text_fst
 from wfstdec.metrics import SUFFIX_MARK
 from wfstdec.pipeline import (
@@ -125,6 +126,17 @@ class TestRunPipeline:
         bad = dataclasses.replace(SMALL, num_morphemes=10 ** 6)
         with pytest.raises(StageError, match="generate"):
             run_pipeline(bad)
+
+    def test_decode_failures_are_labelled(self, monkeypatch):
+        def no_path(strategy, *args):
+            raise EmptyResultError("utt0000", "no token reaches a final state")
+        monkeypatch.setattr(pipeline, "decode_utterance", no_path)
+        cfg = dataclasses.replace(SMALL, num_utterances=1,
+                                  strategies=("rescore",))
+        with pytest.raises(StageError, match=r"^stage 'decode\[rescore\]' "
+                           "failed: .*no token reaches a final state$") as info:
+            run_pipeline(cfg)
+        assert isinstance(info.value.cause, EmptyResultError)
 
     def test_render_ends_with_counter_line(self, small_report):
         text = small_report.render(include_timing=False)

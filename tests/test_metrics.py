@@ -7,6 +7,7 @@ import pytest
 from wfstdec.fst import Arc, Fst
 from wfstdec.metrics import (
     MetricsError,
+    corpus_wer,
     morphemes_to_words,
     size_report,
     wer_score,
@@ -30,6 +31,12 @@ class TestWer:
     def test_one_insertion(self):
         wer, s, i, d = wer_score(["a", "b"], ["a", "x", "b"])
         assert (s, i, d) == (0, 1, 0)
+
+    def test_corpus_wer_sums_errors_over_reference_tokens(self):
+        pairs = [(["a", "b", "c"], ["a", "x", "c"]), (["d"], ["d", "e"])]
+        assert corpus_wer(pairs) == (50.0, 1, 1, 0, 4)
+        assert corpus_wer(iter(pairs)) == corpus_wer(pairs)
+        assert corpus_wer([]) == (0.0, 0, 0, 0, 0)
 
     def test_self_score_zero_on_random_sequences(self):
         rng = random.Random(2)

@@ -99,14 +99,17 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _utterances(text: str, kind: str) -> dict:
-    """A score input's tokens by utterance id, in line order."""
+def _utterances(text: str, kind: str, empty_ok: bool) -> dict:
+    """A score input's tokens by utterance id, in line order; a line with
+    an id and no tokens is refused unless ``empty_ok``."""
     out = {}
-    for line in text.splitlines():
+    for ln, line in enumerate(text.splitlines(), 1):
         if line.strip():
             uid, *toks = line.split()
             if uid in out:
                 raise ValueError(f"{kind} {uid} is given twice")
+            if not toks and not empty_ok:
+                raise ValueError(f"{kind} {uid} on line {ln} has no tokens")
             out[uid] = toks
     return out
 
@@ -114,8 +117,10 @@ def _utterances(text: str, kind: str) -> dict:
 def cmd_score(args) -> int:
     ref_text, hyp_text = _read(args.ref), _read(args.hyp)
     try:
-        refs = _utterances(ref_text, "reference")
-        hyps = _utterances(hyp_text, "hypothesis")
+        # An empty hypothesis is a valid answer (its words are deletions);
+        # an empty reference has no words to score against.
+        refs = _utterances(ref_text, "reference", empty_ok=False)
+        hyps = _utterances(hyp_text, "hypothesis", empty_ok=True)
         for uid in hyps:
             if uid not in refs:
                 raise ValueError(f"no reference for {uid}")

@@ -410,8 +410,8 @@ def _connect(fst: Fst) -> tuple[Fst, list[int]]:
         for i, s in enumerate(keep):
             remap[s] = i
         out = Fst._adopt(fst.isyms, fst.osyms,
-                         [[Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
-                           for a in arcs[s] if remap[a.nextstate] >= 0]
+                         [[tuple.__new__(Arc, (il, ol, w, remap[dst]))
+                           for il, ol, w, dst in arcs[s] if remap[dst] >= 0]
                           for s in keep],
                          {remap[s]: w for s, w in fst.finals.items() if remap[s] >= 0},
                          remap[fst.initial])

@@ -109,33 +109,44 @@ def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
     if mode == BACKOFF_HASH:
         backoff_ilabel = syms.add(BACKOFF_HASH)
 
-    contexts = sorted(model.contexts(), key=lambda h: (len(h), h))
+    contexts = sorted(sorted(model.contexts()), key=len)  # by (len(h), h)
     state_of = {h: s for s, h in enumerate(contexts)}
-    # The arc lists are assembled directly: every label comes from syms,
-    # every state from state_of, and add_entry refuses NaN scores.
+    # The arc lists are assembled directly, and each arc is made with
+    # tuple.__new__, skipping Arc's Python-level constructor: every label
+    # comes from syms (each word's id looked up once), every state from
+    # state_of, and each weight is cost_from_log10's, inline.  No weight
+    # is NaN, since no entry's log-probability or back-off is (add_entry
+    # refuses them, and the estimators make none).  An arc goes to the
+    # longest suffix of its history that is a state.
     arcs: list[list[Arc]] = [[] for _ in contexts]
-
-    def target(seq: tuple[str, ...]) -> int:
-        while seq not in state_of:
-            seq = seq[1:]
-        return state_of[seq]
-
+    word_id: dict[str, int] = {}
     max_ctx = model.order - 1
     for n in range(1, model.order + 1):
         for gram, e in model.ngrams(n):
-            h, w = gram[:-1], gram[-1]
-            if w in (BOS, EOS) or h not in state_of:
+            w = gram[-1]
+            src = state_of.get(gram[:-1])
+            if src is None or w in (BOS, EOS):
                 continue
-            wid = syms.id_of(w)
-            dst = target(gram[-max_ctx:] if max_ctx > 0 else ())
-            arcs[state_of[h]].append(Arc(wid, wid, cost_from_log10(e.logprob), dst))
-    for h in contexts:
+            wid = word_id.get(w)
+            if wid is None:
+                wid = word_id[w] = syms.id_of(w)
+            seq = gram[-max_ctx:] if max_ctx > 0 else ()
+            dst = state_of.get(seq)
+            while dst is None:
+                seq = seq[1:]
+                dst = state_of.get(seq)
+            arcs[src].append(tuple.__new__(Arc, (wid, wid, -e.logprob * LN10, dst)))
+    for src, h in enumerate(contexts):
         if not h:
             continue
         e = model.entry(h)
         bow = e.backoff if e is not None and e.backoff is not None else 0.0
-        arcs[state_of[h]].append(
-            Arc(backoff_ilabel, 0, cost_from_log10(bow), target(h[1:])))
+        seq = h[1:]
+        dst = state_of.get(seq)
+        while dst is None:
+            seq = seq[1:]
+            dst = state_of.get(seq)
+        arcs[src].append(tuple.__new__(Arc, (backoff_ilabel, 0, -bow * LN10, dst)))
     finals = {state_of[h]: cost_from_log10(model.score_word(h, EOS)) for h in contexts}
     if any(map(math.isnan, finals.values())):  # back-off sums of inf and -inf
         raise FstError("NaN final weight")
@@ -151,8 +162,8 @@ def negate_weights(g: Fst) -> Fst:
     """Same topology with every arc and final weight negated."""
     out = Fst._adopt(
         g.isyms, g.osyms,
-        [[Arc(a.ilabel, a.olabel, a.weight if a.weight == ZERO else -a.weight, a.nextstate)
-          for a in state_arcs] for state_arcs in g._arcs],
+        [[tuple.__new__(Arc, (il, ol, w if w == ZERO else -w, dst))
+          for il, ol, w, dst in state_arcs] for state_arcs in g._arcs],
         {s: w if w == ZERO else -w for s, w in g.finals.items()},
         g.initial)
     out.arc_sort_input()
@@ -222,9 +233,11 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
     if a.initial < 0 or b.initial < 0:
         return Fst(a.isyms, b.osyms)
     # The operands' lists are read directly, and the output's arc lists
-    # and finals are assembled directly: its states are made here, and its
-    # labels and weights come from checked operands (weight_times of two
-    # non-NaN weights is never NaN).
+    # and finals are assembled directly, each arc made with tuple.__new__,
+    # skipping Arc's Python-level constructor: its states are made here,
+    # and its labels and weights come from checked operands.  A paired
+    # arc's weight is weight_times of the two, inline (of two non-NaN
+    # weights it is never NaN).
     arcs_a, arcs_b = a._arcs, b._arcs
     finals_a, finals_b = a.finals, b.finals
     start = (a.initial, b.initial, 0)
@@ -278,8 +291,10 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
                     dst = state_of.get(nkey)
                     if dst is None:
                         dst = new_state(nkey)
-                    row.append(Arc(a1.ilabel, a2.olabel,
-                                   weight_times(a1.weight, a2.weight), dst))
+                    w1, w2 = a1.weight, a2.weight
+                    row.append(tuple.__new__(Arc, (
+                        a1.ilabel, a2.olabel,
+                        ZERO if w1 == ZERO or w2 == ZERO else w1 + w2, dst)))
             else:
                 # Paired epsilon move (resets the filter).
                 if f == 0:
@@ -288,22 +303,24 @@ def compose_standard(a: Fst, b: Fst) -> Fst:
                         dst = state_of.get(nkey)
                         if dst is None:
                             dst = new_state(nkey)
-                        row.append(Arc(a1.ilabel, a2.olabel,
-                                       weight_times(a1.weight, a2.weight), dst))
+                        w1, w2 = a1.weight, a2.weight
+                        row.append(tuple.__new__(Arc, (
+                            a1.ilabel, a2.olabel,
+                            ZERO if w1 == ZERO or w2 == ZERO else w1 + w2, dst)))
                 # Left-only epsilon move.
                 if f != 2:
                     nkey = (a1.nextstate, q2, 1)
                     dst = state_of.get(nkey)
                     if dst is None:
                         dst = new_state(nkey)
-                    row.append(Arc(a1.ilabel, 0, a1.weight, dst))
+                    row.append(tuple.__new__(Arc, (a1.ilabel, 0, a1.weight, dst)))
         if f != 1:
             for a2 in grp.get(0, ()):
                 nkey = (q1, a2.nextstate, 2)
                 dst = state_of.get(nkey)
                 if dst is None:
                     dst = new_state(nkey)
-                row.append(Arc(0, a2.olabel, a2.weight, dst))
+                row.append(tuple.__new__(Arc, (0, a2.olabel, a2.weight, dst)))
         wa, wb = finals_a.get(q1, ZERO), finals_b.get(q2, ZERO)
         if wa != ZERO and wb != ZERO:
             finals[state_of[key]] = weight_times(wa, wb)

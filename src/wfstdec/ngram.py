@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .fst import gc_paused
@@ -29,6 +30,8 @@ EOS = "</s>"
 
 # log10 stand-in for "probability zero" on the sentence-begin unigram.
 _BOS_LOGPROB = -99.0
+
+_PREFIX = itemgetter(slice(None, -1))  # an n-gram's context, gram[:-1]
 
 
 class NGramError(ValueError):
@@ -95,12 +98,9 @@ class NGramModel:
         every entry with an explicit back-off weight."""
         out = {()}
         for n in range(2, self.order + 1):
-            for gram in self._grams[n]:
-                out.add(gram[:-1])
+            out.update(map(_PREFIX, self._grams[n]))
         for n in range(1, self.order):
-            for gram, e in self._grams[n].items():
-                if e.backoff is not None:
-                    out.add(gram)
+            out.update(gram for gram, e in self._grams[n].items() if e.backoff is not None)
         return out
 
     def score_word(self, context: Sequence[str], word: str) -> float:
@@ -262,47 +262,65 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
     Seen n-grams get interpolated Witten-Bell probabilities; back-off
     weights are derived from the leftover mass so every context's
     distribution over the event space sums to one exactly.
+
+    Only the highest order is counted from the corpus.  Every lower-order
+    n-gram of a sentence is the prefix of the (n+1)-gram at its position,
+    except the sentence's last n tokens, so each lower order's counts are
+    the next order's counts summed by context plus those suffixes.
     """
     if not corpus:
         raise NGramError("empty corpus")
     if order < 1:
         raise NGramError(f"order must be >= 1, got {order}")
+    sents = [[BOS, *sent, EOS] for sent in corpus]
     # counts[n] counts the n-grams of every sentence, each sentence's being
-    # the zip of its n shifted copies (counts[0] stays empty).
-    counts: list[Counter[tuple[str, ...]]] = [
-        Counter(chain.from_iterable(zip(*(t[j:] for j in range(n)))
-                                    for t in ([BOS, *sent, EOS] for sent in corpus)))
-        for n in range(order + 1)]
+    # the zip of its n shifted copies; for n >= 2, totals[n] and types[n]
+    # give each context's token and type counts among them.
+    counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order + 1)]
+    totals: list[dict[tuple[str, ...], int]] = [{} for _ in range(order + 1)]
+    types: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order + 1)]
+    counts[order].update(chain.from_iterable(
+        zip(*(t[j:] for j in range(order))) for t in sents))
+    for n in range(order, 1, -1):
+        total = totals[n]
+        for gram, c in counts[n].items():
+            h = gram[:-1]
+            total[h] = total.get(h, 0) + c
+        types[n] = Counter(map(_PREFIX, counts[n]))
+        counts[n - 1].update(total)
+        counts[n - 1].update(tuple(t[1 - n:]) for t in sents if len(t) >= n - 1)
     del counts[1][(BOS,)]  # <s> is never a predicted event
 
-    events = sorted({g[0] for g in counts[1]})
+    events = sorted(g[0] for g in counts[1])
     v = len(events)
     model = NGramModel(order)
+    grams = model._grams
+
+    # Each order's entries are written whole.  They pass add_entry's
+    # checks by construction: every probability is a positive finite
+    # float, so no log is NaN; only _assign_backoffs sets back-offs, and
+    # only below the top order; and every token of a counted n-gram is
+    # counted as a unigram, so the vocabulary is the unigrams'.
 
     # Unigrams: interpolate with a uniform base over the event space.
     n1 = sum(counts[1].values())
     t1 = len(counts[1])
-    for w in events:
-        p = (counts[1][(w,)] + t1 / v) / (n1 + t1)
-        model.add_entry((w,), math.log10(p))
+    grams[1] = {(w,): NGramEntry(math.log10((counts[1][(w,)] + t1 / v) / (n1 + t1)))
+                for w in events}
     if order > 1:
-        model.add_entry((BOS,), _BOS_LOGPROB)
+        grams[1][(BOS,)] = NGramEntry(_BOS_LOGPROB)
+    model.vocabulary.update(w for (w,) in grams[1])
 
     # Higher orders, bottom-up; lower-order entries are already in place.
     for n in range(2, order + 1):
-        lower = model._grams[n - 1]
-        ctx_total: dict[tuple[str, ...], int] = {}
-        ctx_types: dict[tuple[str, ...], int] = {}
-        for gram, c in counts[n].items():
+        p_low = {g: 10.0 ** e.logprob for g, e in grams[n - 1].items()}
+        count, total, type_count = counts[n], totals[n], types[n]
+        table = grams[n]
+        for gram in sorted(count):
             h = gram[:-1]
-            ctx_total[h] = ctx_total.get(h, 0) + c
-            ctx_types[h] = ctx_types.get(h, 0) + 1
-        for gram, c in sorted(counts[n].items()):
-            h = gram[:-1]
-            p_low = 10.0 ** lower[gram[1:]].logprob
-            t = ctx_types[h]
-            p = (c + t * p_low) / (ctx_total[h] + t)
-            model.add_entry(gram, math.log10(p))
+            t = type_count[h]
+            table[gram] = NGramEntry(
+                math.log10((count[gram] + t * p_low[gram[1:]]) / (total[h] + t)))
 
     _assign_backoffs(model)
     model.validate()
@@ -314,27 +332,35 @@ def _assign_backoffs(model: NGramModel) -> None:
 
     bow(h) = (1 - sum of listed P(w|h)) / (1 - sum of P(w|h[1:]) over the
     same words), which makes each context distribution sum to one given
-    that the next-lower order does.
+    that the next-lower order does.  Both sums run over each context's
+    words in the entries' order.  P(w|h[1:]) is the listed entry h[1:]+w
+    where there is one (as always after estimation) and the back-off
+    recursion where pruning dropped it.
     """
     grams = model._grams
+    # prob[n] maps each listed n-gram to 10 ** its log-probability.
+    prob = [{g: 10.0 ** e.logprob for g, e in table.items()} for table in grams]
     for n in range(2, model.order + 1):
-        by_ctx: dict[tuple[str, ...], list[str]] = {}
-        for gram in grams[n]:
-            by_ctx.setdefault(gram[:-1], []).append(gram[-1])
-        for h, words in by_ctx.items():
-            num = 1.0
-            den = 1.0
-            for w in words:
-                num -= 10.0 ** grams[n][h + (w,)].logprob
-                den -= 10.0 ** model._backoff_score(h[1:], w)
-            if den <= 1e-12 or num <= 1e-12:
-                bow = 1.0 if num <= 1e-12 else 1e-12
+        lower, p_low = grams[n - 1], prob[n - 1]
+        num: dict[tuple[str, ...], float] = {}
+        den: dict[tuple[str, ...], float] = {}
+        for gram, p in prob[n].items():
+            h = gram[:-1]
+            pl = p_low.get(gram[1:])
+            if pl is None:
+                pl = 10.0 ** model._backoff_score(h[1:], gram[-1])
+            num[h] = num.get(h, 1.0) - p
+            den[h] = den.get(h, 1.0) - pl
+        for h, hn in num.items():
+            hd = den[h]
+            if hd <= 1e-12 or hn <= 1e-12:
+                bow = 1.0 if hn <= 1e-12 else 1e-12
             else:
-                bow = num / den
-            old = grams[n - 1].get(h)
+                bow = hn / hd
+            old = lower.get(h)
             if old is None:
                 raise NGramError(f"context {h} has no entry")
-            grams[n - 1][h] = NGramEntry(old.logprob, math.log10(bow))
+            lower[h] = NGramEntry(old.logprob, math.log10(bow))
 
 
 # -- pruning ---------------------------------------------------------------
@@ -362,10 +388,15 @@ def prune_to_small_lm(model: NGramModel, threshold: float = 1e-5,
         for gram in kept[n]:
             kept[n - 1].add(gram[:-1])
 
+    # Each order's entries are written whole.  Their log-probabilities are
+    # the source's, which held no NaN, and only _assign_backoffs sets
+    # back-offs, below the top order; the vocabulary is every kept token,
+    # as add_entry would collect it.
     out = NGramModel(max_order)
     for n in range(1, max_order + 1):
-        for gram in sorted(kept[n]):
-            out.add_entry(gram, model._grams[n][gram].logprob)
+        src = model._grams[n]
+        out._grams[n] = {gram: NGramEntry(src[gram].logprob) for gram in sorted(kept[n])}
+        out.vocabulary.update(chain.from_iterable(out._grams[n]))
     _assign_backoffs(out)
     out.validate()
     return out

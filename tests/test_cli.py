@@ -493,3 +493,19 @@ class TestErrors:
         assert code == 2
         assert err == f"error: {message}\n"
         assert out == ""
+
+    def test_score_refuses_an_empty_reference(self, capsys, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("utt1 a b\nutt0\n")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("utt0 a\nutt1 a b\n")
+        code, out, err = run(capsys, "score", str(hyp), "--ref", str(ref))
+        assert code == 2
+        assert err == "error: reference utt0 on line 2 has no tokens\n"
+        assert out == ""
+        # An empty hypothesis is scored: both reference words are deletions.
+        ref.write_text("utt0 a b\n")
+        hyp.write_text("utt0\n")
+        code, out, err = run(capsys, "score", str(hyp), "--ref", str(ref))
+        assert code == 0
+        assert out == "WER 100.00% (2 errors / 2 reference tokens)\n"

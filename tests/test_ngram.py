@@ -6,8 +6,12 @@ directly from the interpolation formula over the mini-corpus counts.
 
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from wfstdec.ngram import (
     BOS,
@@ -303,3 +307,111 @@ class TestPruning:
             ctx = tuple(rng.choice(events) for _ in range(rng.randrange(3)))
             w = rng.choice(events)
             assert math.isfinite(small.score_word(ctx, w))
+
+
+# -- bulk estimation against a per-n-gram reference -------------------------
+
+def _reference_witten_bell(corpus, order):
+    """estimate_witten_bell written the plain way: each order counted from
+    the corpus, one add_entry per n-gram, and every back-off from the
+    back-off recursion."""
+    counts = [Counter(chain.from_iterable(zip(*(t[j:] for j in range(n)))
+                                          for t in ([BOS, *s, EOS] for s in corpus)))
+              for n in range(order + 1)]
+    del counts[1][(BOS,)]
+    events = sorted({g[0] for g in counts[1]})
+    model = NGramModel(order)
+    n1, t1 = sum(counts[1].values()), len(counts[1])
+    for w in events:
+        model.add_entry((w,), math.log10((counts[1][(w,)] + t1 / len(events)) / (n1 + t1)))
+    if order > 1:
+        model.add_entry((BOS,), -99.0)
+    for n in range(2, order + 1):
+        ctx_total, ctx_types = Counter(), Counter()
+        for gram, c in counts[n].items():
+            ctx_total[gram[:-1]] += c
+            ctx_types[gram[:-1]] += 1
+        for gram, c in sorted(counts[n].items()):
+            p_low = 10.0 ** model.entry(gram[1:]).logprob
+            t = ctx_types[gram[:-1]]
+            model.add_entry(gram, math.log10((c + t * p_low) / (ctx_total[gram[:-1]] + t)))
+    _reference_backoffs(model)
+    return model
+
+
+def _reference_backoffs(model):
+    for n in range(2, model.order + 1):
+        by_ctx = {}
+        for gram, _ in model.ngrams(n):
+            by_ctx.setdefault(gram[:-1], []).append(gram[-1])
+        for h, words in by_ctx.items():
+            num = den = 1.0
+            for w in words:
+                num -= 10.0 ** model.entry(h + (w,)).logprob
+                den -= 10.0 ** model.score_word(h[1:], w)
+            if den <= 1e-12 or num <= 1e-12:
+                bow = 1.0 if num <= 1e-12 else 1e-12
+            else:
+                bow = num / den
+            model.add_entry(h, model.entry(h).logprob, math.log10(bow))
+
+
+def _reference_prune(model, threshold, max_order):
+    kept = [set() for _ in range(max_order + 1)]
+    kept[1] = {g for g, _ in model.ngrams(1)}
+    for n in range(2, max_order + 1):
+        kept[n] = {g for g, e in model.ngrams(n) if 10.0 ** e.logprob >= threshold}
+    for n in range(max_order, 2, -1):
+        kept[n - 1].update(g[:-1] for g in kept[n])
+    out = NGramModel(max_order)
+    for n in range(1, max_order + 1):
+        for gram in sorted(kept[n]):
+            out.add_entry(gram, model.entry(gram).logprob)
+    _reference_backoffs(out)
+    return out
+
+
+def lm_bits(model):
+    """Every entry in insertion order, floats as float.hex, and the
+    vocabulary: equal only when the two models are bit-identical."""
+    return (model.order, sorted(model.vocabulary),
+            [[(gram, e.logprob.hex(), None if e.backoff is None else e.backoff.hex())
+              for gram, e in model.ngrams(n)] for n in range(1, model.order + 1)])
+
+
+def _suffix_dropped(model):
+    """Whether some entry's suffix is unlisted, so a back-off weight reads
+    P(w | h[1:]) through the back-off recursion."""
+    return any(gram[1:] not in dict(model.ngrams(n - 1))
+               for n in range(2, model.order + 1) for gram, _ in model.ngrams(n))
+
+
+@st.composite
+def _estimation_cases(draw):
+    sentence = st.lists(st.sampled_from("abcde"), max_size=6)
+    corpus = draw(st.lists(sentence, min_size=1, max_size=12))
+    order = draw(st.integers(1, 5))
+    max_order = draw(st.integers(1, order))
+    threshold = draw(st.sampled_from([1e-5, 0.05, 0.2, 0.35, 0.5, 0.8]))
+    return corpus, order, max_order, threshold
+
+
+class TestBulkEstimation:
+    @settings(max_examples=300, deadline=None)
+    @given(_estimation_cases())
+    def test_bit_identical_to_per_ngram_reference(self, case):
+        corpus, order, max_order, threshold = case
+        big = estimate_witten_bell(corpus, order)
+        assert lm_bits(big) == lm_bits(_reference_witten_bell(corpus, order))
+        small = prune_to_small_lm(big, threshold, max_order)
+        assert lm_bits(small) == lm_bits(_reference_prune(big, threshold, max_order))
+        event("suffix dropped" if _suffix_dropped(small) else "suffixes listed")
+
+    def test_pruning_can_drop_a_suffix(self):
+        # The property's fallback case, pinned: pruning at 0.5 keeps the
+        # trigram a c </s> (P = 0.65) but not its suffix c </s>.
+        corpus = [["a", "b"], ["a", "c"], ["c", "a", "d"], ["c", "a", "e"]]
+        big = estimate_witten_bell(corpus, 3)
+        small = prune_to_small_lm(big, 0.5, 3)
+        assert _suffix_dropped(small)
+        assert lm_bits(small) == lm_bits(_reference_prune(big, 0.5, 3))

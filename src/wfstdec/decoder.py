@@ -118,46 +118,39 @@ class RelayStats:
     dead_relays: int = 0
 
 
-def _relay_walk(g: Fst, state: int, labels,
-                stats: RelayStats) -> tuple[list, set, int]:
-    """Back-off relay walk for a set of labels at once.
-
-    Follows the back-off chain from ``state``; at each state on it, the
-    labels not yet matched are looked up in the state's label map (input
-    label -> its first arc in sorted order, the arc ``find_arc`` returns;
-    made on first use) as one set.  Returns ([(state matched at,
-    accumulated hop weight, hops, labels matched there)], the labels left
-    dead, the hops they took).  A label's arc is the label map's entry at
-    the state it matched at.  ``stats`` counts per label and per hop, as
-    if each label walked alone.  ``_lm`` has checked that the chain ends.
-    """
+def _chain(g: Fst, state: int) -> list:
+    """The back-off chain from ``state`` in LM g: ``(state, hop weight,
+    label map)`` for each state on it, the last (the state with no
+    back-off arc) last.  A state's hop weight is the sum of the back-off
+    weights on the way to it, taken left to right from ``state``, as a
+    relay walks; its label map goes from input label to its first arc in
+    sorted order, the arc ``find_arc`` returns, and is made on first use.
+    ``_lm`` has checked that the chain ends."""
     rec = _lm(g)
     maps, back = rec.maps, rec.back
-    groups = []
-    todo = set(labels)
+    chain = []
     acc = 0.0
-    hops = 0
     q = state
     while True:
         amap = maps.get(q)
         if amap is None:
             # Reversed, so the first arc of each label in sorted order wins.
             amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
-        hit = todo & amap.keys()
-        if hit:
-            groups.append((q, acc, hops, hit))
-            todo -= hit
-            if not todo:
-                return groups, todo, hops
+        chain.append((q, acc, amap))
         b = back[q]
-        stats.failed_direct_matches += len(todo)
         if b is None:
-            stats.dead_relays += len(todo)
-            return groups, todo, hops
-        stats.backoff_hops += len(todo)
+            return chain
         q = b.nextstate
         acc += b.weight
-        hops += 1
+
+
+def _depth(chain: list, label: int) -> int:
+    """How many back-off hops a relay of ``label`` down ``chain`` takes
+    before it matches: ``len(chain)`` when no state on it lists the label."""
+    for depth, (_, _, amap) in enumerate(chain):
+        if label in amap:
+            return depth
+    return len(chain)
 
 
 def relay_match(g: Fst, state: int, label: int,
@@ -173,11 +166,17 @@ def relay_match(g: Fst, state: int, label: int,
     if label == 0:
         stats.eps_output_matches += 1
         raise DecodeError("relay matching an epsilon label is forbidden")
-    groups, dead, hops = _relay_walk(g, state, (label,), stats)
-    if dead:
+    chain = _chain(g, state)
+    hops = _depth(chain, label)
+    stats.failed_direct_matches += hops
+    if hops == len(chain):
+        hops -= 1
+        stats.backoff_hops += hops
+        stats.dead_relays += 1
         return _NO_STATE, _INF, hops
-    at, acc, hops, _ = groups[0]
-    a = _lm(g).maps[at][label]
+    stats.backoff_hops += hops
+    _, acc, amap = chain[hops]
+    a = amap[label]
     return a.nextstate, acc + a.weight, hops
 
 
@@ -245,35 +244,57 @@ class _RelayMemo:
 
 
 class _Pair:
-    """The relay results of one LM pair ``(q2, q3)``, filled one
-    search-graph state's labels at a time.  The labels that G3neg matched
-    at state ``at`` on q2's back-off chain and G4 at ``at3`` on q3's form
-    a group, whose one record ``groups[(at, at3)]`` is ``(at, at3, h)``:
-    ``h = acc2 + acc3``, the weights of the two back-off walks.
-    ``records`` maps each label to its group's record, so a group's labels
-    are those whose record is that object, and a dead label to
-    ``_DEAD_RECORD``.  A label's two LM arcs are those the label maps of
-    G3neg's state ``at`` and G4's state ``at3`` hold."""
+    """The relay results of one LM pair ``(q2, q3)``, filled one label set
+    at a time.  A label's record is ``(at, at3, h)``: G3neg matched it at
+    state ``at`` on q2's back-off chain and G4 at ``at3`` on q3's, and
+    ``h = acc2 + acc3``, the hop weights of the two walks; a dead label's
+    is ``_DEAD_RECORD``.  Its two LM arcs are those the label maps of
+    G3neg's state ``at`` and G4's state ``at3`` hold.
 
-    __slots__ = ("records", "groups")
+    Only the labels that a chain lists above its last state (the state
+    with no back-off arc) have records of their own, in ``records``; one
+    record object per ``(at, at3)``, kept in ``groups``, serves all the
+    labels of a group.  Every other label relays to both last states:
+    ``default``, ``(last2, last3, h)``, is its record where both last
+    states list it, whose label maps ``last`` holds, and it is dead where
+    either does not.  ``asked`` holds the label sets the pair was asked
+    with, not the labels, so a set asked again costs one identity test.
+    ``record`` is the one reader of a label's record, for asked labels."""
 
-    def __init__(self):
-        self.records, self.groups = {}, {}
+    __slots__ = ("default", "last", "records", "groups", "asked")
+
+    def __init__(self, last2: tuple, last3: tuple):
+        (at, acc2, map2), (at3, acc3, map3) = last2, last3
+        self.default = (at, at3, acc2 + acc3)
+        self.last = (map2, map3)
+        self.records, self.groups, self.asked = {}, {}, []
+
+    def record(self, label: int) -> tuple:
+        """An asked label's record."""
+        record = self.records.get(label)
+        if record is None:
+            map2, map3 = self.last
+            if label in map2 and label in map3:
+                return self.default
+            return _DEAD_RECORD
+        return record
 
 
 class _States:
     """An on-the-fly space's interned states and their expanded arcs
     (``shared`` holds the emitting arcs of each state with station
     segments); per search-graph state the G3neg state it was composed
-    from; the station tables, keyed ``(q1, at3)``; per search-graph state
-    q1 whose emitting arcs a state expanded, ``q1_arcs[q1]``: its
-    ``phone:eps`` arcs, the morphemes its other arcs read, and the index
-    of each morpheme's first arc.
+    from; the station tables, keyed ``(q1, at3)``, and for a station
+    whose default segments leave rows out, ``rows_of[(q1, at3)]``: each
+    morpheme's row indexes in its table; per search-graph state q1 whose
+    emitting arcs a state expanded, ``q1_arcs[q1]``: its ``phone:eps``
+    arcs, the morphemes its other arcs read, and the index of each
+    morpheme's first arc.
     """
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
-        self.shared, self.stations, self.q1_arcs = {}, {}, {}
+        self.shared, self.stations, self.rows_of, self.q1_arcs = {}, {}, {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
 
 
@@ -300,14 +321,14 @@ def _backoff_table(g: Fst, name: str) -> list:
     decode goes; each state is walked once, marked with the state its walk
     began from."""
     back = []
-    for s in g.states():
-        arcs = g.arcs(s)
+    # The live lists, read without a call per state, as _Rows reads them.
+    for s, arcs in enumerate(g._arcs):
         for a in arcs:
             if a[0] != a[1]:  # faster than the named fields
                 raise DecodeError(
                     f"{name} is not an acceptor: state {s} has arc "
                     f"{a.ilabel}:{a.olabel} to state {a.nextstate}")
-        back.append(arcs[0] if arcs and not arcs[0].ilabel else None)
+        back.append(arcs[0] if arcs and not arcs[0][0] else None)
     walked = [_NO_STATE] * len(back)
     for s in range(len(back)):
         q = s
@@ -644,10 +665,12 @@ class _OnTheFlySpace(SearchSpace):
         a cache for ``_labels``: h is the pair's hop weight ``acc2 +
         acc3``, and rows are the station's own row objects with those
         morphemes (the station's table itself when it keeps them all), so
-        no arc is copied or weighted per pair.  A station is numbered ``q1
-        + (search-graph states) * at3``, and segments are ordered by their
-        first arc.  A state with segments keeps them in ``_shared`` and its
-        ``emit`` entry stays None."""
+        no arc is copied or weighted per pair.  The default group's rows
+        are slices of its table around the rows of the morphemes with
+        records of their own.  A station is numbered ``q1 + (search-graph
+        states) * at3``, and segments are ordered by their first arc.  A
+        state with segments keeps them in ``_shared`` and its ``emit``
+        entry stays None."""
         q1, q2, q3 = self._triples[sid]
         g = self._g3_of(q1)
         phones, labels, first = self._q1_arcs(q1)
@@ -656,21 +679,53 @@ class _OnTheFlySpace(SearchSpace):
         if labels:
             n1 = len(self._g3)
             pair = self.relays(q2, q3, labels)
-            records = pair.records
-            for (at, at3), record in pair.groups.items():
+            record = pair.record
+            for (at, at3), group in pair.groups.items():
                 if at != g:
                     continue
                 table = self._station(q1, g, at3)
-                rows = [r for r in table if records[r[1]] is record]
+                rows = [r for r in table if record(r[1]) is group]
                 if rows:
                     rows = table if len(rows) == len(table) else tuple(rows)
-                    segs.append([q1 + n1 * at3, record[2], rows, None])
+                    segs.append([q1 + n1 * at3, group[2], rows, None])
+            at, at3, h = pair.default
+            if at == g:
+                table = self._station(q1, g, at3)
+                rows = self._default_rows(q1, at3, table, pair.records)
+                if rows:
+                    segs.append([q1 + n1 * at3, h, rows, None])
         if not segs:
             self.emit[sid] = own
             return own, ()
         segs.sort(key=lambda seg: first[seg[2][0][1]])
         split = self._shared[sid] = (own, tuple(segs))
         return split
+
+    def _default_rows(self, q1: int, at3: int, table: tuple,
+                      records: dict) -> tuple:
+        """The rows of the station (q1, at3) whose morphemes have no record
+        of their own in ``records``: its table, or slices of it around the
+        rows of the morphemes that do, joined.  Each morpheme's row
+        indexes are found once per station, when a pair first leaves rows
+        out."""
+        if not records:
+            return table
+        key = (q1, at3)
+        rows_of = self._states.rows_of.get(key)
+        if rows_of is None:
+            rows_of = self._states.rows_of[key] = {}
+            for k, r in enumerate(table):
+                rows_of.setdefault(r[1], []).append(k)
+        cut = sorted([k for label in rows_of.keys() & records.keys()
+                      for k in rows_of[label]])
+        if not cut:
+            return table
+        parts, start = [], 0
+        for k in cut:
+            parts.append(table[start:k])
+            start = k + 1
+        parts.append(table[start:])
+        return tuple(chain.from_iterable(parts))
 
     def _q1_arcs(self, q1: int) -> tuple:
         """Search-graph state q1's ``phone:eps`` arcs, the morphemes its
@@ -803,7 +858,7 @@ class _OnTheFlySpace(SearchSpace):
         g = self._g3_of(q1)
         labels = {a[1] for a in graph_arcs if a[1]}
         if labels:
-            records = self.relays(q2, q3, labels).records
+            record = self.relays(q2, q3, labels).record
             maps3, maps4 = self._maps3, self._maps4
         arcs = []
         for il, ol, w, ns in graph_arcs:
@@ -811,13 +866,13 @@ class _OnTheFlySpace(SearchSpace):
                 ng = g if il else self.backoff(g, q1)
                 nq2, nq3, w = q2, q3, w + 0.0
             else:
-                record = records[ol]
-                if record[0] != g:
+                at, at3, h = record(ol)
+                if at != g:
                     continue
-                e2, e3 = maps3[g][ol], maps4[record[1]][ol]
+                e2, e3 = maps3[g][ol], maps4[at3][ol]
                 ng = nq2 = e2.nextstate
                 nq3 = e3.nextstate
-                w = ((w + e2.weight) + e3.weight) + record[2]
+                w = ((w + e2.weight) + e3.weight) + h
             self._reach(ns, ng)
             arcs.append((il, ol, w, self.state_id((ns, nq2, nq3))))
         return arcs
@@ -857,37 +912,67 @@ class _OnTheFlySpace(SearchSpace):
     def relays(self, q2: int, q3: int, labels: set) -> _Pair:
         """The LM pair's memo, with every label in ``labels`` resolved.
 
-        G3neg is walked once with the labels, and G4 once with the labels
-        G3neg matched (G3neg is an acceptor).  Each of G3neg's groups
-        meets each of G4's in the labels both matched, and those labels
-        join the memo's group of that ``(at, at3)``, each mapped to its
-        record by one ``dict.fromkeys``.
+        A new pair takes its default record from the last states of q2's
+        G3neg chain and q3's G4 chain.  Of the labels not asked before,
+        those that a chain lists above its last state are walked one at a
+        time down both chains and get records of their own; the rest
+        relay to both last states, and their counts come from set sizes:
+        how many each last state does not list.  ``stats`` counts per
+        label and per hop, as if each label walked alone.
         """
         pair = self._pairs.get((q2, q3))
         if pair is None:
-            pair = self._pairs[(q2, q3)] = _Pair()
-        records = pair.records
-        labels = labels.difference(records)  # walks labels, not the memo
-        if not labels:
-            return pair
-        found2, dead, _ = _relay_walk(self.g3neg, q2, labels, self.stats)
-        if found2:
-            found3, dead3, _ = _relay_walk(self.g4, q3, labels - dead,
-                                           self.stats)
-            dead |= dead3
-            groups = pair.groups
-            for at, acc2, _, labels2 in found2:
-                for at3, acc3, _, labels3 in found3:
-                    both = labels2 & labels3
-                    if both:
-                        record = groups.get((at, at3))
-                        if record is None:
-                            record = groups[(at, at3)] = (at, at3, acc2 + acc3)
-                        records.update(dict.fromkeys(both, record))
-        if dead:
-            records.update(dict.fromkeys(dead, _DEAD_RECORD))
+            chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)
+            pair = self._pairs[(q2, q3)] = _Pair(chain2[-1], chain3[-1])
+            new = labels
+        else:
+            asked = pair.asked
+            for seen in asked:
+                if seen is labels:
+                    return pair
+            new = labels.difference(*asked)
+            if not new:
+                return pair
+            chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)
+        pair.asked.append(labels)
+        n2, n3 = len(chain2), len(chain3)
+        above = set()
+        for _, _, amap in chain2[:-1] + chain3[:-1]:
+            above |= amap.keys() & new
+        hops = dead = 0
+        records, groups = pair.records, pair.groups
+        for label in above:
+            d2 = _depth(chain2, label)
+            d3 = _depth(chain3, label) if d2 < n2 else n3
+            if d2 == n2 or d3 == n3:
+                records[label] = _DEAD_RECORD
+                hops += n2 - 1 if d2 == n2 else d2 + n3 - 1
+                dead += 1
+                continue
+            hops += d2 + d3
+            at, acc2, _ = chain2[d2]
+            at3, acc3, _ = chain3[d3]
+            record = groups.get((at, at3))
+            if record is None:
+                record = groups[(at, at3)] = (at, at3, acc2 + acc3)
+            records[label] = record
+        rest = len(new) - len(above)
+        if rest:
+            # The rest walk to q2's last state; those it lists on to q3's.
+            map2, map3 = pair.last
+            dead2 = new.difference(map2)
+            dead3 = new.difference(map3)
+            dead3 -= dead2
+            if above:
+                dead2 -= above
+                dead3 -= above
+            hops += rest * (n2 - 1) + (rest - len(dead2)) * (n3 - 1)
+            dead += len(dead2) + len(dead3)
+        stats = self.stats
+        stats.failed_direct_matches += hops + dead
+        stats.backoff_hops += hops
+        stats.dead_relays += dead
         return pair
-
 
 
 def _labels(seg: list) -> int:

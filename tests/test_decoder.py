@@ -32,7 +32,6 @@ from wfstdec.decoder import (
     rescore_lattice,
     search_space,
 )
-from wfstdec.decoder import _relay_walk
 from wfstdec.fst import (ZERO, Arc, Fst, FstError, SymbolTable, find_arc,
                          write_text_fst)
 from wfstdec.graph import (
@@ -44,7 +43,8 @@ from wfstdec.graph import (
     make_morpheme_symbols,
     negate_weights,
 )
-from wfstdec.ngram import EOS, prune_to_small_lm, score_sentence
+from wfstdec.ngram import (EOS, estimate_witten_bell, prune_to_small_lm,
+                           score_sentence)
 from wfstdec.pipeline import (PipelineConfig, build_graphs, decode_utterance,
                               synthesize_task)
 
@@ -237,29 +237,61 @@ def _relay_models(mini_model):
     return out
 
 
+def _listing_lm(words):
+    """A one-state acceptor that lists every word at weight 0 and has no
+    back-off arc: as a pair's G4, it matches every label G3neg matched at
+    once, adding nothing to the pair's hop weight or counters."""
+    g = Fst()
+    g.add_state()
+    for w in words:
+        g.add_arc(0, Arc(w, w, 0.0, 0))
+    g.set_initial(0)
+    g.set_final(0, 0.0)
+    g.arc_sort_input()
+    return g
+
+
+def _reference_chain(g, state):
+    """The states of the back-off chain from ``state``, found arc by arc."""
+    chain = [state]
+    while (b := find_arc(g, chain[-1], 0)) is not None:
+        chain.append(b.nextstate)
+    return chain
+
+
+def _listed_above_last(g, state):
+    """The labels that the back-off chain from ``state`` lists above its
+    last state."""
+    return {a.ilabel for q in _reference_chain(g, state)[:-1]
+            for a in g.arcs(q) if a.ilabel}
+
+
 class TestBatchedRelay:
     def test_batch_equals_per_label_relay(self, mini_model):
+        # Each LM is the G3neg of pairs whose G4 lists every word at one
+        # state, so a pair's record of a word is the LM's own relay of it:
+        # (state matched at, 0, hop weight).
         for words, g3neg, g4 in _relay_models(mini_model):
             total_hops = 0
+            flat = _listing_lm(words)
             for g in (g3neg, g4):
                 batch, single, ref = RelayStats(), RelayStats(), RelayStats()
+                space = search_space(Fst(), g, flat, batch)
                 for s in g.states():
-                    groups, dead, dead_hops = _relay_walk(g, s, words, batch)
-                    found = {w: (at, acc, hops)
-                             for at, acc, hops, labels in groups for w in labels}
-                    assert len(found) == sum(len(gr[3]) for gr in groups)
-                    assert found.keys() | dead == set(words)
-                    assert not found.keys() & dead
+                    pair = space.relays(s, 0, set(words))
+                    found = {w: pair.record(w) for w in words}
+                    dead = {w for w, r in found.items()
+                            if r is decoder._DEAD_RECORD}
                     maps = decoder._DERIVED[g].maps
                     for w in words:
                         got = relay_match(g, s, w, single)
                         a, acc, hops, at = _reference_relay(g, s, w, ref)
                         if a is None:
-                            assert w in dead and dead_hops == hops
+                            assert w in dead
                             assert got == (-1, INF, hops)
                             continue
                         assert got == (a.nextstate, acc + a.weight, hops)
-                        assert found[w] == (at, acc, hops)
+                        assert found[w] == (at, 0, acc)
                         assert maps[at][w] == a
                 assert batch == single == ref
                 total_hops += batch.backoff_hops
@@ -276,7 +308,7 @@ class TestBatchedRelay:
                     space.relays(q2, q3, set(words[::2]))
                     pair = space.relays(q2, q3, set(words))
                     for w in words:
-                        record = pair.records[w]
+                        record = pair.record(w)
                         e2, acc2, _, at = _reference_relay(g3neg, q2, w, ref)
                         e3 = None
                         if e2 is not None:
@@ -285,7 +317,10 @@ class TestBatchedRelay:
                             assert record is decoder._DEAD_RECORD
                             continue
                         assert record == (at, at3, acc2 + acc3)
-                        assert pair.groups[(at, at3)] is record
+                        if (at, at3) == pair.default[:2]:
+                            assert pair.default is record
+                        else:
+                            assert pair.groups[(at, at3)] is record
                         # The per-arc path reads the label's arcs here.
                         assert space._maps3[record[0]][w] == e2
                         assert space._maps4[record[1]][w] == e3
@@ -294,6 +329,146 @@ class TestBatchedRelay:
                         assert key == record[:2]
             assert stats == ref
         assert backed_off > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sparse_memo_equals_two_reference_walks(self, data):
+        # G3neg and G4 come from two corpora over one vocabulary, of orders
+        # 2-5, so each LM lists words the other does not; the labels also
+        # take in the #0 symbol, which neither lists, so walks die in both.
+        vocab = [f"w{i}" for i in range(data.draw(st.integers(2, 6)))]
+        sentence = st.lists(st.sampled_from(vocab), max_size=6)
+
+        def corpus():
+            return data.draw(st.lists(sentence, min_size=1, max_size=8))
+        big = estimate_witten_bell(corpus(), data.draw(st.integers(2, 5)))
+        order = data.draw(st.integers(2, 5))
+        small = prune_to_small_lm(
+            estimate_witten_bell(corpus(), order),
+            data.draw(st.sampled_from([1e-5, 0.05, 0.3])),
+            data.draw(st.integers(1, order)))
+        syms = SymbolTable()
+        for w in vocab + [BACKOFF_HASH]:
+            syms.add(w)
+        g3neg = negate_weights(lm_to_fst(small, syms, mode=BACKOFF_EPS))
+        g4 = lm_to_fst(big, syms, mode=BACKOFF_EPS)
+        labels = data.draw(st.permutations(range(1, len(syms))))
+        cut = data.draw(st.integers(1, len(labels)))
+        # Overlapping batches: the second starts inside the first.
+        first, second = set(labels[:cut]), set(labels[cut - 1:])
+        stats, ref = RelayStats(), RelayStats()
+        space = search_space(Fst(), g3neg, g4, stats)
+        for q2 in g3neg.states():
+            above2 = _listed_above_last(g3neg, q2)
+            for q3 in g4.states():
+                above = above2 | _listed_above_last(g4, q3)
+                counted = set()  # a label counts on its first ask only
+                for batch in (first, second, set(first), second):
+                    pair = space.relays(q2, q3, batch)
+                    for w in batch - counted:
+                        if _reference_relay(g3neg, q2, w, ref)[0] is not None:
+                            _reference_relay(g4, q3, w, ref)
+                    counted |= batch
+                    assert stats == ref
+                scratch = RelayStats()
+                for w in first | second:
+                    record = pair.record(w)
+                    e2, acc2, _, at = _reference_relay(g3neg, q2, w, scratch)
+                    e3 = None
+                    if e2 is not None:
+                        e3, acc3, _, at3 = _reference_relay(g4, q3, w, scratch)
+                    if e3 is None:
+                        assert record is decoder._DEAD_RECORD
+                    else:
+                        assert record[:2] == (at, at3)
+                        assert record[2].hex() == (acc2 + acc3).hex()
+                assert pair.records.keys() == (first | second) & above
+
+    def test_hop_weights_sum_left_to_right(self):
+        # Both chains back off four times, 4 -> 3 -> 2 -> 1 -> 0, with hop
+        # weights whose sums differ when taken from the chain's tail.  Both
+        # LMs list morpheme 1 at state 0 alone, so the pair's default
+        # record holds it; G3neg lists morpheme 2 at state 1 too, so it
+        # has a record of its own, three hops down G3neg's chain.
+        hops2, hops4 = [0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.2, 0.3]
+
+        def ltr(ws):
+            acc = 0.0
+            for w in ws:
+                acc += w
+            return acc
+
+        def tail_first(ws):
+            return ltr(reversed(ws))
+
+        for ws in (hops2, hops2[:3], hops4):
+            assert ltr(ws) != tail_first(ws)
+        g3neg = self._chain_lm(hops2, {0: [(1, -0.25), (2, -0.5)], 1: [(2, -0.75)]})
+        g4 = self._chain_lm(hops4, {0: [(1, 0.5), (2, 1.5)]})
+        space = search_space(Fst(), g3neg, g4)
+        pair = space.relays(4, 4, {1, 2})
+        assert pair.record(1) == (0, 0, ltr(hops2) + ltr(hops4))
+        assert pair.record(1)[2].hex() == (ltr(hops2) + ltr(hops4)).hex()
+        assert pair.record(2)[:2] == (1, 0)
+        assert pair.record(2)[2].hex() == (ltr(hops2[:3]) + ltr(hops4)).hex()
+        assert (ltr(hops2[:3]) + ltr(hops4)) != \
+            (tail_first(hops2[:3]) + tail_first(hops4))
+        assert list(pair.records) == [2]
+        # A search graph that takes G3neg's four back-off arcs, then reads
+        # phone 1 and morpheme 1 at weight 0.5, at no acoustic cost.
+        hclg = Fst()
+        hclg.add_states(6)
+        for s in range(4):
+            hclg.add_arc(s, Arc(0, 0, 0.0, s + 1))
+        hclg.add_arc(4, Arc(1, 1, 0.5, 5))
+        hclg.set_initial(0)
+        hclg.set_final(5, 0.0)
+        matrix = AcousticMatrix("u", np.zeros((1, 1)))
+        want = ((0.5 + -0.25) + 0.5) + (ltr(hops2) + ltr(hops4))
+        for lat in (decode_onthefly(hclg, g3neg, g4, matrix),
+                    rescore_lattice(decode_static(hclg, matrix), g3neg, g4)):
+            assert best_path(lat)[1].hex() == want.hex()
+
+    @staticmethod
+    def _chain_lm(hops, lists):
+        """An acceptor whose state s > 0 backs off to s - 1 with weight
+        ``hops[-s]``, so the chain from the top state takes ``hops`` in
+        order; ``lists[s]`` holds state s's (morpheme, weight) arcs, each
+        to state 0, which is final."""
+        g = Fst()
+        g.add_states(len(hops) + 1)
+        for s in range(1, len(hops) + 1):
+            g.add_arc(s, Arc(0, 0, hops[-s], s - 1))
+        for s, arcs in lists.items():
+            for label, w in arcs:
+                g.add_arc(s, Arc(label, label, w, 0))
+        g.set_initial(len(hops))
+        g.set_final(0, 0.0)
+        g.arc_sort_input()
+        return g
+
+    def test_memo_stores_only_labels_listed_above_the_last_states(
+            self, task_models):
+        # A cold decode of the default task's first utterance.
+        space, matrix = _default_task(task_models)
+        decode_onthefly(space.graph, space.g3neg, space.g4, matrix)
+        pairs = space._pairs
+        assert pairs
+        stored = expected = defaulted = 0
+        for (q2, q3), pair in pairs.items():
+            asked = set().union(*pair.asked)
+            above = (_listed_above_last(space.g3neg, q2)
+                     | _listed_above_last(space.g4, q3))
+            last = (_reference_chain(space.g3neg, q2)[-1],
+                    _reference_chain(space.g4, q3)[-1])
+            assert pair.default[:2] == last
+            for w in pair.records:
+                assert pair.record(w)[:2] != last
+            defaulted += sum(pair.record(w) is pair.default for w in asked)
+            stored += len(pair.records)
+            expected += len(asked & above)
+        assert stored == expected
+        assert defaulted > stored > 0
 
 
 def _transducer_g3neg(olabel):

@@ -2,10 +2,11 @@
 
 Any change of hypothesis, cost, token count, lattice or relay counter in
 a rewrite of the search shows here.  Each strategy's utterances are
-summarised as one line per utterance, in two parts pinned by separate
-digests: the hypothesis and the repr of its cost, which must not move,
-and the peak tokens, lattice states and arcs and the SHA-256 of the
-lattice text, which move when the search expands fewer paths.
+summarised as one line per utterance, in three parts pinned by separate
+digests: the hypothesis and the repr of its cost, which must not move;
+the lattice states and arcs and the SHA-256 of the lattice text, which
+move when the search keeps fewer paths; and the peak tokens, which move
+when the frame step makes fewer tokens that pruning drops.
 
 The hypothesis digests, and every figure of ``static``, were taken from
 the search loop before its tokens were keyed by integer states.  The
@@ -42,16 +43,25 @@ from wfstdec.pipeline import (PipelineConfig, build_graphs, decode_utterance,
 HYPOTHESES = dict.fromkeys(
     ("onthefly", "static", "rescore"),
     "30e7357b0c9a193e8af899b6e556c400f6efc3ef1941d540b8ed95ca742d43c1")
-# strategy -> (digest of the per-utterance (peak tokens, lattice states,
-#              lattice arcs, lattice SHA-256) lines, max peak tokens,
-#              total lattice states, total lattice arcs)
+# strategy -> (digest of the per-utterance (lattice states, lattice arcs,
+#              lattice SHA-256) lines, total lattice states, total lattice
+#              arcs)
 DEFAULT_TASK = {
-    "onthefly": ("aab3a496384c1d5fc5a090f8555e8c3a6de27049fe0f7b89afd31cad606e47ab",
-                 42, 1739, 1719),
-    "static": ("40f7e00c5fe6144e9533536a5be22885edfe53f672c54581c16c866acaad1837",
-               46, 2922, 3589),
-    "rescore": ("6b606efcb7e8ff1af78a540d7baa801d23ac9f72e883b5b344b3856fb266eb7c",
-                46, 1739, 1719),
+    "onthefly": ("b604bf971796a78b75f13d787c0c9b80af4d39f7477f90530e9ebc3a0759b928",
+                 1739, 1719),
+    "static": ("24b115022c8d680afce75c27947d70442eb712f79f470e7aa09e2706422a454f",
+               2922, 3589),
+    "rescore": ("b604bf971796a78b75f13d787c0c9b80af4d39f7477f90530e9ebc3a0759b928",
+                1739, 1719),
+}
+# strategy -> (digest of the per-utterance peak-token lines, max peak tokens)
+PEAK_TOKENS = {
+    "onthefly": ("e698d3120dc03b08981b5f07f8f1a248dfcad4174591023460fdece827a89baf",
+                 42),
+    "static": ("f4d6d61f91ee4f78d8314f4c700ff967f4d974873ab4f8f6939d9efe5d1b25c4",
+               46),
+    "rescore": ("f4d6d61f91ee4f78d8314f4c700ff967f4d974873ab4f8f6939d9efe5d1b25c4",
+                46),
 }
 # Relay counters of the on-the-fly and rescoring decodes of the default
 # task on cold graphs, in RelayStats field order; a warm repeat adds 0.
@@ -133,9 +143,16 @@ def test_default_task_hypotheses_are_pinned(default_task, strategy):
 @pytest.mark.parametrize("strategy", sorted(DEFAULT_TASK))
 def test_default_task_decodes_are_pinned(default_task, strategy):
     rows, _, _ = default_task[strategy]
-    got = (_digest(r[2:] for r in rows), max(r[2] for r in rows),
-           sum(r[3] for r in rows), sum(r[4] for r in rows))
+    got = (_digest(r[3:] for r in rows), sum(r[3] for r in rows),
+           sum(r[4] for r in rows))
     assert got == DEFAULT_TASK[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(PEAK_TOKENS))
+def test_default_task_peak_tokens_are_pinned(default_task, strategy):
+    rows, _, _ = default_task[strategy]
+    assert (_digest(r[2:3] for r in rows), max(r[2] for r in rows)) \
+        == PEAK_TOKENS[strategy]
 
 
 @pytest.mark.parametrize("strategy", sorted(COLD_RELAYS))

@@ -34,6 +34,15 @@ than the lattice beam (plus rounding slack) cheaper already read there:
 its arrival could set no cost and make no link the lattice keeps.  So
 the result is that of a scan of every arc.
 
+The frame step cuts new tokens at the beam, as Kaldi's does: an arrival
+beyond the best so far plus the beam makes a token only at a state that
+an epsilon arc leaves or enters, where propagation can still improve it.
+Elsewhere an arrival within the lattice beam of that cutoff is set aside
+and, if a later, cheaper arrival makes the state's token, replayed into
+it before its first link.  So the tokens and their links within the
+lattice beam are those of a cutoff at the beam plus the lattice beam,
+less the tokens pruning would drop.
+
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
 final rules are written once.  The static decoder runs the identical
@@ -46,7 +55,7 @@ import heapq
 import numbers
 import weakref
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -294,6 +303,7 @@ class _States:
 
     def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
+        self.ends = []
         self.shared, self.stations, self.rows_of, self.q1_arcs = {}, {}, {}, {}
         self.g3 = [_NO_STATE] * graph.num_states
 
@@ -355,11 +365,17 @@ class _Rows(dict):
     weight, nextstate), not the graph's ``Arc`` objects: CPython 3.11
     unpacks an exact tuple on a fast path that a named tuple misses, which
     made the ``large-vocab`` static decode about 20% slower.  ``top`` is
-    the largest emitting input label (0 if none).
+    the largest emitting input label (0 if none).  ``ends[s]`` is true
+    where s is at either end of an epsilon-input arc, where epsilon
+    propagation can make or improve a token after the frame step; it
+    starts as a copy of the epsilon flags.
 
     The epsilon flags and ``top`` come from one pass before the first
     frame: from each state's first and last arc where the graph is
-    input-sorted, else from every arc.  The mapping itself stays empty:
+    input-sorted, else from every arc.  ``ends`` comes from the arcs of
+    the states with epsilon-input arcs: from the first alone where the
+    graph is input-sorted and the second is not epsilon-input, else from
+    every arc.  The mapping itself stays empty:
     indexing it with state s makes both of s's rows and returns the
     emitting one, so it is the static space's plan for the frame step.
     It holds the graph's arc lists, not the graph.
@@ -371,13 +387,22 @@ class _Rows(dict):
         lists = self._lists = list(fst._arcs)
         self.emit = [None] * len(lists)
         first = itemgetter(0)
-        if fst.input_sorted:
+        sort = fst.input_sorted
+        if sort:
             self.eps = [True if a and not a[0][0] else () for a in lists]
             self.top = max(map(first, map(itemgetter(-1), filter(None, lists))),
                            default=0)
         else:
             self.eps = [True if 0 in map(first, a) else () for a in lists]
             self.top = max(map(first, chain.from_iterable(lists)), default=0)
+        ends = self.ends = self.eps.copy()
+        for arcs in compress(lists, self.eps):
+            if sort and (len(arcs) == 1 or arcs[1][0]):  # one epsilon arc
+                ends[arcs[0][3]] = True
+            else:
+                for a in arcs:
+                    if not a[0]:
+                        ends[a[3]] = True
 
     def __missing__(self, s: int) -> tuple:
         arcs = self._lists[s]
@@ -433,6 +458,7 @@ class SearchSpace:
         self.graph = graph
         self._rows = _rows(graph)
         self.emit, self.eps = self._rows.emit, self._rows.eps
+        self.ends = self._rows.ends
         self.initial = graph.initial
 
     def triple(self, sid: int) -> tuple:
@@ -458,20 +484,33 @@ class SearchSpace:
         frame's costs.  One inner loop serves every token: a token without
         parts pays only the test that it has none, and no arc or link pays
         for them.
-        An arrival makes no new token when its cost exceeds the cutoff,
-        the best arrival so far plus ``beam + slack + _TOL``, and its state
-        has no epsilon-input arcs.  Such a token costs more than the final
-        best plus ``beam``, so pruning would drop it; no epsilon arc can
-        bring a descendant of it back under the beam; and its link into a
-        kept token lies more than ``slack`` (the lattice beam) above that
-        token's cost, so the lattice builder would drop the link.
+        An arrival makes a new token when its cost is within the cutoff,
+        the best arrival so far plus ``beam + _TOL``.  Beyond the cutoff,
+        within ``slack`` of it, an arrival makes one only where its state
+        is at an end of an epsilon-input arc (``ends``), as propagation
+        can make or improve a token there after this step; at any other
+        state it is set aside, and ``_replay`` puts it into the token a
+        later arrival makes there, if one does.  Without one, the state's
+        token would cost more than the final best plus ``beam``, so
+        pruning would drop it.  Beyond ``slack`` of the cutoff an arrival
+        makes no new token where its state has no epsilon-input arcs: such
+        a token costs more than the final best plus ``beam``; no epsilon
+        arc can bring a descendant of it back under the beam; and its link
+        into a kept token lies more than ``slack`` (the lattice beam)
+        above that token's cost, so the lattice builder would drop the
+        link.  So the tokens, and each one's links within ``slack`` of its
+        cost, are those of a cutoff at ``beam + slack + _TOL`` (see
+        README, "The frame step's cutoff"), less tokens pruning drops.
         """
         out = {}
         get = out.get
-        emit, eps = self.emit, self.eps
+        aside = []  # (state id, token, ilabel, olabel, link weight)
+        push = aside.append
+        emit, eps, ends = self.emit, self.eps, self.ends
         plan, hops = self._meet(tokens, slack, frame_costs)
-        margin = beam + slack + _TOL
-        best = limit = _INF
+        margin = beam + _TOL
+        wide = beam + slack + _TOL
+        best = limit = far = _INF
         costs = frame_costs
         rest = None  # a token's parts still to scan
         for tok in tokens.values():
@@ -487,11 +526,16 @@ class SearchSpace:
                     cur = get(nid)
                     if cur is None:
                         if nc > limit:
-                            if not eps[nid]:
+                            if nc > far:
+                                if not eps[nid]:
+                                    continue
+                            elif not ends[nid]:
+                                push((nid, tok, il, ol, lw))
                                 continue
                         elif nc < best:
                             best = nc
                             limit = nc + margin
+                            far = nc + wide
                         out[nid] = [nid, frame, nc, tok, il, ol, lw]
                     elif nc < cur[2]:
                         cur[2] = nc
@@ -499,12 +543,15 @@ class SearchSpace:
                         if nc < best:
                             best = nc
                             limit = nc + margin
+                            far = nc + wide
                     elif nc <= cur[2] + slack:
                         cur += tok, il, ol, lw
                 if rest:
                     costs, arcs, rest = rest
                     continue
                 break  # the one test a token without parts pays
+        if aside:
+            _replay(out, aside, slack)
         return out
 
     def _meet(self, tokens: dict, slack: float,
@@ -610,9 +657,9 @@ class _OnTheFlySpace(SearchSpace):
     ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
     hop, on relay memo misses only, so a warm decode adds nothing to it.
 
-    The space reads the graph's ``_Rows``, whose epsilon flags give a new
-    state over search-graph state q1 its ``eps`` entry.  Rescoring walks a
-    lattice's own arcs and makes no row.
+    The space reads the graph's ``_Rows``, whose flags give a new state
+    over search-graph state q1 its ``eps`` and ``ends`` entries.
+    Rescoring walks a lattice's own arcs and makes no row.
     """
 
     def __init__(self, graph: Fst, g3neg: Fst, g4: Fst,
@@ -625,6 +672,7 @@ class _OnTheFlySpace(SearchSpace):
         self._maps3, self._maps4 = _lm(g3neg).maps, _lm(g4).maps
         self._states = states
         self.emit, self.eps, self._shared = states.emit, states.eps, states.shared
+        self.ends = states.ends
         self._triples, self._ids, self._g3 = states.triples, states.ids, states.g3
         if graph.initial >= 0:
             self._g3[graph.initial] = g3neg.initial
@@ -641,6 +689,7 @@ class _OnTheFlySpace(SearchSpace):
             self._triples.append(triple)
             self.emit.append(None)
             self.eps.append(True if self._rows.eps[triple[0]] else ())
+            self.ends.append(self._rows.ends[triple[0]])
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -987,6 +1036,36 @@ def _labels(seg: list) -> int:
     return labels
 
 
+def _replay(out: dict, aside: list, slack: float) -> None:
+    """Put the arrivals the frame step set aside into the tokens that
+    later arrivals made at their states, in place.  A token's set-aside
+    arrivals go before its first link, in arrival order, each tested as
+    the frame step tests an arrival: the first sets the running cost, a
+    lower cost sets it again, and a cost within ``slack`` of it adds a
+    link.  All cost more than the arrival that made the token, so that
+    arrival still sets the token's cost, and the links after it were
+    tested against that cost.  The arrivals at states without a token
+    are dropped."""
+    made = out.keys() & set(map(itemgetter(0), aside))
+    if not made:
+        return
+    runs = {}  # state id -> [running cost, links...]
+    for nid, tok, il, ol, lw in aside:
+        if nid not in made:
+            continue
+        nc = tok[2] + lw
+        run = runs.get(nid)
+        if run is None:
+            runs[nid] = [nc, tok, il, ol, lw]
+        elif nc < run[0]:
+            run[0] = nc
+            run += tok, il, ol, lw
+        elif nc <= run[0] + slack:
+            run += tok, il, ol, lw
+    for nid, run in runs.items():
+        out[nid][3:3] = run[1:]
+
+
 def search_space(graph: Fst, g3neg: Fst, g4: Fst,
                  stats: Optional[RelayStats] = None) -> _OnTheFlySpace:
     """The on-the-fly space over graph (HCLG3 or a first-pass lattice) and
@@ -1015,8 +1094,11 @@ class Lattice:
     an emitting arc goes to the next.
 
     ``peak_tokens`` is the most tokens the decode made in one frame,
-    before pruning; arrivals that the frame step's cutoff skipped made
-    none.  A rescored lattice keeps its first pass's figure.
+    before pruning.  An arrival beyond the frame step's cutoff, the best
+    so far plus the beam, made none unless an epsilon arc leaves or
+    enters its state; its state's token was made only if another arrival
+    within the cutoff made it.  A rescored lattice keeps its first pass's
+    figure.
     """
 
     fst: Fst

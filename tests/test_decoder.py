@@ -671,14 +671,18 @@ class TestAdvance:
 
     @pytest.mark.parametrize("onthefly", [False, True])
     def test_cutoff_skips_new_tokens_only_without_epsilon_arcs(self, onthefly):
-        # Beam 1.0 and lattice beam 0.5 put the cutoff at 0.0 + 1.5 (plus
-        # 1e-9).  State 2 sits at it; states 3 and 4 lie beyond it, and
-        # only state 4 has an epsilon-input arc, which could bring a path
-        # from it back under the beam.
+        # Beam 1.0 and lattice beam 0.5 put the cutoff at 0.0 + 1.0 (plus
+        # 1e-9).  States 2 and 3 lie beyond it, state 2 within the lattice
+        # beam of it, and state 4 far beyond; only state 4 has an
+        # epsilon-input arc, which could bring a path from it back under
+        # the beam.  State 2's arrival is set aside: alone it makes no
+        # token, but when a later token's cheaper arrival makes one, it is
+        # replayed into it as the first link, as the uncut step makes it.
         fst = Fst()
         fst.add_states(6)
         for dst, w in ((1, 0.0), (2, 1.5), (3, 1.6), (4, 5.0)):
             fst.add_arc(0, Arc(1, 1, w, dst))
+        fst.add_arc(1, Arc(1, 1, 0.25, 2))
         fst.add_arc(4, Arc(0, 0, -4.5, 5))
         fst.set_initial(0)
         fst.set_final(5, 0.0)
@@ -688,9 +692,18 @@ class TestAdvance:
             space = SearchSpace(fst)
         tokens = _tokens(space, (space.triple(space.initial), 0.0))
         made = space.advance(tokens, [INF, 0.0], 1, 0.5, beam=1.0)
-        assert [space.triple(t[0])[0] for t in made.values()] == [1, 2, 4]
+        assert [space.triple(t[0])[0] for t in made.values()] == [1, 4]
         everything = space.advance(tokens, [INF, 0.0], 1, 0.5)
         assert [space.triple(t[0])[0] for t in everything.values()] == [1, 2, 3, 4]
+        two = dict(tokens)
+        two.update(_tokens(space, ((1,) + space.triple(space.initial)[1:], 0.5)))
+        made = space.advance(two, [INF, 0.0], 1, 0.5, beam=1.0)
+        assert [space.triple(t[0])[0] for t in made.values()] == [1, 4, 2]
+        everything = space.advance(two, [INF, 0.0], 1, 0.5)
+        sid = next(t[0] for t in made.values() if space.triple(t[0])[0] == 2)
+        assert made[sid] == everything[sid]
+        assert [lk[0] for lk in links(made[sid])] == list(two.values())
+        assert made[sid][2] == 0.75
 
     @pytest.mark.parametrize("onthefly", [False, True])
     def test_links_are_four_slots_into_this_or_the_previous_frame(
@@ -729,6 +742,9 @@ class TestAdvance:
         space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0], 1, 8.0)
         assert space.eps[space.state_id((0, 0, 0))] is True
         assert space.eps[space.state_id((1, 0, 0))] == ()
+        # Both states are at an end of the epsilon arc, so both are made
+        # wherever they lie within the lattice beam of the cutoff.
+        assert space.ends == [True, True]
 
 
 class TestProvenance:
@@ -1276,6 +1292,68 @@ class TestCutoff:
         assert got_stats == want_stats
 
 
+    @staticmethod
+    def _one_frame(arcs, finals):
+        """A static graph from state 0 over phone 1, with the given arcs
+        (source, ilabel, olabel, weight, target) and finals, and a one-frame
+        utterance where phone 1 costs 0."""
+        g = Fst()
+        g.add_states(1 + max(a[4] for a in arcs))
+        for src, il, ol, w, dst in arcs:
+            g.add_arc(src, Arc(il, ol, w, dst))
+        for q in finals:
+            g.set_final(q, 0.0)
+        g.set_initial(0)
+        return g, AcousticMatrix("u", np.array([[0.0]]))
+
+    def test_set_aside_parallel_arc_keeps_its_place(self):
+        # Beam 1.0, lattice beam 2.0.  State 0 reaches state 1 at 0.0, then
+        # state 2 by two parallel arcs: at 1.5, beyond the cutoff, so set
+        # aside, and at 0.5, which makes the token.  The lattice keeps both
+        # arcs in the order the graph lists them, as the uncut step does.
+        g, matrix = self._one_frame(
+            [(0, 1, 0, 0.0, 1), (0, 1, 1, 1.5, 2), (0, 1, 2, 0.5, 2)], (1, 2))
+        opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
+        got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
+                     for uncut in (False, True))
+        _assert_cut_equals_uncut(got, want)
+        lines = got[2].splitlines()
+        parallel = [line for line in lines if line.split()[2:4] in
+                    (["1", "1"], ["1", "2"])]
+        assert [line.split()[3] for line in parallel] == ["1", "2"]
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    def test_epsilon_target_beyond_the_cutoff_is_made(self, sort):
+        # Beam 1.0, lattice beam 2.0.  State 0 reaches state 1 at 0.0,
+        # state 2 at 1.5, beyond the cutoff, and state 3 at 0.2, whose
+        # epsilon arc brings state 2 to 0.3.  State 2 has no epsilon-input
+        # arc of its own, but propagation improves its token, so the frame
+        # step makes it: its link from state 0 lies within the lattice beam
+        # of 0.3.
+        g, matrix = self._one_frame(
+            [(0, 1, 0, 0.0, 1), (0, 1, 1, 1.5, 2), (0, 1, 0, 0.2, 3),
+             (3, 0, 0, 0.1, 2)], (1, 2))
+        if sort:
+            g.arc_sort_input()
+        space = SearchSpace(g)
+        assert list(map(bool, space.ends)) == [False, False, True, True]
+        steps = []
+        for advance in (space.advance, lambda *a: _uncut_advance(space, *a)):
+            tokens = {0: [0, 0, 0.0]}
+            space.propagate(tokens, 0, 2.0)
+            out = advance(tokens, matrix.padded_row(0), 1, 2.0, 1.0)
+            space.propagate(out, 1, 2.0)
+            t = out[2]
+            steps.append((t[2], [(p[0], p[1], il, ol, w)
+                                 for p, il, ol, w in links(t)]))
+        assert steps[0] == steps[1]
+        assert steps[0] == (0.2 + 0.1, [(0, 0, 1, 1, 1.5), (3, 1, 0, 0, 0.1)])
+        opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
+        got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
+                     for uncut in (False, True))
+        _assert_cut_equals_uncut(got, want)
+
+
 # -- stations: tokens that meet at a back-off state ------------------------
 
 class _CountingRow(list):
@@ -1347,7 +1425,7 @@ def _assert_stations_equal_full_scan(space, matrix, opts):
         assert got.keys() <= want.keys()
         for sid, t in want.items():
             if sid not in got:  # skipped by the cutoff, beyond the beam
-                assert t[2] > best + beam + slack
+                assert t[2] > best + beam
                 continue
             assert got[sid][2] == t[2]
             if t[2] <= best + beam:
@@ -1679,9 +1757,12 @@ class TestLazyRows:
         rows = decoder._rows(g)
         # The one pass before the first frame: flags and the label bound.
         assert rows.emit == [None] * g.num_states
+        targets = {a.nextstate for s in g.states() for a in g.arcs(s)
+                   if a.ilabel == 0}
         for s in g.states():
             has_eps = any(a.ilabel == 0 for a in g.arcs(s))
             assert rows.eps[s] is True if has_eps else rows.eps[s] == ()
+            assert bool(rows.ends[s]) is (has_eps or s in targets)
         assert rows.top == max([a.ilabel for s in g.states()
                                 for a in g.arcs(s)], default=0)
         order = data.draw(st.permutations(list(g.states())))
@@ -1759,6 +1840,13 @@ class TestLazyRows:
             decode_static(g, matrix)
         # Raised before the first frame: no row was made.
         assert decoder._DERIVED[g].rows.emit == [None] * g.num_states
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    def test_epsilon_ends_cover_arcs_listed_after_others(self, sort):
+        # State 2's epsilon arc to state 1 is its last arc unsorted, its
+        # first sorted: both mark state 1 as an epsilon arc's target.
+        ends = decoder._rows(_unreached_label_graph(sort)).ends
+        assert list(map(bool, ends)) == [False, True, True]
 
     @pytest.mark.parametrize("change", ["add_arc", "arc_sort_input"])
     def test_mutation_after_a_decode_leaves_no_rows(self, change):

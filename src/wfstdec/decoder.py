@@ -384,7 +384,7 @@ class _Rows(dict):
     def __init__(self, fst: Fst):
         super().__init__()
         # The live lists, read without a call per state; rows copy them.
-        lists = self._lists = list(fst._arcs)
+        lists = self._lists = fst._arcs
         self.emit = [None] * len(lists)
         first = itemgetter(0)
         sort = fst.input_sorted

@@ -267,8 +267,8 @@ class _Pair:
     ``default``, ``(last2, last3, h)``, is its record where both last
     states list it, whose label maps ``last`` holds, and it is dead where
     either does not.  ``asked`` holds the label sets the pair was asked
-    with, not the labels, so a set asked again costs one identity test.
-    ``record`` is the one reader of a label's record, for asked labels."""
+    with, not their labels.  ``record`` is the one reader of a label's
+    record, for asked labels."""
 
     __slots__ = ("default", "last", "records", "groups", "asked")
 
@@ -975,11 +975,7 @@ class _OnTheFlySpace(SearchSpace):
             pair = self._pairs[(q2, q3)] = _Pair(chain2[-1], chain3[-1])
             new = labels
         else:
-            asked = pair.asked
-            for seen in asked:
-                if seen is labels:
-                    return pair
-            new = labels.difference(*asked)
+            new = labels.difference(*pair.asked)
             if not new:
                 return pair
             chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)

@@ -203,17 +203,12 @@ class Fst:
         return self._arcs[state]
 
     def add_arc(self, state: int, arc: Arc) -> None:
-        # The hot path of graph building: the state checks are inlined.
-        arcs = self._arcs
-        n = len(arcs)
-        if not 0 <= state < n:
-            raise FstError(f"invalid state id {state}")
-        if not 0 <= arc.nextstate < n:
-            raise FstError(f"invalid state id {arc.nextstate}")
+        self._check_state(state)
+        self._check_state(arc.nextstate)
         if arc.ilabel < 0 or arc.olabel < 0 or math.isnan(arc.weight):
             raise FstError("NaN arc weight" if math.isnan(arc.weight) else
                            f"negative label in arc {arc.ilabel}:{arc.olabel}")
-        arcs[state].append(arc)
+        self._arcs[state].append(arc)
         self.version += 1
 
     def set_initial(self, state: int) -> None:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fst import gc_paused
 
@@ -44,8 +43,7 @@ class OOVError(NGramError):
         self.token = token
 
 
-@dataclass(frozen=True)
-class NGramEntry:
+class NGramEntry(NamedTuple):
     logprob: float
     backoff: Optional[float] = None
 

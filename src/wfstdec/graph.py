@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .fst import (
+    EPSILON_SYM,
     ZERO,
     Arc,
     Fst,
@@ -82,10 +83,18 @@ def cost_from_log10(logprob: float) -> float:
     return -logprob * LN10
 
 
+def _check_token(token: str, kind: str) -> None:
+    """Refuse ``<eps>`` as any token, and ``#0`` as an LM token or a
+    morpheme: their ids would read as epsilon or as the back-off symbol."""
+    if token == EPSILON_SYM or (token == BACKOFF_HASH and kind != "phone"):
+        raise GraphError(f"{kind} {token!r} is a reserved symbol")
+
+
 def make_morpheme_symbols(model: NGramModel, with_hash: bool = False) -> SymbolTable:
     syms = SymbolTable()
     for w in model.events():
         if w != EOS:
+            _check_token(w, "LM token")
             syms.add(w)
     if with_hash:
         syms.add(BACKOFF_HASH)
@@ -129,6 +138,7 @@ def lm_to_fst(model: NGramModel, syms: Optional[SymbolTable] = None,
                 continue
             wid = word_id.get(w)
             if wid is None:
+                _check_token(w, "LM token")
                 wid = word_id[w] = syms.id_of(w)
             seq = gram[-max_ctx:] if max_ctx > 0 else ()
             dst = state_of.get(seq)
@@ -192,10 +202,12 @@ def compile_lexicon(lex: Lexicon, phone_syms: Optional[SymbolTable] = None,
     fst.set_initial(loop)
     fst.set_final(loop, 0.0)
     for m in sorted(lex.prons):
+        _check_token(m, "morpheme")
         mid = morph_syms.id_of(m)
         for pron in lex.prons[m]:
             src = loop
             for i, phone in enumerate(pron):
+                _check_token(phone, "phone")
                 pid = phone_syms.id_of(phone)
                 olabel = mid if i == 0 else 0
                 dst = loop if i == len(pron) - 1 else fst.add_state()

@@ -191,6 +191,62 @@ class TestLmToFst:
             lm_to_fst(model, mode=BACKOFF_EPS)
 
 
+class TestReservedSymbols:
+    """``<eps>`` is refused as any token and ``#0`` as an LM token or a
+    morpheme: their ids would make word arcs read as back-off arcs, and
+    phone arcs as epsilon moves."""
+
+    @staticmethod
+    def unigram_model(word):
+        model = ngram.NGramModel(1)
+        for w in (word, "a", EOS):
+            model.add_entry((w,), -0.5)
+        return model
+
+    @pytest.mark.parametrize("token", ["<eps>", BACKOFF_HASH])
+    @pytest.mark.parametrize("build", [make_morpheme_symbols, lm_to_fst])
+    def test_lm_token(self, token, build):
+        with pytest.raises(GraphError,
+                           match=f"^LM token '{token}' is a reserved symbol$"):
+            build(self.unigram_model(token))
+
+    @pytest.mark.parametrize("token", ["<eps>", BACKOFF_HASH])
+    def test_lm_token_in_a_given_table(self, token):
+        syms = SymbolTable()
+        for w in ("a", token):
+            syms.add(w)
+        with pytest.raises(GraphError, match=f"^LM token '{token}'"):
+            lm_to_fst(self.unigram_model(token), syms)
+
+    @pytest.mark.parametrize("token", ["<eps>", BACKOFF_HASH])
+    @pytest.mark.parametrize("given", [False, True], ids=["own", "given"])
+    def test_morpheme(self, token, given):
+        lex = Lexicon()
+        lex.add(token, ["a"])
+        phones = morphs = None
+        if given:
+            phones, morphs = SymbolTable(), SymbolTable()
+            phones.add("a")
+            morphs.add(token)
+        with pytest.raises(GraphError,
+                           match=f"^morpheme '{token}' is a reserved symbol$"):
+            compile_lexicon(lex, phones, morphs)
+
+    def test_phone(self):
+        lex = Lexicon()
+        lex.add("x", ["a", "<eps>"])
+        with pytest.raises(GraphError,
+                           match="^phone '<eps>' is a reserved symbol$"):
+            compile_lexicon(lex)
+
+    def test_hash_phone_is_an_ordinary_phone(self):
+        lex = Lexicon()
+        lex.add("x", [BACKOFF_HASH])
+        fst = compile_lexicon(lex)
+        assert fst.arcs(0) == [Arc(fst.isyms.id_of(BACKOFF_HASH),
+                                   fst.osyms.id_of("x"), 0.0, 0)]
+
+
 class TestNegate:
     def test_involution(self, mini_model):
         g = lm_to_fst(mini_model)

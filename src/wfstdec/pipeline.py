@@ -131,6 +131,14 @@ def generate_task(cfg: PipelineConfig) -> SynthTask:
             f"cannot draw {cfg.num_morphemes} distinct pronunciations from "
             f"{len(phones)} phones at length {cfg.pron_len} ({capacity} possible)")
     num_suffix = int(cfg.num_morphemes * cfg.suffix_fraction)
+    if cfg.num_morphemes - num_suffix < 2:
+        raise ValueError(
+            f"num_morphemes {cfg.num_morphemes} at suffix_fraction "
+            f"{cfg.suffix_fraction} leaves fewer than 2 stems "
+            f"({cfg.num_morphemes - num_suffix})")
+    if cfg.branching > cfg.num_morphemes:
+        raise ValueError(f"branching {cfg.branching} exceeds num_morphemes "
+                         f"{cfg.num_morphemes}")
     prons: set[tuple[str, ...]] = set()
     morphemes: list[str] = []
     lex = gb.Lexicon()
@@ -272,7 +280,8 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 # Integer fields and their least values; the stages check what depends on
-# more than one field (distinct pronunciations, max_order <= order).
+# more than one field (distinct pronunciations, at least 2 stems, branching
+# <= num_morphemes, max_order <= order).
 _INT_FIELDS = {"seed": 0, "num_sentences": 0, "num_utterances": 0,
                "num_morphemes": 1, "pron_len": 1, "num_phones": 1,
                "branching": 1, "order": 1, "max_order": 1}

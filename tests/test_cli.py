@@ -317,6 +317,19 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("token", ["<eps>", "#0"])
+    def test_reserved_lm_token(self, capsys, tmp_path, token):
+        # Once written as 0:0, an <eps> word arc passed for a back-off arc.
+        lm = tmp_path / "g.arpa"
+        lm.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n"
+                      f"-0.5\t{token}\n-0.5\ta\n-0.5\t</s>\n\n\\end\\\n")
+        out_fst = tmp_path / "o.fst"
+        code, out, err = run(capsys, "graph-build", "--lm", str(lm),
+                             str(out_fst))
+        assert (code, out) == (1, "")
+        assert err == f"error: LM token '{token}' is a reserved symbol\n"
+        assert not out_fst.exists()
+
     @pytest.mark.parametrize("name, text", [
         ("graph", "0\t1\t1\t1\theavy\n1\t0\n"),
         ("graph", "0\t1\t1\t1\t0.5\n1\tnan\n"),
@@ -455,15 +468,23 @@ class TestErrors:
             main(argv.split())
         assert capsys.readouterr().out == ""
 
-    def test_failed_stage(self, capsys, tmp_path):
+    @pytest.mark.parametrize("config, message", [
+        ({"num_morphemes": 100, "num_phones": 2, "pron_len": 2},
+         "cannot draw 100 distinct pronunciations from 2 phones at length 2 "
+         "(4 possible)"),
+        ({"branching": 60}, "branching 60 exceeds num_morphemes 50"),
+        ({"num_morphemes": 1}, "num_morphemes 1 at suffix_fraction 0.3 "
+         "leaves fewer than 2 stems (1)"),
+        ({"num_morphemes": 10, "suffix_fraction": 0.9}, "num_morphemes 10 "
+         "at suffix_fraction 0.9 leaves fewer than 2 stems (1)"),
+    ], ids=["pronunciations", "branching", "one-morpheme", "suffixes"])
+    def test_failed_stage(self, capsys, tmp_path, config, message):
+        # Field conflicts are found before any draw, not as a sampling error.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"num_morphemes": 100, "num_phones": 2, "pron_len": 2}))
+        cfg.write_text(json.dumps(config))
         code, out, err = run(capsys, "report", "--config", str(cfg))
         assert code == 1
-        assert err == ("error: stage 'generate' failed: cannot draw 100 "
-                       "distinct pronunciations from 2 phones at length 2 "
-                       "(4 possible)\n")
+        assert err == f"error: stage 'generate' failed: {message}\n"
         assert out == ""
 
     def test_score_without_reference(self, capsys, tmp_path):

@@ -4,7 +4,8 @@ On noise-free audio, the cost of a decoded path must be the big LM's
 ``score_sentence`` of its morphemes plus its acoustic cost, to 1e-9.  The
 models are drawn so that some listed n-grams cost more than their back-off
 routes, where a search graph that backs off past a listed n-gram would
-find a cheaper, inexact path.
+find a cheaper, inexact path.  The small LM need not be nested in the
+big one: some draws list small-LM contexts that the big LM does not.
 
 ``static`` takes exactly that path: HCLG4's back-off arcs are plain
 epsilon arcs (ε semantics, Kaldi's approximation).  Its decoded cost is
@@ -123,35 +124,46 @@ def _cost(draw):
     return -draw(st.integers(1, 25)) / 10
 
 
-@st.composite
-def tasks(draw):
-    """(big LM, small LM, lexicon, sentence) over 2-4 morphemes, each with
-    one pronunciation of 1-2 phones.  The big LM is a bigram or trigram
-    model with drawn n-grams, probabilities and back-off weights, not
-    normalised; the small LM is the big one or a pruned bigram copy."""
-    vocab = [f"m{i}" for i in range(draw(st.integers(2, 4)))]
-    order = draw(st.sampled_from([2, 3]))
-    big = NGramModel(order)
-    big.add_entry((BOS,), -99.0, _cost(draw) / 2)
+def _lm(draw, vocab, order):
+    """A bigram or trigram model over ``vocab`` with drawn n-grams,
+    probabilities and back-off weights, not normalised."""
+    lm = NGramModel(order)
+    lm.add_entry((BOS,), -99.0, _cost(draw) / 2)
     for w in vocab:
-        big.add_entry((w,), _cost(draw), _cost(draw) / 2)
-    big.add_entry((EOS,), _cost(draw))
+        lm.add_entry((w,), _cost(draw), _cost(draw) / 2)
+    lm.add_entry((EOS,), _cost(draw))
     bigrams = [(h, w) for h in [BOS] + vocab for w in vocab + [EOS]
                if draw(st.booleans())]
     for gram in bigrams:
         backoff = _cost(draw) / 2 if order == 3 and gram[1] != EOS else None
-        big.add_entry(gram, _cost(draw), backoff)
+        lm.add_entry(gram, _cost(draw), backoff)
     if order == 3:
         for h in bigrams:
             if h[1] == EOS:
                 continue
             for w in draw(st.lists(st.sampled_from(vocab + [EOS]),
                                    max_size=2, unique=True)):
-                big.add_entry(h + (w,), _cost(draw))
-    big.validate()
-    small = big
-    if order == 3 or draw(st.booleans()):
+                lm.add_entry(h + (w,), _cost(draw))
+    lm.validate()
+    return lm
+
+
+@st.composite
+def tasks(draw):
+    """(big LM, small LM, lexicon, sentence) over 2-4 morphemes, each with
+    one pronunciation of 1-2 phones.  The big LM is a drawn bigram or
+    trigram model.  The small LM is the big one, a pruned bigram copy, or
+    a trigram model drawn on its own, which mostly lists contexts that the
+    big LM does not: the small LM need not be nested in the big one."""
+    vocab = [f"m{i}" for i in range(draw(st.integers(2, 4)))]
+    big = _lm(draw, vocab, draw(st.sampled_from([2, 3])))
+    kind = draw(st.sampled_from(["big", "pruned", "drawn"]))
+    if kind == "drawn":
+        small = _lm(draw, vocab, 3)
+    elif kind == "pruned" or big.order == 3:
         small = prune_to_small_lm(big, 0.1, 2)
+    else:
+        small = big
     lex = Lexicon()
     for w in vocab:
         lex.add(w, draw(st.lists(st.sampled_from(PHONES), min_size=1,

@@ -152,9 +152,10 @@ def _lm(draw, vocab, order):
 def tasks(draw):
     """(big LM, small LM, lexicon, sentence) over 2-4 morphemes, each with
     one pronunciation of 1-2 phones.  The big LM is a drawn bigram or
-    trigram model.  The small LM is the big one, a pruned bigram copy, or
-    a trigram model drawn on its own, which mostly lists contexts that the
-    big LM does not: the small LM need not be nested in the big one."""
+    trigram model.  The small LM is the big one (a pruned bigram copy if
+    the big one is a trigram model), a pruned bigram copy, or a trigram
+    model drawn on its own, which mostly lists contexts that the big LM
+    does not: the small LM need not be nested in the big one."""
     vocab = [f"m{i}" for i in range(draw(st.integers(2, 4)))]
     big = _lm(draw, vocab, draw(st.sampled_from([2, 3])))
     kind = draw(st.sampled_from(["big", "pruned", "drawn"]))

@@ -19,29 +19,43 @@ q2 itself.  With that filter, and the negated small-LM scores
 cancelling the scores baked into the search graph, the surviving path
 weights equal big-LM scores exactly.
 
+That filter gives the search graph's ``eps:eps`` back-off arcs the
+meaning of failure transitions (Allauzen, Mohri & Roark, ACL 2003;
+OpenFst's ``PhiMatcher``): a path reads a morpheme at a back-off state
+only where the higher context does not list it.  So the on-the-fly frame
+step reads them as such.  A token at search-graph state q1 reads the
+arcs of q1 and of every state its back-off arcs reach, each at the
+HCLG3 back-off weight walked to it, and no token or link is made at a
+back-off state.  Where every epsilon-input arc of the search graph is
+``eps:eps``, as in the pipeline's HCLG3, no arc is left to propagate; a
+graph whose epsilon-input arcs read morphemes propagates all of them, as
+the static decoder does.
+
 Back-off states act as relay stations.  Tokens of many histories back
 off to one search-graph state q1, and their relays match most morphemes
 at one G4 state at3: from the station (q1, at3) they read the same arcs
 to the same targets, at weights that differ by the hop weight h of their
-back-off walks, less the morphemes each matched higher on its chains.
-So a station's rows are made once, each weighted by the search graph and
-the two LM arcs alone, and every LM pair that meets there shares them: a
-pair keeps references to the rows of its morphemes, and the frame step
-adds its hop weight h to the frame's acoustic costs, once per frame and
-h, not to each row.  The frame step takes a station's tokens in order of
-cost + h, and a token skips the arcs of each morpheme that a token more
-than the lattice beam (plus rounding slack) cheaper already read there:
-its arrival could set no cost and make no link the lattice keeps.  So
-the result is that of a scan of every arc.
+back-off walks (the two LMs' walks, plus HCLG3's), less the morphemes
+each matched higher on its chains.  So a station's rows are made once,
+each weighted by the search graph and the two LM arcs alone, and every
+LM pair that meets there shares them: a pair keeps references to the
+rows of its morphemes, and the frame step adds its hop weight h to the
+frame's acoustic costs, once per frame and h, not to each row.  The
+frame step takes a station's tokens in order of cost + h, and a token
+skips the arcs of each morpheme that a token more than the lattice beam
+(plus rounding slack) cheaper already read there: its arrival could set
+no cost and make no link the lattice keeps.  So the result is that of a
+scan of every arc.
 
 The frame step cuts new tokens at the beam, as Kaldi's does: an arrival
 beyond the best so far plus the beam makes a token only at a state that
-an epsilon arc leaves or enters, where propagation can still improve it.
-Elsewhere an arrival within the lattice beam of that cutoff is set aside
-and, if a later, cheaper arrival makes the state's token, replayed into
-it before its first link.  So the tokens and their links within the
-lattice beam are those of a cutoff at the beam plus the lattice beam,
-less the tokens pruning would drop.
+a propagating epsilon arc leaves or enters, where propagation can still
+improve it (on the pipeline's HCLG3, at none).  Elsewhere an arrival
+within the lattice beam of that cutoff is set aside and, if a later,
+cheaper arrival makes the state's token, replayed into it before its
+first link.  So the tokens and their links within the lattice beam are
+those of a cutoff at the beam plus the lattice beam, less the tokens
+pruning would drop.
 
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
@@ -298,14 +312,22 @@ class _States:
     morpheme's row indexes in its table; per search-graph state q1 whose
     emitting arcs a state expanded, ``q1_arcs[q1]``: its ``phone:eps``
     arcs, the morphemes its other arcs read, and the index of each
-    morpheme's first arc.
+    morpheme's first arc, and ``reads[q1]``: what a token there reads
+    (see ``_OnTheFlySpace._reads``).
+
+    ``failure`` is true where every epsilon-input arc of the graph is
+    ``eps:eps``: then those back-off arcs are read as failure transitions
+    by the frame step, and no arc propagates.
     """
 
-    def __init__(self, graph: Fst):
+    def __init__(self, graph: Fst, rows: _Rows):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.ends = []
         self.shared, self.stations, self.rows_of, self.q1_arcs = {}, {}, {}, {}
+        self.reads = {}
         self.g3 = [_NO_STATE] * graph.num_states
+        self.failure = not any(a[1] for arcs in compress(rows._lists, rows.eps)
+                               for a in arcs if not a[0])
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -487,20 +509,23 @@ class SearchSpace:
         An arrival makes a new token when its cost is within the cutoff,
         the best arrival so far plus ``beam + _TOL``.  Beyond the cutoff,
         within ``slack`` of it, an arrival makes one only where its state
-        is at an end of an epsilon-input arc (``ends``), as propagation
-        can make or improve a token there after this step; at any other
-        state it is set aside, and ``_replay`` puts it into the token a
-        later arrival makes there, if one does.  Without one, the state's
-        token would cost more than the final best plus ``beam``, so
-        pruning would drop it.  Beyond ``slack`` of the cutoff an arrival
-        makes no new token where its state has no epsilon-input arcs: such
-        a token costs more than the final best plus ``beam``; no epsilon
-        arc can bring a descendant of it back under the beam; and its link
-        into a kept token lies more than ``slack`` (the lattice beam)
-        above that token's cost, so the lattice builder would drop the
-        link.  So the tokens, and each one's links within ``slack`` of its
-        cost, are those of a cutoff at ``beam + slack + _TOL`` (see
-        README, "The frame step's cutoff"), less tokens pruning drops.
+        is at an end of an epsilon arc that propagates (``ends``), as
+        propagation can make or improve a token there after this step; at
+        any other state it is set aside, and ``_replay`` puts it into the
+        token a later arrival makes there, if one does.  An on-the-fly
+        space that reads back-off arcs as failure transitions propagates
+        no arc, so there every such arrival is set aside.  Without a later
+        arrival, the state's token would cost more than the final best
+        plus ``beam``, so pruning would drop it.  Beyond ``slack`` of the
+        cutoff an arrival makes no new token where its state has no
+        propagating epsilon arcs: such a token costs more than the final
+        best plus ``beam``; no epsilon arc can bring a descendant of it
+        back under the beam; and its link into a kept token lies more
+        than ``slack`` (the lattice beam) above that token's cost, so the
+        lattice builder would drop the link.  So the tokens, and each
+        one's links within ``slack`` of its cost, are those of a cutoff at
+        ``beam + slack + _TOL`` (see README, "The frame step's cutoff"),
+        less tokens pruning drops.
         """
         out = {}
         get = out.get
@@ -641,10 +666,10 @@ class _OnTheFlySpace(SearchSpace):
     they are reached, for on-the-fly decoding and lattice rescoring.  A
     state's emitting and epsilon arcs are expanded separately, when the
     search loop first needs each; until then ``emit[i]`` is None and
-    ``eps[i]`` True, or an empty table where the search-graph state has no
-    epsilon-input arcs.  A state whose morpheme arcs reach stations keeps
-    ``emit[i]`` None and, in ``_shared``, its own arcs and its segments of
-    the stations' shared rows.
+    ``eps[i]`` True, or an empty table where no epsilon arc propagates
+    from the search-graph state.  A state whose morpheme arcs reach
+    stations keeps ``emit[i]`` None and, in ``_shared``, its own arcs and
+    its segments of the stations' shared rows.
 
     The G3neg state of a search-graph state (``_g3``) is derived while
     expanding: a ``phone:eps`` arc keeps it, an ``eps:eps`` arc takes
@@ -657,9 +682,15 @@ class _OnTheFlySpace(SearchSpace):
     ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
     hop, on relay memo misses only, so a warm decode adds nothing to it.
 
-    The space reads the graph's ``_Rows``, whose flags give a new state
-    over search-graph state q1 its ``eps`` and ``ends`` entries.
-    Rescoring walks a lattice's own arcs and makes no row.
+    Where every epsilon-input arc of the search graph is ``eps:eps``
+    (``_States.failure``), the frame step reads those back-off arcs as
+    failure transitions: a state's emitting arcs are those of q1 and of
+    the states q1's back-off arcs reach (``_reads``), so no token sits
+    at a back-off state, and every state's ``eps`` entry is empty and its
+    ``ends`` entry false.  Otherwise a new state over q1 takes both from
+    the graph's ``_Rows`` flags, and every epsilon arc propagates.
+    Rescoring walks a lattice's own arcs, back-off arcs too, with
+    ``expand_arcs``, and makes no row.
     """
 
     def __init__(self, graph: Fst, g3neg: Fst, g4: Fst,
@@ -688,8 +719,12 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            self.eps.append(True if self._rows.eps[triple[0]] else ())
-            self.ends.append(self._rows.ends[triple[0]])
+            if self._states.failure:
+                self.eps.append(())
+                self.ends.append(False)
+            else:
+                self.eps.append(True if self._rows.eps[triple[0]] else ())
+                self.ends.append(self._rows.ends[triple[0]])
         return sid
 
     def final_weight(self, sid: int) -> float:
@@ -708,47 +743,93 @@ class _OnTheFlySpace(SearchSpace):
 
     def _expand_emit(self, sid: int) -> tuple:
         """Expand state sid's emitting arcs, once, as (own arcs, station
-        segments).  The own arcs are its ``phone:eps`` arcs.  Its morpheme
-        arcs that the LM pair (q2, q3) matched at q1's G3neg state and at
-        G4 state at3 form a segment ``[station, h, rows, None]``, the None
-        a cache for ``_labels``: h is the pair's hop weight ``acc2 +
-        acc3``, and rows are the station's own row objects with those
-        morphemes (the station's table itself when it keeps them all), so
-        no arc is copied or weighted per pair.  The default group's rows
-        are slices of its table around the rows of the morphemes with
-        records of their own.  A station is numbered ``q1 + (search-graph
-        states) * at3``, and segments are ordered by their first arc.  A
-        state with segments keeps them in ``_shared`` and its ``emit``
-        entry stays None."""
+        segments), over the search-graph states a token at q1 reads (see
+        ``_reads``): q1, then those its back-off arcs reach, each with the
+        HCLG3 back-off weight wb walked to it.  The own arcs are their
+        ``phone:eps`` arcs, a back-off state's weighing ``w + wb``.  Their
+        morpheme arcs that the LM pair (q2, q3) matched at the state's
+        G3neg state and at G4 state at3 form a segment ``[station, h, rows,
+        None]``, the None a cache for ``_labels``: h is the pair's hop
+        weight ``acc2 + acc3``, plus wb at a back-off state, and rows are
+        the station's own row objects with those morphemes (the station's
+        table itself when it keeps them all), so no arc is copied or
+        weighted per pair.  The default group's rows are slices of its
+        table around the rows of the morphemes with records of their own.
+        A station (p, at3) is numbered ``p + (search-graph states) * at3``,
+        and each state's segments are ordered by their first arc.  A state
+        with segments keeps them in ``_shared`` and its ``emit`` entry
+        stays None."""
         q1, q2, q3 = self._triples[sid]
-        g = self._g3_of(q1)
-        phones, labels, first = self._q1_arcs(q1)
-        own = tuple(self.expand_arcs(sid, phones))
+        reads = self._reads(q1)
+        own = self.expand_arcs(sid, reads[0][3])
+        for p, g, wb, phones, _, _ in reads[1:]:
+            for il, ol, w, ns in phones:
+                self._reach(ns, g)
+                own.append((il, ol, w + wb, self.state_id((ns, q2, q3))))
+        own = tuple(own)
         segs = []
-        if labels:
-            n1 = len(self._g3)
+        n1 = len(self._g3)
+        for p, g, wb, _, labels, first in reads:
+            if not labels:
+                continue
             pair = self.relays(q2, q3, labels)
             record = pair.record
+            found = []
             for (at, at3), group in pair.groups.items():
                 if at != g:
                     continue
-                table = self._station(q1, g, at3)
+                table = self._station(p, g, at3)
                 rows = [r for r in table if record(r[1]) is group]
                 if rows:
                     rows = table if len(rows) == len(table) else tuple(rows)
-                    segs.append([q1 + n1 * at3, group[2], rows, None])
+                    h = group[2] if wb is None else group[2] + wb
+                    found.append([p + n1 * at3, h, rows, None])
             at, at3, h = pair.default
             if at == g:
-                table = self._station(q1, g, at3)
-                rows = self._default_rows(q1, at3, table, pair.records)
+                table = self._station(p, g, at3)
+                rows = self._default_rows(p, at3, table, pair.records)
                 if rows:
-                    segs.append([q1 + n1 * at3, h, rows, None])
+                    found.append([p + n1 * at3, h if wb is None else h + wb,
+                                  rows, None])
+            found.sort(key=lambda seg: first[seg[2][0][1]])
+            segs += found
         if not segs:
             self.emit[sid] = own
             return own, ()
-        segs.sort(key=lambda seg: first[seg[2][0][1]])
         split = self._shared[sid] = (own, tuple(segs))
         return split
+
+    def _reads(self, q1: int) -> tuple:
+        """What a token at search-graph state q1 reads in the frame step: a
+        read ``(p, g, wb, phone:eps arcs, morphemes, first arc of each
+        morpheme)`` for q1 (wb None), then for each state p its ``eps:eps``
+        back-off arcs reach, depth first, once per path.  They are read as
+        failure transitions, as OpenFst's ``PhiMatcher`` reads them: p's
+        G3neg state g is G3neg's back-off target, the filter lets a token
+        read at p only the morphemes its relay matched at g (those q1's
+        context does not list), and wb sums the HCLG3 back-off weights
+        walked, left to right.  Where the graph's epsilon arcs propagate,
+        q1 alone is read.  Made once per q1, not once per LM pair; a
+        back-off where G3neg has none, or a state reached from two G3neg
+        states, raises ProvenanceError."""
+        found = self._states.reads.get(q1)
+        if found is not None:
+            return found
+        reads = []
+        work = [(q1, self._g3_of(q1), None)]
+        while work:
+            p, g, wb = work.pop()
+            reads.append((p, g, wb) + self._q1_arcs(p))
+            if not self._states.failure:
+                break
+            arcs = self._rows.eps_row(p)
+            if arcs:
+                ng = self.backoff(g, p)
+                for _, _, w, ns in reversed(arcs):
+                    self._reach(ns, ng)
+                    work.append((ns, ng, w + 0.0 if wb is None else wb + w))
+        found = self._states.reads[q1] = tuple(reads)
+        return found
 
     def _default_rows(self, q1: int, at3: int, table: tuple,
                       records: dict) -> tuple:
@@ -828,11 +909,12 @@ class _OnTheFlySpace(SearchSpace):
         frame and h; the chain ends with ``(frame_costs, (), None)``, which
         restores the frame's costs.
 
-        Tokens at one search-graph state q1 whose relays match morphemes at
-        one G4 state at3 meet at the station (q1, at3): they read the same
-        arcs to the same targets, at weights that differ only by the hop
-        weight ``h`` of their back-off walks, less the labels each matched
-        higher on its chains.  Each segment enters its station with key
+        Tokens that read search-graph state q1, at it or through back-off
+        arcs, and whose relays match morphemes at one G4 state at3 meet at
+        the station (q1, at3): they read the same arcs to the same
+        targets, at weights that differ only by the hop weight ``h`` of
+        their back-off walks, less the labels each matched higher on its
+        chains.  Each segment enters its station with key
         ``cost + h``, and the station's entries are taken in key order.  An
         entry skips the arcs of labels that an earlier entry held at a key
         more than ``slack + 2 * _TOL`` lower: there, each arrival would
@@ -878,7 +960,10 @@ class _OnTheFlySpace(SearchSpace):
                 _, sid, seg = met[0]
                 keep(sid, seg[1], seg[2])
                 continue
-            met.sort()  # state ids break key ties; a state has one entry
+            # State ids break key ties.  A state has two entries only where
+            # its back-off arcs reach one state twice; their segments then
+            # differ by h or are alike.
+            met.sort()
             covered = j = 0  # labels held by entries j' < j, as a bit mask
             for key, sid, seg in met:
                 held = key - margin
@@ -1041,13 +1126,14 @@ def _replay(out: dict, aside: list, slack: float) -> None:
     link.  All cost more than the arrival that made the token, so that
     arrival still sets the token's cost, and the links after it were
     tested against that cost.  The arrivals at states without a token
-    are dropped."""
-    made = out.keys() & set(map(itemgetter(0), aside))
-    if not made:
+    are dropped.  Most frames replay nothing, so a test in C of whether
+    any set-aside state has a token comes first: without it, the loop
+    below took half as long again on ``large-vocab``."""
+    if out.keys().isdisjoint(map(itemgetter(0), aside)):
         return
     runs = {}  # state id -> [running cost, links...]
     for nid, tok, il, ol, lw in aside:
-        if nid not in made:
+        if nid not in out:
             continue
         nc = tok[2] + lw
         run = runs.get(nid)
@@ -1077,7 +1163,7 @@ def search_space(graph: Fst, g3neg: Fst, g4: Fst,
     spaces = _derived(graph).spaces
     states = spaces.get(memo)
     if states is None:
-        states = spaces[memo] = _States(graph)
+        states = spaces[memo] = _States(graph, _rows(graph))
     return _OnTheFlySpace(graph, g3neg, g4, stats, memo, states)
 
 
@@ -1091,9 +1177,10 @@ class Lattice:
 
     ``peak_tokens`` is the most tokens the decode made in one frame,
     before pruning.  An arrival beyond the frame step's cutoff, the best
-    so far plus the beam, made none unless an epsilon arc leaves or
-    enters its state; its state's token was made only if another arrival
-    within the cutoff made it.  A rescored lattice keeps its first pass's
+    so far plus the beam, made none unless an epsilon arc that propagates
+    leaves or enters its state; its state's token was made only if
+    another arrival within the cutoff made it.  An on-the-fly decode makes
+    no token at a back-off state.  A rescored lattice keeps its first pass's
     figure.
     """
 

@@ -46,9 +46,22 @@ class Lexicon:
     prons: dict[str, list[list[str]]] = field(default_factory=dict)
 
     def add(self, morpheme: str, phones: Sequence[str]) -> None:
+        """Add a pronunciation.  A token that ``write`` could not write so
+        that ``parse`` reads it back raises GraphError, and the lexicon is
+        left as it was: an empty token, one with whitespace, and a
+        morpheme that starts with ``#``, which ``parse`` takes for a
+        comment line."""
+        phones = list(phones)
         if not phones:
             raise GraphError(f"morpheme {morpheme!r} has an empty pronunciation")
-        self.prons.setdefault(morpheme, []).append(list(phones))
+        for token, kind in [(morpheme, "morpheme")] + [(p, "phone") for p in phones]:
+            if token.split() != [token]:
+                raise GraphError(f"{kind} {token!r} is empty or holds whitespace, "
+                                 "which a lexicon line cannot carry")
+        if morpheme.startswith("#"):
+            raise GraphError(f"morpheme {morpheme!r} starts with '#', which "
+                             "marks a comment line in a lexicon")
+        self.prons.setdefault(morpheme, []).append(phones)
 
     def phones(self) -> list[str]:
         out = set()

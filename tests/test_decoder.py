@@ -678,12 +678,15 @@ class TestAdvance:
         # the beam.  State 2's arrival is set aside: alone it makes no
         # token, but when a later token's cheaper arrival makes one, it is
         # replayed into it as the first link, as the uncut step makes it.
+        # The epsilon arc reads a morpheme, so it propagates in both
+        # spaces: an on-the-fly space reads an eps:eps arc in the frame
+        # step instead (TestBackoffReads).
         fst = Fst()
         fst.add_states(6)
         for dst, w in ((1, 0.0), (2, 1.5), (3, 1.6), (4, 5.0)):
             fst.add_arc(0, Arc(1, 1, w, dst))
         fst.add_arc(1, Arc(1, 1, 0.25, 2))
-        fst.add_arc(4, Arc(0, 0, -4.5, 5))
+        fst.add_arc(4, Arc(0, 1, -4.5, 5))
         fst.set_initial(0)
         fst.set_final(5, 0.0)
         if onthefly:
@@ -736,8 +739,9 @@ class TestAdvance:
         # A cold on-the-fly space knows, before expanding a state, that a
         # state over a search-graph state without epsilon-input arcs has
         # none: the cutoff can skip it and propagation never expands it.
+        # The epsilon arc reads a morpheme, so it propagates.
         fst = _one_arc_graph(1, 1, 0.2)
-        fst.add_arc(0, Arc(0, 0, 0.3, 1))
+        fst.add_arc(0, Arc(0, 1, 0.3, 1))
         space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
         space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0], 1, 8.0)
         assert space.eps[space.state_id((0, 0, 0))] is True
@@ -752,7 +756,18 @@ class TestProvenance:
     initial state; a graph that contradicts it is no composition."""
 
     def test_backoff_where_g3neg_has_none_raises(self):
-        fst = _one_arc_graph(0, 0, 0.3)  # an eps:eps arc from state 0
+        # An eps:eps arc from state 0, which the frame step reads as a
+        # failure transition.
+        fst = _one_arc_graph(0, 0, 0.3)
+        space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
+        with pytest.raises(ProvenanceError, match="no back-off arc"):
+            space.advance(_tokens(space, ((0, 0, 0), 0.0)), [INF, 0.0], 1, 8.0)
+
+    def test_propagated_backoff_where_g3neg_has_none_raises(self):
+        # Another epsilon arc of the graph reads a morpheme, so the eps:eps
+        # arc from state 0 propagates instead.
+        fst = _one_arc_graph(0, 0, 0.3)
+        fst.add_arc(1, Arc(0, 1, 0.0, fst.add_state()))
         space = search_space(fst, _loop_lm(1, 1, 0.0), _loop_lm(1, 1, 0.0))
         with pytest.raises(ProvenanceError, match="no back-off arc"):
             space.propagate(_tokens(space, ((0, 0, 0), 0.0)), 0, 8.0)
@@ -954,14 +969,15 @@ class TestPruneTokens:
 
     def test_onthefly_tie_keeps_smallest_triples_not_first_interned(self):
         # Morphemes 5 and 6 lead G3neg to states 2 and 1, which both back
-        # off to state 0; the search graph backs off from its states 2 and
-        # 3 (composed from G3neg states 1 and 2) to its state 4, and reaches
-        # state 1 from there at equal cost: (1, 2, 0) is interned before
-        # (1, 1, 0) but loses the tie.
+        # off to state 0; the search graph backs off from its states 3 and
+        # 2 (composed from G3neg states 2 and 1) to its state 4, and the
+        # tokens at 3 and 2, in that order, read state 4's arc to state 1
+        # at equal cost: (1, 2, 0) is interned before (1, 1, 0) but loses
+        # the tie.
         hclg = Fst()
         hclg.add_states(5)
-        hclg.add_arc(0, Arc(1, 6, 0.5, 2))
         hclg.add_arc(0, Arc(1, 5, 0.5, 3))
+        hclg.add_arc(0, Arc(1, 6, 0.5, 2))
         hclg.add_arc(2, Arc(0, 0, 0.0, 4))
         hclg.add_arc(3, Arc(0, 0, 0.0, 4))
         hclg.add_arc(4, Arc(1, 0, 0.5, 1))
@@ -1550,35 +1566,61 @@ class TestStations:
                                             8.0).keys()
 
 
+def _reference_reads(space, g3neg, q1):
+    """(state, G3neg state, back-off weight walked) for q1 (weight None)
+    and, depth first in arc order, each state its eps:eps arcs reach, found
+    arc by arc: each hop takes G3neg's back-off arc and adds the search
+    graph's arc weight, left to right."""
+    reads = []
+
+    def walk(p, g, wb):
+        reads.append((p, g, wb))
+        for a in space.graph.arcs(p):
+            if a.ilabel == 0 and a.olabel == 0:
+                b = find_arc(g3neg, g, 0)
+                walk(a.nextstate, b.nextstate,
+                     a.weight + 0.0 if wb is None else wb + a.weight)
+    walk(q1, space._g3[q1], None)
+    return reads
+
+
 def _reference_emit(space, g3neg, g4, sid):
-    """State sid's emitting arcs expanded one arc at a time, with a
+    """State sid's emitting arcs expanded one arc at a time, over q1 and
+    the states its back-off arcs reach (``_reference_reads``), with a
     per-label ``_reference_relay`` for each morpheme arc: (own arcs,
     [[station, h, arcs]]), each arc ``(ilabel, olabel, weight, next
-    triple)``, the segments in the order of their first arcs, and every
-    float as hex, so that equal is bit-identical.  A segment's arcs weigh
-    ``(w + G3neg arc weight) + G4 arc weight``, and its h is ``acc2 +
-    acc3``, the weights of the two back-off walks."""
+    triple)``, each state's segments in the order of their first arcs, and
+    every float as hex, so that equal is bit-identical.  A back-off
+    state's ``phone:eps`` arcs weigh ``w + wb``, wb the weight walked to
+    it.  A segment's arcs weigh ``(w + G3neg arc weight) + G4 arc
+    weight``, and its h is ``acc2 + acc3``, the weights of the two LM
+    back-off walks, plus wb at a back-off state."""
     q1, q2, q3 = space.triple(sid)
-    g = space._g3[q1]
     n1 = len(space._g3)
     scratch = RelayStats()
-    own, segs = [], {}
-    for il, ol, w, ns in space.graph.arcs(q1):
-        if not il:
-            continue
-        if not ol:
-            own.append((il, ol, (w + 0.0).hex(), (ns, q2, q3)))
-            continue
-        e2, acc2, _, at = _reference_relay(g3neg, q2, ol, scratch)
-        if e2 is None or at != g:
-            continue
-        e3, acc3, _, at3 = _reference_relay(g4, q3, ol, scratch)
-        if e3 is None:
-            continue
-        seg = segs.setdefault(at3, [q1 + n1 * at3, (acc2 + acc3).hex(), []])
-        weight = (w + e2.weight) + e3.weight
-        seg[2].append((il, ol, weight.hex(), (ns, e2.nextstate, e3.nextstate)))
-    return own, list(segs.values())
+    own, segs = [], []
+    for p, g, wb in _reference_reads(space, g3neg, q1):
+        found = {}
+        for il, ol, w, ns in space.graph.arcs(p):
+            if not il:
+                continue
+            if not ol:
+                weight = w + 0.0 if wb is None else w + wb
+                own.append((il, ol, weight.hex(), (ns, q2, q3)))
+                continue
+            e2, acc2, _, at = _reference_relay(g3neg, q2, ol, scratch)
+            if e2 is None or at != g:
+                continue
+            e3, acc3, _, at3 = _reference_relay(g4, q3, ol, scratch)
+            if e3 is None:
+                continue
+            h = acc2 + acc3 if wb is None else (acc2 + acc3) + wb
+            seg = found.setdefault(at3, [p + n1 * at3, h.hex(), []])
+            weight = (w + e2.weight) + e3.weight
+            seg[2].append((il, ol, weight.hex(),
+                           (ns, e2.nextstate, e3.nextstate)))
+        segs += found.values()
+    return own, segs
 
 
 def _expansion(space, sid):
@@ -1593,8 +1635,9 @@ def _expansion(space, sid):
 
 class TestStationTables:
     """Each station's arcs are made once, as a table whose rows every LM
-    pair meeting there shares, with its hop weight beside them: bit for bit
-    the per-arc expansion."""
+    pair meeting there shares, with its hop weight beside them, and a
+    token reads the stations of the states its back-off arcs reach: bit
+    for bit the per-arc expansion."""
 
     @settings(max_examples=60, deadline=None)
     @given(_onthefly_cut_cases())
@@ -1607,6 +1650,7 @@ class TestStationTables:
         except EmptyResultError:
             pass  # the states it interned are checked all the same
         space = search_space(hclg3, g3neg, g4)
+        assert space._states.failure  # HCLG3's epsilon arcs are all eps:eps
         for sid in range(len(space._triples)):  # the states the decode interned
             assert _expansion(space, sid) == _reference_emit(space, g3neg, g4, sid)
 
@@ -1689,6 +1733,94 @@ class TestStationTables:
                 assert all(any(r is t for t in kept) for r in rows)
                 segments += 1
         assert segments > len(space._states.stations)
+
+
+# -- back-off arcs read as failure transitions ------------------------------
+
+class TestBackoffReads:
+    """An on-the-fly token reads the states that its search-graph state's
+    eps:eps back-off arcs reach, in the frame step: no token or link is
+    made at a back-off state, and no arc propagates."""
+
+    def test_default_task_tokens_sit_at_their_g3neg_state(self, task_models):
+        # Wide open, every token the frame step makes on the default task
+        # is at a search-graph state composed from its own G3neg state: a
+        # token that backed off would sit at a lower context's state.
+        space, matrix = _default_task(task_models)
+        opts = DecodeOptions(beam=INF, max_active=10 ** 9)
+        tokens = {space.initial: [space.initial, 0, 0.0]}
+        made = 0
+        for frame in range(matrix.num_frames):
+            tokens = space.advance(tokens, matrix.padded_row(frame),
+                                   frame + 1, opts.lattice_beam, opts.beam)
+            before = list(tokens)
+            space.propagate(tokens, frame + 1, opts.lattice_beam)
+            assert list(tokens) == before  # propagation has nothing to do
+            for sid in tokens:
+                q1, q2, _ = space.triple(sid)
+                assert space._g3[q1] == q2
+            made += len(tokens)
+            tokens = space.prune(tokens, opts)
+        assert made > matrix.num_frames
+        assert not any(space.eps) and not any(space.ends)
+
+    @staticmethod
+    def _two_hop_task(w4, parallel):
+        """Search-graph state 0, composed from G3neg state 2, backs off to
+        state 1 (G3neg state 1), which backs off to state 2 (G3neg state
+        0): a two-hop chain.  State 1 has a phone:eps arc, to state 3,
+        which reads morpheme 1; state 2 reads morpheme 2.  G3neg lists
+        morpheme 1 at its state 1 and morpheme 2 at its state 0; G4 lists
+        both at one state, morpheme 2 at weight w4.  Both paths read phone
+        1, then phone 2, and end at state 4.  With ``parallel``, a second,
+        dearer back-off arc from state 0 reaches state 1 too, so a token
+        at state 0 reads states 1 and 2 twice."""
+        hclg = Fst()
+        hclg.add_states(6)
+        if parallel:
+            hclg.add_arc(0, Arc(0, 0, 0.25, 1))
+        for src, arc in ((0, Arc(0, 0, 0.2, 1)), (1, Arc(0, 0, 0.1, 2)),
+                         (1, Arc(1, 0, 0.05, 3)), (3, Arc(2, 1, 0.6, 4)),
+                         (2, Arc(1, 2, 0.7, 5)), (5, Arc(2, 0, 0.0, 4))):
+            hclg.add_arc(src, arc)
+        hclg.set_initial(0)
+        hclg.set_final(4, 0.0)
+        g3neg = Fst()
+        g3neg.add_states(3)
+        for src, arc in ((0, Arc(2, 2, -1.0, 0)), (1, Arc(0, 0, 0.5, 0)),
+                         (1, Arc(1, 1, -0.75, 0)), (2, Arc(0, 0, 0.25, 1))):
+            g3neg.add_arc(src, arc)
+        g3neg.set_initial(2)
+        g3neg.set_final(0, 0.0)
+        g3neg.arc_sort_input()
+        g4 = _loop_lm(1, 1, 0.3)
+        g4.add_arc(0, Arc(2, 2, w4, 0))
+        g4.arc_sort_input()
+        matrix = AcousticMatrix("u", np.array([[0.125, 2.0], [3.0, 0.375]]))
+        return hclg, g3neg, g4, matrix
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["chain", "parallel-arcs"])
+    @pytest.mark.parametrize("w4, want", [
+        (0.4, (["1"], 0.2 + 0.05 + 0.125 + 0.6 + 0.375 + 0.25 - 0.75 + 0.3)),
+        (-0.6, (["2"], 0.2 + 0.1 + 0.7 + 0.125 + 0.375 + 0.25 + 0.5 - 1.0
+                - 0.6))], ids=["phone-arc-at-the-back-off-state", "two-hops"])
+    def test_two_hop_chain_equals_per_arc_reference(self, w4, want, parallel):
+        # The reference is the same graph with an epsilon arc that reads a
+        # morpheme, from a state no path reaches: its back-off arcs then
+        # propagate, arc by arc, and make tokens at the back-off states.
+        hclg, g3neg, g4, matrix = self._two_hop_task(w4, parallel)
+        reference = self._two_hop_task(w4, parallel)[0]
+        reference.add_arc(reference.add_state(), Arc(0, 1, 0.0, 0))
+        got, ref = (decode_onthefly(g, g3neg, g4, matrix)
+                    for g in (hclg, reference))
+        (hyp, cost), (ref_hyp, ref_cost) = best_path(got), best_path(ref)
+        assert hyp == ref_hyp == want[0]
+        assert cost == pytest.approx(ref_cost, abs=1e-9)
+        assert cost == pytest.approx(want[1], abs=1e-9)
+        assert got.peak_tokens < ref.peak_tokens
+        assert search_space(hclg, g3neg, g4)._states.failure
+        assert not search_space(reference, g3neg, g4)._states.failure
 
 
 # -- arc rows: made per state on first visit -------------------------------

@@ -3,8 +3,11 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfstdec import ngram
 from wfstdec.fst import (
@@ -88,6 +91,11 @@ def language(fst, max_arcs=12):
     return out
 
 
+# Short texts over letters, '#', and the whitespace and line breaks that a
+# lexicon line cannot carry.
+_LEXICON_TEXT = st.text(alphabet="ab#<> \t\n\r\x0b\x1c\x85\u2028", max_size=3)
+
+
 class TestLexicon:
     def test_parse_and_write(self):
         lex = Lexicon.parse(MINI_LEXICON_TEXT)
@@ -101,6 +109,31 @@ class TestLexicon:
     def test_empty_pronunciation(self):
         with pytest.raises(GraphError, match="empty pronunciation"):
             Lexicon().add("x", [])
+
+    @pytest.mark.parametrize("morpheme, phones, refused", [
+        ("", ["a"], "morpheme ''"), (" x", ["a"], "morpheme ' x'"),
+        ("a\tb", ["a"], "morpheme 'a\\tb'"), ("x", ["a b"], "phone 'a b'"),
+        ("x", ["a", ""], "phone ''"), ("x", ["a\n"], "phone 'a\\n'"),
+        ("#x", ["a"], "morpheme '#x' starts with '#'")])
+    def test_tokens_a_lexicon_line_cannot_carry(self, morpheme, phones,
+                                                refused):
+        lex = Lexicon()
+        lex.add("y", ["b"])
+        with pytest.raises(GraphError, match=f"^{re.escape(refused)}"):
+            lex.add(morpheme, phones)
+        assert lex.prons == {"y": [["b"]]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LEXICON_TEXT, st.lists(_LEXICON_TEXT, max_size=3)),
+                    max_size=6))
+    def test_what_add_accepts_reads_back(self, entries):
+        lex = Lexicon()
+        for morpheme, phones in entries:
+            try:
+                lex.add(morpheme, phones)
+            except GraphError:
+                pass
+        assert Lexicon.parse(lex.write()).prons == lex.prons
 
     def test_compiled_transducer_spells_words(self):
         lex = Lexicon.parse("vix\tv i x\nci\tc i\n")
@@ -221,8 +254,9 @@ class TestReservedSymbols:
     @pytest.mark.parametrize("token", ["<eps>", BACKOFF_HASH])
     @pytest.mark.parametrize("given", [False, True], ids=["own", "given"])
     def test_morpheme(self, token, given):
-        lex = Lexicon()
-        lex.add(token, ["a"])
+        # Built without Lexicon.add, which refuses a morpheme that starts
+        # with '#' before compile_lexicon sees it.
+        lex = Lexicon({token: [["a"]]})
         phones = morphs = None
         if given:
             phones, morphs = SymbolTable(), SymbolTable()

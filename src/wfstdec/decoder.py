@@ -27,9 +27,13 @@ step reads them as such.  A token at search-graph state q1 reads the
 arcs of q1 and of every state its back-off arcs reach, each at the
 HCLG3 back-off weight walked to it, and no token or link is made at a
 back-off state.  Where every epsilon-input arc of the search graph is
-``eps:eps``, as in the pipeline's HCLG3, no arc is left to propagate; a
-graph whose epsilon-input arcs read morphemes propagates all of them, as
-the static decoder does.
+``eps:eps`` with a weight of at least 0, as in the pipeline's HCLG3, no
+arc is left to propagate: a path through a back-off state then costs no
+less than the token at q1 it leaves, so the cutoff and pruning that drop
+that token lose no path under the beam.  A graph with a negative
+back-off weight, which could bring a path from a token beyond the beam
+back under it, or with epsilon-input arcs that read morphemes,
+propagates all of them, as the static decoder does.
 
 Back-off states act as relay stations.  Tokens of many histories back
 off to one search-graph state q1, and their relays match most morphemes
@@ -69,6 +73,7 @@ import heapq
 import numbers
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -314,20 +319,14 @@ class _States:
     arcs, the morphemes its other arcs read, and the index of each
     morpheme's first arc, and ``reads[q1]``: what a token there reads
     (see ``_OnTheFlySpace._reads``).
-
-    ``failure`` is true where every epsilon-input arc of the graph is
-    ``eps:eps``: then those back-off arcs are read as failure transitions
-    by the frame step, and no arc propagates.
     """
 
-    def __init__(self, graph: Fst, rows: _Rows):
+    def __init__(self, graph: Fst):
         self.emit, self.eps, self.triples, self.ids = [], [], [], {}
         self.ends = []
         self.shared, self.stations, self.rows_of, self.q1_arcs = {}, {}, {}, {}
         self.reads = {}
         self.g3 = [_NO_STATE] * graph.num_states
-        self.failure = not any(a[1] for arcs in compress(rows._lists, rows.eps)
-                               for a in arcs if not a[0])
 
 
 def _lm(g: Fst, name: str = "LM") -> _Derived:
@@ -409,7 +408,7 @@ class _Rows(dict):
         lists = self._lists = fst._arcs
         self.emit = [None] * len(lists)
         first = itemgetter(0)
-        sort = fst.input_sorted
+        sort = self._sorted = fst.input_sorted
         if sort:
             self.eps = [True if a and not a[0][0] else () for a in lists]
             self.top = max(map(first, map(itemgetter(-1), filter(None, lists))),
@@ -444,6 +443,22 @@ class _Rows(dict):
         if self.eps[s] is True:
             self.__missing__(s)
         return self.eps[s]
+
+    @cached_property
+    def failure(self) -> bool:
+        """Whether every epsilon-input arc is ``eps:eps`` with a weight of
+        at least 0, so that an on-the-fly space may read them as failure
+        transitions (see ``_OnTheFlySpace``).  Worked out on first use, as
+        the static space never asks; an input-sorted state's epsilon-input
+        arcs come first."""
+        for arcs in compress(self._lists, self.eps):
+            for a in arcs:
+                if a[0]:
+                    if self._sorted:
+                        break
+                elif a[1] or a[2] < 0:
+                    return False
+        return True
 
 
 def _rows(fst: Fst) -> _Rows:
@@ -682,8 +697,9 @@ class _OnTheFlySpace(SearchSpace):
     ``_g3[q1] == q2``.  ``stats`` counts per label and per back-off
     hop, on relay memo misses only, so a warm decode adds nothing to it.
 
-    Where every epsilon-input arc of the search graph is ``eps:eps``
-    (``_States.failure``), the frame step reads those back-off arcs as
+    Where every epsilon-input arc of the search graph is ``eps:eps`` with
+    a weight of at least 0 (``_Rows.failure``; see the module docstring
+    for why the sign matters), the frame step reads those back-off arcs as
     failure transitions: a state's emitting arcs are those of q1 and of
     the states q1's back-off arcs reach (``_reads``), so no token sits
     at a back-off state, and every state's ``eps`` entry is empty and its
@@ -719,7 +735,7 @@ class _OnTheFlySpace(SearchSpace):
             sid = self._ids[triple] = len(self._triples)
             self._triples.append(triple)
             self.emit.append(None)
-            if self._states.failure:
+            if self._rows.failure:
                 self.eps.append(())
                 self.ends.append(False)
             else:
@@ -782,15 +798,13 @@ class _OnTheFlySpace(SearchSpace):
                 rows = [r for r in table if record(r[1]) is group]
                 if rows:
                     rows = table if len(rows) == len(table) else tuple(rows)
-                    h = group[2] if wb is None else group[2] + wb
-                    found.append([p + n1 * at3, h, rows, None])
+                    found.append([p + n1 * at3, group[2] + wb, rows, None])
             at, at3, h = pair.default
             if at == g:
                 table = self._station(p, g, at3)
                 rows = self._default_rows(p, at3, table, pair.records)
                 if rows:
-                    found.append([p + n1 * at3, h if wb is None else h + wb,
-                                  rows, None])
+                    found.append([p + n1 * at3, h + wb, rows, None])
             found.sort(key=lambda seg: first[seg[2][0][1]])
             segs += found
         if not segs:
@@ -802,7 +816,7 @@ class _OnTheFlySpace(SearchSpace):
     def _reads(self, q1: int) -> tuple:
         """What a token at search-graph state q1 reads in the frame step: a
         read ``(p, g, wb, phone:eps arcs, morphemes, first arc of each
-        morpheme)`` for q1 (wb None), then for each state p its ``eps:eps``
+        morpheme)`` for q1 (wb 0), then for each state p its ``eps:eps``
         back-off arcs reach, depth first, once per path.  They are read as
         failure transitions, as OpenFst's ``PhiMatcher`` reads them: p's
         G3neg state g is G3neg's back-off target, the filter lets a token
@@ -816,18 +830,18 @@ class _OnTheFlySpace(SearchSpace):
         if found is not None:
             return found
         reads = []
-        work = [(q1, self._g3_of(q1), None)]
+        work = [(q1, self._g3_of(q1), 0.0)]
         while work:
             p, g, wb = work.pop()
             reads.append((p, g, wb) + self._q1_arcs(p))
-            if not self._states.failure:
+            if not self._rows.failure:
                 break
             arcs = self._rows.eps_row(p)
             if arcs:
                 ng = self.backoff(g, p)
                 for _, _, w, ns in reversed(arcs):
                     self._reach(ns, ng)
-                    work.append((ns, ng, w + 0.0 if wb is None else wb + w))
+                    work.append((ns, ng, wb + w))
         found = self._states.reads[q1] = tuple(reads)
         return found
 
@@ -1163,7 +1177,7 @@ def search_space(graph: Fst, g3neg: Fst, g4: Fst,
     spaces = _derived(graph).spaces
     states = spaces.get(memo)
     if states is None:
-        states = spaces[memo] = _States(graph, _rows(graph))
+        states = spaces[memo] = _States(graph)
     return _OnTheFlySpace(graph, g3neg, g4, stats, memo, states)
 
 

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from wfstdec import decoder
@@ -678,15 +678,12 @@ class TestAdvance:
         # the beam.  State 2's arrival is set aside: alone it makes no
         # token, but when a later token's cheaper arrival makes one, it is
         # replayed into it as the first link, as the uncut step makes it.
-        # The epsilon arc reads a morpheme, so it propagates in both
-        # spaces: an on-the-fly space reads an eps:eps arc in the frame
-        # step instead (TestBackoffReads).
         fst = Fst()
         fst.add_states(6)
         for dst, w in ((1, 0.0), (2, 1.5), (3, 1.6), (4, 5.0)):
             fst.add_arc(0, Arc(1, 1, w, dst))
         fst.add_arc(1, Arc(1, 1, 0.25, 2))
-        fst.add_arc(4, Arc(0, 1, -4.5, 5))
+        fst.add_arc(4, Arc(0, 0, -4.5, 5))
         fst.set_initial(0)
         fst.set_final(5, 0.0)
         if onthefly:
@@ -1263,13 +1260,13 @@ def _static_cut_cases(draw):
 
 
 @st.composite
-def _onthefly_cut_cases(draw):
+def _onthefly_cut_cases(draw, raise_backoffs=True):
     """An on-the-fly task whose small LM may back off with positive log10
-    weights (negative epsilon weights in HCLG3), a noisy utterance and
-    decode options."""
+    weights (negative epsilon weights in HCLG3) unless ``raise_backoffs``
+    is false, a noisy utterance and decode options."""
     big, small, lex, sent = draw(oracle_tasks())
     for gram, e in list(small.ngrams(1)):
-        if e.backoff is not None and draw(st.booleans()):
+        if raise_backoffs and e.backoff is not None and draw(st.booleans()):
             small.add_entry(gram, e.logprob, draw(st.integers(1, 8)) / 10)
     noise = draw(st.sampled_from([0.5, 1.0, 2.0]))
     seed = draw(st.integers(0, 100))
@@ -1567,20 +1564,25 @@ class TestStations:
 
 
 def _reference_reads(space, g3neg, q1):
-    """(state, G3neg state, back-off weight walked) for q1 (weight None)
-    and, depth first in arc order, each state its eps:eps arcs reach, found
-    arc by arc: each hop takes G3neg's back-off arc and adds the search
-    graph's arc weight, left to right."""
+    """(state, G3neg state, back-off weight walked) for q1 (weight 0)
+    and, where every epsilon-input arc of the search graph is eps:eps with
+    a weight of at least 0, depth first in arc order, each state its
+    eps:eps arcs reach, found arc by arc: each hop takes G3neg's back-off
+    arc and adds the search graph's arc weight, left to right."""
+    graph = space.graph
+    propagates = any(a.ilabel == 0 and (a.olabel or a.weight < 0)
+                     for s in range(graph.num_states) for a in graph.arcs(s))
     reads = []
 
     def walk(p, g, wb):
         reads.append((p, g, wb))
-        for a in space.graph.arcs(p):
+        if propagates:
+            return
+        for a in graph.arcs(p):
             if a.ilabel == 0 and a.olabel == 0:
                 b = find_arc(g3neg, g, 0)
-                walk(a.nextstate, b.nextstate,
-                     a.weight + 0.0 if wb is None else wb + a.weight)
-    walk(q1, space._g3[q1], None)
+                walk(a.nextstate, b.nextstate, wb + a.weight)
+    walk(q1, space._g3[q1], 0.0)
     return reads
 
 
@@ -1605,8 +1607,7 @@ def _reference_emit(space, g3neg, g4, sid):
             if not il:
                 continue
             if not ol:
-                weight = w + 0.0 if wb is None else w + wb
-                own.append((il, ol, weight.hex(), (ns, q2, q3)))
+                own.append((il, ol, (w + wb).hex(), (ns, q2, q3)))
                 continue
             e2, acc2, _, at = _reference_relay(g3neg, q2, ol, scratch)
             if e2 is None or at != g:
@@ -1614,7 +1615,7 @@ def _reference_emit(space, g3neg, g4, sid):
             e3, acc3, _, at3 = _reference_relay(g4, q3, ol, scratch)
             if e3 is None:
                 continue
-            h = acc2 + acc3 if wb is None else (acc2 + acc3) + wb
+            h = (acc2 + acc3) + wb
             seg = found.setdefault(at3, [p + n1 * at3, h.hex(), []])
             weight = (w + e2.weight) + e3.weight
             seg[2].append((il, ol, weight.hex(),
@@ -1640,7 +1641,8 @@ class TestStationTables:
     for bit the per-arc expansion."""
 
     @settings(max_examples=60, deadline=None)
-    @given(_onthefly_cut_cases())
+    @given(st.one_of(_onthefly_cut_cases(raise_backoffs=False),
+                     _onthefly_cut_cases()))
     def test_expansion_equals_per_arc_reference(self, case):
         big, small, lex, sent, noise, seed, opts = case
         hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
@@ -1650,7 +1652,9 @@ class TestStationTables:
         except EmptyResultError:
             pass  # the states it interned are checked all the same
         space = search_space(hclg3, g3neg, g4)
-        assert space._states.failure  # HCLG3's epsilon arcs are all eps:eps
+        # Drawn LMs may back off at a negative weight; then HCLG3's
+        # back-off arcs propagate, and a token reads q1 alone.
+        event("failure reads" if space._rows.failure else "propagation")
         for sid in range(len(space._triples)):  # the states the decode interned
             assert _expansion(space, sid) == _reference_emit(space, g3neg, g4, sid)
 
@@ -1819,8 +1823,48 @@ class TestBackoffReads:
         assert cost == pytest.approx(ref_cost, abs=1e-9)
         assert cost == pytest.approx(want[1], abs=1e-9)
         assert got.peak_tokens < ref.peak_tokens
-        assert search_space(hclg, g3neg, g4)._states.failure
-        assert not search_space(reference, g3neg, g4)._states.failure
+        assert search_space(hclg, g3neg, g4)._rows.failure
+        assert not search_space(reference, g3neg, g4)._rows.failure
+
+    def test_negative_backoff_weight_propagates_under_a_narrow_beam(self):
+        # State 2 is reached at 5.0, beyond beam 4.0 (and lattice beam 0.5)
+        # of the arrival at state 1, but backs off to state 3 at -4.5, where
+        # morpheme 1 is read: that path ends at 0.5, the one through state
+        # 1 at 2.0.  Read as a failure transition, the back-off arc would be
+        # read only by a token at state 2, which the cutoff does not make.
+        # So a negative back-off weight keeps the graph's back-off arcs
+        # propagating, and the decode is the reference's, whose epsilon arc
+        # that reads a morpheme propagates them in any case.
+        def task():
+            hclg = Fst()
+            hclg.add_states(6)
+            for src, arc in ((0, Arc(1, 0, 0.0, 1)), (0, Arc(1, 0, 5.0, 2)),
+                             (2, Arc(0, 0, -4.5, 3)), (1, Arc(2, 0, 2.0, 4)),
+                             (3, Arc(2, 1, 0.0, 5))):
+                hclg.add_arc(src, arc)
+            hclg.set_initial(0)
+            hclg.set_final(4, 0.0)
+            hclg.set_final(5, 0.0)
+            return hclg
+        hclg, reference = task(), task()
+        reference.add_arc(reference.add_state(), Arc(0, 1, 0.0, 0))
+        g3neg = Fst()
+        g3neg.add_states(2)
+        g3neg.add_arc(0, Arc(1, 1, 0.0, 0))
+        g3neg.add_arc(1, Arc(0, 0, 0.0, 0))
+        g3neg.set_initial(1)
+        g3neg.set_final(0, 0.0)
+        g3neg.set_final(1, 0.0)
+        g3neg.arc_sort_input()
+        g4 = _loop_lm(1, 1, 0.0)
+        matrix = AcousticMatrix("u", np.zeros((2, 2)))
+        opts = DecodeOptions(beam=4.0, lattice_beam=0.5)
+        assert not search_space(hclg, g3neg, g4)._rows.failure
+        got, ref = (best_path(decode_onthefly(g, g3neg, g4, matrix, opts))
+                    for g in (hclg, reference))
+        assert got[0] == ref[0] == ["1"]
+        assert got[1] == pytest.approx(ref[1], abs=1e-9)
+        assert got[1] == pytest.approx(0.5, abs=1e-9)
 
 
 # -- arc rows: made per state on first visit -------------------------------
@@ -1979,6 +2023,26 @@ class TestLazyRows:
         # first sorted: both mark state 1 as an epsilon arc's target.
         ends = decoder._rows(_unreached_label_graph(sort)).ends
         assert list(map(bool, ends)) == [False, True, True]
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("olabel, weight, failure", [
+        (0, 0.0, True), (0, -0.5, False), (3, 0.5, False)],
+        ids=["eps:eps", "negative-weight", "morpheme"])
+    def test_failure_flag_reads_every_epsilon_arc(self, sort, olabel, weight,
+                                                  failure):
+        # State 2's second epsilon arc decides the flag: listed after a
+        # phone arc and another epsilon arc unsorted, second sorted.
+        g = Fst()
+        g.add_states(3)
+        g.add_arc(0, Arc(1, 0, 0.0, 1))
+        g.add_arc(2, Arc(1, 0, 0.0, 1))
+        g.add_arc(2, Arc(0, 0, 0.0, 1))
+        g.add_arc(2, Arc(0, olabel, weight, 0))
+        g.set_initial(0)
+        g.set_final(1)
+        if sort:
+            g.arc_sort_input()
+        assert decoder._rows(g).failure is failure
 
     @pytest.mark.parametrize("change", ["add_arc", "arc_sort_input"])
     def test_mutation_after_a_decode_leaves_no_rows(self, change):

@@ -55,11 +55,13 @@ The frame step cuts new tokens at the beam, as Kaldi's does: an arrival
 beyond the best so far plus the beam makes a token only at a state that
 a propagating epsilon arc leaves or enters, where propagation can still
 improve it (on the pipeline's HCLG3, at none).  Elsewhere an arrival
-within the lattice beam of that cutoff is set aside and, if a later,
-cheaper arrival makes the state's token, replayed into it before its
-first link.  So the tokens and their links within the lattice beam are
-those of a cutoff at the beam plus the lattice beam, less the tokens
-pruning would drop.
+within the lattice beam of that cutoff is set aside, recorded as its
+target's id alone.  In the rare frame where a later, cheaper arrival
+makes a recorded state's token, the set-aside arrivals there are made
+again from the arcs of the tokens that recorded it and replayed into
+the token before its first link.  So the tokens and their links within
+the lattice beam are those of a cutoff at the beam plus the lattice
+beam, less the tokens pruning would drop.
 
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
@@ -79,7 +81,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .acoustic import AcousticMatrix
-from .fst import ZERO, Arc, Fst, FstError, _connect
+from .fst import ZERO, Arc, Fst, FstError, _connect, gc_paused
 
 _INF = ZERO
 _NO_STATE = -1
@@ -526,25 +528,29 @@ class SearchSpace:
         within ``slack`` of it, an arrival makes one only where its state
         is at an end of an epsilon arc that propagates (``ends``), as
         propagation can make or improve a token there after this step; at
-        any other state it is set aside, and ``_replay`` puts it into the
-        token a later arrival makes there, if one does.  An on-the-fly
-        space that reads back-off arcs as failure transitions propagates
-        no arc, so there every such arrival is set aside.  Without a later
-        arrival, the state's token would cost more than the final best
-        plus ``beam``, so pruning would drop it.  Beyond ``slack`` of the
-        cutoff an arrival makes no new token where its state has no
-        propagating epsilon arcs: such a token costs more than the final
-        best plus ``beam``; no epsilon arc can bring a descendant of it
-        back under the beam; and its link into a kept token lies more
-        than ``slack`` (the lattice beam) above that token's cost, so the
-        lattice builder would drop the link.  So the tokens, and each
-        one's links within ``slack`` of its cost, are those of a cutoff at
-        ``beam + slack + _TOL`` (see README, "The frame step's cutoff"),
-        less tokens pruning drops.
+        any other state it is set aside.  It is recorded as its target's
+        id alone, in a list of ints where each source token's records
+        follow ``~`` its state id, pushed once before the first of them.
+        Where a later arrival makes a token at a recorded state (a hit),
+        ``_rebuild`` makes the set-aside arrivals there again from the
+        source tokens' arcs, and ``_replay`` puts them into that token.
+        An on-the-fly space that reads back-off arcs as failure
+        transitions propagates no arc, so there every such arrival is set
+        aside.  Without a later arrival, the state's token would cost more
+        than the final best plus ``beam``, so pruning would drop it.
+        Beyond ``slack`` of the cutoff an arrival makes no new token where
+        its state has no propagating epsilon arcs: such a token costs more
+        than the final best plus ``beam``; no epsilon arc can bring a
+        descendant of it back under the beam; and its link into a kept
+        token lies more than ``slack`` (the lattice beam) above that
+        token's cost, so the lattice builder would drop the link.  So the
+        tokens, and each one's links within ``slack`` of its cost, are
+        those of a cutoff at ``beam + slack + _TOL`` (see README, "The
+        frame step's cutoff"), less tokens pruning drops.
         """
         out = {}
         get = out.get
-        aside = []  # (state id, token, ilabel, olabel, link weight)
+        aside = []  # ~source state id, then its set-aside target ids
         push = aside.append
         emit, eps, ends = self.emit, self.eps, self.ends
         plan, hops = self._meet(tokens, slack, frame_costs)
@@ -553,6 +559,7 @@ class SearchSpace:
         best = limit = far = _INF
         costs = frame_costs
         rest = None  # a token's parts still to scan
+        marked = None  # the token whose run the records now extend
         for tok in tokens.values():
             arcs = emit[tok[0]]
             if arcs is None:
@@ -570,7 +577,10 @@ class SearchSpace:
                                 if not eps[nid]:
                                     continue
                             elif not ends[nid]:
-                                push((nid, tok, il, ol, lw))
+                                if marked is not tok:  # the run's marker
+                                    push(~tok[0])
+                                    marked = tok
+                                push(nid)
                                 continue
                         elif nc < best:
                             best = nc
@@ -590,9 +600,67 @@ class SearchSpace:
                     costs, arcs, rest = rest
                     continue
                 break  # the one test a token without parts pays
-        if aside:
-            _replay(out, aside, slack)
+        # Most frames replay nothing: a test in C of whether any recorded
+        # state has a token comes first (a marker is negative, no key).
+        if aside and not out.keys().isdisjoint(aside):
+            _replay(out, self._rebuild(tokens, out, aside, plan, hops,
+                                       frame_costs, far), slack)
         return out
+
+    def _rebuild(self, tokens: dict, out: dict, aside: list, plan: dict,
+                 hops: dict, frame_costs: Sequence[float],
+                 far: float) -> list:
+        """The arrivals set aside at the frame step's hits, the recorded
+        states that a later arrival gave a token, as ``(state id, token,
+        ilabel, olabel, link weight)`` in arrival order, for ``_replay``.
+        ``aside`` holds a run per token that set arrivals aside: ``~`` its
+        state id, then each such arrival's target.  The runs that hold a
+        hit are found with ``list.index`` and a walk back to their markers;
+        only their tokens scan their arcs again, as ``advance`` did (own
+        arcs, then the station parts in ``hops``), each for the hits its
+        run holds.  Such a token's arrivals at a hit all came before the
+        one that made the hit's token, its first link, so the scan of that
+        hit stops there: no earlier arrival from the same token with the
+        same labels and weight, and so the same cost, was set aside, since
+        the cutoff only falls.  An arrival is kept only within ``far``, the
+        frame's final wide cutoff: beyond it, its link would lie more than
+        ``slack`` above any token ``prune`` keeps, so the lattice builder
+        would drop it, as ``advance`` drops one beyond the wide cutoff in
+        force when it comes.  Every arrival kept costs less, so dropping it
+        changes no other arrival's test in ``_replay``."""
+        runs = {}  # position of a run's marker -> the hits the run holds
+        for nid in out.keys() & aside:
+            at = -1
+            for _ in range(aside.count(nid)):
+                at = aside.index(nid, at + 1)
+                m = at
+                while aside[m] >= 0:
+                    m -= 1
+                runs.setdefault(m, set()).add(nid)
+        emit = self.emit
+        rebuilt = []
+        for m in sorted(runs):
+            wanted = runs[m]
+            sid = ~aside[m]
+            tok = tokens[sid]
+            cost = tok[2]
+            costs, arcs, rest = frame_costs, emit[sid], None
+            if arcs is None:
+                arcs, rest = plan[sid], hops.get(sid)
+            while wanted:
+                for il, ol, bw, nid in arcs:
+                    if nid in wanted:
+                        lw = bw + costs[il]
+                        first = out[nid]
+                        if (first[3] is tok and first[4] == il
+                                and first[5] == ol and first[6] == lw):
+                            wanted.discard(nid)
+                        elif cost + lw <= far:
+                            rebuilt.append((nid, tok, il, ol, lw))
+                if not rest:
+                    break
+                costs, arcs, rest = rest
+        return rebuilt
 
     def _meet(self, tokens: dict, slack: float,
               frame_costs: Sequence[float]) -> tuple[dict, dict]:
@@ -742,6 +810,13 @@ class _OnTheFlySpace(SearchSpace):
                 self.eps.append(True if self._rows.eps[triple[0]] else ())
                 self.ends.append(self._rows.ends[triple[0]])
         return sid
+
+    def propagate(self, tokens: dict, frame: int, slack: float) -> dict:
+        """Where the space reads back-off arcs as failure transitions, no
+        arc propagates: ``tokens`` as it is, without a scan."""
+        if self._rows.failure:
+            return tokens
+        return super().propagate(tokens, frame, slack)
 
     def final_weight(self, sid: int) -> float:
         q1, q2, q3 = self._triples[sid]
@@ -1132,23 +1207,16 @@ def _labels(seg: list) -> int:
 
 
 def _replay(out: dict, aside: list, slack: float) -> None:
-    """Put the arrivals the frame step set aside into the tokens that
-    later arrivals made at their states, in place.  A token's set-aside
-    arrivals go before its first link, in arrival order, each tested as
-    the frame step tests an arrival: the first sets the running cost, a
-    lower cost sets it again, and a cost within ``slack`` of it adds a
-    link.  All cost more than the arrival that made the token, so that
-    arrival still sets the token's cost, and the links after it were
-    tested against that cost.  The arrivals at states without a token
-    are dropped.  Most frames replay nothing, so a test in C of whether
-    any set-aside state has a token comes first: without it, the loop
-    below took half as long again on ``large-vocab``."""
-    if out.keys().isdisjoint(map(itemgetter(0), aside)):
-        return
+    """Put the set-aside arrivals that ``SearchSpace._rebuild`` rebuilt
+    into the tokens that later arrivals made at their states, in place.
+    A token's set-aside arrivals go before its first link, in arrival
+    order, each tested as the frame step tests an arrival: the first sets
+    the running cost, a lower cost sets it again, and a cost within
+    ``slack`` of it adds a link.  All cost more than the arrival that made
+    the token, so that arrival still sets the token's cost, and the links
+    after it were tested against that cost."""
     runs = {}  # state id -> [running cost, links...]
     for nid, tok, il, ol, lw in aside:
-        if nid not in out:
-            continue
         nc = tok[2] + lw
         run = runs.get(nid)
         if run is None:
@@ -1281,6 +1349,7 @@ def _build_lattice(space: SearchSpace, finals: list, init_token: list,
     return Lattice(fst, [found[k][1] for k in ordered], utt_id)
 
 
+@gc_paused
 def best_path(lat: Lattice) -> tuple[list[str], float]:
     """Min-cost lattice path: (morpheme sequence, cost).
 
@@ -1331,6 +1400,7 @@ def best_path(lat: Lattice) -> tuple[list[str], float]:
 
 # -- full decodes ----------------------------------------------------------
 
+@gc_paused
 def _decode(space: SearchSpace, acoustic: AcousticMatrix,
             opts: DecodeOptions, utt_id: str) -> Lattice:
     if space.graph.initial < 0:
@@ -1379,6 +1449,7 @@ def decode_static(graph: Fst, acoustic: AcousticMatrix,
                    utt_id)
 
 
+@gc_paused
 def rescore_lattice(lat: Lattice, g3neg: Fst, g4: Fst,
                     stats: Optional[RelayStats] = None) -> Lattice:
     """Replace first-pass LM scores along lattice paths with big-LM scores.

@@ -36,12 +36,16 @@ _F = TypeVar("_F", bound=Callable)
 def gc_paused(fn: _F) -> _F:
     """Run ``fn`` with the cyclic garbage collector off, then turn it back on.
 
-    For the calls that build a whole LM, task or graph.  What they build is
-    never garbage and holds no cycles, yet it is hundreds of thousands of
-    containers, and each full collection during a build walks all of them
-    (an ``Arc`` is a tuple subclass, which the collector never untracks).
-    A call made while the collector is already off, as a builder nested in
-    another is, leaves it off; an error leaves it as it was found.
+    For the calls that build a whole LM, task or graph, and for the
+    decodes (``decoder._decode``, ``rescore_lattice`` and ``best_path``).
+    What they build is never garbage and holds no cycles, yet a build is
+    hundreds of thousands of containers, and each full collection during
+    it walks all of them (an ``Arc`` is a tuple subclass, which the
+    collector never untracks); a decode makes a list per token and
+    tuples per arc it reads, enough to start a young collection every few
+    frames of a pass without pruning.  A call made while the collector is
+    already off, as a builder nested in another is, leaves it off; an
+    error leaves it as it was found.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -86,8 +90,15 @@ class SymbolTable:
         return sym in self._sym2id
 
     def add(self, sym: str) -> int:
+        """The symbol's id, added if new.  A symbol that ``write_text``
+        could not write so that ``read_text`` reads it back raises
+        FstError, and the table is left as it was: an empty one, and one
+        with whitespace."""
         sid = self._sym2id.get(sym)
         if sid is None:
+            if sym.split() != [sym]:
+                raise FstError(f"symbol {sym!r} is empty or holds whitespace, "
+                               "which a symbol table line cannot carry")
             sid = len(self._sym2id)
             self._sym2id[sym] = sid
             self._id2sym[sid] = sym

@@ -1286,7 +1286,8 @@ class TestCutoff:
         _assert_cut_equals_uncut(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(_onthefly_cut_cases())
+    @given(st.one_of(_onthefly_cut_cases(),
+                     _onthefly_cut_cases(raise_backoffs=False)))
     def test_onthefly_and_rescore_equal_uncut(self, case):
         big, small, lex, sent, noise, seed, opts = case
         runs = []
@@ -1299,6 +1300,11 @@ class TestCutoff:
             rescore = _cut_outcome(lambda: rescore_lattice(
                 decode_static(hclg3, matrix, opts), g3neg, g4, stats), uncut)
             runs.append((onthefly, rescore, stats))
+        # Drawn LMs may back off at a negative weight; then HCLG3's
+        # back-off arcs propagate, and the frame step reads no station of
+        # a back-off state.
+        event("failure reads" if search_space(hclg3, g3neg, g4)._rows.failure
+              else "propagation")
         (got, got_rescore, got_stats), (want, want_rescore, want_stats) = runs
         _assert_cut_equals_uncut(got, want)
         _assert_cut_equals_uncut(got_rescore, want_rescore)
@@ -1364,6 +1370,126 @@ class TestCutoff:
         opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
         got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
                      for uncut in (False, True))
+        _assert_cut_equals_uncut(got, want)
+
+    # A hit is a state whose arrivals were set aside before a later
+    # arrival in the same frame made its token; the frame step rebuilds its
+    # set-aside arrivals from the source tokens' arcs.  These cases compare
+    # the hit's token with the uncut step's, link for link: the lattice
+    # builder merges a repeated link and drops one far above its token's
+    # cost, so a decode alone would not show a rebuild that repeats or
+    # keeps one.
+
+    @staticmethod
+    def _frame_step(space, tokens, beam, slack):
+        """One frame step from ``tokens`` at phone 1's cost 0, cut and
+        uncut, and the arrivals each rebuild of the cut step returned."""
+        rebuild = decoder.SearchSpace._rebuild
+        rebuilt = []
+
+        def spy(self, *args):
+            rebuilt.append(rebuild(self, *args))
+            return rebuilt[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder.SearchSpace, "_rebuild", spy)
+            cut = space.advance(tokens, [INF, 0.0], 1, slack, beam)
+        return cut, _uncut_advance(space, tokens, [INF, 0.0], 1, slack), rebuilt
+
+    def _assert_static_decode_equals_uncut(self, g, matrix):
+        opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
+        got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
+                     for uncut in (False, True))
+        _assert_cut_equals_uncut(got, want)
+
+    def test_rebuild_takes_set_aside_arrivals_from_two_source_tokens(self):
+        # Beam 1.0, lattice beam 2.0.  Epsilon arcs give frame 0 tokens at
+        # states 0, 1 and 2, all at 0.0.  State 0 reaches state 3 at 0.0;
+        # state 1 reaches state 4 at 1.5, beyond the cutoff, and so does
+        # state 2 at 1.75, both set aside; state 2 then makes state 4's
+        # token at 0.5 and adds a link at 1.0.  The rebuild takes the
+        # arrivals of both runs, and stops at the arrival that made the
+        # token.
+        g, matrix = self._one_frame(
+            [(0, 0, 0, 0.0, 1), (0, 0, 0, 0.0, 2), (0, 1, 0, 0.0, 3),
+             (1, 1, 1, 1.5, 4), (2, 1, 2, 1.75, 4), (2, 1, 3, 0.5, 4),
+             (2, 1, 4, 1.0, 4)], (3, 4))
+        space = SearchSpace(g)
+        tokens = {0: [0, 0, 0.0]}
+        space.propagate(tokens, 0, 2.0)
+        assert list(tokens) == [0, 1, 2]
+        cut, uncut, rebuilt = self._frame_step(space, tokens, 1.0, 2.0)
+        assert [[(nid, tok[0], ol) for nid, tok, _, ol, _ in r]
+                for r in rebuilt] == [[(4, 1, 1), (4, 2, 2)]]
+        assert cut[4] == uncut[4]
+        assert [(p[0], ol, w) for p, _, ol, w in links(cut[4])] == [
+            (1, 1, 1.5), (2, 2, 1.75), (2, 3, 0.5), (2, 4, 1.0)]
+        self._assert_static_decode_equals_uncut(g, matrix)
+
+    def test_rebuild_drops_what_lies_beyond_the_final_wide_cutoff(self):
+        # Beam 1.0, lattice beam 2.0.  State 0 reaches state 1 at 2.0, so
+        # the wide cutoff stands at 2.0 + 3.0, and state 2 at 4.0, which is
+        # set aside.  Then state 3 at 0.0 lowers the wide cutoff to 3.0,
+        # and state 2's token is made at 0.5.  The set-aside arrival lies
+        # beyond the final wide cutoff, more than the lattice beam above
+        # the token, so the rebuild drops it: the token is the uncut one
+        # less that link, which the lattice builder drops too.
+        g, matrix = self._one_frame(
+            [(0, 1, 0, 2.0, 1), (0, 1, 1, 4.0, 2), (0, 1, 0, 0.0, 3),
+             (0, 1, 2, 0.5, 2)], (1, 2, 3))
+        space = SearchSpace(g)
+        cut, uncut, rebuilt = self._frame_step(space, {0: [0, 0, 0.0]},
+                                               1.0, 2.0)
+        assert rebuilt == [[]]
+        assert [(ol, w) for _, _, ol, w in links(uncut[2])] == [(1, 4.0),
+                                                                (2, 0.5)]
+        assert cut[2] == uncut[2][:3] + uncut[2][7:]
+        self._assert_static_decode_equals_uncut(g, matrix)
+
+    def test_rebuild_rescans_station_parts(self):
+        # On the fly.  Search-graph state 0, composed from G3neg state 1,
+        # backs off at 0.25 to state 1 (G3neg state 0), whose morpheme arcs
+        # a token at state 0 reads from the station (1, 0), at hop weight
+        # h = 0.25.  Beam 1.0, lattice beam 2.0: the token's own arc makes
+        # state 3 at 0.0; then, in the station part, morpheme 2 reaches
+        # state 2 at 1.25 + h, set aside, morpheme 3 makes its token at
+        # 0.25 + h, and morpheme 2 adds a link at 0.75 + h.
+        hclg = Fst()
+        hclg.add_states(4)
+        for src, arc in ((0, Arc(0, 0, 0.25, 1)), (0, Arc(1, 0, 0.0, 3)),
+                         (1, Arc(1, 2, 1.25, 2)), (1, Arc(1, 3, 0.25, 2)),
+                         (1, Arc(1, 2, 0.75, 2))):
+            hclg.add_arc(src, arc)
+        hclg.set_initial(0)
+        hclg.set_final(2, 0.0)
+        hclg.set_final(3, 0.0)
+        g3neg = Fst()
+        g3neg.add_states(2)
+        for src, arc in ((1, Arc(0, 0, 0.0, 0)), (1, Arc(1, 1, 0.0, 0)),
+                         *((0, Arc(m, m, 0.0, 0)) for m in (1, 2, 3))):
+            g3neg.add_arc(src, arc)
+        g3neg.set_initial(1)
+        g3neg.set_final(0, 0.0)
+        g3neg.arc_sort_input()
+        g4 = _loop_lm(1, 1, 0.0)
+        for m in (2, 3):
+            g4.add_arc(0, Arc(m, m, 0.0, 0))
+        g4.arc_sort_input()
+        space = search_space(hclg, g3neg, g4)
+        assert space._rows.failure
+        tokens = {space.initial: [space.initial, 0, 0.0]}
+        cut, uncut, rebuilt = self._frame_step(space, tokens, 1.0, 2.0)
+        assert space.emit[space.initial] is None  # it reads a station
+        hit = space.state_id((2, 0, 0))
+        assert [[(nid, ol, w) for nid, _, _, ol, w in r]
+                for r in rebuilt] == [[(hit, 2, 1.25 + 0.25)]]
+        assert cut[hit] == uncut[hit]
+        assert [(ol, w) for _, _, ol, w in links(cut[hit])] == [
+            (2, 1.5), (3, 0.5), (2, 1.0)]
+        opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
+        matrix = AcousticMatrix("u", np.array([[0.0]]))
+        got, want = (_cut_outcome(lambda: decode_onthefly(
+            hclg, g3neg, g4, matrix, opts), uncut) for uncut in (False, True))
         _assert_cut_equals_uncut(got, want)
 
 
@@ -1767,6 +1893,18 @@ class TestBackoffReads:
             tokens = space.prune(tokens, opts)
         assert made > matrix.num_frames
         assert not any(space.eps) and not any(space.ends)
+
+    def test_propagate_returns_at_once_where_nothing_propagates(
+            self, task_models):
+        # The default task's HCLG3 has only eps:eps arcs of weight at least
+        # 0, so propagation has no arc: it hands back the token dict
+        # without reading a state's epsilon entry.
+        space, _ = _default_task(task_models)
+        assert space._rows.failure
+        tokens = {space.initial: [space.initial, 0, 0.0]}
+        space.eps = None  # this space only; a scan of the tokens would fail
+        assert space.propagate(tokens, 0, 8.0) is tokens
+        assert list(tokens) == [space.initial]
 
     @staticmethod
     def _two_hop_task(w4, parallel):

@@ -2,9 +2,10 @@
 
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfstdec.fst import (
@@ -302,6 +303,11 @@ class TestTextFormat:
         assert fst.arcs(0)[0].weight == 0.0
 
 
+# Short texts over letters, digits, and the whitespace and line breaks that
+# a symbol table line cannot carry.
+_SYMBOL_TEXT = st.text(alphabet="ab0#<> \t\n\r\x0b\x1c\x85\u2028", max_size=3)
+
+
 class TestSymbolTable:
     def test_epsilon_reserved(self):
         syms = SymbolTable()
@@ -320,6 +326,29 @@ class TestSymbolTable:
     def test_unknown_symbol(self):
         with pytest.raises(FstError, match="unknown symbol"):
             SymbolTable().id_of("nope")
+
+    @pytest.mark.parametrize("sym", ["", " ", " a", "a b", "a\tb", "a\n",
+                                     "a\x1c", "\u2028"])
+    def test_symbols_a_table_line_cannot_carry(self, sym):
+        syms = SymbolTable()
+        syms.add("a")
+        with pytest.raises(FstError, match=f"^symbol {re.escape(repr(sym))} "):
+            syms.add(sym)
+        assert dict(syms.symbols()) == {"<eps>": 0, "a": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_SYMBOL_TEXT, st.text(max_size=3),
+                              st.sampled_from(["<eps>", "#0", "0", "1"])),
+                    max_size=8))
+    def test_what_add_accepts_reads_back(self, symbols):
+        syms = SymbolTable()
+        for sym in symbols:
+            try:
+                syms.add(sym)
+            except FstError:
+                pass
+        again = SymbolTable.read_text(syms.write_text())
+        assert list(again.symbols()) == list(syms.symbols())
 
     @pytest.mark.parametrize("text", [
         "<eps>\t0\na\tx\n", "<eps>\t0\na\t-1\n", "<eps>\t0\na\n"],

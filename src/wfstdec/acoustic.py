@@ -82,6 +82,12 @@ def synthesize_utterance(phone_sequence: Sequence[int], num_symbols: int,
 
 
 def write_acoustic_text(m: AcousticMatrix) -> str:
+    """The text format that read_acoustic_text reads.  An utterance id
+    that its header cannot carry (empty, or with whitespace, where the
+    reader splits the header's fields) raises AcousticError."""
+    if m.utt_id.split() != [m.utt_id]:
+        raise AcousticError(f"utterance id {m.utt_id!r} is empty or holds "
+                            "whitespace, which the acoustic header cannot carry")
     header = f"utt {m.utt_id} frames {m.num_frames} symbols {m.num_symbols}"
     rows = [" ".join(f"{c:.6f}" for c in row) for row in m.costs]
     return header + "\n" + "\n".join(rows) + "\n"

@@ -55,11 +55,11 @@ The frame step cuts new tokens at the beam, as Kaldi's does: an arrival
 beyond the best so far plus the beam makes a token only at a state that
 a propagating epsilon arc leaves or enters, where propagation can still
 improve it (on the pipeline's HCLG3, at none).  Elsewhere an arrival
-within the lattice beam of that cutoff is set aside, recorded as its
-target's id alone.  In the rare frame where a later, cheaper arrival
-makes a recorded state's token, the set-aside arrivals there are made
-again from the arcs of the tokens that recorded it and replayed into
-the token before its first link.  So the tokens and their links within
+within the lattice beam of that cutoff is set aside: its target goes
+into a set.  In the rare frame where a later, cheaper arrival makes a
+token at a set-aside state, one rescan of the frame's arcs makes the
+set-aside arrivals there again, and they are replayed into the token
+before its first link.  So the tokens and their links within
 the lattice beam are those of a cutoff at the beam plus the lattice
 beam, less the tokens pruning would drop.
 
@@ -528,12 +528,10 @@ class SearchSpace:
         within ``slack`` of it, an arrival makes one only where its state
         is at an end of an epsilon arc that propagates (``ends``), as
         propagation can make or improve a token there after this step; at
-        any other state it is set aside.  It is recorded as its target's
-        id alone, in a list of ints where each source token's records
-        follow ``~`` its state id, pushed once before the first of them.
-        Where a later arrival makes a token at a recorded state (a hit),
-        ``_rebuild`` makes the set-aside arrivals there again from the
-        source tokens' arcs, and ``_replay`` puts them into that token.
+        any other state it is set aside: its target goes into a set.
+        Where a later arrival makes a token at a set-aside state (a hit),
+        ``_replay`` makes the set-aside arrivals there again from the
+        frame's arcs and puts them into that token.
         An on-the-fly space that reads back-off arcs as failure
         transitions propagates no arc, so there every such arrival is set
         aside.  Without a later arrival, the state's token would cost more
@@ -550,8 +548,8 @@ class SearchSpace:
         """
         out = {}
         get = out.get
-        aside = []  # ~source state id, then its set-aside target ids
-        push = aside.append
+        aside = set()  # the targets of set-aside arrivals
+        add = aside.add
         emit, eps, ends = self.emit, self.eps, self.ends
         plan, hops = self._meet(tokens, slack, frame_costs)
         margin = beam + _TOL
@@ -559,7 +557,6 @@ class SearchSpace:
         best = limit = far = _INF
         costs = frame_costs
         rest = None  # a token's parts still to scan
-        marked = None  # the token whose run the records now extend
         for tok in tokens.values():
             arcs = emit[tok[0]]
             if arcs is None:
@@ -577,10 +574,7 @@ class SearchSpace:
                                 if not eps[nid]:
                                     continue
                             elif not ends[nid]:
-                                if marked is not tok:  # the run's marker
-                                    push(~tok[0])
-                                    marked = tok
-                                push(nid)
+                                add(nid)
                                 continue
                         elif nc < best:
                             best = nc
@@ -600,67 +594,67 @@ class SearchSpace:
                     costs, arcs, rest = rest
                     continue
                 break  # the one test a token without parts pays
-        # Most frames replay nothing: a test in C of whether any recorded
-        # state has a token comes first (a marker is negative, no key).
-        if aside and not out.keys().isdisjoint(aside):
-            _replay(out, self._rebuild(tokens, out, aside, plan, hops,
-                                       frame_costs, far), slack)
+        # Most frames replay nothing: a test in C of whether any set-aside
+        # state has a token comes first.
+        if aside and not aside.isdisjoint(out):
+            self._replay(tokens, out, out.keys() & aside, plan, hops,
+                         frame_costs, far, slack)
         return out
 
-    def _rebuild(self, tokens: dict, out: dict, aside: list, plan: dict,
-                 hops: dict, frame_costs: Sequence[float],
-                 far: float) -> list:
-        """The arrivals set aside at the frame step's hits, the recorded
-        states that a later arrival gave a token, as ``(state id, token,
-        ilabel, olabel, link weight)`` in arrival order, for ``_replay``.
-        ``aside`` holds a run per token that set arrivals aside: ``~`` its
-        state id, then each such arrival's target.  The runs that hold a
-        hit are found with ``list.index`` and a walk back to their markers;
-        only their tokens scan their arcs again, as ``advance`` did (own
-        arcs, then the station parts in ``hops``), each for the hits its
-        run holds.  Such a token's arrivals at a hit all came before the
-        one that made the hit's token, its first link, so the scan of that
-        hit stops there: no earlier arrival from the same token with the
-        same labels and weight, and so the same cost, was set aside, since
-        the cutoff only falls.  An arrival is kept only within ``far``, the
-        frame's final wide cutoff: beyond it, its link would lie more than
-        ``slack`` above any token ``prune`` keeps, so the lattice builder
-        would drop it, as ``advance`` drops one beyond the wide cutoff in
-        force when it comes.  Every arrival kept costs less, so dropping it
-        changes no other arrival's test in ``_replay``."""
-        runs = {}  # position of a run's marker -> the hits the run holds
-        for nid in out.keys() & aside:
-            at = -1
-            for _ in range(aside.count(nid)):
-                at = aside.index(nid, at + 1)
-                m = at
-                while aside[m] >= 0:
-                    m -= 1
-                runs.setdefault(m, set()).add(nid)
+    def _replay(self, tokens: dict, out: dict, hits: set, plan: dict,
+                hops: dict, frame_costs: Sequence[float], far: float,
+                slack: float) -> None:
+        """Put the arrivals set aside at ``hits``, the states where a later
+        arrival made a token, into those tokens, in place; ``hits`` is
+        emptied.  The frame's tokens scan their arcs again in ``advance``'s
+        order (own arcs, then the station parts in ``hops``), and the scan
+        of a hit stops at the arrival that made its token, its first link.
+        Every earlier arrival there was set aside or lay beyond the wide
+        cutoff in force when it came, and that cutoff only falls; so those
+        within ``far``, the frame's final wide cutoff, were set aside.
+        Those beyond it are dropped, as ``advance`` drops an arrival beyond
+        the wide cutoff in force: its link would lie more than ``slack``
+        above any token ``prune`` keeps.  Each kept arrival is tested as
+        ``advance`` tests one: the first sets the running cost, a lower
+        cost sets it again, and a cost within ``slack`` of it adds a link.
+        The links go before the token's first link: all cost more than the
+        arrival that made the token, so that arrival still sets its cost,
+        and the links after it were tested against that cost."""
         emit = self.emit
-        rebuilt = []
-        for m in sorted(runs):
-            wanted = runs[m]
-            sid = ~aside[m]
-            tok = tokens[sid]
+        runs = {}  # hit state id -> [running cost, links...]
+        for tok in tokens.values():
             cost = tok[2]
-            costs, arcs, rest = frame_costs, emit[sid], None
+            costs, arcs, rest = frame_costs, emit[tok[0]], None
             if arcs is None:
-                arcs, rest = plan[sid], hops.get(sid)
-            while wanted:
+                arcs, rest = plan[tok[0]], hops.get(tok[0])
+            while True:
                 for il, ol, bw, nid in arcs:
-                    if nid in wanted:
-                        lw = bw + costs[il]
-                        first = out[nid]
-                        if (first[3] is tok and first[4] == il
-                                and first[5] == ol and first[6] == lw):
-                            wanted.discard(nid)
-                        elif cost + lw <= far:
-                            rebuilt.append((nid, tok, il, ol, lw))
+                    if nid not in hits:
+                        continue
+                    lw = bw + costs[il]
+                    first = out[nid]
+                    if (first[3] is tok and first[4] == il
+                            and first[5] == ol and first[6] == lw):
+                        hits.discard(nid)
+                        continue
+                    nc = cost + lw
+                    if nc > far:
+                        continue
+                    run = runs.get(nid)
+                    if run is None:
+                        runs[nid] = [nc, tok, il, ol, lw]
+                    elif nc < run[0]:
+                        run[0] = nc
+                        run += tok, il, ol, lw
+                    elif nc <= run[0] + slack:
+                        run += tok, il, ol, lw
                 if not rest:
                     break
                 costs, arcs, rest = rest
-        return rebuilt
+            if not hits:
+                break
+        for nid, run in runs.items():
+            out[nid][3:3] = run[1:]
 
     def _meet(self, tokens: dict, slack: float,
               frame_costs: Sequence[float]) -> tuple[dict, dict]:
@@ -837,7 +831,7 @@ class _OnTheFlySpace(SearchSpace):
         segments), over the search-graph states a token at q1 reads (see
         ``_reads``): q1, then those its back-off arcs reach, each with the
         HCLG3 back-off weight wb walked to it.  The own arcs are their
-        ``phone:eps`` arcs, a back-off state's weighing ``w + wb``.  Their
+        ``phone:eps`` arcs, each weighing ``w + wb``.  Their
         morpheme arcs that the LM pair (q2, q3) matched at the state's
         G3neg state and at G4 state at3 form a segment ``[station, h, rows,
         None]``, the None a cache for ``_labels``: h is the pair's hop
@@ -852,8 +846,8 @@ class _OnTheFlySpace(SearchSpace):
         stays None."""
         q1, q2, q3 = self._triples[sid]
         reads = self._reads(q1)
-        own = self.expand_arcs(sid, reads[0][3])
-        for p, g, wb, phones, _, _ in reads[1:]:
+        own = []
+        for p, g, wb, phones, _, _ in reads:
             for il, ol, w, ns in phones:
                 self._reach(ns, g)
                 own.append((il, ol, w + wb, self.state_id((ns, q2, q3))))
@@ -1204,30 +1198,6 @@ def _labels(seg: list) -> int:
             labels |= 1 << a[1]
         seg[3] = labels
     return labels
-
-
-def _replay(out: dict, aside: list, slack: float) -> None:
-    """Put the set-aside arrivals that ``SearchSpace._rebuild`` rebuilt
-    into the tokens that later arrivals made at their states, in place.
-    A token's set-aside arrivals go before its first link, in arrival
-    order, each tested as the frame step tests an arrival: the first sets
-    the running cost, a lower cost sets it again, and a cost within
-    ``slack`` of it adds a link.  All cost more than the arrival that made
-    the token, so that arrival still sets the token's cost, and the links
-    after it were tested against that cost."""
-    runs = {}  # state id -> [running cost, links...]
-    for nid, tok, il, ol, lw in aside:
-        nc = tok[2] + lw
-        run = runs.get(nid)
-        if run is None:
-            runs[nid] = [nc, tok, il, ol, lw]
-        elif nc < run[0]:
-            run[0] = nc
-            run += tok, il, ol, lw
-        elif nc <= run[0] + slack:
-            run += tok, il, ol, lw
-    for nid, run in runs.items():
-        out[nid][3:3] = run[1:]
 
 
 def search_space(graph: Fst, g3neg: Fst, g4: Fst,

@@ -48,6 +48,14 @@ class NGramEntry(NamedTuple):
     backoff: Optional[float] = None
 
 
+def _check_token(token: str) -> None:
+    """Refuse a token that ARPA text cannot carry: an empty one, or one
+    with whitespace, where ``parse_arpa`` splits a line's fields."""
+    if token.split() != [token]:
+        raise NGramError(f"token {token!r} is empty or holds whitespace, "
+                         "which ARPA text cannot carry")
+
+
 class NGramModel:
     """Back-off n-gram model addressed by token tuples."""
 
@@ -71,6 +79,8 @@ class NGramModel:
             raise NGramError(f"back-off weight on highest-order entry {gram}")
         if math.isnan(logprob) or (backoff is not None and math.isnan(backoff)):
             raise NGramError(f"NaN log-probability or back-off weight on {gram}")
+        for token in gram:
+            _check_token(token)
         self._grams[n][gram] = NGramEntry(logprob, backoff)
         self.vocabulary.update(gram)
 
@@ -290,6 +300,8 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
     del counts[1][(BOS,)]  # <s> is never a predicted event
 
     events = sorted(g[0] for g in counts[1])
+    for w in events:  # every corpus token is counted as a unigram
+        _check_token(w)
     v = len(events)
     model = NGramModel(order)
     grams = model._grams
@@ -298,7 +310,8 @@ def estimate_witten_bell(corpus: Sequence[Sequence[str]], order: int) -> NGramMo
     # checks by construction: every probability is a positive finite
     # float, so no log is NaN; only _assign_backoffs sets back-offs, and
     # only below the top order; and every token of a counted n-gram is
-    # counted as a unigram, so the vocabulary is the unigrams'.
+    # counted as a unigram, so the vocabulary is the unigrams', each token
+    # checked above.
 
     # Unigrams: interpolate with a uniform base over the event space.
     n1 = sum(counts[1].values())

@@ -1,6 +1,7 @@
 """Synthetic acoustic front end: synthesis, access, text round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestTextFormat:
         again = read_acoustic_text(write_acoustic_text(m))
         assert again.utt_id == "u7"
         assert np.allclose(again.costs, m.costs, atol=1e-6)
+
+    @pytest.mark.parametrize("utt_id", ["", "a b", "x\ty", " u", "u\n"])
+    def test_ids_the_header_cannot_carry_are_refused(self, utt_id):
+        # Written, each made a header that read_acoustic_text refuses or
+        # reads as another id.
+        m = synthesize_utterance([1], 2, utt_id=utt_id)
+        with pytest.raises(AcousticError, match=re.escape(repr(utt_id))):
+            write_acoustic_text(m)
 
     def test_header_validated(self):
         with pytest.raises(AcousticError, match="header"):

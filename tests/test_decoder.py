@@ -6,6 +6,7 @@ import random
 import signal
 import weakref
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -1273,6 +1274,30 @@ def _onthefly_cut_cases(draw, raise_backoffs=True):
     return big, small, lex, sent, noise, seed, draw(_cut_options)
 
 
+@st.composite
+def _one_frame_meetings(draw):
+    """A static graph where frame-0 tokens at states 0 to n-1, at costs
+    spread over 0 to 3, reach 2 to 4 shared target states by phone 1
+    at weights 0 to 3; the tokens, costliest first, so that later
+    tokens lower the cutoff; and (beam, lattice beam).  Set-aside
+    arrivals then often meet a later, cheaper one."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, 4))
+    weight = st.integers(0, 12).map(lambda i: i / 4)
+    g = Fst()
+    g.add_states(n + k)
+    for src in range(n):
+        for _ in range(draw(st.integers(2, 5))):
+            g.add_arc(src, Arc(1, draw(st.integers(0, 3)), draw(weight),
+                               n + draw(st.integers(0, k - 1))))
+    g.set_initial(0)
+    costs = [draw(weight) for _ in range(n)]
+    order = sorted(range(n), key=lambda src: -costs[src])
+    tokens = {src: [src, 0, costs[src]] for src in order}
+    return (g, tokens, draw(st.sampled_from([0.5, 1.0])),
+            draw(st.sampled_from([1.0, 2.0, 4.0])))
+
+
 class TestCutoff:
     """Decodes with the frame step's cutoff against the uncut reference:
     equal hypotheses, costs, lattices and relay counters."""
@@ -1374,27 +1399,43 @@ class TestCutoff:
 
     # A hit is a state whose arrivals were set aside before a later
     # arrival in the same frame made its token; the frame step rebuilds its
-    # set-aside arrivals from the source tokens' arcs.  These cases compare
-    # the hit's token with the uncut step's, link for link: the lattice
-    # builder merges a repeated link and drops one far above its token's
-    # cost, so a decode alone would not show a rebuild that repeats or
-    # keeps one.
+    # set-aside arrivals from the frame's arcs and replays them.  These
+    # cases compare the hit's token with the uncut step's, link for link:
+    # the lattice builder merges a repeated link and drops one far above
+    # its token's cost, so a decode alone would not show a rebuild that
+    # repeats or keeps one.
 
     @staticmethod
     def _frame_step(space, tokens, beam, slack):
         """One frame step from ``tokens`` at phone 1's cost 0, cut and
-        uncut, and the arrivals each rebuild of the cut step returned."""
-        rebuild = decoder.SearchSpace._rebuild
-        rebuilt = []
+        uncut, and the hits of each replay in the cut step, sorted."""
+        replay = decoder.SearchSpace._replay
+        hits = []
 
-        def spy(self, *args):
-            rebuilt.append(rebuild(self, *args))
-            return rebuilt[-1]
+        def spy(self, tokens, out, found, *args):
+            hits.append(sorted(found))  # before the replay empties it
+            replay(self, tokens, out, found, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder.SearchSpace, "_rebuild", spy)
+            mp.setattr(decoder.SearchSpace, "_replay", spy)
             cut = space.advance(tokens, [INF, 0.0], 1, slack, beam)
-        return cut, _uncut_advance(space, tokens, [INF, 0.0], 1, slack), rebuilt
+        return cut, _uncut_advance(space, tokens, [INF, 0.0], 1, slack), hits
+
+    @settings(max_examples=200, deadline=None)
+    @given(_one_frame_meetings())
+    def test_replayed_frames_equal_uncut(self, case):
+        g, tokens, beam, slack = case
+        cut, uncut, hits = self._frame_step(SearchSpace(g), tokens, beam, slack)
+        event("replays" if hits else "no replay")
+        _assert_step_equals_uncut(cut, uncut, beam, slack)
+
+        def kept(tok):  # its links within the lattice beam, in order
+            return [lk for lk in links(tok) if lk[0][2] + lk[3] <= tok[2] + slack]
+
+        best = min(t[2] for t in uncut.values())
+        for sid in chain.from_iterable(hits):
+            if uncut[sid][2] <= best + beam:
+                assert kept(cut[sid]) == kept(uncut[sid])
 
     def _assert_static_decode_equals_uncut(self, g, matrix):
         opts = DecodeOptions(beam=1.0, lattice_beam=2.0)
@@ -1418,9 +1459,8 @@ class TestCutoff:
         tokens = {0: [0, 0, 0.0]}
         space.propagate(tokens, 0, 2.0)
         assert list(tokens) == [0, 1, 2]
-        cut, uncut, rebuilt = self._frame_step(space, tokens, 1.0, 2.0)
-        assert [[(nid, tok[0], ol) for nid, tok, _, ol, _ in r]
-                for r in rebuilt] == [[(4, 1, 1), (4, 2, 2)]]
+        cut, uncut, hits = self._frame_step(space, tokens, 1.0, 2.0)
+        assert hits == [[4]]
         assert cut[4] == uncut[4]
         assert [(p[0], ol, w) for p, _, ol, w in links(cut[4])] == [
             (1, 1, 1.5), (2, 2, 1.75), (2, 3, 0.5), (2, 4, 1.0)]
@@ -1438,9 +1478,9 @@ class TestCutoff:
             [(0, 1, 0, 2.0, 1), (0, 1, 1, 4.0, 2), (0, 1, 0, 0.0, 3),
              (0, 1, 2, 0.5, 2)], (1, 2, 3))
         space = SearchSpace(g)
-        cut, uncut, rebuilt = self._frame_step(space, {0: [0, 0, 0.0]},
-                                               1.0, 2.0)
-        assert rebuilt == [[]]
+        cut, uncut, hits = self._frame_step(space, {0: [0, 0, 0.0]},
+                                            1.0, 2.0)
+        assert hits == [[2]]
         assert [(ol, w) for _, _, ol, w in links(uncut[2])] == [(1, 4.0),
                                                                 (2, 0.5)]
         assert cut[2] == uncut[2][:3] + uncut[2][7:]
@@ -1478,11 +1518,10 @@ class TestCutoff:
         space = search_space(hclg, g3neg, g4)
         assert space._rows.failure
         tokens = {space.initial: [space.initial, 0, 0.0]}
-        cut, uncut, rebuilt = self._frame_step(space, tokens, 1.0, 2.0)
+        cut, uncut, hits = self._frame_step(space, tokens, 1.0, 2.0)
         assert space.emit[space.initial] is None  # it reads a station
         hit = space.state_id((2, 0, 0))
-        assert [[(nid, ol, w) for nid, _, _, ol, w in r]
-                for r in rebuilt] == [[(hit, 2, 1.25 + 0.25)]]
+        assert hits == [[hit]]
         assert cut[hit] == uncut[hit]
         assert [(ol, w) for _, _, ol, w in links(cut[hit])] == [
             (2, 1.5), (3, 0.5), (2, 1.0)]
@@ -1541,6 +1580,21 @@ def _kept_links(tok, slack):
                   if prev[2] + w <= tok[2] + slack)
 
 
+def _assert_step_equals_uncut(got, want, beam, slack):
+    """A frame step's tokens against the uncut step's from the same tokens:
+    equal costs, tokens missing only beyond the beam of the best, and
+    equal links within the lattice beam on every token within the beam."""
+    best = min(t[2] for t in want.values())
+    assert got.keys() <= want.keys()
+    for sid, t in want.items():
+        if sid not in got:  # skipped by the cutoff, beyond the beam
+            assert t[2] > best + beam
+            continue
+        assert got[sid][2] == t[2]
+        if t[2] <= best + beam:
+            assert _kept_links(got[sid], slack) == _kept_links(t, slack)
+
+
 def _assert_stations_equal_full_scan(space, matrix, opts):
     """Run a decode's frames with the station pass, checking each frame
     against the full scan from the same tokens: equal costs, and equal
@@ -1560,15 +1614,7 @@ def _assert_stations_equal_full_scan(space, matrix, opts):
         scanned[1] += row.lookups
         if not want:
             break
-        best = min(t[2] for t in want.values())
-        assert got.keys() <= want.keys()
-        for sid, t in want.items():
-            if sid not in got:  # skipped by the cutoff, beyond the beam
-                assert t[2] > best + beam
-                continue
-            assert got[sid][2] == t[2]
-            if t[2] <= best + beam:
-                assert _kept_links(got[sid], slack) == _kept_links(t, slack)
+        _assert_step_equals_uncut(got, want, beam, slack)
         space.propagate(got, frame + 1, slack)
         tokens = space.prune(got, opts)
     return scanned

@@ -6,6 +6,7 @@ directly from the interpolation formula over the mini-corpus counts.
 
 import math
 import random
+import re
 from collections import Counter
 from itertools import chain
 
@@ -124,6 +125,12 @@ class TestWittenBell:
         with pytest.raises(NGramError, match="order"):
             estimate_witten_bell([["a"]], 0)
 
+    @pytest.mark.parametrize("token", ["a b", "", "x\ty", "u\n"])
+    def test_tokens_arpa_cannot_carry_refused(self, token):
+        # Estimated, "a b" made ARPA text that parse_arpa refused.
+        with pytest.raises(NGramError, match=re.escape(repr(token))):
+            estimate_witten_bell([["c", token]], 2)
+
 
 class TestEntries:
     @pytest.mark.parametrize("logprob, backoff", [
@@ -133,6 +140,14 @@ class TestEntries:
         with pytest.raises(NGramError, match="NaN"):
             model.add_entry(("a",), logprob, backoff)
         assert model.entry(("a",)) is None and not model.vocabulary
+
+    @pytest.mark.parametrize("gram", [("",), ("a b",), ("a", "x\ty"),
+                                      ("\u2028",)])
+    def test_tokens_arpa_cannot_carry_refused(self, gram):
+        model = NGramModel(2)
+        with pytest.raises(NGramError, match=re.escape(repr(gram[-1]))):
+            model.add_entry(gram, -0.5)
+        assert model.entry(gram) is None and not model.vocabulary
 
     def test_infinities_accepted(self):
         model = NGramModel(2)
@@ -191,6 +206,33 @@ ngram 1=2
                     assert e2.backoff is None
                 else:
                     assert e2.backoff == pytest.approx(e.backoff, abs=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_exact_on_a_six_decimal_grid(self, data):
+        # Every token add_entry accepts, and every value on the grid that
+        # write_arpa prints, reads back as it was written.
+        order = data.draw(st.integers(1, 3))
+        vocab = data.draw(st.lists(st.text(min_size=1, max_size=4).filter(
+            lambda t: t.split() == [t]), min_size=1, max_size=5, unique=True))
+        grams = data.draw(st.sets(st.lists(
+            st.sampled_from(vocab), min_size=1, max_size=order).map(tuple),
+            min_size=1, max_size=12))
+        value = st.integers(-10 ** 8, 10 ** 8).map(lambda k: k / 1e6)
+        model = NGramModel(order)
+        for gram in sorted({g[:n] for g in grams for n in range(1, len(g) + 1)}):
+            backoff = (data.draw(st.none() | value) if len(gram) < order
+                       else None)
+            model.add_entry(gram, data.draw(value), backoff)
+
+        def table(m):
+            return [{g: (e.logprob.hex(),
+                         None if e.backoff is None else e.backoff.hex())
+                     for g, e in m.ngrams(n)} for n in range(1, m.order + 1)]
+
+        again = parse_arpa(write_arpa(model))
+        assert again.order == order and again.vocabulary == model.vocabulary
+        assert table(again) == table(model)
 
     def test_count_mismatch_rejected(self):
         bad = self.TRIVIAL.replace("ngram 1=2", "ngram 1=3")

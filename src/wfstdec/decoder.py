@@ -57,11 +57,11 @@ a propagating epsilon arc leaves or enters, where propagation can still
 improve it (on the pipeline's HCLG3, at none).  Elsewhere an arrival
 within the lattice beam of that cutoff is set aside: its target goes
 into a set.  In the rare frame where a later, cheaper arrival makes a
-token at a set-aside state, one rescan of the frame's arcs makes the
-set-aside arrivals there again, and they are replayed into the token
-before its first link.  So the tokens and their links within
-the lattice beam are those of a cutoff at the beam plus the lattice
-beam, less the tokens pruning would drop.
+token at a set-aside state, one rescan of the frame's arcs makes every
+earlier arrival there again, and they are replayed into the token before
+its first link, as the uncut step would have made them.  So the tokens
+and their links within the lattice beam are those of a cutoff at the
+beam plus the lattice beam, less the tokens pruning would drop.
 
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
@@ -211,22 +211,17 @@ def relay_match(g: Fst, state: int, label: int,
 
 
 def relay_final(g: Fst, state: int) -> float:
-    """Final weight of a state, following back-off arcs if it has none.
-    An LM with a back-off cycle anywhere raises BackoffCycleError."""
-    back = _lm(g).back
-    if not 0 <= state < len(back):
+    """Final weight of a state, following back-off arcs if it has none:
+    the first final weight on its ``_chain`` plus that state's hop weight,
+    or +inf.  An LM with a back-off cycle anywhere raises
+    BackoffCycleError."""
+    if not 0 <= state < len(_lm(g).back):
         raise FstError(f"invalid state id {state}")
-    q = state
-    acc = 0.0
-    while True:
+    for q, acc, _ in _chain(g, state):
         w = g.final(q)
         if w != ZERO:
             return acc + w
-        b = back[q]
-        if b is None:
-            return _INF
-        acc += b.weight
-        q = b.nextstate
+    return _INF
 
 
 # -- what the decoder derives from graphs ----------------------------------
@@ -530,8 +525,9 @@ class SearchSpace:
         propagation can make or improve a token there after this step; at
         any other state it is set aside: its target goes into a set.
         Where a later arrival makes a token at a set-aside state (a hit),
-        ``_replay`` makes the set-aside arrivals there again from the
-        frame's arcs and puts them into that token.
+        ``_replay`` makes every earlier arrival there again from the
+        frame's arcs and puts them into that token, as the uncut step
+        would.
         An on-the-fly space that reads back-off arcs as failure
         transitions propagates no arc, so there every such arrival is set
         aside.  Without a later arrival, the state's token would cost more
@@ -598,25 +594,26 @@ class SearchSpace:
         # state has a token comes first.
         if aside and not aside.isdisjoint(out):
             self._replay(tokens, out, out.keys() & aside, plan, hops,
-                         frame_costs, far, slack)
+                         frame_costs, slack)
         return out
 
     def _replay(self, tokens: dict, out: dict, hits: set, plan: dict,
-                hops: dict, frame_costs: Sequence[float], far: float,
+                hops: dict, frame_costs: Sequence[float],
                 slack: float) -> None:
-        """Put the arrivals set aside at ``hits``, the states where a later
-        arrival made a token, into those tokens, in place; ``hits`` is
-        emptied.  The frame's tokens scan their arcs again in ``advance``'s
-        order (own arcs, then the station parts in ``hops``), and the scan
-        of a hit stops at the arrival that made its token, its first link.
-        Every earlier arrival there was set aside or lay beyond the wide
-        cutoff in force when it came, and that cutoff only falls; so those
-        within ``far``, the frame's final wide cutoff, were set aside.
-        Those beyond it are dropped, as ``advance`` drops an arrival beyond
-        the wide cutoff in force: its link would lie more than ``slack``
-        above any token ``prune`` keeps.  Each kept arrival is tested as
-        ``advance`` tests one: the first sets the running cost, a lower
-        cost sets it again, and a cost within ``slack`` of it adds a link.
+        """Put the arrivals at ``hits``, the set-aside states where a later
+        arrival made a token, that came before that arrival into those
+        tokens, in place; ``hits`` is emptied.  The frame's tokens scan
+        their arcs again in ``advance``'s order (own arcs, then the station
+        parts in ``hops``), and the scan of a hit stops at the arrival that
+        made its token, its first link.  Every earlier arrival there was
+        set aside or lay beyond the wide cutoff in force when it came, and
+        each is tested as the uncut step tests one: the first sets the
+        running cost, a lower cost sets it again, and a cost within
+        ``slack`` of it adds a link.  So a hit's links are the uncut
+        step's.  Those that lie beyond the frame's
+        final wide cutoff lie more than ``slack`` above every token
+        ``prune`` keeps, so the lattice builder drops them; and an arrival
+        within it is tested alike with or without a dearer one before it.
         The links go before the token's first link: all cost more than the
         arrival that made the token, so that arrival still sets its cost,
         and the links after it were tested against that cost."""
@@ -638,8 +635,6 @@ class SearchSpace:
                         hits.discard(nid)
                         continue
                     nc = cost + lw
-                    if nc > far:
-                        continue
                     run = runs.get(nid)
                     if run is None:
                         runs[nid] = [nc, tok, il, ol, lw]
@@ -845,16 +840,12 @@ class _OnTheFlySpace(SearchSpace):
         with segments keeps them in ``_shared`` and its ``emit`` entry
         stays None."""
         q1, q2, q3 = self._triples[sid]
-        reads = self._reads(q1)
-        own = []
-        for p, g, wb, phones, _, _ in reads:
+        own, segs = [], []
+        n1 = len(self._g3)
+        for p, g, wb, phones, labels, first in self._reads(q1):
             for il, ol, w, ns in phones:
                 self._reach(ns, g)
                 own.append((il, ol, w + wb, self.state_id((ns, q2, q3))))
-        own = tuple(own)
-        segs = []
-        n1 = len(self._g3)
-        for p, g, wb, _, labels, first in reads:
             if not labels:
                 continue
             pair = self.relays(q2, q3, labels)
@@ -876,6 +867,7 @@ class _OnTheFlySpace(SearchSpace):
                     found.append([p + n1 * at3, h + wb, rows, None])
             found.sort(key=lambda seg: first[seg[2][0][1]])
             segs += found
+        own = tuple(own)
         if not segs:
             self.emit[sid] = own
             return own, ()
@@ -1138,15 +1130,12 @@ class _OnTheFlySpace(SearchSpace):
         label and per hop, as if each label walked alone.
         """
         pair = self._pairs.get((q2, q3))
+        new = labels if pair is None else labels.difference(*pair.asked)
+        if pair is not None and not new:
+            return pair
+        chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)
         if pair is None:
-            chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)
             pair = self._pairs[(q2, q3)] = _Pair(chain2[-1], chain3[-1])
-            new = labels
-        else:
-            new = labels.difference(*pair.asked)
-            if not new:
-                return pair
-            chain2, chain3 = _chain(self.g3neg, q2), _chain(self.g4, q3)
         pair.asked.append(labels)
         n2, n3 = len(chain2), len(chain3)
         above = set()

@@ -278,13 +278,23 @@ def write_text_fst(fst: Fst, state_comments: Optional[dict[int, str]] = None) ->
     """Arc lines "src dst ilabel olabel weight" (tab separated), then final lines.
 
     As in OpenFst, the first line names the initial state: its arcs are
-    written first, or its final line when it has no arcs.  An initial state
-    with neither cannot be named, so FstError.
+    written first, or its final line when it has no arcs.  A state is
+    known to the text only by an arc or a final line of its own, so an
+    initial state with neither, or one that an arc enters, would not read
+    back: FstError.
     """
     if fst.initial < 0:
         raise FstError("fst has no initial state")
     if not fst.arcs(fst.initial) and not fst.is_final(fst.initial):
         raise FstError(f"initial state {fst.initial} has no arcs and is not final")
+    rows = fst._arcs
+    unknown = {s for s, row in enumerate(rows) if not row} - fst.finals.keys()
+    if unknown:
+        for row in rows:
+            for a in row:
+                if a.nextstate in unknown:
+                    raise FstError(f"state {a.nextstate} has an arc into it "
+                                   "but no arcs and is not final")
     order = [fst.initial] + [s for s in fst.states() if s != fst.initial]
     out = []
     if state_comments:

@@ -1466,14 +1466,14 @@ class TestCutoff:
             (1, 1, 1.5), (2, 2, 1.75), (2, 3, 0.5), (2, 4, 1.0)]
         self._assert_static_decode_equals_uncut(g, matrix)
 
-    def test_rebuild_drops_what_lies_beyond_the_final_wide_cutoff(self):
+    def test_replay_keeps_what_the_uncut_step_keeps(self):
         # Beam 1.0, lattice beam 2.0.  State 0 reaches state 1 at 2.0, so
         # the wide cutoff stands at 2.0 + 3.0, and state 2 at 4.0, which is
         # set aside.  Then state 3 at 0.0 lowers the wide cutoff to 3.0,
-        # and state 2's token is made at 0.5.  The set-aside arrival lies
-        # beyond the final wide cutoff, more than the lattice beam above
-        # the token, so the rebuild drops it: the token is the uncut one
-        # less that link, which the lattice builder drops too.
+        # and state 2's token is made at 0.5.  The set-aside arrival now
+        # lies beyond the final wide cutoff, more than the lattice beam
+        # above the token; the replay keeps its link, as the uncut step
+        # does, and the lattice builder drops it in both.
         g, matrix = self._one_frame(
             [(0, 1, 0, 2.0, 1), (0, 1, 1, 4.0, 2), (0, 1, 0, 0.0, 3),
              (0, 1, 2, 0.5, 2)], (1, 2, 3))
@@ -1483,7 +1483,7 @@ class TestCutoff:
         assert hits == [[2]]
         assert [(ol, w) for _, _, ol, w in links(uncut[2])] == [(1, 4.0),
                                                                 (2, 0.5)]
-        assert cut[2] == uncut[2][:3] + uncut[2][7:]
+        assert cut[2] == uncut[2]
         self._assert_static_decode_equals_uncut(g, matrix)
 
     def test_rebuild_rescans_station_parts(self):

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wfstdec.fst import (
@@ -244,6 +244,46 @@ class TestTextFormat:
         fst.set_initial(0)
         with pytest.raises(FstError, match="^initial state 0 has no arcs and is not final$"):
             write_text_fst(fst)
+
+    def test_arc_into_a_state_without_arcs_or_final_weight_is_refused(self):
+        # Its text would name state 2 only as the arc's target, which the
+        # reader refuses as dangling.
+        fst = Fst()
+        fst.add_states(3)
+        fst.add_arc(0, Arc(1, 1, 0.5, 1))
+        fst.add_arc(0, Arc(1, 1, 0.5, 2))
+        fst.set_final(1)
+        fst.set_initial(0)
+        with pytest.raises(FstError, match="^state 2 has an arc into it but "
+                                           "no arcs and is not final$"):
+            write_text_fst(fst)
+        with pytest.raises(ParseError, match="^line 2: dangling nextstate 2$"):
+            read_text_fst("0\t1\t1\t1\t0.5\n0\t2\t1\t1\t0.5\n1\t0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_written_text_reads_back_to_itself(self, data):
+        # Any float weight, infinities and -0.0 among them, prints with 12
+        # significant digits to a text that reads back to a float printing
+        # the same; states without arcs or final weights may be drawn, and
+        # only graphs the writer accepts are compared.
+        n = data.draw(st.integers(1, 6))
+        weight = st.floats(allow_nan=False)
+        fst = Fst()
+        fst.add_states(n)
+        state = st.integers(0, n - 1)
+        for src, arc in data.draw(st.lists(st.tuples(state, st.builds(
+                Arc, st.integers(0, 3), st.integers(0, 3), weight, state)),
+                max_size=3 * n)):
+            fst.add_arc(src, arc)
+        for q, w in data.draw(st.dictionaries(state, weight)).items():
+            fst.set_final(q, w)
+        fst.set_initial(data.draw(state))
+        try:
+            text = write_text_fst(fst)
+        except FstError:
+            assume(False)
+        assert write_text_fst(read_text_fst(text)) == text
 
     @pytest.mark.parametrize("text,initial,num_states", [
         ("1 2 1 1 0.5\n0 1 1 1 0.5\n2 0\n", 1, 3),

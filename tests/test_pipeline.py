@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from wfstdec import pipeline
 from wfstdec.decoder import (DecodeOptions, EmptyResultError, RelayStats,
-                             decode_onthefly, decode_static, rescore_lattice)
+                             best_path, decode_onthefly, decode_static,
+                             rescore_lattice)
 from wfstdec.fst import write_text_fst
 from wfstdec.metrics import SUFFIX_MARK
 from wfstdec.pipeline import (
@@ -186,3 +188,16 @@ class TestDecodeUtterance:
         m = _build_mini(mini_model)
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
             decode_utterance("bogus", m, _utt(m, SENT), DecodeOptions())
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    out = capsys.readouterr().out
+    assert out.startswith(ns["report"].render())
+    hyp, cost = best_path(ns["lat"])
+    assert hyp == ns["task"].utterances[0][1]
+    assert out.endswith(f"{(hyp, cost)}\n")

@@ -51,17 +51,19 @@ skips the arcs of each morpheme that a token more than the lattice beam
 no cost and make no link the lattice keeps.  So the result is that of a
 scan of every arc.
 
-The frame step cuts new tokens at the beam, as Kaldi's does: an arrival
-beyond the best so far plus the beam makes a token only at a state that
-a propagating epsilon arc leaves or enters, where propagation can still
-improve it (on the pipeline's HCLG3, at none).  Elsewhere an arrival
-within the lattice beam of that cutoff is set aside: its target goes
-into a set.  In the rare frame where a later, cheaper arrival makes a
-token at a set-aside state, one rescan of the frame's arcs makes every
-earlier arrival there again, and they are replayed into the token before
-its first link, as the uncut step would have made them.  So the tokens
-and their links within the lattice beam are those of a cutoff at the
-beam plus the lattice beam, less the tokens pruning would drop.
+The frame step cuts new tokens at the beam, as Kaldi's does, with one
+flag per state: an arrival beyond the best so far plus the beam makes a
+token only at a state that a propagating epsilon arc leaves or enters,
+where propagation can still improve it (on the pipeline's HCLG3, at
+none).  Elsewhere an arrival within the lattice beam of that cutoff is
+set aside: its target goes into a set; one further out is dropped.  In
+the rare frame where a later, cheaper arrival makes a token at a
+set-aside state, one rescan of the frame's arcs makes every earlier
+arrival there again, and they are replayed into the token before its
+first link, as the uncut step would have made them.  So the tokens and
+their links within the lattice beam are those of the uncut step at the
+states epsilon arcs touch, and of a cutoff at the beam plus the lattice
+beam elsewhere, less the tokens pruning would drop.
 
 Lattice rescoring walks the same on-the-fly search space with a
 first-pass lattice in place of the search graph, so the arc, filter and
@@ -148,17 +150,23 @@ class RelayStats:
     dead_relays: int = 0
 
 
-def _chain(g: Fst, state: int) -> list:
+def _chain(g: Fst, state: int) -> tuple:
     """The back-off chain from ``state`` in LM g: ``(state, hop weight,
     label map)`` for each state on it, the last (the state with no
     back-off arc) last.  A state's hop weight is the sum of the back-off
     weights on the way to it, taken left to right from ``state``, as a
     relay walks; its label map goes from input label to its first arc in
     sorted order, the arc ``find_arc`` returns, and is made on first use.
-    ``_lm`` has checked that the chain ends."""
+    ``_lm`` has checked that the chain ends.  The chain is made once per
+    graph version and kept in the LM's record; it holds no final weight,
+    as ``set_final`` makes no new version.  A state out of range raises
+    FstError."""
     rec = _lm(g)
+    found = rec.chains.get(state)
+    if found is not None:
+        return found
     maps, back = rec.maps, rec.back
-    chain = []
+    links = []
     acc = 0.0
     q = state
     while True:
@@ -166,10 +174,11 @@ def _chain(g: Fst, state: int) -> list:
         if amap is None:
             # Reversed, so the first arc of each label in sorted order wins.
             amap = maps[q] = {a.ilabel: a for a in reversed(g.arcs(q))}
-        chain.append((q, acc, amap))
+        links.append((q, acc, amap))
         b = back[q]
         if b is None:
-            return chain
+            found = rec.chains[state] = tuple(links)
+            return found
         q = b.nextstate
         acc += b.weight
 
@@ -213,10 +222,8 @@ def relay_match(g: Fst, state: int, label: int,
 def relay_final(g: Fst, state: int) -> float:
     """Final weight of a state, following back-off arcs if it has none:
     the first final weight on its ``_chain`` plus that state's hop weight,
-    or +inf.  An LM with a back-off cycle anywhere raises
-    BackoffCycleError."""
-    if not 0 <= state < len(_lm(g).back):
-        raise FstError(f"invalid state id {state}")
+    or +inf.  Final weights are read from g at each call.  An LM with a
+    back-off cycle anywhere raises BackoffCycleError."""
     for q, acc, _ in _chain(g, state):
         w = g.final(q)
         if w != ZERO:
@@ -229,10 +236,10 @@ def relay_final(g: Fst, state: int) -> float:
 class _Derived:
     """What the decoder derived from one graph at one version: its arc
     rows (``_Rows``, made when a decode first needs them); as an LM, its
-    back-off arcs and label maps (None until ``_lm`` has checked it); as a
-    G4, the relay memo of each G3neg, keyed by G3neg's record; as a search
-    graph or a rescored lattice, its on-the-fly states, keyed by the relay
-    memo they were expanded with.  The keys are weak, so what is keyed by a
+    back-off arcs, label maps and back-off chains (None until ``_lm`` has
+    checked it); as a G4, the relay memo of each G3neg, keyed by G3neg's
+    record; as a search graph or a rescored lattice, its on-the-fly
+    states, keyed by the relay memo they were expanded with.  The keys are weak, so what is keyed by a
     record or memo goes with it.  No record holds a graph.
     """
 
@@ -241,6 +248,7 @@ class _Derived:
         self.rows: Optional[_Rows] = None
         self.back: Optional[list] = None
         self.maps: Optional[dict] = None
+        self.chains: Optional[dict] = None
         self.relays = weakref.WeakKeyDictionary()
         self.spaces = weakref.WeakKeyDictionary()
 
@@ -329,14 +337,15 @@ class _States:
 def _lm(g: Fst, name: str = "LM") -> _Derived:
     """An LM's record.  The first call at a graph version checks that the
     arcs are input-sorted (else FstError) and makes the back-off table,
-    which checks the rest, and only then gives the record its label maps;
-    so the walks need no guard, and a graph that fails is checked again."""
+    which checks the rest, and only then gives the record its label maps
+    and chains; so the walks need no guard, and a graph that fails is
+    checked again."""
     rec = _derived(g)
     if rec.back is None:
         if not g.input_sorted:
             raise FstError("arc lookup requires input-sorted arcs (call arc_sort_input)")
         rec.back = _backoff_table(g, name)
-        rec.maps = {}
+        rec.maps, rec.chains = {}, {}
     return rec
 
 
@@ -514,46 +523,47 @@ class SearchSpace:
         keeps at the frame's costs plus the segment's hop weight h.  So a
         link from a shared row carries h in its weight, and the token's
         cost plus that weight is the arrival's cost.  The parts come
-        chained, ``(costs, rows, next part)``, and the last restores the
-        frame's costs.  One inner loop serves every token: a token without
-        parts pays only the test that it has none, and no arc or link pays
-        for them.
+        chained, ``(costs, rows, next part)``, the last part's next None,
+        and each token starts from the frame's costs.  One inner loop
+        serves every token: a token without parts pays only the test that
+        it has none, and no arc or link pays for them.
         An arrival makes a new token when its cost is within the cutoff,
-        the best arrival so far plus ``beam + _TOL``.  Beyond the cutoff,
-        within ``slack`` of it, an arrival makes one only where its state
-        is at an end of an epsilon arc that propagates (``ends``), as
-        propagation can make or improve a token there after this step; at
-        any other state it is set aside: its target goes into a set.
+        the best arrival so far plus ``beam + _TOL``.  Beyond the cutoff
+        one flag decides.  Where the state is at an end of an epsilon arc
+        that propagates (``ends``), the arrival makes a token, as
+        propagation can make or improve a token there after this step.
+        At any other state it is set aside if it lies within ``slack`` of
+        the cutoff (its target goes into a set), and dropped further out.
         Where a later arrival makes a token at a set-aside state (a hit),
         ``_replay`` makes every earlier arrival there again from the
         frame's arcs and puts them into that token, as the uncut step
         would.
         An on-the-fly space that reads back-off arcs as failure
-        transitions propagates no arc, so there every such arrival is set
-        aside.  Without a later arrival, the state's token would cost more
-        than the final best plus ``beam``, so pruning would drop it.
-        Beyond ``slack`` of the cutoff an arrival makes no new token where
-        its state has no propagating epsilon arcs: such a token costs more
-        than the final best plus ``beam``; no epsilon arc can bring a
+        transitions propagates no arc, so there every arrival beyond the
+        cutoff is set aside or dropped.  Without a later arrival, a
+        set-aside state's token would cost more than the final best plus
+        ``beam``, so pruning would drop it.  So would a dropped arrival's
+        token; no epsilon arc touches its state, so none can bring a
         descendant of it back under the beam; and its link into a kept
         token lies more than ``slack`` (the lattice beam) above that
         token's cost, so the lattice builder would drop the link.  So the
         tokens, and each one's links within ``slack`` of its cost, are
-        those of a cutoff at ``beam + slack + _TOL`` (see README, "The
-        frame step's cutoff"), less tokens pruning drops.
+        those of the uncut step at the ends, and of a cutoff at ``beam +
+        slack + _TOL`` elsewhere (see README, "The frame step's cutoff"),
+        less tokens pruning drops.
         """
         out = {}
         get = out.get
         aside = set()  # the targets of set-aside arrivals
         add = aside.add
-        emit, eps, ends = self.emit, self.eps, self.ends
+        emit, ends = self.emit, self.ends
         plan, hops = self._meet(tokens, slack, frame_costs)
         margin = beam + _TOL
         wide = beam + slack + _TOL
         best = limit = far = _INF
-        costs = frame_costs
         rest = None  # a token's parts still to scan
         for tok in tokens.values():
+            costs = frame_costs
             arcs = emit[tok[0]]
             if arcs is None:
                 arcs = plan[tok[0]]
@@ -565,14 +575,11 @@ class SearchSpace:
                     nc = cost + lw
                     cur = get(nid)
                     if cur is None:
-                        if nc > limit:
-                            if nc > far:
-                                if not eps[nid]:
-                                    continue
-                            elif not ends[nid]:
+                        if nc > limit and not ends[nid]:
+                            if nc <= far:
                                 add(nid)
-                                continue
-                        elif nc < best:
+                            continue
+                        if nc < best:
                             best = nc
                             limit = nc + margin
                             far = nc + wide
@@ -603,10 +610,11 @@ class SearchSpace:
         """Put the arrivals at ``hits``, the set-aside states where a later
         arrival made a token, that came before that arrival into those
         tokens, in place; ``hits`` is emptied.  The frame's tokens scan
-        their arcs again in ``advance``'s order (own arcs, then the station
-        parts in ``hops``), and the scan of a hit stops at the arrival that
-        made its token, its first link.  Every earlier arrival there was
-        set aside or lay beyond the wide cutoff in force when it came, and
+        their arcs again in ``advance``'s order (own arcs at the frame's
+        costs, then the station parts in ``hops``), and the scan of a hit
+        stops at the arrival that made its token, its first link.  A hit
+        is no end of an epsilon arc, so every earlier arrival there was set
+        aside or lay beyond the wide cutoff in force when it came, and
         each is tested as the uncut step tests one: the first sets the
         running cost, a lower cost sets it again, and a cost within
         ``slack`` of it adds a link.  So a hit's links are the uncut
@@ -979,10 +987,9 @@ class _OnTheFlySpace(SearchSpace):
               frame_costs: Sequence[float]) -> tuple[dict, dict]:
         """The arcs each token with station segments scans this frame: its
         own arcs, then what it keeps of its segments, in the order of the
-        stations met, as a chain of parts ``(costs, rows, next part)``.  A
-        kept segment's costs are the frame's plus its h, made once per
-        frame and h; the chain ends with ``(frame_costs, (), None)``, which
-        restores the frame's costs.
+        stations met, as a chain of parts ``(costs, rows, next part)``
+        whose last part's next is None.  A kept segment's costs are the
+        frame's plus its h, made once per frame and h.
 
         Tokens that read search-graph state q1, at it or through back-off
         arcs, and whose relays match morphemes at one G4 state at3 meet at
@@ -1020,21 +1027,9 @@ class _OnTheFlySpace(SearchSpace):
                     met.append((cost + seg[1], sid, seg))
         margin = slack + 2 * _TOL
         shifted = {}  # h -> the frame's costs plus h
-        restore = (frame_costs, (), None)
-
-        def keep(sid, h, rows):
-            costs = shifted.get(h)
-            if costs is None:
-                costs = shifted[h] = [c + h for c in frame_costs]
-            hops[sid] = (costs, rows, hops.get(sid, restore))
-
         # Taken last first, so that a token's parts, each put before those
         # it has, come in the order its stations were met.
         for met in reversed(stations.values()):
-            if len(met) == 1:
-                _, sid, seg = met[0]
-                keep(sid, seg[1], seg[2])
-                continue
             # State ids break key ties.  A state has two entries only where
             # its back-off arcs reach one state twice; their segments then
             # differ by h or are alike.
@@ -1045,11 +1040,15 @@ class _OnTheFlySpace(SearchSpace):
                 while met[j][0] < held:
                     covered |= _labels(met[j][2])
                     j += 1
-                if not covered:
-                    keep(sid, seg[1], seg[2])
-                elif _labels(seg) | covered != covered:
-                    keep(sid, seg[1], tuple(
-                        [a for a in seg[2] if not (covered >> a[1]) & 1]))
+                _, h, rows, _ = seg
+                if covered:
+                    if _labels(seg) | covered == covered:
+                        continue
+                    rows = tuple([a for a in rows if not (covered >> a[1]) & 1])
+                costs = shifted.get(h)
+                if costs is None:
+                    costs = shifted[h] = [c + h for c in frame_costs]
+                hops[sid] = (costs, rows, hops.get(sid))
         return plan, hops
 
     def expand_arcs(self, sid: int, graph_arcs) -> list:

@@ -67,6 +67,22 @@ class TestWorkflow:
         assert code == 0
         assert "2-gram model" in out
 
+    def test_lexicon_comment_line_builds_the_same_graph(self, workdir, capsys,
+                                                       tmp_path):
+        # A lexicon line that starts with '#' is a comment, even one shaped
+        # like an entry, so the graph is the one built without it.
+        commented = tmp_path / "lexicon.txt"
+        commented.write_text("#x\tv i x\n" + MINI_LEXICON_TEXT)
+        texts = []
+        for lexicon in (workdir / "lexicon.txt", commented):
+            out = tmp_path / f"hclg{len(texts)}.fst"
+            code, _, err = run(capsys, "graph-build", "--lm",
+                               str(workdir / "g3.arpa"), "--lexicon",
+                               str(lexicon), str(out))
+            assert (code, err) == (0, "")
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_pruned_model_is_smaller(self, workdir):
         big = (workdir / "g4.arpa").read_text()
         small = (workdir / "g3.arpa").read_text()

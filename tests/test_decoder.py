@@ -582,6 +582,23 @@ class TestRelayFinal:
         fst.arc_sort_input()
         assert relay_final(fst, 0) == ZERO
 
+    def test_final_weights_are_read_after_set_final(self):
+        # The LM's record keeps state 0's back-off chain; set_final makes
+        # no new graph version, so the record stays, and each call reads
+        # the final weights the graph holds now.
+        fst = Fst()
+        fst.add_states(2)
+        fst.add_arc(0, Arc(0, 0, 0.5, 1))
+        fst.set_final(1, 1.0)
+        fst.arc_sort_input()
+        assert relay_final(fst, 0) == 1.5
+        version = fst.version
+        fst.set_final(1, 2.0)
+        assert relay_final(fst, 0) == 2.5
+        fst.set_final(0, 0.25)
+        assert relay_final(fst, 0) == 0.25
+        assert fst.version == version
+
 
 # -- single-step expansion fixtures ----------------------------------------
 
@@ -1396,6 +1413,25 @@ class TestCutoff:
         got, want = (_cut_outcome(lambda: decode_static(g, matrix, opts), uncut)
                      for uncut in (False, True))
         _assert_cut_equals_uncut(got, want)
+
+    def test_epsilon_target_beyond_the_lattice_beam_is_made(self):
+        # Beam 1.0, lattice beam 2.0, so the wide cutoff stands at 3.0 once
+        # state 1 is made at 0.0.  State 2, the target of state 3's
+        # epsilon arc and the source of none, is reached at 5.0, beyond
+        # it.  One flag (an end of an epsilon arc) decides beyond the
+        # cutoff, so the step makes state 2's token, as the uncut step
+        # does; propagation then improves it to 0.3.
+        g, matrix = self._one_frame(
+            [(0, 1, 0, 0.0, 1), (0, 1, 1, 5.0, 2), (0, 1, 0, 0.2, 3),
+             (3, 0, 0, 0.1, 2)], (1, 2))
+        space = SearchSpace(g)
+        assert [bool(e) for e in space.eps] == [False, False, False, True]
+        assert [bool(e) for e in space.ends] == [False, False, True, True]
+        tokens = {0: [0, 0, 0.0]}
+        cut, uncut, hits = self._frame_step(space, tokens, 1.0, 2.0)
+        assert hits == []
+        assert cut[2] == uncut[2] == [2, 1, 5.0, tokens[0], 1, 1, 5.0]
+        self._assert_static_decode_equals_uncut(g, matrix)
 
     # A hit is a state whose arrivals were set aside before a later
     # arrival in the same frame made its token; the frame step rebuilds its

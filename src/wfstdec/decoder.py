@@ -51,6 +51,20 @@ skips the arcs of each morpheme that a token more than the lattice beam
 no cost and make no link the lattice keeps.  So the result is that of a
 scan of every arc.
 
+A station with many rows, such as the unigram state that every backed-off
+history reaches, keeps its table as blocks: one per run of rows that read
+one phone, with the least station weight of its rows and the set of their
+targets.  A token's bound on a block, its cost plus that weight plus the
+phone's cost and h, is no more than any arrival from the block, as IEEE
+rounding is monotone.  So where the bound lies beyond the frame step's
+cutoff (below) and no target has a token yet, no arrival from the block
+would make a token: the step sets all its targets aside, or drops it
+where the bound lies beyond the wide cutoff as well, with one test, and
+scans it arc by arc otherwise.  A block with a target at an end of a
+propagating epsilon arc gets no bound.  A default segment shares its
+station's blocks but for those that hold a morpheme with a record of its
+own, which it keeps without those rows.
+
 The frame step cuts new tokens at the beam, as Kaldi's does, with one
 flag per state: an arrival beyond the best so far plus the beam makes a
 token only at a state that a propagating epsilon arc leaves or enters,
@@ -60,7 +74,9 @@ set aside: its target goes into a set; one further out is dropped.  In
 the rare frame where a later, cheaper arrival makes a token at a
 set-aside state, one rescan of the frame's arcs makes every earlier
 arrival there again, and they are replayed into the token before its
-first link, as the uncut step would have made them.  So the tokens and
+first link, as the uncut step would have made them.  A target set aside
+with its block, though its arrivals lay beyond the wide cutoff, only
+widens that rescan.  So the tokens and
 their links within the lattice beam are those of the uncut step at the
 states epsilon arcs touch, and of a cutoff at the beam plus the lattice
 beam elsewhere, less the tokens pruning would drop.
@@ -78,7 +94,7 @@ import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -91,6 +107,9 @@ _NO_STATE = -1
 _DEAD_RECORD = (_NO_STATE, _NO_STATE, ZERO)
 # The station segments of a static space's tokens: it has none.
 _NO_HOPS: dict = {}
+# A station table of at least this many rows is kept as blocks, one per
+# run of rows with one input label (see _OnTheFlySpace._station).
+_BLOCK_ROWS = 64
 # Slack on the lattice bound, and so on the frame step's cutoff, which
 # must skip only tokens the lattice builder's bound would drop anyway.
 _TOL = 1e-9
@@ -317,10 +336,12 @@ class _States:
     """An on-the-fly space's interned states and their expanded arcs
     (``shared`` holds the emitting arcs of each state with station
     segments); per search-graph state the G3neg state it was composed
-    from; the station tables, keyed ``(q1, at3)``, and for a station
-    whose default segments leave rows out, ``rows_of[(q1, at3)]``: each
-    morpheme's row indexes in its table; per search-graph state q1 whose
-    emitting arcs a state expanded, ``q1_arcs[q1]``: its ``phone:eps``
+    from; the station tables, keyed ``(q1, at3)``, each ``(rows, None)``
+    or, for a table of ``_BLOCK_ROWS`` rows or more, ``((), blocks)``
+    (see ``_OnTheFlySpace._station``), and for a station whose default
+    segments leave rows out, ``rows_of[(q1, at3)]``: each morpheme's row
+    or block indexes; per search-graph state q1 whose emitting arcs a
+    state expanded, ``q1_arcs[q1]``: its ``phone:eps``
     arcs, the morphemes its other arcs read, and the index of each
     morpheme's first arc, and ``reads[q1]``: what a token there reads
     (see ``_OnTheFlySpace._reads``).
@@ -523,10 +544,17 @@ class SearchSpace:
         keeps at the frame's costs plus the segment's hop weight h.  So a
         link from a shared row carries h in its weight, and the token's
         cost plus that weight is the arrival's cost.  The parts come
-        chained, ``(costs, rows, next part)``, the last part's next None,
-        and each token starts from the frame's costs.  One inner loop
-        serves every token: a token without parts pays only the test that
-        it has none, and no arc or link pays for them.
+        chained, ``(costs, rows, next part, bound, targets)``, the last
+        part's next None, and each token starts from the frame's costs.
+        One inner loop serves every token: a token without parts pays only
+        the test that it has none, and no arc or link pays for them.  A
+        part that is a station block carries a bound no higher than any
+        of its arrivals and the set of its targets; any other part's bound
+        is -inf.  Where the bound lies beyond the running cutoff and no
+        target has a token, none of the block's arrivals could make one,
+        so the block is not scanned: all its targets are set aside, in one
+        C-level ``set.update``, where the bound lies within the wide
+        cutoff, and none where it lies beyond.
         An arrival makes a new token when its cost is within the cutoff,
         the best arrival so far plus ``beam + _TOL``.  Beyond the cutoff
         one flag decides.  Where the state is at an end of an epsilon arc
@@ -537,7 +565,9 @@ class SearchSpace:
         Where a later arrival makes a token at a set-aside state (a hit),
         ``_replay`` makes every earlier arrival there again from the
         frame's arcs and puts them into that token, as the uncut step
-        would.
+        would.  A block's targets go into the set whole, also those whose
+        arrivals lay beyond the wide cutoff: for such a hit the replay
+        makes those arrivals too, as the uncut step does.
         An on-the-fly space that reads back-off arcs as failure
         transitions propagates no arc, so there every arrival beyond the
         cutoff is set aside or dropped.  Without a later arrival, a
@@ -560,6 +590,7 @@ class SearchSpace:
         plan, hops = self._meet(tokens, slack, frame_costs)
         margin = beam + _TOL
         wide = beam + slack + _TOL
+        disjoint, update = out.keys().isdisjoint, aside.update
         best = limit = far = _INF
         rest = None  # a token's parts still to scan
         for tok in tokens.values():
@@ -593,10 +624,14 @@ class SearchSpace:
                             far = nc + wide
                     elif nc <= cur[2] + slack:
                         cur += tok, il, ol, lw
-                if rest:
-                    costs, arcs, rest = rest
-                    continue
-                break  # the one test a token without parts pays
+                while rest:
+                    costs, arcs, rest, bound, targets = rest
+                    if bound <= limit or not disjoint(targets):
+                        break  # scanned arc by arc
+                    if bound <= far:
+                        update(targets)
+                else:
+                    break  # the one test a token without parts pays
         # Most frames replay nothing: a test in C of whether any set-aside
         # state has a token comes first.
         if aside and not aside.isdisjoint(out):
@@ -612,7 +647,9 @@ class SearchSpace:
         tokens, in place; ``hits`` is emptied.  The frame's tokens scan
         their arcs again in ``advance``'s order (own arcs at the frame's
         costs, then the station parts in ``hops``), and the scan of a hit
-        stops at the arrival that made its token, its first link.  A hit
+        stops at the arrival that made its token, its first link.  The
+        rescan reads every row of every part, those of the blocks that
+        ``advance`` set aside or dropped whole too.  A hit
         is no end of an epsilon arc, so every earlier arrival there was set
         aside or lay beyond the wide cutoff in force when it came, and
         each is tested as the uncut step tests one: the first sets the
@@ -653,7 +690,7 @@ class SearchSpace:
                         run += tok, il, ol, lw
                 if not rest:
                     break
-                costs, arcs, rest = rest
+                costs, arcs, rest, _, _ = rest
             if not hits:
                 break
         for nid, run in runs.items():
@@ -837,12 +874,14 @@ class _OnTheFlySpace(SearchSpace):
         ``phone:eps`` arcs, each weighing ``w + wb``.  Their
         morpheme arcs that the LM pair (q2, q3) matched at the state's
         G3neg state and at G4 state at3 form a segment ``[station, h, rows,
-        None]``, the None a cache for ``_labels``: h is the pair's hop
-        weight ``acc2 + acc3``, plus wb at a back-off state, and rows are
-        the station's own row objects with those morphemes (the station's
-        table itself when it keeps them all), so no arc is copied or
-        weighted per pair.  The default group's rows are slices of its
-        table around the rows of the morphemes with records of their own.
+        None, blocks]``, the None a cache for ``_labels``: h is the pair's
+        hop weight ``acc2 + acc3``, plus wb at a back-off state, and rows
+        are the station's own row objects with those morphemes (the
+        station's table itself when it keeps them all), so no arc is
+        copied or weighted per pair.  Where the station is blocked and the
+        segment keeps its blocks, rows is empty and blocks holds them;
+        blocks is None otherwise.  The default group's rows come from
+        ``_default_rows``.
         A station (p, at3) is numbered ``p + (search-graph states) * at3``,
         and each state's segments are ordered by their first arc.  A state
         with segments keeps them in ``_shared`` and its ``emit`` entry
@@ -862,18 +901,24 @@ class _OnTheFlySpace(SearchSpace):
             for (at, at3), group in pair.groups.items():
                 if at != g:
                     continue
-                table = self._station(p, g, at3)
-                rows = [r for r in table if record(r[1]) is group]
-                if rows:
-                    rows = table if len(rows) == len(table) else tuple(rows)
-                    found.append([p + n1 * at3, group[2] + wb, rows, None])
+                table, blocks = self._station(p, g, at3)
+                every = table if blocks is None else [
+                    r for b in blocks for r in b[2]]
+                rows = [r for r in every if record(r[1]) is group]
+                if len(rows) == len(every):
+                    rows = table  # the group reads the whole station
+                else:
+                    rows, blocks = tuple(rows), None
+                if rows or blocks:
+                    found.append([p + n1 * at3, group[2] + wb, rows, None,
+                                  blocks])
             at, at3, h = pair.default
             if at == g:
-                table = self._station(p, g, at3)
-                rows = self._default_rows(p, at3, table, pair.records)
-                if rows:
-                    found.append([p + n1 * at3, h + wb, rows, None])
-            found.sort(key=lambda seg: first[seg[2][0][1]])
+                table, blocks = self._default_rows(
+                    p, at3, *self._station(p, g, at3), pair.records)
+                if table or blocks:
+                    found.append([p + n1 * at3, h + wb, table, None, blocks])
+            found.sort(key=lambda seg: first[(seg[2] or seg[4][0][2])[0][1]])
             segs += found
         own = tuple(own)
         if not segs:
@@ -915,30 +960,42 @@ class _OnTheFlySpace(SearchSpace):
         return found
 
     def _default_rows(self, q1: int, at3: int, table: tuple,
-                      records: dict) -> tuple:
-        """The rows of the station (q1, at3) whose morphemes have no record
-        of their own in ``records``: its table, or slices of it around the
-        rows of the morphemes that do, joined.  Each morpheme's row
-        indexes are found once per station, when a pair first leaves rows
-        out."""
+                      blocks: Optional[tuple], records: dict) -> tuple:
+        """The station (q1, at3)'s ``(table, blocks)`` less the rows whose
+        morphemes have a record of their own in ``records``.  A table is
+        sliced around those rows and joined; a blocked station's blocks are
+        shared, but for the few that hold such a row, which are made anew
+        without it and dropped if nothing is left.  A block made anew keeps
+        the old one's least weight and targets, a lower bound and a
+        superset, so that no pair makes a target set of its own.  The row
+        or block indexes of each morpheme are found once per station, when
+        a pair first leaves rows out."""
         if not records:
-            return table
+            return table, blocks
+        items = table if blocks is None else blocks
         key = (q1, at3)
-        rows_of = self._states.rows_of.get(key)
-        if rows_of is None:
-            rows_of = self._states.rows_of[key] = {}
-            for k, r in enumerate(table):
-                rows_of.setdefault(r[1], []).append(k)
-        cut = sorted([k for label in rows_of.keys() & records.keys()
-                      for k in rows_of[label]])
+        index = self._states.rows_of.get(key)
+        if index is None:
+            index = self._states.rows_of[key] = {}
+            for k, item in enumerate(items):
+                for r in (item,) if blocks is None else item[2]:
+                    index.setdefault(r[1], []).append(k)
+        cut = sorted({k for label in index.keys() & records.keys()
+                      for k in index[label]})
         if not cut:
-            return table
+            return table, blocks
         parts, start = [], 0
         for k in cut:
-            parts.append(table[start:k])
+            parts.append(items[start:k])
+            if blocks is not None:
+                il, least, rows, targets = items[k]
+                rows = tuple([r for r in rows if r[1] not in records])
+                if rows:
+                    parts.append(((il, least, rows, targets),))
             start = k + 1
-        parts.append(table[start:])
-        return tuple(chain.from_iterable(parts))
+        parts.append(items[start:])
+        joined = tuple(chain.from_iterable(parts))
+        return (joined, None) if blocks is None else ((), joined)
 
     def _q1_arcs(self, q1: int) -> tuple:
         """Search-graph state q1's ``phone:eps`` arcs, the morphemes its
@@ -962,12 +1019,15 @@ class _OnTheFlySpace(SearchSpace):
         its station weight ``(w + G3neg arc weight) + G4 arc weight``.
         Every LM pair that meets there shares these rows.  Made once, when
         the first pair meets there, which interns each row's next state and
-        checks its G3neg state."""
+        checks its G3neg state.  Returned as ``(rows, None)``, or, where
+        there are ``_BLOCK_ROWS`` rows or more, as ``((), blocks)``: one
+        block per run of rows with one input label, in order (see
+        ``_block``), and no flat table beside them."""
         key = (q1, at3)
         stations = self._states.stations
-        rows = stations.get(key)
-        if rows is not None:
-            return rows
+        found = stations.get(key)
+        if found is not None:
+            return found
         map3, map4 = self._maps3[g], self._maps4[at3]
         rows = []
         for il, ol, w, ns in self._rows.emit[q1]:
@@ -980,16 +1040,38 @@ class _OnTheFlySpace(SearchSpace):
             self._reach(ns, ng)
             rows.append((il, ol, (w + e2.weight) + e3.weight,
                          self.state_id((ns, ng, e3.nextstate))))
-        rows = stations[key] = tuple(rows)
-        return rows
+        if len(rows) < _BLOCK_ROWS:
+            found = stations[key] = (tuple(rows), None)
+        else:
+            runs = groupby(rows, itemgetter(0))  # by input label
+            found = stations[key] = (
+                (), tuple([self._block(tuple(run)) for _, run in runs]))
+        return found
+
+    def _block(self, rows: tuple) -> tuple:
+        """A block of station rows that share one input label: ``(ilabel,
+        least station weight, rows, target ids)``, its least weight -inf
+        where a target is an end of a propagating epsilon arc (``ends``),
+        so that the frame step scans it arc by arc."""
+        ends = self.ends
+        if any([ends[r[3]] for r in rows]):
+            least = -_INF
+        else:
+            least = min([r[2] for r in rows])
+        return rows[0][0], least, rows, frozenset([r[3] for r in rows])
 
     def _meet(self, tokens: dict, slack: float,
               frame_costs: Sequence[float]) -> tuple[dict, dict]:
         """The arcs each token with station segments scans this frame: its
         own arcs, then what it keeps of its segments, in the order of the
-        stations met, as a chain of parts ``(costs, rows, next part)``
-        whose last part's next is None.  A kept segment's costs are the
-        frame's plus its h, made once per frame and h.
+        stations met, as a chain of parts ``(costs, rows, next part,
+        bound, targets)`` whose last part's next is None.  A kept
+        segment's costs are the frame's plus its h, made once per frame
+        and h.  A segment of a blocked station gives one part per block,
+        in the block order, with the bound ``cost + (least + costs[il])``:
+        IEEE rounding is monotone, so no arrival ``cost + (w + costs[il])``
+        from a row of weight ``w >= least`` lies below it.  Any other
+        part's bound is -inf and its targets None.
 
         Tokens that read search-graph state q1, at it or through back-off
         arcs, and whose relays match morphemes at one G4 state at3 meet at
@@ -1003,7 +1085,8 @@ class _OnTheFlySpace(SearchSpace):
         cost more than the earlier one's plus ``slack``, so it could set no
         cost, make no link the lattice bound keeps, and, if the earlier
         one was cut, make no token.  ``2 * _TOL`` covers the rounding
-        between a key and an arrival's cost.
+        between a key and an arrival's cost.  A block that loses rows that
+        way keeps its bound and targets, a lower bound and a superset.
         """
         emit, shared = self.emit, self._shared
         plan, hops = {}, {}
@@ -1026,6 +1109,7 @@ class _OnTheFlySpace(SearchSpace):
                 else:
                     met.append((cost + seg[1], sid, seg))
         margin = slack + 2 * _TOL
+        nobound = -_INF
         shifted = {}  # h -> the frame's costs plus h
         # Taken last first, so that a token's parts, each put before those
         # it has, come in the order its stations were met.
@@ -1037,18 +1121,34 @@ class _OnTheFlySpace(SearchSpace):
             covered = j = 0  # labels held by entries j' < j, as a bit mask
             for key, sid, seg in met:
                 held = key - margin
+                # A cached mask is read without a call; no mask is 0.
                 while met[j][0] < held:
-                    covered |= _labels(met[j][2])
+                    covered |= met[j][2][3] or _labels(met[j][2])
                     j += 1
-                _, h, rows, _ = seg
+                _, h, rows, labels, blocks = seg
                 if covered:
-                    if _labels(seg) | covered == covered:
+                    if (labels or _labels(seg)) | covered == covered:
                         continue
-                    rows = tuple([a for a in rows if not (covered >> a[1]) & 1])
+                    if not blocks:
+                        rows = tuple([a for a in rows
+                                      if not (covered >> a[1]) & 1])
                 costs = shifted.get(h)
                 if costs is None:
                     costs = shifted[h] = [c + h for c in frame_costs]
-                hops[sid] = (costs, rows, hops.get(sid))
+                if not blocks:
+                    hops[sid] = (costs, rows, hops.get(sid), nobound, None)
+                    continue
+                cost = tokens[sid][2]
+                part = hops.get(sid)
+                for il, least, rows, targets in reversed(blocks):
+                    if covered:
+                        rows = tuple([a for a in rows
+                                      if not (covered >> a[1]) & 1])
+                        if not rows:
+                            continue
+                    part = (costs, rows, part, cost + (least + costs[il]),
+                            targets)
+                hops[sid] = part
         return plan, hops
 
     def expand_arcs(self, sid: int, graph_arcs) -> list:
@@ -1182,7 +1282,7 @@ def _labels(seg: list) -> int:
     labels = seg[3]
     if labels is None:
         labels = 0
-        for a in seg[2]:
+        for a in seg[2] or chain.from_iterable([b[2] for b in seg[4]]):
             labels |= 1 << a[1]
         seg[3] = labels
     return labels

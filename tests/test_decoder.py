@@ -44,8 +44,8 @@ from wfstdec.graph import (
     make_morpheme_symbols,
     negate_weights,
 )
-from wfstdec.ngram import (EOS, estimate_witten_bell, prune_to_small_lm,
-                           score_sentence)
+from wfstdec.ngram import (BOS, EOS, NGramModel, estimate_witten_bell,
+                           prune_to_small_lm, score_sentence)
 from wfstdec.pipeline import (PipelineConfig, build_graphs, decode_utterance,
                               synthesize_task)
 
@@ -964,6 +964,10 @@ class TestPruneTokens:
         assert all(kept[k] is tokens[k] for k in kept)
         assert list(tokens) == [0, 1, 2, 3]
 
+    def test_empty_dict_is_returned_as_it_is(self):
+        tokens = {}
+        assert SearchSpace(_tie_graph()).prune(tokens, DecodeOptions()) is tokens
+
     def test_options_validated(self):
         with pytest.raises(ValueError, match="positive"):
             DecodeOptions(beam=0.0)
@@ -1170,21 +1174,44 @@ class TestBuildLattice:
         assert got.fst.finals == want.fst.finals
         assert _arc_lines(got.fst) == _arc_lines(want.fst)
 
+    def test_initial_token_that_no_link_reaches_keeps_a_bare_state(self):
+        # The final token at state 1 has no link, so the backward search
+        # never reaches the initial token.  `_build_lattice` still gives it a
+        # state, first by frame, which is not within the bound and so
+        # gets no arc; the lattice then has no successful path.
+        space = SearchSpace(_one_arc_graph(1, 0, 0.0))
+        init, last = [0, 0, 0.0], [1, 1, 0.5]
+        lat = decoder._build_lattice(space, [(last, 0.0)], init,
+                                     DecodeOptions(), "u")
+        assert lat.frames == [0, 1]
+        assert lat.fst.initial == 0
+        assert lat.fst.finals == {1: 0.0}
+        assert [list(lat.fst.arcs(s)) for s in range(2)] == [[], []]
+        with pytest.raises(EmptyResultError, match="no successful path"):
+            best_path(lat)
+
 
 # -- the frame step's cutoff ------------------------------------------------
+
+def _block_rows(rows, blocks):
+    """The rows of a station table or segment kept as ``(rows, blocks)``:
+    its rows, or those of its blocks in order."""
+    return rows if blocks is None else [r for b in blocks for r in b[2]]
+
 
 def _lone_plan(space, sid):
     """Every emitting arc of state sid, as a lone token scans them, as (own
     arcs, [(h, station rows), ...]): a static state's row, made on first
     visit, or an on-the-fly state's own arcs, then its station segments,
-    each with its hop weight h."""
+    each with its hop weight h and the rows of its blocks in order."""
     arcs = space.emit[sid]
     if arcs is not None:
         return arcs, []
     if not isinstance(space, decoder._OnTheFlySpace):
         return space._rows.emit_row(sid), []
     own, segs = space._shared.get(sid) or space._expand_emit(sid)
-    return own, [(h, rows) for _, h, rows, _ in segs]
+    return own, [(h, _block_rows(rows, blocks))
+                 for _, h, rows, _, blocks in segs]
 
 
 def _all_arcs(space, sid):
@@ -1584,30 +1611,55 @@ class _CountingRow(list):
 def _part_rows(hops, sid):
     """The station rows of the parts ``_meet`` gives state sid's token, in
     the order the frame step scans them: the parts are chained as
-    ``(costs, rows, next part)``, the last with no rows."""
+    ``(costs, rows, next part, bound, targets)``, the last one's next
+    None."""
     part = hops.get(sid)
     while part is not None:
-        costs, rows, part = part
+        costs, rows, part, _, _ = part
         yield rows
+
+
+def _counting_parts(hops):
+    """``hops`` with each part's costs, the frame's plus its hop weight, in
+    a counting list of its own, and those lists: each counts the arcs the
+    frame step scans in its part, none where it drops or sets aside the
+    part whole."""
+    rows = []
+
+    def chain_of(part):
+        if part is None:
+            return None
+        costs, arcs, rest, bound, targets = part
+        rows.append(_CountingRow(costs))
+        return (rows[-1], arcs, chain_of(rest), bound, targets)
+    return {sid: chain_of(part) for sid, part in hops.items()}, rows
 
 
 def _counted_advance(space, tokens, row, frame, slack, beam=INF):
     """``space.advance`` over the counting ``row``, and the arcs it scanned:
-    the lookups in row, plus the rows of the station parts, which it scans
-    at the frame's costs plus their hop weight, a list of its own."""
-    meet = space._meet  # a spy set on the instance stays in the chain
-    parts = 0
+    the lookups in row, plus those in the costs of each station part,
+    which it scans at the frame's costs plus their hop weight, but for
+    the replay's rescan of the parts."""
+    meet, replay = space._meet, space._replay  # spies on the instance stay
+    counted = []
 
     def counting(tokens, slack, frame_costs):
-        nonlocal parts
         plan, hops = meet(tokens, slack, frame_costs)
-        parts += sum(len(rows) for sid in hops for rows in _part_rows(hops, sid))
+        hops, rows = _counting_parts(hops)
+        counted.extend(rows)
         return plan, hops
+
+    def uncounted(*args):
+        before = [r.lookups for r in counted]
+        replay(*args)
+        for r, n in zip(counted, before):
+            r.lookups = n
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space, "_meet", counting)
+        mp.setattr(space, "_replay", uncounted)
         out = space.advance(tokens, row, frame, slack, beam)
-    return out, row.lookups + parts
+    return out, row.lookups + sum(r.lookups for r in counted)
 
 
 def _kept_links(tok, slack):
@@ -1771,6 +1823,191 @@ class TestStations:
                                             8.0).keys()
 
 
+# -- blocked station tables: one bound test per phone block ----------------
+
+_BLOCK_PHONES = ("a", "b", "c", "d")
+
+
+@st.composite
+def _blocked_tasks(draw):
+    """A task whose small LM's unigram state reads 72 morphemes, 18 after
+    each of the phones a-d, so that its station table is kept as blocks of
+    rows.  Six of the morphemes after phone a have one phone, so that
+    their arcs end at LM states, which are ends of epsilon arcs where
+    those propagate.  The big LM is a bigram model with drawn unigrams,
+    bigrams and back-off weights.  Where it lists 66 words after <s>, the
+    station where its <s> state meets the unigram state is blocked too,
+    and the group of a pair there may hold part of it.  The small LM is a
+    pruned copy, whose back-off weights are raised above 0 (negative
+    epsilon weights in HCLG3, which then propagate) if drawn.  Also a
+    sentence of 2-5 morphemes, a noisy utterance with close phone costs,
+    and decode options."""
+    rnd = draw(st.randoms(use_true_random=False))
+    vocab = [f"w{i}" for i in range(72)]
+    lex = Lexicon()
+    for i, w in enumerate(vocab):
+        first = _BLOCK_PHONES[i % 4]
+        lex.add(w, [first] if i % 12 == 0 else
+                [first, _BLOCK_PHONES[(i // 4) % 4]])
+    big = NGramModel(2)
+    big.add_entry((BOS,), -99.0, -rnd.randint(1, 10) / 20)
+    for w in vocab:
+        big.add_entry((w,), -rnd.randint(15, 25) / 10, -rnd.randint(1, 10) / 20)
+    big.add_entry((EOS,), -rnd.randint(10, 25) / 10)
+    listed = draw(st.sampled_from([6, 66]))  # the words listed after <s>
+    for h, n in [(BOS, listed)] + [(h, 6) for h in rnd.sample(vocab, 8)]:
+        for w in rnd.sample(vocab + [EOS], n):
+            big.add_entry((h, w), -rnd.randint(1, 15) / 10)
+    big.validate()
+    small = prune_to_small_lm(big, draw(st.sampled_from([0.02, 0.1])), 2)
+    if draw(st.booleans()):  # raise_backoffs
+        for gram, e in list(small.ngrams(1)):
+            if e.backoff is not None and rnd.random() < 0.5:
+                small.add_entry(gram, e.logprob, rnd.randint(1, 8) / 10)
+    sent = [rnd.choice(vocab) for _ in range(rnd.randint(2, 5))]
+    audio = dict(noise=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                 seed=rnd.randint(0, 100),
+                 margin=draw(st.sampled_from([1.0, 3.0, 12.0])))
+    return big, small, lex, sent, audio, draw(_cut_options)
+
+
+class _Targets:
+    """A block's target ids that count the frame step's passes over them:
+    the first asks whether any has a token, the second sets them aside."""
+
+    def __init__(self, targets):
+        self.targets, self.passes = targets, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.targets)
+
+
+def _spied_blocks(space):
+    """Spies on the space's station pass and replay.  The station pass
+    gives each block's part (a part with targets) costs that count
+    the arcs scanned in it and targets that count the passes over them.
+    Returns a function that classifies the last frame's blocks: (scanned,
+    set aside whole, dropped whole, whether it replayed)."""
+    meet, replay = space._meet, space._replay
+    blocks, replayed = [], []
+
+    def spy_meet(tokens, slack, frame_costs):
+        plan, hops = meet(tokens, slack, frame_costs)
+
+        def spied(part):
+            if part is None:
+                return None
+            costs, arcs, rest, bound, targets = part
+            if targets is None:  # an unblocked part
+                return costs, arcs, spied(rest), bound, targets
+            if bound == -INF:
+                event("a block with a target at an epsilon end")
+            block = (_CountingRow(costs), _Targets(targets))
+            blocks.append(block)
+            return block[0], arcs, spied(rest), bound, block[1]
+        return plan, {sid: spied(part) for sid, part in hops.items()}
+
+    def spy_replay(*args):
+        before = [costs.lookups for costs, _ in blocks]
+        replayed.append(True)
+        replay(*args)
+        for (costs, _), n in zip(blocks, before):
+            costs.lookups = n
+
+    space._meet, space._replay = spy_meet, spy_replay
+
+    def frame_events():
+        scanned = sum(1 for costs, _ in blocks if costs.lookups)
+        aside = sum(1 for costs, t in blocks
+                    if not costs.lookups and t.passes == 2)
+        out = (scanned, aside, len(blocks) - scanned - aside, bool(replayed))
+        blocks.clear()
+        replayed.clear()
+        return out
+    return frame_events
+
+
+class TestBlockedStations:
+    """A station table of many rows is kept as blocks, one per run of rows
+    that read one phone, with the least station weight and the target ids
+    of each.  The frame step drops a block whole where its bound, the
+    token's cost plus the least weight plus the phone's cost, lies beyond
+    the wide cutoff, sets it aside whole where the bound lies beyond the
+    cutoff and no target has a token, and scans it arc by arc otherwise:
+    the result is the uncut step's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blocked_tasks())
+    def test_blocked_frames_equal_uncut(self, case):
+        big, small, lex, sent, audio, opts = case
+        hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
+        matrix = oracle_audio(hclg3, lex, sent, **audio)
+        space = search_space(hclg3, g3neg, g4)
+        event("failure reads" if space._rows.failure else "propagation")
+        frame_events = _spied_blocks(space)
+        slack, beam = opts.lattice_beam, opts.beam
+        tokens = {space.initial: [space.initial, 0, 0.0]}
+        space.propagate(tokens, 0, slack)
+        for frame in range(matrix.num_frames):
+            row = matrix.padded_row(frame)
+            got = space.advance(tokens, row, frame + 1, slack, beam)
+            scanned, aside, dropped, replayed = frame_events()
+            for name, n in (("scanned", scanned), ("set aside whole", aside),
+                            ("dropped whole", dropped)):
+                if n:
+                    event(f"a block {name}")
+            if aside and replayed:
+                event("a replay after a block set aside whole")
+            want = _uncut_advance(space, tokens, row, frame + 1, slack)
+            if not want:
+                break
+            _assert_step_equals_uncut(got, want, beam, slack)
+            # Every arrival at an end of a propagating epsilon arc makes a
+            # token, beyond the cutoff too.
+            assert {sid for sid in want if space.ends[sid]} <= got.keys()
+            # And after epsilon propagation, which can bring a token made
+            # beyond the cutoff back under the beam.
+            space.propagate(got, frame + 1, slack)
+            space.propagate(want, frame + 1, slack)
+            self._assert_propagated_equal(got, want, beam, slack)
+            tokens = space.prune(got, opts)
+        assert any(blocks for _, blocks in space._states.stations.values())
+
+    @staticmethod
+    def _assert_propagated_equal(got, want, beam, slack):
+        """``_assert_step_equals_uncut`` after both steps' tokens were
+        propagated: a link's source is then a token of either step, so it
+        is named by its state and frame."""
+        def kept(tok):
+            return sorted((prev[0], prev[1], il, ol, w)
+                          for prev, il, ol, w in links(tok)
+                          if prev[2] + w <= tok[2] + slack)
+        best = min(t[2] for t in want.values())
+        assert got.keys() <= want.keys()
+        for sid, t in want.items():
+            if sid not in got:
+                assert t[2] > best + beam
+                continue
+            assert got[sid][2] == t[2]
+            if t[2] <= best + beam:
+                assert kept(got[sid]) == kept(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_blocked_tasks())
+    def test_blocked_decodes_equal_uncut(self, case):
+        big, small, lex, sent, audio, opts = case
+        runs = []
+        for uncut in (False, True):  # each on cold graphs, for the counters
+            hclg3, g3neg, g4 = _onthefly_graphs(lex, big, small)
+            matrix = oracle_audio(hclg3, lex, sent, **audio)
+            stats = RelayStats()
+            runs.append((_cut_outcome(lambda: decode_onthefly(
+                hclg3, g3neg, g4, matrix, opts, stats), uncut), stats))
+        (got, got_stats), (want, want_stats) = runs
+        _assert_cut_equals_uncut(got, want)
+        assert got_stats == want_stats
+
 def _reference_reads(space, g3neg, q1):
     """(state, G3neg state, back-off weight walked) for q1 (weight 0)
     and, where every epsilon-input arc of the search graph is eps:eps with
@@ -1839,7 +2076,8 @@ def _expansion(space, sid):
 
     def arcs(tab):
         return [(il, ol, w.hex(), space.triple(nid)) for il, ol, w, nid in tab]
-    return arcs(own), [[st, h.hex(), arcs(tab)] for st, h, tab, _ in segs]
+    return arcs(own), [[st, h.hex(), arcs(_block_rows(tab, blocks))]
+                       for st, h, tab, _, blocks in segs]
 
 
 class TestStationTables:
@@ -1903,6 +2141,24 @@ class TestStationTables:
             rescore_lattice(decode_static(hclg, matrix), g3neg, g4))]
         assert costs == [((0.1 + 0.1) + 0.4) + 0.3] * 2
 
+    def test_station_leaves_out_phone_arcs(self):
+        # Search-graph state 0 reads phone 1 on a phone:eps arc to state 1
+        # and on a morpheme arc to state 2.  The station table of (0, 0)
+        # holds the morpheme's row alone; the phone:eps arc is an own arc.
+        hclg = Fst()
+        hclg.add_states(3)
+        hclg.add_arc(0, Arc(1, 0, 0.5, 1))
+        hclg.add_arc(0, Arc(1, 5, 0.25, 2))
+        hclg.set_initial(0)
+        g3neg, g4 = _listing_lm([5]), _listing_lm([5])
+        space = search_space(hclg, g3neg, g4)
+        sid = space.initial
+        own, segs = space._expand_emit(sid)
+        assert own == ((1, 0, 0.5, space.state_id((1, 0, 0))),)
+        assert space._states.stations == {
+            (0, 0): (((1, 5, 0.25, space.state_id((2, 0, 0))),), None)}
+        assert _expansion(space, sid) == _reference_emit(space, g3neg, g4, sid)
+
     def test_each_station_table_is_built_once_and_shared(self, task_models):
         # A cold decode of the default task's first utterance.  The spy
         # records, per station, each table it returns and the LM pairs of
@@ -1940,9 +2196,11 @@ class TestStationTables:
         n1 = len(space._g3)
         segments = 0
         for own, segs in space._shared.values():
-            for st, _, rows, _ in segs:
-                kept = iter(space._states.stations[(st % n1, st // n1)])
-                assert all(any(r is t for t in kept) for r in rows)
+            for st, _, rows, _, blocks in segs:
+                kept = iter(_block_rows(
+                    *space._states.stations[(st % n1, st // n1)]))
+                assert all(any(r is t for t in kept)
+                           for r in _block_rows(rows, blocks))
                 segments += 1
         assert segments > len(space._states.stations)
 
